@@ -1,32 +1,5 @@
-"""Build script: compiles the optional jet-kernel extension.
-
-The package is pure Python plus one small Cython module with the hot
-polynomial kernels.  If Cython or a C compiler is unavailable the build
-silently skips the extension and the package falls back to the NumPy
-implementation at import time.
-"""
+"""Build script: the package is pure Python (see pyproject.toml)."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-    from setuptools.extension import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "bachlab._jetcore",
-                ["src/bachlab/_jetcore.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    print(f"bachlab: skipping compiled kernels ({exc}); using NumPy fallback")
-
-setup(ext_modules=ext_modules)
+setup()

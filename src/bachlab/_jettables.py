@@ -37,9 +37,8 @@ class JetTables:
     Multiplication runs over unordered slot pairs: strict pairs i < j
     contribute the symmetric term a_i b_j + a_j b_i (making the product
     exactly commutative in floating point) and diagonal slots contribute
-    a_i b_i.  Both kernel backends traverse pairs first, then diagonals,
-    in table order, so their accumulation order — and hence every
-    rounding — is identical.
+    a_i b_i.  The kernel in `_kernels` accumulates pairs first, then
+    diagonals, in table order, so every rounding is fixed by the tables.
     """
 
     dim: int
@@ -56,10 +55,7 @@ class JetTables:
     dsrc: tuple[np.ndarray, ...]  # per axis: slot of alpha + e_axis
     dmul: tuple[np.ndarray, ...]  # per axis: factor alpha_axis + 1
     factorials: np.ndarray  # alpha! per slot
-
-    @property
-    def size(self) -> int:
-        return len(self.mons)
+    size: int  # number of coefficients, len(mons)
 
 
 def _build(dim: int, order: int) -> JetTables:
@@ -119,6 +115,7 @@ def _build(dim: int, order: int) -> JetTables:
         dsrc=tuple(dsrc),
         dmul=tuple(dmul),
         factorials=facts,
+        size=len(mons),
     )
 
 

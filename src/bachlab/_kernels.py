@@ -1,21 +1,83 @@
-"""Backend selection for the jet kernels.
+"""The truncated-product kernel for jets and tensors of jets.
 
-Prefers the compiled extension; falls back to the NumPy implementation if
-it is absent.  Set BACHLAB_FORCE_PY=1 to force the fallback (used by the
-backend-parity tests and the benchmark script).
+A jet holds its Taylor coefficients in the graded layout of `_jettables`;
+a tensor of jets is one float64 array of shape ``(*tensor_shape, size)``.
+Every product -- one scalar jet times another, an elementwise product of
+tensors, or a contraction over tensor indices -- runs the same steps:
+
+1. gather the operand coefficients of the table's slot pairs: strict pairs
+   i < j contribute the symmetric term ``a_i b_j + a_j b_i`` (so products
+   are exactly commutative in floating point) and diagonal slots
+   contribute ``a_i b_i``;
+2. multiply the gathered operands, elementwise with broadcasting or by an
+   `np.einsum` over the contracted tensor indices, with the pair axis
+   carried along as a batch axis;
+3. scatter the terms to their destination slots by ``all_k`` with one
+   `np.bincount`.  It accumulates in input order, strict pairs first and
+   then diagonals, so a tensor entry is rounded exactly like the scalar
+   product of its two operand entries.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("BACHLAB_FORCE_PY", "0") not in ("", "0"):
-    from . import _jetcore_py as _impl
-else:
-    try:
-        from . import _jetcore as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _jetcore_py as _impl  # type: ignore[no-redef]
+from ._jettables import JetTables
 
-BACKEND_NAME: str = _impl.BACKEND_NAME
-mul_into = _impl.mul_into
+BACKEND_NAME = "numpy"
+
+
+def _terms(a, b, pi, pj, di, mul=np.multiply):
+    """Pair and diagonal terms of a truncated product, before the scatter."""
+    ta, tb = a.take, b.take
+    return np.concatenate((mul(ta(pi, axis=-1), tb(pj, axis=-1))
+                           + mul(ta(pj, axis=-1), tb(pi, axis=-1)),
+                           mul(ta(di, axis=-1), tb(di, axis=-1))), axis=-1)
+
+
+def mul_into(a, b, out, pi, pj, pk, di, dk, all_k):
+    """Accumulate the truncated product of two scalar jets into out.
+
+    out must be zero-initialized; the index arrays come from
+    `_jettables.JetTables` (``pk`` and ``dk`` are carried in ``all_k``).
+    """
+    out += np.bincount(all_k, weights=_terms(a, b, pi, pj, di),
+                       minlength=out.shape[0])
+
+
+_SCATTER: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _scatter(terms: np.ndarray, tab: JetTables) -> np.ndarray:
+    """Sum each row of terms into its destination slots by ``all_k``."""
+    lead = terms.shape[:-1]
+    rows = int(np.prod(lead))
+    key = (rows, tab.dim, tab.order)
+    idx = _SCATTER.get(key)
+    if idx is None:
+        idx = _SCATTER[key] = (np.arange(rows)[:, None] * tab.size
+                               + tab.all_k).ravel()
+    out = np.bincount(idx, weights=terms.reshape(-1),
+                      minlength=rows * tab.size)
+    return out.reshape(lead + (tab.size,))
+
+
+def product(a: np.ndarray, b: np.ndarray, tab: JetTables,
+            spec: str | None = None) -> np.ndarray:
+    """Truncated product of two tensors of jets at one (dim, order).
+
+    ``a`` and ``b`` end in an axis of ``tab.size`` coefficients.  ``spec``
+    holds `np.einsum` subscripts over the tensor axes only, for example
+    ``"lim,mjk->lijk"``; without it the tensors multiply elementwise with
+    broadcasting.
+    """
+    mul = np.multiply
+    if spec is not None:
+        ins, out = spec.split("->")
+        sub = ",".join(s + "..." for s in ins.split(",")) + "->" + out + "..."
+
+        def mul(x, y):
+            return np.einsum(sub, x, y)
+
+    return _scatter(_terms(a, b, tab.pair_i, tab.pair_j, tab.diag_i, mul),
+                    tab)

@@ -9,6 +9,16 @@ one order per derivative:
           -> grad S, cov Ricci, Cotton (1)
           -> Hess S, Lap S, Lap Ricci, cov Cotton, Bach (0).
 
+Every tensor is one `Jet` whose coefficients form a float64 array of
+shape ``(*tensor_shape, size)``: the tensor indices first, in the order
+of the formulas below, then the Taylor coefficients of each entry in the
+graded layout of `_jettables`.  The trailing size fixes the order (15
+coefficients are order 2 in four variables), and grading makes lowering
+the order a prefix slice.  Index gymnastics (transposes, traces) are
+`np.einsum` calls on the coefficient array; every product of tensors is
+one `jets.contract` call, which runs at the lower of its operands'
+orders.  There are no per-entry loops.
+
 Conventions (fixed throughout the package):
 
     R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
@@ -34,7 +44,7 @@ import numpy as np
 
 from . import exprs
 from .charts import Chart, Manifold
-from .jets import Jet
+from .jets import Jet, contract, stack
 
 BASE_ORDER = 4
 
@@ -43,38 +53,31 @@ class CurvatureError(ValueError):
     """Requested quantity is undefined for this dimension or order."""
 
 
-def trunc(t, order: int):
-    """Truncate a jet or an object-array of jets to the given order."""
-    if isinstance(t, Jet):
-        return t if t.order == order else t.truncated(order)
-    out = np.empty(t.shape, dtype=object)
-    for idx in np.ndindex(t.shape):
-        j = t[idx]
-        out[idx] = j if j.order == order else j.truncated(order)
-    return out
+def trunc(t, order: int) -> Jet:
+    """A jet, a tensor of jets or a sequence of jets at a lower order."""
+    t = stack(t)
+    return t if t.order == order else t.truncated(order)
 
 
-def values(t) -> np.ndarray | float:
-    """Zeroth-order values of a jet or an object-array of jets."""
-    if isinstance(t, Jet):
-        return t.value
-    out = np.empty(t.shape, dtype=float)
-    for idx in np.ndindex(t.shape):
-        out[idx] = t[idx].value
-    return out
+def values(t):
+    """Zeroth-order values: a float for a scalar jet, else an array."""
+    return stack(t).value
 
 
-def _jet_matmul(A, B):
-    n, m = A.shape[0], B.shape[1]
-    k = A.shape[1]
-    out = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            acc = A[i, 0] * B[0, j]
-            for l in range(1, k):
-                acc = acc + A[i, l] * B[l, j]
-            out[i, j] = acc
-    return out
+def _index(spec: str, t: Jet) -> Jet:
+    """Rearrange tensor indices by einsum subscripts (transpose, trace)."""
+    src, dst = spec.split("->")
+    return Jet(t.dim, t.order, np.einsum(f"{src}...->{dst}...", t.coeffs),
+               _tab=t.tab)
+
+
+def _upper_mirrored(t: Jet) -> Jet:
+    """A 2-tensor with its strict lower triangle copied from the upper one,
+    so that it is exactly symmetric."""
+    coeffs = t.coeffs.copy()
+    lower = np.tril_indices(t.shape[0], -1)
+    coeffs[lower] = t.coeffs.swapaxes(0, 1)[lower]
+    return Jet(t.dim, t.order, coeffs, _tab=t.tab)
 
 
 class CurvatureFrame:
@@ -93,333 +96,175 @@ class CurvatureFrame:
 
     # -- level 4: metric ----------------------------------------------
     @cached_property
-    def g(self):
-        n = self.n
-        raw = self.chart.metric_jets(self.point, order=self.order)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = raw[i][j]
-        return out
+    def g(self) -> Jet:
+        return stack(self.chart.metric_jets(self.point, order=self.order))
 
     @cached_property
-    def ginv(self):
+    def ginv(self) -> Jet:
         """Inverse metric jets via Newton iteration X <- X(2I - GX)."""
         n = self.n
-        g0 = values(self.g)
         try:
-            x0 = np.linalg.inv(g0)
+            x0 = np.linalg.inv(self.g.value)
         except np.linalg.LinAlgError:
             raise CurvatureError(
                 f"metric of {self.chart.name!r} is singular at "
                 f"{self.point}") from None
-        X = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                X[i, j] = Jet.constant(x0[i, j], n, self.order)
-        two_i = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                two_i[i, j] = Jet.constant(2.0 if i == j else 0.0, n,
-                                           self.order)
+        X = Jet.constant(x0, n, self.order)
+        two_i = Jet.constant(2.0 * np.eye(n), n, self.order)
         for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 4
-            X = _jet_matmul(X, two_i - _jet_matmul(self.g, X))
+            X = contract("ik,kj->ij", X,
+                         two_i - contract("ik,kj->ij", self.g, X))
         return X
 
     # -- level 3: connection --------------------------------------------
     @cached_property
-    def gamma(self):
+    def gamma(self) -> Jet:
         """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij, order 3."""
-        n = self.n
-        dg = np.empty((n, n, n), dtype=object)  # dg[l, i, j] = d_l g_ij
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    d = self.g[i, j].derivative(l)
-                    dg[l, i, j] = d
-                    dg[l, j, i] = d
-        gi = trunc(self.ginv, self.order - 1)
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = gi[k, l] * (dg[i, l, j] + dg[j, l, i]
-                                           - dg[l, i, j])
-                        acc = term if acc is None else acc + term
-                    half = acc * 0.5
-                    out[k, i, j] = half
-                    out[k, j, i] = half
-        return out
+        dg = self.g.grad()  # dg[l, i, j] = d_l g_ij
+        first = _index("ilj->lij", dg) + _index("jli->lij", dg) - dg
+        return 0.5 * contract("kl,lij->kij", self.ginv, first)
 
     # -- level 2: curvature ---------------------------------------------
     @cached_property
-    def riemann_up(self):
+    def riemann_up(self) -> Jet:
         """riemann_up[l, i, j, k] = R^l_ijk, order 2."""
-        n = self.n
-        r = self.order - 2
-        dgam = np.empty((n, n, n, n), dtype=object)
-        for a in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        d = self.gamma[k, i, j].derivative(a)
-                        dgam[a, k, i, j] = d
-                        dgam[a, k, j, i] = d
-        gam = trunc(self.gamma, r)
-        zero = Jet.constant(0.0, n, r)
-        out = np.empty((n, n, n, n), dtype=object)
-        for l in range(n):
-            for i in range(n):
-                out[l, i, i, :] = zero
-                for j in range(i + 1, n):
-                    for k in range(n):
-                        acc = dgam[i, l, j, k] - dgam[j, l, i, k]
-                        for m in range(n):
-                            acc = acc + gam[l, i, m] * gam[m, j, k]
-                            acc = acc - gam[l, j, m] * gam[m, i, k]
-                        out[l, i, j, k] = acc
-                        out[l, j, i, k] = -acc
-        return out
+        gam = self.gamma.truncated(self.order - 2)
+        dgam = self.gamma.grad()  # dgam[a, l, j, k] = d_a Gamma^l_jk
+        half = (_index("iljk->lijk", dgam)
+                + contract("lim,mjk->lijk", gam, gam))
+        return half - _index("lijk->ljik", half)
 
     @cached_property
-    def riemann_lo(self):
+    def riemann_lo(self) -> Jet:
         """riemann_lo[l, i, j, k] = g_lm R^m_ijk, order 2."""
-        n = self.n
-        g2 = trunc(self.g, self.order - 2)
-        out = np.empty((n, n, n, n), dtype=object)
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = g2[l, 0] * self.riemann_up[0, i, j, k]
-                        for m in range(1, n):
-                            acc = acc + g2[l, m] * self.riemann_up[m, i, j, k]
-                        out[l, i, j, k] = acc
-        return out
+        return contract("lm,mijk->lijk", self.g, self.riemann_up)
 
     @cached_property
-    def ricci(self):
+    def ricci(self) -> Jet:
         """ricci[j, k] = R^i_ijk, order 2."""
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for j in range(n):
-            for k in range(n):
-                acc = self.riemann_up[0, 0, j, k]
-                for i in range(1, n):
-                    acc = acc + self.riemann_up[i, i, j, k]
-                out[j, k] = acc
-        return out
+        return _index("iijk->jk", self.riemann_up)
 
     @cached_property
-    def ginv2(self):
-        return trunc(self.ginv, self.order - 2)
+    def ginv2(self) -> Jet:
+        return self.ginv.truncated(self.order - 2)
 
     @cached_property
     def scalar(self) -> Jet:
         """Scalar curvature, order 2."""
-        n = self.n
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                term = self.ginv2[j, k] * self.ricci[j, k]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("jk,jk->", self.ginv2, self.ricci)
 
     @cached_property
-    def ricci_mixed(self):
+    def ricci_mixed(self) -> Jet:
         """ricci_mixed[i, j] = g^{ia} Ric_aj, order 2."""
-        return _jet_matmul(self.ginv2, self.ricci)
+        return contract("ia,aj->ij", self.ginv2, self.ricci)
 
     @cached_property
-    def ricci_sq(self):
+    def ricci_sq(self) -> Jet:
         """(Ric^2)_ij = Ric_ia g^{ab} Ric_bj, order 2."""
-        return _jet_matmul(self.ricci, self.ricci_mixed)
+        return contract("ia,aj->ij", self.ricci, self.ricci_mixed)
 
     @cached_property
     def ricci_norm2(self) -> Jet:
         """|Ric|^2 = Ric_ij Ric^{ij}, order 2."""
-        n = self.n
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = self.ricci_mixed[i, j] * self.ricci_mixed[j, i]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ji->", self.ricci_mixed, self.ricci_mixed)
 
     @cached_property
-    def einstein_residual(self):
+    def einstein_residual(self) -> Jet:
         """Trace-free Ricci: Ric - (S/n) g, order 2."""
-        n = self.n
-        g2 = trunc(self.g, self.order - 2)
-        s_over_n = self.scalar * (1.0 / n)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.ricci[i, j] - s_over_n * g2[i, j]
-        return out
+        return self.trace_free(self.ricci)
 
     @cached_property
-    def schouten(self):
+    def schouten(self) -> Jet:
         """P = (Ric - S g / (2(n-1))) / (n-2), order 2; needs n >= 3."""
         n = self.n
         if n < 3:
             raise CurvatureError(
                 "the Schouten tensor is undefined for n < 3")
-        g2 = trunc(self.g, self.order - 2)
         s_term = self.scalar * (1.0 / (2 * (n - 1)))
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = (self.ricci[i, j] - s_term * g2[i, j]) \
-                    * (1.0 / (n - 2))
-        return out
+        return (self.ricci - s_term * self.g_at(self.order - 2)) \
+            * (1.0 / (n - 2))
 
     @cached_property
-    def weyl_lo(self):
+    def weyl_lo(self) -> Jet:
         """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
-        n = self.n
-        P = self.schouten
-        g2 = trunc(self.g, self.order - 2)
-        out = np.empty((n, n, n, n), dtype=object)
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        kn = (P[l, i] * g2[j, k] - P[l, j] * g2[i, k]
-                              + g2[l, i] * P[j, k] - g2[l, j] * P[i, k])
-                        out[l, i, j, k] = self.riemann_lo[l, i, j, k] - kn
-        return out
+        P, g2 = self.schouten, self.g_at(self.order - 2)
+        half = (contract("li,jk->lijk", P, g2)
+                + contract("li,jk->lijk", g2, P))
+        return self.riemann_lo - (half - _index("lijk->ljik", half))
 
     # -- covariant derivatives -------------------------------------------
-    def cov_deriv(self, T):
+    def cov_deriv(self, T) -> Jet:
         """Covariant derivative of an all-lower tensor of jets.
 
-        Input: object array of rank r, every entry at one order m >= 1.
-        Output: rank r + 1 at order m - 1, out[a, i1..ir] = (cov_a T)_i...
+        Input: a tensor of rank r (or a sequence of jets) at one order
+        m >= 1.  Output: rank r + 1 at order m - 1,
+        out[a, i1..ir] = (cov_a T)_i...
         """
-        T = np.asarray(T, dtype=object)
-        m = T.flat[0].order
-        n = self.n
-        gam = trunc(self.gamma, m - 1)
-        Tm = trunc(T, m - 1)
-        out = np.empty((n,) + T.shape, dtype=object)
-        for a in range(n):
-            for idx in np.ndindex(T.shape):
-                acc = T[idx].derivative(a)
-                for s in range(T.ndim):
-                    i_s = idx[s]
-                    for mm in range(n):
-                        midx = idx[:s] + (mm,) + idx[s + 1:]
-                        acc = acc - gam[mm, a, i_s] * Tm[midx]
-                out[(a,) + idx] = acc
+        T = stack(T)
+        out = T.grad()
+        Tm = T.truncated(T.order - 1)
+        idx = "bcdefgh"[:T.ndim]
+        for s, i_s in enumerate(idx):
+            slot = idx[:s] + "m" + idx[s + 1:]
+            out = out - contract(f"ma{i_s},{slot}->a{idx}", self.gamma, Tm)
         return out
 
     @cached_property
-    def cov_ricci(self):
+    def cov_ricci(self) -> Jet:
         """cov_ricci[a, i, j] = (cov_a Ric)_ij, order 1."""
         return self.cov_deriv(self.ricci)
 
     @cached_property
-    def cov_schouten(self):
+    def cov_schouten(self) -> Jet:
         return self.cov_deriv(self.schouten)
 
     @cached_property
-    def cotton(self):
+    def cotton(self) -> Jet:
         """cotton[k, i, j] = cov_k P_ij - cov_i P_kj, order 1."""
-        n = self.n
         cp = self.cov_schouten
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = cp[k, i, j] - cp[i, k, j]
-        return out
+        return cp - _index("kij->ikj", cp)
 
     @cached_property
-    def lap_ricci(self):
+    def lap_ricci(self) -> Jet:
         """Rough Laplacian g^{ab} cov_a cov_b Ric, order 0."""
-        n = self.n
         cc = self.cov_deriv(self.cov_ricci)  # cc[b, a, i, j], order 0
-        gi = trunc(self.ginv, 0)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for a in range(n):
-                    for b in range(n):
-                        term = gi[a, b] * cc[a, b, i, j]
-                        acc = term if acc is None else acc + term
-                out[i, j] = acc
-        return out
+        return contract("ab,abij->ij", self.ginv, cc)
 
     # -- scalar-curvature derivatives -------------------------------------
     @cached_property
-    def grad_scalar_lo(self):
+    def grad_scalar_lo(self) -> Jet:
         """d S (lower index), order 1."""
-        n = self.n
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            out[i] = self.scalar.derivative(i)
-        return out
+        return self.scalar.grad()
 
     @cached_property
-    def grad_scalar_up(self):
+    def grad_scalar_up(self) -> Jet:
         """grad S (upper index), order 1."""
-        n = self.n
-        gi = trunc(self.ginv, self.order - 3)
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            acc = gi[i, 0] * self.grad_scalar_lo[0]
-            for j in range(1, n):
-                acc = acc + gi[i, j] * self.grad_scalar_lo[j]
-            out[i] = acc
-        return out
+        return contract("ij,j->i", self.ginv, self.grad_scalar_lo)
 
     @cached_property
-    def hess_scalar(self):
+    def hess_scalar(self) -> Jet:
         """Hessian of S, order 0."""
         return self.hessian(self.scalar)
 
     @cached_property
     def lap_scalar(self) -> Jet:
         """Laplacian of S, order 0."""
-        n = self.n
-        gi = trunc(self.ginv, 0)
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = gi[i, j] * self.hess_scalar[i, j]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ij->", self.ginv, self.hess_scalar)
 
     # -- Bach -----------------------------------------------------------
     @cached_property
-    def bach(self):
+    def bach(self) -> Jet:
         """B_ij = g^{km} cov_m C_kij + P^{ab} W_baij, order 0; n = 4."""
         n = self.n
         if n != 4:
             raise CurvatureError(
                 f"the Bach tensor is implemented for n = 4, got n = {n}")
         cov_c = self.cov_deriv(self.cotton)  # cov_c[m, k, i, j], order 0
-        gi0 = trunc(self.ginv, 0)
-        p0 = trunc(self.schouten, 0)
-        w0 = trunc(self.weyl_lo, 0)
-        p_up = _jet_matmul(_jet_matmul(gi0, p0), gi0)  # P^{ab}
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    for m in range(n):
-                        term = gi0[k, m] * cov_c[m, k, i, j]
-                        acc = term if acc is None else acc + term
-                for a in range(n):
-                    for b in range(n):
-                        acc = acc + p_up[a, b] * w0[b, a, i, j]
-                out[i, j] = acc
-        return out
+        gi0 = self.ginv.truncated(0)
+        p_up = contract("ia,aj->ij",
+                        contract("ia,aj->ij", gi0, self.schouten), gi0)
+        return (contract("km,mkij->ij", gi0, cov_c)
+                + contract("ab,baij->ij", p_up, self.weyl_lo))
 
     # -- generic operators ------------------------------------------------
     def scalar_jet(self, text_or_expr, order: int | None = None) -> Jet:
@@ -429,209 +274,88 @@ class CurvatureFrame:
                               self.chart.params,
                               order if order is not None else self.order)
 
-    def vector_jets(self, components, order: int | None = None):
+    def vector_jets(self, components, order: int | None = None) -> Jet:
         """Upper-index vector field from per-coordinate expressions."""
         if len(components) != self.n:
             raise CurvatureError(
                 f"vector field needs {self.n} components")
-        out = np.empty(self.n, dtype=object)
-        for i, c in enumerate(components):
-            out[i] = self.scalar_jet(c, order)
-        return out
+        return stack([self.scalar_jet(c, order) for c in components])
 
-    def gradient_vector(self, h: Jet):
+    def gradient_vector(self, h: Jet) -> Jet:
         """grad h (upper index), order of h minus 1."""
-        n = self.n
-        gi = trunc(self.ginv, h.order - 1)
-        dh = [h.derivative(i) for i in range(n)]
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            acc = gi[i, 0] * dh[0]
-            for j in range(1, n):
-                acc = acc + gi[i, j] * dh[j]
-            out[i] = acc
-        return out
+        return contract("ij,j->i", self.ginv, h.grad())
 
-    def hessian(self, h: Jet):
+    def hessian(self, h: Jet) -> Jet:
         """(Hess h)_ij = d_i d_j h - Gamma^k_ij d_k h."""
-        n = self.n
         if h.order < 2:
             raise CurvatureError("hessian needs a jet of order >= 2")
-        dh = [h.derivative(i) for i in range(n)]
-        gam = trunc(self.gamma, h.order - 2)
-        dh2 = [d.truncated(h.order - 2) for d in dh]
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                acc = dh[i].derivative(j)
-                for k in range(n):
-                    acc = acc - gam[k, i, j] * dh2[k]
-                out[i, j] = acc
-                out[j, i] = acc
-        return out
+        dh = h.grad()
+        hess = (_index("ji->ij", dh.grad())
+                - contract("kij,k->ij", self.gamma,
+                           dh.truncated(h.order - 2)))
+        return _upper_mirrored(hess)
 
     def laplacian(self, h: Jet) -> Jet:
-        n = self.n
-        hs = self.hessian(h)
-        gi = trunc(self.ginv, h.order - 2)
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = gi[i, j] * hs[i, j]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ij->", self.ginv, self.hessian(h))
 
-    def g_at(self, order: int):
+    def g_at(self, order: int) -> Jet:
         """The metric component jets truncated to the given order."""
         return trunc(self.g, order)
 
-    def lie_metric(self, X):
+    def lie_metric(self, X) -> Jet:
         """(L_X g)_ij for an upper vector field X, one order below X."""
-        n = self.n
-        m = X[0].order - 1
-        g1 = trunc(self.g, m)
-        dg = np.empty((n, n, n), dtype=object)
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    d = self.g[i, j].truncated(m + 1).derivative(l) \
-                        if self.g[i, j].order > m else None
-                    if d is None:
-                        raise CurvatureError("metric order exhausted")
-                    dg[l, i, j] = d
-                    dg[l, j, i] = d
-        Xm = trunc(X, m)
-        dX = np.empty((n, n), dtype=object)  # dX[i, k] = d_i X^k
-        for i in range(n):
-            for k in range(n):
-                dX[i, k] = X[k].derivative(i) if X[k].order == m + 1 \
-                    else X[k].truncated(m + 1).derivative(i)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                acc = None
-                for k in range(n):
-                    term = Xm[k] * dg[k, i, j] + g1[k, j] * dX[i, k] \
-                        + g1[i, k] * dX[j, k]
-                    acc = term if acc is None else acc + term
-                out[i, j] = acc
-                out[j, i] = acc
-        return out
+        X = stack(X)
+        m = X.order - 1
+        if self.g.order <= m:
+            raise CurvatureError("metric order exhausted")
+        dX = X.grad()  # dX[i, k] = d_i X^k
+        lie = (contract("k,kij->ij", X.truncated(m), self.g.grad())
+               + contract("kj,ik->ij", self.g, dX)
+               + contract("ik,jk->ij", self.g, dX))
+        return _upper_mirrored(lie)
 
     def divergence_vector(self, X) -> Jet:
         """div X = d_i X^i + Gamma^i_im X^m, one order below X."""
-        n = self.n
-        m = X[0].order - 1
-        gam = trunc(self.gamma, m)
-        Xm = trunc(X, m)
-        acc = None
-        for i in range(n):
-            term = X[i].derivative(i) if X[i].order == m + 1 \
-                else X[i].truncated(m + 1).derivative(i)
-            acc = term if acc is None else acc + term
-        for i in range(n):
-            for mm in range(n):
-                acc = acc + gam[i, i, mm] * Xm[mm]
-        return acc
+        X = stack(X)
+        return (_index("ii->", X.grad())
+                + contract("iim,m->", self.gamma, X.truncated(X.order - 1)))
 
     def divergence_oneform(self, al) -> Jet:
         """div of a lower-index field: g^{ij} cov_i al_j."""
-        n = self.n
-        cov = self.cov_deriv(al)
-        gi = trunc(self.ginv, cov.flat[0].order)
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = gi[i, j] * cov[i, j]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ij->", self.ginv, self.cov_deriv(al))
 
-    def divergence_sym2(self, T):
+    def divergence_sym2(self, T) -> Jet:
         """(div T)_j = g^{ik} cov_i T_kj, one order below T."""
-        n = self.n
-        cov = self.cov_deriv(T)
-        gi = trunc(self.ginv, cov.flat[0].order)
-        out = np.empty(n, dtype=object)
-        for j in range(n):
-            acc = None
-            for i in range(n):
-                for k in range(n):
-                    term = gi[i, k] * cov[i, k, j]
-                    acc = term if acc is None else acc + term
-            out[j] = acc
-        return out
+        return contract("ik,ikj->j", self.ginv, self.cov_deriv(T))
 
     def trace(self, T) -> Jet:
         """g^{ij} T_ij at the order of T."""
-        n = self.n
-        m = T.flat[0].order
-        gi = trunc(self.ginv, m)
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = gi[i, j] * T[i, j]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ij->", self.ginv, stack(T))
 
-    def trace_free(self, T):
+    def trace_free(self, T) -> Jet:
         """T - (tr T / n) g at the order of T."""
-        n = self.n
-        m = T.flat[0].order
-        gm = trunc(self.g, m)
-        tr_over_n = self.trace(T) * (1.0 / n)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = T[i, j] - tr_over_n * gm[i, j]
-        return out
+        T = stack(T)
+        tr_over_n = self.trace(T) * (1.0 / self.n)
+        return T - tr_over_n * self.g_at(T.order)
 
-    def mixed(self, T):
+    def mixed(self, T) -> Jet:
         """Raise the first index: T^i_j = g^{ia} T_aj."""
-        m = T.flat[0].order
-        return _jet_matmul(trunc(self.ginv, m), T)
+        return contract("ia,aj->ij", self.ginv, stack(T))
 
     def inner_sym2(self, T, U) -> Jet:
         """<T, U>_g = g^{ia} g^{jb} T_ij U_ab at the common order."""
-        n = self.n
-        m = min(T.flat[0].order, U.flat[0].order)
-        Tm = self.mixed(trunc(T, m))
-        Um = self.mixed(trunc(U, m))
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = Tm[i, j] * Um[j, i]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("ij,ji->", self.mixed(T), self.mixed(U))
 
     def norm2_sym2(self, T) -> Jet:
         return self.inner_sym2(T, T)
 
-    def contract_vector_sym2(self, X, T):
+    def contract_vector_sym2(self, X, T) -> Jet:
         """(i_X T)_j = X^i T_ij at the common order."""
-        n = self.n
-        m = min(X[0].order, T.flat[0].order)
-        Xm = trunc(X, m)
-        Tm = trunc(T, m)
-        out = np.empty(n, dtype=object)
-        for j in range(n):
-            acc = Xm[0] * Tm[0, j]
-            for i in range(1, n):
-                acc = acc + Xm[i] * Tm[i, j]
-            out[j] = acc
-        return out
+        return contract("i,ij->j", stack(X), stack(T))
 
     def pair_oneform_vector(self, al, X) -> Jet:
         """al_j X^j at the common order."""
-        n = self.n
-        m = min(al.flat[0].order if hasattr(al, "flat") else al[0].order,
-                X[0].order)
-        acc = None
-        for j in range(n):
-            a = al[j] if al[j].order == m else al[j].truncated(m)
-            x = X[j] if X[j].order == m else X[j].truncated(m)
-            term = a * x
-            acc = term if acc is None else acc + term
-        return acc
+        return contract("j,j->", stack(al), stack(X))
 
 
 def frame_at(obj: Chart | Manifold, point: Sequence[float]

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import charts
 from .charts import Manifold
-from .curvature import CurvatureFrame, frame_at, grad_lap_scalar, trunc, values
+from .curvature import CurvatureFrame, frame_at, grad_lap_scalar, values
+from .jets import contract, stack
+from .report import sup
 from .solitons import residual_sample_points
 
 __all__ = [
@@ -51,7 +53,7 @@ def _resolution(chart, resolution):
 def conformality_gap(frame: CurvatureFrame, x_jets) -> float:
     """Sup norm of the trace-free part of L_X g at the frame's point."""
     lie = frame.lie_metric(x_jets)
-    return float(np.abs(np.asarray(values(frame.trace_free(lie)))).max())
+    return sup(np.abs(values(frame.trace_free(lie))))
 
 
 def _require_conformal(man: Manifold, x_exprs, points,
@@ -59,7 +61,7 @@ def _require_conformal(man: Manifold, x_exprs, points,
     worst = 0.0
     for p in points:
         frame = frame_at(man, p)
-        worst = max(worst, conformality_gap(frame,
+        worst = sup(worst, conformality_gap(frame,
                                             frame.vector_jets(x_exprs)))
     if worst > gate:
         raise IdentityError(
@@ -84,19 +86,16 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
     for k, p in enumerate(points):
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
-        t = np.array([[frame.scalar_jet(t_exprs[i][j]) for j in range(n)]
-                      for i in range(n)], dtype=object)
+        t = stack([[frame.scalar_jet(t_exprs[i][j]) for j in range(n)]
+                   for i in range(n)])
         lie = frame.lie_metric(x)
-        lhs = values(frame.inner_sym2(lie, trunc(t, lie[0, 0].order)))
-        x2 = trunc(x, t[0, 0].order)
-        alpha = np.array([sum(t[i, j] * x2[j] for j in range(n))
-                          for i in range(n)], dtype=object)
+        lhs = values(frame.inner_sym2(lie, t))
+        alpha = contract("ij,j->i", t, x)
         div_t = frame.divergence_sym2(t)
         rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
-            - 2.0 * values(frame.pair_oneform_vector(
-                div_t, trunc(x, div_t[0].order)))
+            - 2.0 * values(frame.pair_oneform_vector(div_t, x))
         res[k] = abs(lhs - rhs)
-    return {"points": points, "residuals": res, "sup": float(res.max())}
+    return {"points": points, "residuals": res, "sup": sup(res)}
 
 
 def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
@@ -113,15 +112,14 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
         lie = frame.lie_metric(x)
-        phi = frame.scalar_jet(phi_expr, order=lie[0, 0].order)
-        q = lie - 2.0 * phi * frame.g_at(lie[0, 0].order)
-        lhs = np.asarray(values(frame.divergence_sym2(lie)))
-        div_x = frame.divergence_vector(x)
-        d_div = np.array([values(div_x.derivative(i)) for i in range(n)])
-        rhs = np.asarray(values(frame.divergence_sym2(
-            frame.trace_free(q)))) + (2.0 / n) * d_div
+        phi = frame.scalar_jet(phi_expr, order=lie.order)
+        q = lie - 2.0 * phi * frame.g_at(lie.order)
+        lhs = values(frame.divergence_sym2(lie))
+        d_div = values(frame.divergence_vector(x).grad())
+        rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
+            + (2.0 / n) * d_div
         res[k] = float(np.abs(lhs - rhs).max())
-    return {"points": points, "residuals": res, "sup": float(res.max())}
+    return {"points": points, "residuals": res, "sup": sup(res)}
 
 
 def yano_identity(man: Manifold, x_exprs: Sequence[str],
@@ -138,12 +136,11 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str],
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
         sigma = frame.divergence_vector(x) * (1.0 / n)
-        ds = frame.grad_scalar_lo
-        lhs = values(frame.pair_oneform_vector(ds, trunc(x, ds[0].order)))
+        lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
         rhs = -2.0 * values(sigma) * values(frame.scalar) \
             - 2.0 * (n - 1) * values(frame.laplacian(sigma))
         res[k] = abs(lhs - rhs)
-    return {"points": points, "residuals": res, "sup": float(res.max()),
+    return {"points": points, "residuals": res, "sup": sup(res),
             "conformality_gap": gap}
 
 
@@ -160,14 +157,12 @@ def bochner_identity(man: Manifold, h_expr: str,
         frame = frame_at(man, p)
         h = frame.scalar_jet(h_expr)
         hess = frame.hessian(h)
-        lhs = np.asarray(values(frame.divergence_sym2(hess)))
-        grad = frame.gradient_vector(h)
-        ric_grad = np.asarray(values(frame.contract_vector_sym2(
-            trunc(grad, frame.ricci[0, 0].order), frame.ricci)))
-        lap = frame.laplacian(h)
-        d_lap = np.array([values(lap.derivative(i)) for i in range(n)])
+        lhs = values(frame.divergence_sym2(hess))
+        ric_grad = values(frame.contract_vector_sym2(
+            frame.gradient_vector(h), frame.ricci))
+        d_lap = values(frame.laplacian(h).grad())
         res[k] = float(np.abs(lhs - ric_grad - d_lap).max())
-    return {"points": points, "residuals": res, "sup": float(res.max())}
+    return {"points": points, "residuals": res, "sup": sup(res)}
 
 
 # ----------------------------------------------------------------------
@@ -200,20 +195,17 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
         frame = CurvatureFrame(man.chart, p, order=3)
         x = frame.vector_jets(x_exprs, order=3)
         lie = frame.lie_metric(x)
-        m = lie[0, 0].order
-        phi = frame.scalar_jet(phi_expr, order=m)
-        q = lie - 2.0 * phi * frame.g_at(m)
+        phi = frame.scalar_jet(phi_expr, order=lie.order)
+        q = lie - 2.0 * phi * frame.g_at(lie.order)
         tr_q = frame.trace(q)
         q_bar = frame.trace_free(q)
-        div_q = frame.divergence_sym2(q)
-        div_q_bar = frame.divergence_sym2(q_bar)
-        x_low = trunc(x, div_q[0].order)
         cols[k] = (
             values(phi) * values(tr_q),
             values(tr_q) ** 2 / (2.0 * n),
-            values(frame.pair_oneform_vector(div_q, x_low)),
+            values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
             -0.5 * values(frame.norm2_sym2(q_bar)),
-            values(frame.pair_oneform_vector(div_q_bar, x_low)),
+            values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar),
+                                             x)),
             -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
         )
     ints = [charts.integrate(man.chart, cols[:, j], quad=quad)
@@ -260,15 +252,10 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
         else:
             q = frame.scalar * frame.g_at(frame.scalar.order)
         tr_q = frame.trace(q)
-        d_tr = np.array([tr_q.derivative(i) for i in range(man.dim)],
-                        dtype=object)
-        div_q = frame.divergence_sym2(q)
-        bianchi = max(bianchi, float(np.abs(
-            np.asarray(values(div_q))
-            - 0.5 * np.asarray(values(trunc(d_tr, div_q[0].order)))).max()))
-        lie_tr = values(frame.pair_oneform_vector(
-            d_tr, trunc(x, d_tr[0].order)))
-        vals[k] = lie_tr
+        d_tr = tr_q.grad()
+        bianchi = sup(bianchi, np.abs(values(frame.divergence_sym2(q))
+                                      - 0.5 * values(d_tr)))
+        vals[k] = values(frame.pair_oneform_vector(d_tr, x))
         absvals[k] = abs(values(tr_q))
     if bianchi > bianchi_tol:
         raise IdentityError(
@@ -301,21 +288,14 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
         frame = CurvatureFrame(man.chart, p, order=3)
         x = frame.vector_jets(x_exprs, order=3)
         lie = frame.lie_metric(x)
-        m = lie[0, 0].order
-        phi = frame.scalar_jet(phi_expr, order=m)
-        q = lie - 2.0 * phi * frame.g_at(m)
-        q_bar = frame.trace_free(q)
-        qbar_vals[k] = values(frame.norm2_sym2(q_bar))
-        tr_q = frame.trace(q)
-        d_tr = np.array([tr_q.derivative(i) for i in range(n)], dtype=object)
-        lie_tr_vals[k] = values(frame.pair_oneform_vector(
-            d_tr, trunc(x, d_tr[0].order)))
-        div_q = frame.divergence_sym2(q)
-        bianchi = max(bianchi, float(np.abs(
-            np.asarray(values(div_q))
-            - 0.5 * np.asarray(values(trunc(d_tr, div_q[0].order)))).max()))
-        conf = max(conf, float(np.abs(np.asarray(
-            values(frame.trace_free(lie)))).max()))
+        phi = frame.scalar_jet(phi_expr, order=lie.order)
+        q = lie - 2.0 * phi * frame.g_at(lie.order)
+        qbar_vals[k] = values(frame.norm2_sym2(frame.trace_free(q)))
+        d_tr = frame.trace(q).grad()
+        lie_tr_vals[k] = values(frame.pair_oneform_vector(d_tr, x))
+        bianchi = sup(bianchi, np.abs(values(frame.divergence_sym2(q))
+                                      - 0.5 * values(d_tr)))
+        conf = sup(conf, np.abs(values(frame.trace_free(lie))))
     qbar_int = charts.integrate(man.chart, qbar_vals, quad=quad)
     lie_tr_int = charts.integrate(man.chart, lie_tr_vals, quad=quad)
     total = qbar_int + (n - 2.0) / n * lie_tr_int
@@ -358,7 +338,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     c_vals = np.empty(len(interior))
     s_vals = np.empty(len(interior))
     lap_vals = np.empty(len(interior))
-    cs_slack = np.inf
+    slack = np.empty(len(interior))
     for k, p in enumerate(interior):
         frame = frame_at(man, p)
         s = values(frame.scalar)
@@ -367,20 +347,19 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
         c_vals[k] = lap + s * s / 3.0
         s_vals[k] = s
         lap_vals[k] = lap
-        cs_slack = min(cs_slack, hess2 - lap * lap / 2.0)
+        slack[k] = hess2 - lap * lap / 2.0
+    cs_slack = float(np.min(slack))  # NaN propagates and fails below
     c_spread = float(np.ptp(c_vals))
-    if c_spread > c_tol:
+    if not c_spread <= c_tol:  # a NaN spread violates it too
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
     grad_res = 0.0
     for p in interior[:count]:
         frame = frame_at(man, p)
-        grad_s2 = 2.0 * values(frame.scalar) * np.asarray(
-            values(frame.grad_scalar_lo))
+        grad_s2 = 2.0 * values(frame.scalar) * values(frame.grad_scalar_lo)
         grad_lap = grad_lap_scalar(chart, p, h=fd_step)
-        grad_res = max(grad_res, float(np.abs(grad_s2
-                                              + 3.0 * grad_lap).max()))
+        grad_res = sup(grad_res, np.abs(grad_s2 + 3.0 * grad_lap))
     hess2_nodes = np.empty(len(quad.nodes))
     lap2_nodes = np.empty(len(quad.nodes))
     for k, p in enumerate(quad.nodes):
@@ -401,7 +380,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
         "grad_identity_sup": grad_res,
         "hess_sq_integral": hess2_int,
         "quarter_lap_sq_integral": lap2_int / 4.0,
-        "cauchy_schwarz_slack": float(cs_slack),
+        "cauchy_schwarz_slack": cs_slack,
         "scalar_spread": s_spread,
         "lap_scalar_sup": lap_sup,
         "scalar_constant": bool(s_spread <= tol),

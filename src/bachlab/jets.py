@@ -7,11 +7,21 @@ with ``|alpha| <= order``, stored densely in the graded layout of
 functions yields every partial derivative of the result up to the
 truncation order, exactly (to roundoff) for the retained grades.
 
+A jet may also be a tensor of jets: ``coeffs`` then has shape
+``(*shape, size)``, one coefficient vector per tensor entry, and indexing
+a full tensor index gives back a scalar `Jet`.  Ring operations act
+entrywise with NumPy broadcasting; `contract` multiplies two tensors of
+jets and sums over their shared tensor indices.  Every product runs
+through the one kernel in `_kernels`.
+
 Conventions and contracts:
 
 * dim <= 4 and order <= 4 (table-driven storage, at most 70 coefficients);
 * binary operations require identical (dim, order) — mixed grades are a
-  hard error, lowering is explicit via `truncated`;
+  hard error, lowering is explicit via `truncated`; `contract` works at
+  the lower of its operands' orders, which is as far as their product is
+  known;
+* elementary functions take scalar jets only;
 * elementary-function composition uses the univariate Taylor expansion of
   the function at the constant term, evaluated by Horner's rule on the
   nilpotent part, so it is exact on the retained grades;
@@ -26,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._jettables import JetTables, tables
-from ._kernels import mul_into
+from ._kernels import mul_into, product
 
 
 class JetError(ValueError):
@@ -46,15 +56,18 @@ class JetOrderError(JetError):
 
 
 class Jet:
-    """Dense truncated Taylor expansion of a scalar at a point."""
+    """Dense truncated Taylor expansion of a scalar, or of each entry of a
+    tensor, at a point."""
 
     __slots__ = ("dim", "order", "coeffs", "tab")
+    # NumPy scalars and arrays defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray,
                  _tab: JetTables | None = None):
         tab = _tab if _tab is not None else tables(dim, order)
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (tab.size,):
+        if coeffs.ndim == 0 or coeffs.shape[-1] != tab.size:
             raise JetShapeError(
                 f"expected {tab.size} coefficients for dim={dim} "
                 f"order={order}, got shape {coeffs.shape}"
@@ -64,14 +77,19 @@ class Jet:
         self.coeffs = coeffs
         self.tab = tab
 
+    def _like(self, coeffs: np.ndarray) -> "Jet":
+        return Jet(self.dim, self.order, coeffs, _tab=self.tab)
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def constant(cls, value: float, dim: int, order: int) -> "Jet":
+    def constant(cls, value, dim: int, order: int) -> "Jet":
+        """A constant jet, or a tensor of them for an array value."""
         tab = tables(dim, order)
-        coeffs = np.zeros(tab.size)
-        coeffs[0] = value
+        value = np.asarray(value, dtype=np.float64)
+        coeffs = np.zeros(value.shape + (tab.size,))
+        coeffs[..., 0] = value
         return cls(dim, order, coeffs, _tab=tab)
 
     @classmethod
@@ -88,21 +106,48 @@ class Jet:
         return cls(dim, order, coeffs, _tab=tab)
 
     # ------------------------------------------------------------------
+    # tensor structure
+    # ------------------------------------------------------------------
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The tensor shape; () for a scalar jet."""
+        return self.coeffs.shape[:-1]
+
+    @property
+    def ndim(self) -> int:
+        return self.coeffs.ndim - 1
+
+    def __getitem__(self, index) -> "Jet":
+        """Index the tensor axes; a full index gives a scalar jet."""
+        key = index if isinstance(index, tuple) else (index,)
+        if len(key) > self.ndim or any(k is Ellipsis or k is None
+                                       for k in key):
+            raise JetError(
+                f"index {index!r} does not address the tensor axes of a "
+                f"jet of shape {self.shape}")
+        return self._like(self.coeffs[key])
+
+    def _entrywise(self, values: np.ndarray):
+        return float(values) if not self.ndim else values
+
+    # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     @property
-    def value(self) -> float:
-        """The 0th-order coefficient (the function value at the point)."""
-        return float(self.coeffs[0])
+    def value(self):
+        """The 0th-order coefficient (the function value at the point);
+        an array of them for a tensor."""
+        return self._entrywise(self.coeffs[..., 0].copy())
 
-    def coeff(self, alpha: Sequence[int]) -> float:
+    def coeff(self, alpha: Sequence[int]):
         """Taylor coefficient d^alpha f / alpha!."""
-        return float(self.coeffs[self._slot(alpha)])
+        return self._entrywise(self.coeffs[..., self._slot(alpha)].copy())
 
-    def partial(self, alpha: Sequence[int]) -> float:
+    def partial(self, alpha: Sequence[int]):
         """Partial derivative value d^alpha f at the base point."""
         slot = self._slot(alpha)
-        return float(self.coeffs[slot] * self.tab.factorials[slot])
+        return self._entrywise(self.coeffs[..., slot]
+                               * self.tab.factorials[slot])
 
     def _slot(self, alpha: Sequence[int]) -> int:
         key = tuple(int(a) for a in alpha)
@@ -117,8 +162,9 @@ class Jet:
         return self.tab.index[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Jet(dim={self.dim}, order={self.order}, "
-                f"value={self.coeffs[0]!r})")
+        shape = f"shape={self.shape}, " if self.ndim else ""
+        return (f"Jet(dim={self.dim}, order={self.order}, {shape}"
+                f"value={self.value!r})")
 
     # ------------------------------------------------------------------
     # grade bookkeeping
@@ -126,13 +172,14 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         """Copy of this jet truncated to a lower order (explicit lowering)."""
         if order == self.order:
-            return Jet(self.dim, self.order, self.coeffs.copy(), _tab=self.tab)
+            return self._like(self.coeffs.copy())
         if not (0 <= order < self.order):
             raise JetOrderError(
                 f"cannot truncate order-{self.order} jet to order {order}"
             )
         tab = tables(self.dim, order)
-        return Jet(self.dim, order, self.coeffs[: tab.size].copy(), _tab=tab)
+        return Jet(self.dim, order, self.coeffs[..., :tab.size].copy(),
+                   _tab=tab)
 
     def derivative(self, axis: int) -> "Jet":
         """Partial derivative along an axis; the order drops by one."""
@@ -143,8 +190,14 @@ class Jet:
                 "cannot differentiate an order-0 jet; raise the working order"
             )
         tab = tables(self.dim, self.order - 1)
-        coeffs = self.coeffs[self.tab.dsrc[axis]] * self.tab.dmul[axis]
+        coeffs = self.coeffs[..., self.tab.dsrc[axis]] * self.tab.dmul[axis]
         return Jet(self.dim, self.order - 1, coeffs, _tab=tab)
+
+    def grad(self) -> "Jet":
+        """Every first partial, stacked on a new leading tensor axis:
+        ``grad()[a]`` is ``derivative(a)``."""
+        parts = [self.derivative(axis) for axis in range(self.dim)]
+        return parts[0]._like(np.stack([p.coeffs for p in parts]))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -160,49 +213,48 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check_match(other)
-            return Jet(self.dim, self.order, self.coeffs + other.coeffs,
-                       _tab=self.tab)
+            return self._like(self.coeffs + other.coeffs)
         if isinstance(other, (int, float)):
             coeffs = self.coeffs.copy()
-            coeffs[0] += other
-            return Jet(self.dim, self.order, coeffs, _tab=self.tab)
+            coeffs[..., 0] += other
+            return self._like(coeffs)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs, _tab=self.tab)
+        return self._like(-self.coeffs)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check_match(other)
-            return Jet(self.dim, self.order, self.coeffs - other.coeffs,
-                       _tab=self.tab)
+            return self._like(self.coeffs - other.coeffs)
         if isinstance(other, (int, float)):
             coeffs = self.coeffs.copy()
-            coeffs[0] -= other
-            return Jet(self.dim, self.order, coeffs, _tab=self.tab)
+            coeffs[..., 0] -= other
+            return self._like(coeffs)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             coeffs = -self.coeffs
-            coeffs[0] += other
-            return Jet(self.dim, self.order, coeffs, _tab=self.tab)
+            coeffs[..., 0] += other
+            return self._like(coeffs)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_match(other)
             tab = self.tab
+            if self.ndim or other.ndim:
+                return self._like(product(self.coeffs, other.coeffs, tab))
             out = np.zeros(tab.size)
             mul_into(self.coeffs, other.coeffs, out,
                      tab.pair_i, tab.pair_j, tab.pair_k,
                      tab.diag_i, tab.diag_k, tab.all_k)
-            return Jet(self.dim, self.order, out, _tab=tab)
+            return self._like(out)
         if isinstance(other, (int, float)):
-            return Jet(self.dim, self.order, self.coeffs * other,
-                       _tab=self.tab)
+            return self._like(self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,8 +264,7 @@ class Jet:
             self._check_match(other)
             return self * other.reciprocal()
         if isinstance(other, (int, float)):
-            return Jet(self.dim, self.order, self.coeffs / other,
-                       _tab=self.tab)
+            return self._like(self.coeffs / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -262,46 +313,53 @@ class Jet:
             acc.coeffs[0] += ck
         return acc
 
+    def _base(self) -> float:
+        """The constant term of a scalar jet."""
+        if self.ndim:
+            raise JetError("elementary functions take scalar jets, got a "
+                           f"tensor of shape {self.shape}")
+        return self.coeffs[0]
+
     def reciprocal(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         if c == 0.0:
             raise JetDomainError("division by a jet with zero constant term")
         series = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
         return self._horner(series)
 
     def sin(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         series = [math.sin(c + 0.5 * k * math.pi) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self._horner(series)
 
     def cos(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         series = [math.cos(c + 0.5 * k * math.pi) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self._horner(series)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.coeffs[0])
+        e = math.exp(self._base())
         series = [e / math.factorial(k) for k in range(self.order + 1)]
         return self._horner(series)
 
     def sinh(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         sh, ch = math.sinh(c), math.cosh(c)
         series = [(sh if k % 2 == 0 else ch) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self._horner(series)
 
     def cosh(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         sh, ch = math.sinh(c), math.cosh(c)
         series = [(ch if k % 2 == 0 else sh) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self._horner(series)
 
     def sqrt(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         if c <= 0.0:
             raise JetDomainError(
                 f"sqrt of a jet needs a positive constant term, got {c}"
@@ -312,7 +370,7 @@ class Jet:
         return self._horner(series)
 
     def log(self) -> "Jet":
-        c = self.coeffs[0]
+        c = self._base()
         if c <= 0.0:
             raise JetDomainError(
                 f"log of a jet needs a positive constant term, got {c}"
@@ -321,6 +379,39 @@ class Jet:
         for k in range(1, self.order + 1):
             series.append((-1.0) ** (k - 1) / (k * c ** k))
         return self._horner(series)
+
+
+def contract(spec: str, a: Jet, b: Jet) -> Jet:
+    """Truncated product of two tensors of jets, summed over tensor indices.
+
+    ``spec`` holds `np.einsum` subscripts over the tensor axes only, for
+    example ``"ik,kj->ij"`` for a matrix product.  The result is at the
+    lower of the two orders, as far as the product is known.
+    """
+    if a.dim != b.dim:
+        raise JetShapeError(f"jet mismatch: dim={a.dim} vs dim={b.dim}")
+    tab = a.tab if a.order <= b.order else b.tab
+    return Jet(a.dim, tab.order,
+               product(a.coeffs[..., :tab.size], b.coeffs[..., :tab.size],
+                       tab, spec), _tab=tab)
+
+
+def stack(items) -> Jet:
+    """One tensor of jets from a nested sequence or object array of jets.
+
+    The entries are truncated to their lowest order; a `Jet` is returned
+    as it is.
+    """
+    if isinstance(items, Jet):
+        return items
+    if isinstance(items, np.ndarray):
+        items = items.tolist()
+    parts = [stack(x) for x in items]
+    if not parts or any(p.dim != parts[0].dim for p in parts):
+        raise JetShapeError("stack needs jets of one dim")
+    tab = min((p.tab for p in parts), key=lambda t: t.order)
+    return Jet(tab.dim, tab.order,
+               np.stack([p.coeffs[..., :tab.size] for p in parts]), _tab=tab)
 
 
 def variables(point: Sequence[float], order: int) -> tuple[Jet, ...]:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .charts import Chart, Manifold, sample_points
 from .curvature import CurvatureFrame, values
+from .report import sup
 
 
 class ProductFormulaError(ValueError):
@@ -183,7 +184,7 @@ def product_lambda_report(chart: Chart, family: str, count: int = 24,
     if family not in ("circle", "line"):
         raise ProductFormulaError("family must be 'circle' or 'line'")
     spread = constancy_spread(chart, count)
-    if max(spread.values()) > tol:
+    if sup(*spread.values()) > tol:
         raise ProductFormulaError(
             f"S and |Ric|^2 must be constant on N (spread {spread}) for "
             "the product lambda formulas")
@@ -223,9 +224,8 @@ def line_cross_check(n_chart: Chart, count: int = 5,
         comp = bach_line_cross_3(fc)
         p4 = np.concatenate(([man.chart.center()[0]], q))
         b = values(CurvatureFrame(man.chart, p4).bach)
-        worst = max(worst, abs(comp["B_tt"] - b[0, 0]),
-                    np.abs(b[0, 1:]).max(),
-                    np.abs(comp["B_YZ"] - b[1:, 1:]).max())
+        worst = sup(worst, abs(comp["B_tt"] - b[0, 0]), np.abs(b[0, 1:]),
+                    np.abs(comp["B_YZ"] - b[1:, 1:]))
     return worst
 
 
@@ -243,10 +243,8 @@ def surface_cross_check(k_chart: Chart, l_chart: Chart, count: int = 5
         comp = bach_surface_product(fck, fcl)
         b = values(CurvatureFrame(man.chart,
                                   np.concatenate([qk, ql])).bach)
-        worst = max(worst,
-                    np.abs(comp["B_K"] - b[:2, :2]).max(),
-                    np.abs(b[:2, 2:]).max(),
-                    np.abs(comp["B_L"] - b[2:, 2:]).max())
+        worst = sup(worst, np.abs(comp["B_K"] - b[:2, :2]),
+                    np.abs(b[:2, 2:]), np.abs(comp["B_L"] - b[2:, 2:]))
     return worst
 
 

@@ -3,20 +3,50 @@
 Reports are plain JSON objects serialized canonically: keys sorted,
 floats in shortest round-trip form, no timestamps or environment state.
 The same configuration and seed therefore produce byte-identical output.
+
+Gates fail closed: `sup` turns any NaN or infinity into ``inf``, which no
+gate admits, and `check_record` never passes a value that holds a
+non-finite number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Mapping
 
 import numpy as np
 
 from . import __version__
 
-__all__ = ["jsonable", "canonical_json", "digest", "check_record",
+__all__ = ["sup", "jsonable", "canonical_json", "digest", "check_record",
            "build_report", "write_report"]
+
+
+def sup(*values) -> float:
+    """Largest entry of some numbers or arrays (0.0 when there are none).
+
+    Any NaN or infinity gives ``inf``.  ``max(0.0, nan)`` is 0.0, so a
+    running ``worst = max(worst, x)`` would drop a NaN; ``worst = sup(worst,
+    x)`` keeps it as a failure.
+    """
+    flat = [np.ravel(np.asarray(v, dtype=float)) for v in values]
+    flat = np.concatenate(flat) if flat else np.empty(0)
+    if not np.all(np.isfinite(flat)):
+        return math.inf
+    return float(flat.max()) if flat.size else 0.0
+
+
+def _finite(obj) -> bool:
+    """Whether every number in a JSON-ready value is finite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite(v) for v in obj)
+    return True
 
 
 def jsonable(obj):
@@ -57,9 +87,14 @@ def digest(obj) -> str:
 
 def check_record(check_id: str, value, tolerance, passed: bool,
                  expected=None, inputs=None, detail=None) -> dict:
-    """One check result row; optional fields are dropped when absent."""
-    rec = {"check_id": check_id, "value": jsonable(value),
-           "tolerance": jsonable(tolerance), "pass": bool(passed)}
+    """One check result row; optional fields are dropped when absent.
+
+    A value that holds a NaN or an infinity never passes.
+    """
+    value = jsonable(value)
+    rec = {"check_id": check_id, "value": value,
+           "tolerance": jsonable(tolerance),
+           "pass": bool(passed) and _finite(value)}
     if expected is not None:
         rec["expected"] = jsonable(expected)
     if inputs is not None:

@@ -29,6 +29,8 @@ from scipy import linalg
 from . import charts, products
 from .charts import Chart, Manifold
 from .curvature import CurvatureFrame, frame_at, trunc, values
+from .jets import contract
+from .report import sup
 
 __all__ = [
     "SolitonError", "SolitonSpec", "ResidualReport", "Q_SELECTORS",
@@ -149,7 +151,7 @@ class ResidualReport:
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.sup = float(np.max(self.norms)) if len(self.norms) else 0.0
+        self.sup = sup(self.norms)
         self.passed = bool(self.sup <= self.tol)
 
     def summary(self) -> dict:
@@ -178,7 +180,7 @@ def residual_sample_points(man: Manifold, count: int = 200, seed: int = 0,
 # ----------------------------------------------------------------------
 # pointwise residual machinery
 # ----------------------------------------------------------------------
-def _field_jets(frame: CurvatureFrame, spec: SolitonSpec) -> list:
+def _field_jets(frame: CurvatureFrame, spec: SolitonSpec):
     if spec.potential is not None:
         return frame.gradient_vector(frame.scalar_jet(spec.potential))
     return frame.vector_jets(spec.x_exprs)
@@ -197,7 +199,7 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
     if spec.q == "bach_flow":
         return values(frame.bach) + values(frame.lap_scalar) / 12.0 * g
     if spec.q == "bach":
-        return np.asarray(values(frame.bach))
+        return values(frame.bach)
     if spec.q == "constructed":
         return lie - 2.0 * phi * g
     if spec.q == "zero":
@@ -226,7 +228,7 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
     for i, p in enumerate(points):
         frame = frame_at(man, p)
         g = values(frame.g)
-        lie = np.asarray(values(frame.lie_metric(_field_jets(frame, spec))))
+        lie = values(frame.lie_metric(_field_jets(frame, spec)))
         phi = _phi_value(frame, spec)
         q = _q_value(frame, spec, lie, phi, g)
         r = 0.5 * lie - 0.5 * q - phi * g
@@ -280,7 +282,7 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     """
     line_chart, n_chart = _line_cross_structure(man)
     spread = products.constancy_spread(n_chart, count=max(8, count // 2))
-    if max(spread.values()) > constancy_tol:
+    if sup(*spread.values()) > constancy_tol:
         raise SolitonError(
             f"N^3 invariants are non-constant: {spread} "
             f"(tolerance {constancy_tol})")
@@ -296,13 +298,12 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
         frame = frame_at(man, p)
         f_jet = frame.scalar_jet(f_text)
         x_jets = frame.gradient_vector(f_jet)
-        div_x = float(values(frame.divergence_vector(x_jets)))
-        lap_s = float(values(frame.lap_scalar))
-        traced_dev = max(traced_dev,
-                         abs(div_x - lap_s / 6.0 - 4.0 * lam))
+        div_x = values(frame.divergence_vector(x_jets))
+        lap_s = values(frame.lap_scalar)
+        traced_dev = sup(traced_dev, abs(div_x - lap_s / 6.0 - 4.0 * lam))
         # d^2 f / dt^2 from the jet itself
         f2 = f_jet.partial((2,) + (0,) * (man.dim - 1))
-        profile_dev = max(profile_dev, abs(f2 - 4.0 * lam))
+        profile_dev = sup(profile_dev, abs(f2 - 4.0 * lam))
     report = bach_soliton_residual(man, lam, potential=f_text, points=pts,
                                    tol=tol, label=f"profile[{man.name}]")
     lam_dev = abs(lam - lam_formula)
@@ -442,12 +443,7 @@ def _two_surface_slices(man: Manifold) -> tuple[slice, slice]:
 
 def _block_scalar_jet(frame: CurvatureFrame, sl: slice):
     """Factor scalar curvature as a jet, from the ambient block trace."""
-    total = None
-    for i in range(sl.start, sl.stop):
-        for j in range(sl.start, sl.stop):
-            term = frame.ginv2[i, j] * frame.ricci[i, j]
-            total = term if total is None else total + term
-    return total
+    return contract("ij,ij->", frame.ginv2[sl, sl], frame.ricci[sl, sl])
 
 
 def surface_conformal_field(man: Manifold, spec: SolitonSpec,
@@ -488,22 +484,18 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         x_jets = _field_jets(frame, spec)
         phi = _phi_value(frame, spec)
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
-        grad_sum = None
-        for s in s_blocks:
-            gs = frame.gradient_vector(s)
-            grad_sum = gs if grad_sum is None else [
-                u + v for u, v in zip(grad_sum, gs)]
-        c_jets = np.array([trunc(x, gs.order) + coefficient * gs
-                           for x, gs in zip(x_jets, grad_sum)], dtype=object)
-        c_vals[idx] = [values(c) for c in c_jets]
-        half_lie = 0.5 * np.asarray(values(frame.lie_metric(c_jets)))
-        lie_x = np.asarray(values(frame.lie_metric(x_jets)))
+        grad_sum = (frame.gradient_vector(s_blocks[0])
+                    + frame.gradient_vector(s_blocks[1]))
+        c_jets = trunc(x_jets, grad_sum.order) + coefficient * grad_sum
+        c_vals[idx] = values(c_jets)
+        half_lie = 0.5 * values(frame.lie_metric(c_jets))
+        lie_x = values(frame.lie_metric(x_jets))
         e_tensor = (0.5 * lie_x - 0.5 * (values(frame.bach)
                                          + values(frame.lap_scalar) / 12.0
                                          * g) - phi * g)
-        e_sup = max(e_sup, float(np.abs(e_tensor).max()))
-        s_vals = [float(values(s)) for s in s_blocks]
-        lap_s = [float(values(frame.laplacian(s))) for s in s_blocks]
+        e_sup = sup(e_sup, np.abs(e_tensor))
+        s_vals = [values(s) for s in s_blocks]
+        lap_s = [values(frame.laplacian(s)) for s in s_blocks]
         model = np.array(e_tensor)
         for which, (sl, other) in enumerate(((sl_k, 1), (sl_l, 0))):
             gb = g[sl, sl]
@@ -516,12 +508,11 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
             phi_perp[idx, which] = (
                 -lap_s[which] / 8.0
                 - (s_vals[which] ** 2 - s_vals[other] ** 2) / 48.0)
-            tracefree_sup = max(tracefree_sup, float(np.abs(
-                block - rho_fit[idx, which] * gb).max()))
+            tracefree_sup = sup(tracefree_sup,
+                                np.abs(block - rho_fit[idx, which] * gb))
             model[sl, sl] += rho_formula[idx, which] * gb
-        off_sup = max(off_sup, float(np.abs(half_lie[sl_k, sl_l]).max()))
-        identity_sup = max(identity_sup,
-                           float(np.abs(half_lie - model).max()))
+        off_sup = sup(off_sup, np.abs(half_lie[sl_k, sl_l]))
+        identity_sup = sup(identity_sup, np.abs(half_lie - model))
     return {
         "points": points,
         "c_field": c_vals,
@@ -560,11 +551,10 @@ def splitting_spotcheck(man: Manifold, split_f: str,
         worst = 0.0
         for p in points:
             frame = frame_at(man, p)
-            hess = np.asarray(values(frame.hessian(frame.scalar_jet(text))))
+            hess = values(frame.hessian(frame.scalar_jet(text)))
             for a in range(len(slices)):
                 for b in range(a + 1, len(slices)):
-                    worst = max(worst, float(
-                        np.abs(hess[slices[a], slices[b]]).max()))
+                    worst = sup(worst, np.abs(hess[slices[a], slices[b]]))
         return worst
 
     out = {"split_mixed_sup": mixed_sup(split_f), "control_mixed_sup": None}

@@ -29,13 +29,12 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     tr_sup = div_sup = cf_sup = 0.0
     for p in pts:
         frame = CurvatureFrame(base, p)
-        b = np.asarray(values(frame.bach))
-        tr_sup = max(tr_sup, abs(values(frame.trace(frame.bach))))
-        div_sup = max(div_sup, float(np.abs(bach_divergence(base, p)).max()))
-        rescaled = CurvatureFrame(conf, p)
-        b_conf = np.asarray(values(rescaled.bach))
+        b = values(frame.bach)
+        tr_sup = report.sup(tr_sup, abs(values(frame.trace(frame.bach))))
+        div_sup = report.sup(div_sup, np.abs(bach_divergence(base, p)))
+        b_conf = values(CurvatureFrame(conf, p).bach)
         scale = float(np.exp(-2.0 * values(frame.scalar_jet(u))))
-        cf_sup = max(cf_sup, float(np.abs(b_conf - scale * b).max()))
+        cf_sup = report.sup(cf_sup, np.abs(b_conf - scale * b))
     inputs = {"chart": base.name, "points": count, "u": u}
     return [
         report.check_record("curvature/bach-trace", tr_sup,
@@ -82,7 +81,7 @@ def _product_checks(tols) -> list[dict]:
         line["lambda"] < 0 and non_einstein,
         detail={"trace_identity_residual": line["trace_identity_residual"]}))
     c_round = products.surface_c_report(charts.round_sphere(2))
-    dev = max(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
+    dev = report.sup(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
     checks.append(report.check_record(
         "products/surface-c/round-sphere", dev, tol, dev <= tol,
         expected=4.0 / 3.0))
@@ -122,8 +121,8 @@ def _soliton_checks(tols, count: int, seed: int) -> list[dict]:
     spec = solitons.SolitonSpec(manifold=man, potential="-(x^2 + y^2)/12",
                                 lam=-1.0 / 12.0)
     cf = solitons.surface_conformal_field(man, spec, count=6)
-    cf_sup = max(cf["identity_sup"], cf["extended_residual_sup"],
-                 cf["offblock_sup"], cf["tracefree_sup"])
+    cf_sup = report.sup(cf["identity_sup"], cf["extended_residual_sup"],
+                        cf["offblock_sup"], cf["tracefree_sup"])
     checks.append(report.check_record(
         "soliton/conformal-factor-field", cf_sup, 1e-10, cf_sup <= 1e-10,
         detail={"coefficient": cf["coefficient"]}))

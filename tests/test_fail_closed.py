@@ -1,0 +1,68 @@
+"""Gates fail closed: a NaN in a curvature quantity can never pass a check."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bachlab import (charts, identities, products, report, solitons, suite,
+                     tolerances)
+from bachlab.curvature import CurvatureFrame
+from bachlab.jets import Jet
+
+
+def _nan_jet(dim, shape=()):
+    return Jet(dim, 0, np.full(shape + (1,), np.nan))
+
+
+def test_sup_maps_non_finite_values_to_inf():
+    assert max(0.0, math.nan) == 0.0  # the accumulator this replaces
+    assert report.sup(0.0, math.nan) == math.inf
+    assert report.sup(0.0, np.array([1.0, -math.inf])) == math.inf
+    assert report.sup(0.5, np.array([[0.25, 2.0]])) == 2.0
+    assert report.sup() == 0.0
+
+
+def test_check_record_never_passes_a_non_finite_value():
+    assert report.check_record("x", 1e-12, 1e-9, True)["pass"]
+    assert not report.check_record("x", math.nan, 1e-9, True)["pass"]
+    assert not report.check_record(
+        "x", {"a": 0.0, "b": [0.0, math.inf]}, 1e-9, True)["pass"]
+
+
+def test_nan_bach_fails_the_product_cross_check(monkeypatch):
+    monkeypatch.setattr(CurvatureFrame, "bach",
+                        property(lambda self: _nan_jet(4, (4, 4))))
+    worst = products.line_cross_check(charts.round_sphere(3), count=1)
+    assert worst == math.inf
+    worst = products.surface_cross_check(charts.round_sphere(2),
+                                         charts.flat_torus(), count=1)
+    assert worst == math.inf
+
+
+def test_nan_divergence_fails_the_soliton_profile_check(monkeypatch):
+    monkeypatch.setattr(CurvatureFrame, "divergence_vector",
+                        lambda self, X: _nan_jet(self.n))
+    man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)])
+    pc = solitons.quadratic_profile_check(man, 0.0, count=4)
+    assert pc["residual"].passed  # the NaN sits only in the traced identity
+    assert pc["traced_identity_deviation"] == math.inf
+    assert not pc["passed"]
+
+
+def test_nan_bach_fails_the_suite_bach_group(monkeypatch):
+    monkeypatch.setattr(CurvatureFrame, "bach",
+                        property(lambda self: _nan_jet(4, (4, 4))))
+    records = suite._bach_property_checks(tolerances.resolve(), count=1)
+    assert [r["check_id"] for r in records] == [
+        "curvature/bach-trace", "curvature/bach-divergence",
+        "curvature/bach-conformal"]
+    assert not any(r["pass"] for r in records)
+
+
+def test_nan_lie_derivative_fails_the_conformality_gate(monkeypatch):
+    monkeypatch.setattr(CurvatureFrame, "lie_metric",
+                        lambda self, X: _nan_jet(self.n, (self.n,) * 2))
+    with pytest.raises(identities.IdentityError, match="not conformal"):
+        identities.yano_identity(charts.get_example("round_sphere_2"),
+                                 ("-sin(th)", "0"), count=2)
