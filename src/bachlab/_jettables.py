@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DIM = 4
-MAX_ORDER = 4
+MAX_ORDER = 5
 
 
 def monomials(dim: int, order: int) -> tuple[tuple[int, ...], ...]:

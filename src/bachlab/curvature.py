@@ -2,12 +2,12 @@
 
 A `CurvatureFrame` holds every curvature quantity of a chart metric at
 one point, computed by exact jet arithmetic with explicit order
-bookkeeping.  Starting from metric jets of order 4 the pipeline loses
-one order per derivative:
+bookkeeping.  Starting from metric jets of order m (4 by default, 5 at
+most) the pipeline loses one order per derivative:
 
-    g (4) -> Gamma (3) -> Riemann, Ricci, scalar, Schouten, Weyl (2)
-          -> grad S, cov Ricci, Cotton (1)
-          -> Hess S, Lap S, Lap Ricci, cov Cotton, Bach (0).
+    g (m) -> Gamma (m-1) -> Riemann, Ricci, scalar, Schouten, Weyl (m-2)
+          -> grad S, cov Ricci, Cotton (m-3)
+          -> Hess S, Lap S, Lap Ricci, cov Cotton, Bach (m-4).
 
 Every tensor is one `Jet` whose coefficients form a float64 array of
 shape ``(*tensor_shape, size)``: the tensor indices first, in the order
@@ -30,9 +30,9 @@ Conventions (fixed throughout the package):
     C_kij   = cov_k P_ij - cov_i P_kj
     B_ij    = g^{km} cov_m C_kij + P^{ab} W_baij      (n = 4)
 
-Quantities one derivative beyond the jet budget (div B, grad Lap S) are
-assembled by fourth-order finite differences over pipeline values; see
-`bach_divergence` and `grad_lap_scalar`.
+Quantities one derivative further (div B, grad Lap S) come exactly from
+one frame at order BASE_ORDER + 1 = 5; see `bach_divergence` and
+`grad_lap_scalar`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class CurvatureFrame:
                 f"{self.point}") from None
         X = Jet.constant(x0, n, self.order)
         two_i = Jet.constant(2.0 * np.eye(n), n, self.order)
-        for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 4
+        for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 5
             X = contract("ik,kj->ij", X,
                          two_i - contract("ik,kj->ij", self.g, X))
         return X
@@ -254,16 +254,16 @@ class CurvatureFrame:
     # -- Bach -----------------------------------------------------------
     @cached_property
     def bach(self) -> Jet:
-        """B_ij = g^{km} cov_m C_kij + P^{ab} W_baij, order 0; n = 4."""
+        """B_ij = g^{km} cov_m C_kij + P^{ab} W_baij, order m - 4; n = 4."""
         n = self.n
         if n != 4:
             raise CurvatureError(
                 f"the Bach tensor is implemented for n = 4, got n = {n}")
-        cov_c = self.cov_deriv(self.cotton)  # cov_c[m, k, i, j], order 0
-        gi0 = self.ginv.truncated(0)
+        cov_c = self.cov_deriv(self.cotton)  # cov_c[m, k, i, j]
+        gi = self.ginv.truncated(self.order - 4)
         p_up = contract("ia,aj->ij",
-                        contract("ia,aj->ij", gi0, self.schouten), gi0)
-        return (contract("km,mkij->ij", gi0, cov_c)
+                        contract("ia,aj->ij", gi, self.schouten), gi)
+        return (contract("km,mkij->ij", gi, cov_c)
                 + contract("ab,baij->ij", p_up, self.weyl_lo))
 
     # -- generic operators ------------------------------------------------
@@ -390,52 +390,13 @@ def pipeline_pack(frame: CurvatureFrame, deep: bool = True
     return out
 
 
-# ----------------------------------------------------------------------
-# finite differences over pipeline values (one order beyond the jets)
-# ----------------------------------------------------------------------
-FD_STEP = 1e-2
+def bach_divergence(chart: Chart, point) -> np.ndarray:
+    """(div B)_j = g^{ik} cov_i B_kj, exactly, from one order-5 frame."""
+    fr = CurvatureFrame(chart, point, order=BASE_ORDER + 1)
+    return fr.divergence_sym2(fr.bach).value
 
 
-def _fd_stencil(fun, point, axis: int, h: float):
-    """Fourth-order first derivative of a pipeline value along one axis."""
-    p = np.asarray(point, dtype=float)
-
-    def at(s):
-        q = p.copy()
-        q[axis] += s
-        return np.asarray(fun(q))
-
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
-
-
-def bach_divergence(chart: Chart, point, h: float = FD_STEP) -> np.ndarray:
-    """(div B)_j = g^{ik} (d_i B_kj - Gamma^m_ik B_mj - Gamma^m_ij B_km).
-
-    The partials of B come from a fourth-order stencil over the jet
-    pipeline; the connection terms use the exact center frame.
-    """
-    n = chart.dim
-    fr = CurvatureFrame(chart, point)
-    b0 = values(fr.bach)
-    gam0 = values(fr.gamma)
-    gi0 = values(fr.ginv)
-    db = np.empty((n, n, n))  # db[a, i, j] = d_a B_ij
-    for a in range(n):
-        db[a] = _fd_stencil(lambda q: values(CurvatureFrame(chart, q).bach),
-                            point, a, h)
-    cov = np.empty((n, n, n))
-    for a in range(n):
-        cov[a] = db[a] - np.einsum("mk,mj->kj", gam0[:, a, :], b0) \
-            - np.einsum("mj,km->kj", gam0[:, a, :], b0)
-    return np.einsum("ik,ikj->j", gi0, cov)
-
-
-def grad_lap_scalar(chart: Chart, point, h: float = FD_STEP) -> np.ndarray:
-    """d(Lap S) (lower index) by a fourth-order stencil over the pipeline."""
-    n = chart.dim
-    out = np.empty(n)
-    for a in range(n):
-        out[a] = _fd_stencil(
-            lambda q: CurvatureFrame(chart, q).lap_scalar.value,
-            point, a, h)
-    return out
+def grad_lap_scalar(chart: Chart, point) -> np.ndarray:
+    """d(Lap S) (lower index), exactly, from one order-5 frame."""
+    fr = CurvatureFrame(chart, point, order=BASE_ORDER + 1)
+    return fr.lap_scalar.grad().value

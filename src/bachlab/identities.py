@@ -317,13 +317,13 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
 # ----------------------------------------------------------------------
 def surface_scalar_rigidity(man: Manifold, resolution=None,
                             c_tol: float = 1e-8, tol: float = 1e-7,
-                            count: int = 24, fd_step: float = 1e-2) -> dict:
+                            count: int = 24) -> dict:
     """Rigidity machinery on a compact surface with Lap(S) + S^2/3 constant.
 
     Checks, in order: the hypothesis (the invariant c = Lap(S) + S^2/3 is
     constant over the chart within ``c_tol``; violated hypothesis raises);
-    the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter via
-    high-order finite differences of the pipeline's Laplacian); the integral
+    the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter exact,
+    from an order-5 frame: see `grad_lap_scalar`); the integral
     identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the pointwise bound
     ||Hess S||^2 >= (Lap S)^2 / 2;  and the conclusion that S is constant.
     """
@@ -358,7 +358,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     for p in interior[:count]:
         frame = frame_at(man, p)
         grad_s2 = 2.0 * values(frame.scalar) * values(frame.grad_scalar_lo)
-        grad_lap = grad_lap_scalar(chart, p, h=fd_step)
+        grad_lap = grad_lap_scalar(chart, p)
         grad_res = sup(grad_res, np.abs(grad_s2 + 3.0 * grad_lap))
     hess2_nodes = np.empty(len(quad.nodes))
     lap2_nodes = np.empty(len(quad.nodes))

@@ -16,7 +16,7 @@ through the one kernel in `_kernels`.
 
 Conventions and contracts:
 
-* dim <= 4 and order <= 4 (table-driven storage, at most 70 coefficients);
+* dim <= 4 and order <= 5 (table-driven storage, at most 126 coefficients);
 * binary operations require identical (dim, order) — mixed grades are a
   hard error, lowering is explicit via `truncated`; `contract` works at
   the lower of its operands' orders, which is as far as their product is

@@ -230,7 +230,7 @@ def scan(s0_values: Sequence[float] | None = None,
             out = integrate_profile(s0, c, **controls).outcome
             if out.classification == CLOSED:
                 closed += 1
-                if out.s_range > s_range_tol:
+                if not out.s_range <= s_range_tol:  # NaN fails too
                     corroborates = False
             rows.append({
                 "S0": s0, "c": c, "class": out.classification,

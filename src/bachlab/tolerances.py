@@ -23,7 +23,7 @@ DEFAULTS: dict[str, float] = {
     "product_cross": 1e-8,
     # trace of the Bach tensor (exact identity)
     "bach_trace": 1e-8,
-    # divergence of the Bach tensor via finite differences of the pipeline
+    # divergence of the Bach tensor, exact from an order-5 frame
     "bach_divergence": 1e-6,
     # conformal covariance of the Bach tensor (weight -2)
     "bach_conformal": 1e-6,

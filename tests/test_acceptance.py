@@ -18,6 +18,7 @@ from bachlab.curvature import (CurvatureFrame, bach_divergence, pipeline_pack,
 from bachlab.identities import (bochner_identity, bourguignon_ezin_integral,
                                 soliton_integral_identities,
                                 surface_scalar_rigidity, yano_identity)
+from bachlab.report import sup
 
 TWO_PI = 2.0 * math.pi
 COORDS = ("x", "y", "z", "w")
@@ -25,6 +26,12 @@ COORDS = ("x", "y", "z", "w")
 
 def _verdict(ok: bool, label: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+
+
+def _floor(lowest: float, value: float) -> float:
+    """Running minimum that a NaN or infinity drives to -inf, a failure
+    (``min(x, nan)`` is x, so a plain minimum would drop it)."""
+    return min(lowest, value) if math.isfinite(value) else -math.inf
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +88,7 @@ def test_curvature_pipeline_matches_finite_difference_oracle():
             scale = max(1.0, np.abs(r).max())
             dev = float(np.abs(np.asarray(val, dtype=float) - r).max()
                         / scale)
-            worst = max(worst, dev)
+            worst = sup(worst, dev)
     ok = worst <= 1e-6
     _verdict(ok, "curvature vs finite-difference oracle",
              f"worst relative deviation {worst:.3e} over 5 random metrics "
@@ -99,17 +106,16 @@ def test_bach_trace_divergence_and_conformal_weight():
         frame = CurvatureFrame(chart, pt)
         b = np.asarray(values(frame.bach))
         ginv = np.linalg.inv(np.asarray(values(frame.g)))
-        worst_tr = max(worst_tr, abs(float((ginv * b).sum())))
-        worst_div = max(worst_div,
-                        float(np.abs(bach_divergence(chart, pt)).max()))
+        worst_tr = sup(worst_tr, abs(float((ginv * b).sum())))
+        worst_div = sup(worst_div, np.abs(bach_divergence(chart, pt)))
         u = u_exprs[k % 3]
         rescaled = charts.conformal(chart, u, name="rescaled_random_metric")
         cframe = CurvatureFrame(rescaled, pt)
         b_conf = np.asarray(values(cframe.bach))
         u_val = float(values(cframe.scalar_jet(u)))
         scale = max(1.0, np.abs(b).max())
-        worst_conf = max(worst_conf, float(
-            np.abs(b_conf - math.exp(-2.0 * u_val) * b).max() / scale))
+        worst_conf = sup(worst_conf,
+                         np.abs(b_conf - math.exp(-2.0 * u_val) * b) / scale)
     ok = worst_tr <= 1e-8 and worst_div <= 1e-6 and worst_conf <= 1e-6
     _verdict(ok, "trace-free, divergence-free, conformal weight -2",
              f"|tr B| {worst_tr:.3e} (gate 1e-08), |div B| {worst_div:.3e} "
@@ -127,8 +133,8 @@ def test_product_bach_formulas_match_general_pipeline():
         charts.conformal(charts.flat_torus((6.0, 7.0, 5.0)),
                          "0.3*sin(t0) + 0.2*cos(t1 + t2)"),
     ]
-    worst_line = max(products.line_cross_check(n, count=5)
-                     for n in line_factors)
+    worst_line = sup(*(products.line_cross_check(n, count=5)
+                       for n in line_factors))
     surface_pairs = [
         (charts.conformal_round_sphere("0.3*cos(th)"),
          charts.conformal(charts.flat_torus((6.0, 7.0)),
@@ -140,8 +146,8 @@ def test_product_bach_formulas_match_general_pipeline():
         (charts.conformal_round_sphere("0.2*sin(th)*sin(ph)"),
          charts.hyperbolic_2()),
     ]
-    worst_surface = max(products.surface_cross_check(k, l, count=5)
-                        for k, l in surface_pairs)
+    worst_surface = sup(*(products.surface_cross_check(k, l, count=5)
+                          for k, l in surface_pairs))
     ok = worst_line <= 1e-8 and worst_surface <= 1e-8
     _verdict(ok, "closed-form product components vs pipeline",
              f"line-cross sup {worst_line:.3e} over 5 factors, "
@@ -157,7 +163,7 @@ def test_product_bach_formulas_match_general_pipeline():
     "(-|x|^2/12, -1/12) satisfies the equation to machine precision "
     "(companion test below)"))
 def test_flat_cross_curved_solitons_with_positive_constants():
-    worst = max(
+    worst = sup(
         solitons.named_example("ho-r2s2-literal", count=200).sup,
         solitons.named_example("ho-r2h2-literal", count=200).sup)
     ok = worst <= 1e-9
@@ -168,7 +174,7 @@ def test_flat_cross_curved_solitons_with_positive_constants():
 
 @pytest.mark.slow
 def test_flat_cross_curved_gradient_solitons_verify():
-    worst = max(solitons.named_example("ho-r2s2", count=200).sup,
+    worst = sup(solitons.named_example("ho-r2s2", count=200).sup,
                 solitons.named_example("ho-r2h2", count=200).sup)
     ok = worst <= 1e-9
     _verdict(ok, "plane-product solitons, (-|x|^2/12, -1/12) data",
@@ -245,9 +251,9 @@ def test_compact_integral_identities_balance_and_converge():
             for i in ("1", "2"):
                 c_imb = coarse[f"imbalance{i}"]
                 f_imb = fine[f"imbalance{i}"]
-                worst_rel = max(worst_rel, f_imb / fine[f"scale{i}"])
-                worst_ratio = max(worst_ratio, f_imb / c_imb)
-                min_coarse = min(min_coarse, c_imb)
+                worst_rel = sup(worst_rel, f_imb / fine[f"scale{i}"])
+                worst_ratio = sup(worst_ratio, f_imb / c_imb)
+                min_coarse = _floor(min_coarse, c_imb)
     ok = worst_rel <= 1e-7 and worst_ratio <= 0.1 and min_coarse > 1e-9
     _verdict(ok, "compact integral identities",
              f"fine-resolution imbalance {worst_rel:.3e} of the largest "
@@ -268,10 +274,10 @@ def test_conformal_flux_identities_on_rescaled_spheres():
     for u, x in family:
         man = charts.single(charts.conformal(
             charts.round_sphere(2), u, name="rescaled_sphere"))
-        worst_point = max(worst_point,
+        worst_point = sup(worst_point,
                           yano_identity(man, x, count=40)["sup"])
         flux = bourguignon_ezin_integral(man, x, resolution=(16, 20))
-        worst_flux = max(worst_flux,
+        worst_flux = sup(worst_flux,
                          abs(flux["integral"]) / flux["scale"])
     ok = worst_point <= 1e-7 and worst_flux <= 1e-7
     _verdict(ok, "conformal-field flux identities on rescaled spheres",
@@ -289,8 +295,8 @@ def test_surface_scalar_rigidity_machinery():
         (charts.single(charts.berger_sphere(1.4)),
          "0.3*cos(be) + 0.2*sin(al)"),
     ]
-    worst_bochner = max(bochner_identity(man, h, count=30)["sup"]
-                        for man, h in pointwise_corpus)
+    worst_bochner = sup(*(bochner_identity(man, h, count=30)["sup"]
+                          for man, h in pointwise_corpus))
     rigidity_family = (
         charts.get_example("round_sphere_2"),
         charts.single(charts.round_sphere(2, 1.7)),
@@ -303,10 +309,10 @@ def test_surface_scalar_rigidity_machinery():
         rep = surface_scalar_rigidity(man)
         all_passed = all_passed and rep["passed"]
         scale = max(1.0, rep["hess_sq_integral"])
-        worst_gap = max(worst_gap, abs(rep["hess_sq_integral"]
+        worst_gap = sup(worst_gap, abs(rep["hess_sq_integral"]
                                        - rep["quarter_lap_sq_integral"])
                         / scale)
-        min_slack = min(min_slack, rep["cauchy_schwarz_slack"])
+        min_slack = _floor(min_slack, rep["cauchy_schwarz_slack"])
     ok = worst_bochner <= 1e-7 and all_passed and min_slack >= -1e-10
     _verdict(ok, "surface scalar rigidity machinery",
              f"pointwise Hessian-divergence residual {worst_bochner:.3e} "

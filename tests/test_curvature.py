@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -323,10 +324,42 @@ def test_bach_trace_free_and_conformal_generic():
     assert np.abs(bc - math.exp(-2 * uval) * b).max() <= 1e-10
 
 
-def test_bach_divergence_free_by_stencil():
+def test_bach_divergence_free_exactly():
     m = charts.get_example("r2_x_s2")
     db = bach_divergence(m.chart, [0.1, -0.2, 1.2, 0.7])
-    assert np.abs(db).max() <= 1e-8
+    assert np.abs(db).max() <= 1e-12
+
+
+def _bumpy_s2_x_t2():
+    return charts.conformal(charts.get_example("s2_x_t2").chart,
+                            "0.1*cos(th)*cos(t0)", name="bumpy_s2_x_t2")
+
+
+def test_order5_frame_reproduces_order4_pack_bitwise():
+    for chart in (_bumpy_s2_x_t2(), charts.berger_sphere(1.5),
+                  charts.round_sphere(2),
+                  charts.get_example("r2_x_s2").chart):
+        pt = charts.sample_points(chart, 2)[1]
+        four = pipeline_pack(CurvatureFrame(chart, pt), deep=True)
+        five = pipeline_pack(CurvatureFrame(chart, pt, order=5), deep=True)
+        assert five.keys() == four.keys()
+        for key, val in four.items():
+            assert np.array_equal(five[key], val), (chart.name, key)
+
+
+@pytest.mark.slow
+def test_bach_gradient_matches_oracle_stencil():
+    # away from the pole, where the oracle's nested stencils at their
+    # default step lose digits (not the jets: the gap shrinks as h^4)
+    chart = _bumpy_s2_x_t2()
+    pt = charts.sample_points(chart, 2)[1]
+    mine = CurvatureFrame(chart, pt, order=5).bach.grad().value
+    geo = fdcheck.geometry_from_chart(chart)
+    with mp.workdps(fdcheck.DEFAULT_DPS):
+        p = tuple(mp.mpf(repr(float(x))) for x in pt)
+        ref = np.array([geo._dtensor(geo.bach, p, a) for a in range(4)],
+                       dtype=float)
+    assert np.abs(mine - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
 def test_grad_lap_scalar_stencil_matches_oracle():
@@ -336,16 +369,11 @@ def test_grad_lap_scalar_stencil_matches_oracle():
     pt = np.array([0.45, -0.3])
     mine = grad_lap_scalar(chart, pt)
     geo = fdcheck.geometry_from_chart(chart)
-    h = 1e-2
-    ref = np.empty(2)
-    for a in range(2):
-        vals = []
-        for s in (2 * h, h, -h, -2 * h):
-            q = pt.copy()
-            q[a] += s
-            vals.append(float(geo.pack(q, deep=True)["lap_scalar"]))
-        ref[a] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
-    assert np.abs(mine - ref).max() <= 1e-8
+    with mp.workdps(fdcheck.DEFAULT_DPS):
+        p = tuple(mp.mpf(repr(float(x))) for x in pt)
+        ref = np.array([geo._dtensor(geo.lap_scalar, p, a)
+                        for a in range(2)], dtype=float)
+    assert np.abs(mine - ref).max() <= 1e-11
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,24 @@
-"""Gates fail closed: a NaN in a curvature quantity can never pass a check."""
+"""Gates fail closed: a NaN in a computed quantity can never pass a check."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bachlab import (charts, identities, products, report, solitons, suite,
-                     tolerances)
+from bachlab import (charts, identities, products, profiles, report, solitons,
+                     suite, tolerances)
 from bachlab.curvature import CurvatureFrame
 from bachlab.jets import Jet
 
 
-def _nan_jet(dim, shape=()):
-    return Jet(dim, 0, np.full(shape + (1,), np.nan))
+def _nan_jet(dim, shape=(), order=0):
+    return Jet(dim, order, np.full(shape + (math.comb(dim + order, order),),
+                                   np.nan))
+
+
+# a NaN Bach tensor at the order of the frame's own (order m - 4), so that
+# the exact divergence of an order-5 frame can still differentiate it
+_NAN_BACH = property(lambda self: _nan_jet(4, (4, 4), self.order - 4))
 
 
 def test_sup_maps_non_finite_values_to_inf():
@@ -31,8 +37,7 @@ def test_check_record_never_passes_a_non_finite_value():
 
 
 def test_nan_bach_fails_the_product_cross_check(monkeypatch):
-    monkeypatch.setattr(CurvatureFrame, "bach",
-                        property(lambda self: _nan_jet(4, (4, 4))))
+    monkeypatch.setattr(CurvatureFrame, "bach", _NAN_BACH)
     worst = products.line_cross_check(charts.round_sphere(3), count=1)
     assert worst == math.inf
     worst = products.surface_cross_check(charts.round_sphere(2),
@@ -51,8 +56,7 @@ def test_nan_divergence_fails_the_soliton_profile_check(monkeypatch):
 
 
 def test_nan_bach_fails_the_suite_bach_group(monkeypatch):
-    monkeypatch.setattr(CurvatureFrame, "bach",
-                        property(lambda self: _nan_jet(4, (4, 4))))
+    monkeypatch.setattr(CurvatureFrame, "bach", _NAN_BACH)
     records = suite._bach_property_checks(tolerances.resolve(), count=1)
     assert [r["check_id"] for r in records] == [
         "curvature/bach-trace", "curvature/bach-divergence",
@@ -66,3 +70,22 @@ def test_nan_lie_derivative_fails_the_conformality_gate(monkeypatch):
     with pytest.raises(identities.IdentityError, match="not conformal"):
         identities.yano_identity(charts.get_example("round_sphere_2"),
                                  ("-sin(th)", "0"), count=2)
+
+
+def _closed_run_with_nan_curvature(s0, c, **controls):
+    nan = np.full(2, math.nan)
+    return profiles.ProfileRun(
+        t=nan, rho=nan, rho_p=nan, s=nan, s_p=nan,
+        outcome=profiles.ScanOutcome(profiles.CLOSED, math.pi, math.nan,
+                                     math.nan))
+
+
+def test_nan_s_range_fails_the_scan_corroboration(monkeypatch):
+    monkeypatch.setattr(profiles, "integrate_profile",
+                        _closed_run_with_nan_curvature)
+    res = profiles.scan([2.0], [4.0 / 3.0])
+    assert res["closed_count"] == 1
+    assert not res["corroborates"]
+    records = suite._ode_checks(tolerances.resolve(), scan_cells=2)
+    assert records[-1]["check_id"] == "ode/scan-corroborates"
+    assert not records[-1]["pass"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bachlab import fdcheck
+from bachlab import _jettables, fdcheck
 from bachlab.jets import (Jet, JetDomainError, JetError, JetOrderError,
                           JetShapeError, variables)
 
@@ -100,6 +100,15 @@ def test_partial_degree_beyond_order_raises():
 def test_variable_axis_out_of_range():
     with pytest.raises(JetError):
         Jet.variable(2, 0.0, dim=2, order=2)
+
+
+def test_tables_reach_order_five_and_stop_there():
+    for dim in range(1, 5):
+        tab = _jettables.tables(dim, 5)
+        assert tab.size == math.comb(dim + 5, 5)
+        assert tab.size_upto[4] == _jettables.tables(dim, 4).size
+        with pytest.raises(ValueError, match="order"):
+            _jettables.tables(dim, 6)
 
 
 # ----------------------------------------------------------------------
