@@ -73,12 +73,10 @@ class Chart:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
 
     # -- evaluation ---------------------------------------------------
-    def metric_jets(self, point: Sequence[float], order: int = 4):
-        """Metric entries as jets at a point (n x n nested list)."""
-        n = self.dim
-        return [[exprs.eval_jet(self.metric[i][j], point, self.coords,
-                                self.params, order) for j in range(n)]
-                for i in range(n)]
+    def metric_jets(self, point: Sequence[float], order: int = 4) -> Jet:
+        """The metric as one (n, n) tensor of jets at a point."""
+        return exprs.eval_jet(self.metric, point, self.coords, self.params,
+                              order)
 
     def metric_values(self, points: np.ndarray) -> np.ndarray:
         """Metric matrices at many points: (N, dim) -> (N, n, n)."""
@@ -102,10 +100,6 @@ class Chart:
         vals = exprs.eval_numpy(e, env)
         return np.broadcast_to(np.asarray(vals, dtype=float),
                                (points.shape[0],)).copy()
-
-    def parse_field(self, text: str):
-        """Parse a scalar expression over this chart's names."""
-        return exprs.parse(text, self.coords, tuple(self.params))
 
 
 # ----------------------------------------------------------------------
@@ -359,26 +353,9 @@ def surface_of_revolution(rho: str = "sin(t)", t_min: float = 0.0,
 
 def conformal_round_sphere(u: str = "0", r: float = 1.0) -> Chart:
     """Round 2-sphere metric scaled by exp(2u(th, ph))."""
-    base = round_sphere(2, r)
-    ue = exprs.parse(u, base.coords, tuple(base.params))
-    entries = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            if i == j:
-                scaled = exprs.Mul(
-                    exprs.Call("exp", exprs.Mul(exprs.Num(2.0), ue)),
-                    base.metric[i][j])
-                row.append(exprs.pretty(scaled))
-            else:
-                row.append("0")
-        entries.append(tuple(row))
-    return Chart(
-        name="conformal_round_sphere", kind="conformal_round_sphere",
-        coords=base.coords, metric_strs=tuple(entries),
-        params=dict(base.params), lo=base.lo, hi=base.hi,
-        periodic=base.periodic, compact=True,
-        resolution=base.resolution, volume=None)
+    chart = conformal(round_sphere(2, r), u, name="conformal_round_sphere")
+    chart.kind = "conformal_round_sphere"
+    return chart
 
 
 def conformal(chart: Chart, u: str, name: str | None = None) -> Chart:

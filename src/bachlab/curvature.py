@@ -17,7 +17,10 @@ coefficients are order 2 in four variables), and grading makes lowering
 the order a prefix slice.  Index gymnastics (transposes, traces) are
 `np.einsum` calls on the coefficient array; every product of tensors is
 one `jets.contract` call, which runs at the lower of its operands'
-orders.  There are no per-entry loops.
+orders.  There are no per-entry loops.  The metric arrives as one
+(n, n) jet from `Chart.metric_jets`, and user fields as one jet from
+`CurvatureFrame.scalar_jet`, which evaluates an expression, its text or
+a nested list of them; the operators take and return `Jet`s only.
 
 Conventions (fixed throughout the package):
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import exprs
 from .charts import Chart, Manifold
-from .jets import Jet, contract, stack
+from .jets import Jet, contract
 
 BASE_ORDER = 4
 
@@ -53,15 +56,9 @@ class CurvatureError(ValueError):
     """Requested quantity is undefined for this dimension or order."""
 
 
-def trunc(t, order: int) -> Jet:
-    """A jet, a tensor of jets or a sequence of jets at a lower order."""
-    t = stack(t)
-    return t if t.order == order else t.truncated(order)
-
-
-def values(t):
+def values(t: Jet):
     """Zeroth-order values: a float for a scalar jet, else an array."""
-    return stack(t).value
+    return t.value
 
 
 def _index(spec: str, t: Jet) -> Jet:
@@ -97,7 +94,7 @@ class CurvatureFrame:
     # -- level 4: metric ----------------------------------------------
     @cached_property
     def g(self) -> Jet:
-        return stack(self.chart.metric_jets(self.point, order=self.order))
+        return self.chart.metric_jets(self.point, order=self.order)
 
     @cached_property
     def ginv(self) -> Jet:
@@ -193,14 +190,12 @@ class CurvatureFrame:
         return self.riemann_lo - (half - _index("lijk->ljik", half))
 
     # -- covariant derivatives -------------------------------------------
-    def cov_deriv(self, T) -> Jet:
+    def cov_deriv(self, T: Jet) -> Jet:
         """Covariant derivative of an all-lower tensor of jets.
 
-        Input: a tensor of rank r (or a sequence of jets) at one order
-        m >= 1.  Output: rank r + 1 at order m - 1,
-        out[a, i1..ir] = (cov_a T)_i...
+        Input: a tensor of rank r at order m >= 1.  Output: rank r + 1 at
+        order m - 1, out[a, i1..ir] = (cov_a T)_i...
         """
-        T = stack(T)
         out = T.grad()
         Tm = T.truncated(T.order - 1)
         idx = "bcdefgh"[:T.ndim]
@@ -268,9 +263,9 @@ class CurvatureFrame:
 
     # -- generic operators ------------------------------------------------
     def scalar_jet(self, text_or_expr, order: int | None = None) -> Jet:
-        e = (self.chart.parse_field(text_or_expr)
-             if isinstance(text_or_expr, str) else text_or_expr)
-        return exprs.eval_jet(e, self.point, self.chart.coords,
+        """A chart expression or its text, or a nested list of them, as
+        one jet at the frame's point (see `exprs.eval_jet`)."""
+        return exprs.eval_jet(text_or_expr, self.point, self.chart.coords,
                               self.chart.params,
                               order if order is not None else self.order)
 
@@ -279,7 +274,7 @@ class CurvatureFrame:
         if len(components) != self.n:
             raise CurvatureError(
                 f"vector field needs {self.n} components")
-        return stack([self.scalar_jet(c, order) for c in components])
+        return self.scalar_jet(list(components), order)
 
     def gradient_vector(self, h: Jet) -> Jet:
         """grad h (upper index), order of h minus 1."""
@@ -300,11 +295,10 @@ class CurvatureFrame:
 
     def g_at(self, order: int) -> Jet:
         """The metric component jets truncated to the given order."""
-        return trunc(self.g, order)
+        return self.g.truncated(order)
 
-    def lie_metric(self, X) -> Jet:
+    def lie_metric(self, X: Jet) -> Jet:
         """(L_X g)_ij for an upper vector field X, one order below X."""
-        X = stack(X)
         m = X.order - 1
         if self.g.order <= m:
             raise CurvatureError("metric order exhausted")
@@ -314,48 +308,46 @@ class CurvatureFrame:
                + contract("ik,jk->ij", self.g, dX))
         return _upper_mirrored(lie)
 
-    def divergence_vector(self, X) -> Jet:
+    def divergence_vector(self, X: Jet) -> Jet:
         """div X = d_i X^i + Gamma^i_im X^m, one order below X."""
-        X = stack(X)
         return (_index("ii->", X.grad())
                 + contract("iim,m->", self.gamma, X.truncated(X.order - 1)))
 
-    def divergence_oneform(self, al) -> Jet:
+    def divergence_oneform(self, al: Jet) -> Jet:
         """div of a lower-index field: g^{ij} cov_i al_j."""
         return contract("ij,ij->", self.ginv, self.cov_deriv(al))
 
-    def divergence_sym2(self, T) -> Jet:
+    def divergence_sym2(self, T: Jet) -> Jet:
         """(div T)_j = g^{ik} cov_i T_kj, one order below T."""
         return contract("ik,ikj->j", self.ginv, self.cov_deriv(T))
 
-    def trace(self, T) -> Jet:
+    def trace(self, T: Jet) -> Jet:
         """g^{ij} T_ij at the order of T."""
-        return contract("ij,ij->", self.ginv, stack(T))
+        return contract("ij,ij->", self.ginv, T)
 
-    def trace_free(self, T) -> Jet:
+    def trace_free(self, T: Jet) -> Jet:
         """T - (tr T / n) g at the order of T."""
-        T = stack(T)
         tr_over_n = self.trace(T) * (1.0 / self.n)
         return T - tr_over_n * self.g_at(T.order)
 
-    def mixed(self, T) -> Jet:
+    def mixed(self, T: Jet) -> Jet:
         """Raise the first index: T^i_j = g^{ia} T_aj."""
-        return contract("ia,aj->ij", self.ginv, stack(T))
+        return contract("ia,aj->ij", self.ginv, T)
 
-    def inner_sym2(self, T, U) -> Jet:
+    def inner_sym2(self, T: Jet, U: Jet) -> Jet:
         """<T, U>_g = g^{ia} g^{jb} T_ij U_ab at the common order."""
         return contract("ij,ji->", self.mixed(T), self.mixed(U))
 
-    def norm2_sym2(self, T) -> Jet:
+    def norm2_sym2(self, T: Jet) -> Jet:
         return self.inner_sym2(T, T)
 
-    def contract_vector_sym2(self, X, T) -> Jet:
+    def contract_vector_sym2(self, X: Jet, T: Jet) -> Jet:
         """(i_X T)_j = X^i T_ij at the common order."""
-        return contract("i,ij->j", stack(X), stack(T))
+        return contract("i,ij->j", X, T)
 
-    def pair_oneform_vector(self, al, X) -> Jet:
+    def pair_oneform_vector(self, al: Jet, X: Jet) -> Jet:
         """al_j X^j at the common order."""
-        return contract("j,j->", stack(al), stack(X))
+        return contract("j,j->", al, X)
 
 
 def frame_at(obj: Chart | Manifold, point: Sequence[float]

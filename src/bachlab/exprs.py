@@ -15,9 +15,13 @@ only.  NAME is either a declared coordinate, a declared parameter, or
 one of the functions sin, cos, exp, sinh, cosh, sqrt, log.  Unknown
 identifiers are rejected at parse time with a byte offset.
 
-The same AST evaluates against several backends: python floats, NumPy
-arrays (vectorized over node grids), mpmath (for the finite-difference
-oracle), and jets (for derivative propagation).
+`parse` caches its trees (they are frozen), so a text is parsed once per
+set of declared names.  The same AST evaluates against several backends:
+python floats, NumPy arrays (vectorized over node grids), mpmath (for
+the finite-difference oracle), and jets (for derivative propagation).
+`eval_jet` also takes a text, or a nested list of expressions and texts
+such as a metric matrix, and returns one tensor `Jet` of that shape; its
+functions are `jets.ELEMENTARY`.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .jets import Jet
+from .jets import ELEMENTARY, Jet
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "log")
 
@@ -269,7 +274,17 @@ class _Parser:
 
 
 def parse(src: str, coords: Sequence[str], params: Sequence[str] = ()) -> Expr:
-    """Parse a scalar expression over declared coordinates and parameters."""
+    """Parse a scalar expression over declared coordinates and parameters.
+
+    Each (text, names) triple is parsed once; repeated calls return the
+    same frozen tree.
+    """
+    return _parse_cached(src, tuple(coords), tuple(params))
+
+
+@lru_cache(maxsize=1024)
+def _parse_cached(src: str, coords: tuple[str, ...],
+                  params: tuple[str, ...]) -> Expr:
     return _Parser(src, coords, params).parse()
 
 
@@ -335,11 +350,7 @@ MP_FUNCS: dict[str, Callable] = {
     "sinh": mp.sinh, "cosh": mp.cosh, "sqrt": mp.sqrt,
     "log": mp.log,
 }
-JET_FUNCS: dict[str, Callable] = {
-    "sin": Jet.sin, "cos": Jet.cos, "exp": Jet.exp,
-    "sinh": Jet.sinh, "cosh": Jet.cosh, "sqrt": Jet.sqrt,
-    "log": Jet.log,
-}
+JET_FUNCS = ELEMENTARY
 
 
 def _eval(e: Expr, env: Mapping[str, object], funcs: Mapping[str, Callable],
@@ -384,19 +395,37 @@ def eval_mp(e: Expr, env: Mapping[str, mp.mpf]) -> mp.mpf:
     return _eval(e, env, MP_FUNCS, mp.mpf)
 
 
-def eval_jet(e: Expr, point: Sequence[float], coords: Sequence[str],
+def eval_jet(e, point: Sequence[float], coords: Sequence[str],
              params: Mapping[str, float] | None = None, order: int = 4) -> Jet:
-    """Evaluate to a jet at a point: all partials up to `order` at once."""
+    """Evaluate to a jet at a point: all partials up to `order` at once.
+
+    `e` is an expression, its text, or a nested list or tuple of them; the
+    result is one `Jet` of that tensor shape (a scalar jet for a single
+    expression).  The coordinate and parameter jets are built once per
+    call and every entry is evaluated on them with scalar jets.
+    """
     dim = len(coords)
     if len(point) != dim:
         raise DslError(f"point has length {len(point)}, expected {dim}")
+    params = params or {}
     env: dict[str, object] = {
         name: Jet.variable(axis, float(point[axis]), dim, order)
         for axis, name in enumerate(coords)
     }
-    for name, value in (params or {}).items():
+    for name, value in params.items():
         env[name] = Jet.constant(float(value), dim, order)
-    return _eval(e, env, JET_FUNCS, lambda v: Jet.constant(v, dim, order))
+
+    def const(v: float) -> Jet:
+        return Jet.constant(v, dim, order)
+
+    def coeffs(x) -> np.ndarray:
+        if isinstance(x, (list, tuple)):
+            return np.stack([coeffs(y) for y in x])
+        if isinstance(x, str):
+            x = parse(x, coords, tuple(params))
+        return _eval(x, env, JET_FUNCS, const).coeffs
+
+    return Jet(dim, order, coeffs(e))
 
 
 def free_names(e: Expr) -> set[str]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import charts
 from .charts import Manifold
 from .curvature import CurvatureFrame, frame_at, grad_lap_scalar, values
-from .jets import contract, stack
+from .jets import contract
 from .report import sup
 from .solitons import residual_sample_points
 
@@ -82,12 +82,13 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
         points = residual_sample_points(man, count, seed=seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = man.dim
+    if len(t_exprs) != n or any(len(row) != n for row in t_exprs):
+        raise IdentityError(f"T must be {n} x {n}")
     res = np.empty(len(points))
     for k, p in enumerate(points):
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
-        t = stack([[frame.scalar_jet(t_exprs[i][j]) for j in range(n)]
-                   for i in range(n)])
+        t = frame.scalar_jet(t_exprs)
         lie = frame.lie_metric(x)
         lhs = values(frame.inner_sym2(lie, t))
         alpha = contract("ij,j->i", t, x)

@@ -12,7 +12,10 @@ A jet may also be a tensor of jets: ``coeffs`` then has shape
 a full tensor index gives back a scalar `Jet`.  Ring operations act
 entrywise with NumPy broadcasting; `contract` multiplies two tensors of
 jets and sums over their shared tensor indices.  Every product runs
-through the one kernel in `_kernels`.
+through the one kernel in `_kernels`.  Tensors of jets are built as one
+coefficient array: `exprs.eval_jet` evaluates a nested list of
+expressions straight into one, and the curvature operators take and
+return `Jet`s only.
 
 Conventions and contracts:
 
@@ -284,12 +287,14 @@ class Jet:
         """Integer power by binary exponentiation of truncated products."""
         if exponent < 0:
             return self.reciprocal().powi(-exponent)
-        result = Jet.constant(1.0, self.dim, self.order)
+        if exponent == 0:
+            return Jet.constant(1.0, self.dim, self.order)
+        result = None
         base = self
         k = exponent
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
@@ -394,24 +399,6 @@ def contract(spec: str, a: Jet, b: Jet) -> Jet:
     return Jet(a.dim, tab.order,
                product(a.coeffs[..., :tab.size], b.coeffs[..., :tab.size],
                        tab, spec), _tab=tab)
-
-
-def stack(items) -> Jet:
-    """One tensor of jets from a nested sequence or object array of jets.
-
-    The entries are truncated to their lowest order; a `Jet` is returned
-    as it is.
-    """
-    if isinstance(items, Jet):
-        return items
-    if isinstance(items, np.ndarray):
-        items = items.tolist()
-    parts = [stack(x) for x in items]
-    if not parts or any(p.dim != parts[0].dim for p in parts):
-        raise JetShapeError("stack needs jets of one dim")
-    tab = min((p.tab for p in parts), key=lambda t: t.order)
-    return Jet(tab.dim, tab.order,
-               np.stack([p.coeffs[..., :tab.size] for p in parts]), _tab=tab)
 
 
 def variables(point: Sequence[float], order: int) -> tuple[Jet, ...]:

@@ -28,7 +28,7 @@ from scipy import linalg
 
 from . import charts, products
 from .charts import Chart, Manifold
-from .curvature import CurvatureFrame, frame_at, trunc, values
+from .curvature import CurvatureFrame, frame_at, values
 from .jets import contract
 from .report import sup
 
@@ -204,9 +204,7 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
         return lie - 2.0 * phi * g
     if spec.q == "zero":
         return np.zeros_like(g)
-    rows = [[float(values(frame.scalar_jet(e, order=0))) for e in row]
-            for row in spec.custom_q]
-    return np.asarray(rows)
+    return frame.scalar_jet(spec.custom_q, order=0).value
 
 
 def metric_norm(g: np.ndarray, tensor: np.ndarray) -> float:
@@ -486,7 +484,7 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
-        c_jets = trunc(x_jets, grad_sum.order) + coefficient * grad_sum
+        c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
         c_vals[idx] = values(c_jets)
         half_lie = 0.5 * values(frame.lie_metric(c_jets))
         lie_x = values(frame.lie_metric(x_jets))

@@ -7,6 +7,7 @@ import pytest
 
 from bachlab import charts
 from bachlab.charts import ChartError
+from bachlab.jets import Jet
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,6 +159,7 @@ def test_metric_jets_shape_and_value():
     s2 = charts.round_sphere(2)
     pt = [1.0, 0.5]
     jets = s2.metric_jets(pt)
+    assert isinstance(jets, Jet) and jets.shape == (2, 2)
     assert jets[0][0].value == 1.0
     assert abs(jets[1][1].value - math.sin(1.0) ** 2) <= 1e-15
     # d/dth of g_phph = 2 sin th cos th
@@ -173,6 +175,19 @@ def test_conformal_wrapper_scales_metric():
     g1 = c.metric_values(pt)[0]
     scale = math.exp(2 * 0.3 * math.cos(1.2))
     assert np.abs(g1 - scale * g0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("u", ["0", "0.3*cos(th)", "0.2*sin(th)*sin(ph)",
+                               "0.1*cos(th)^2 - 0.05*cos(ph)"])
+def test_conformal_round_sphere_is_the_conformal_sphere(u):
+    c = charts.conformal_round_sphere(u, r=1.3)
+    ref = charts.conformal(charts.round_sphere(2, 1.3), u)
+    assert (c.name, c.kind) == ("conformal_round_sphere",
+                                "conformal_round_sphere")
+    assert c.metric_strs == ref.metric_strs and c.params == ref.params
+    assert (c.lo, c.hi, c.periodic, c.compact) == (ref.lo, ref.hi,
+                                                   ref.periodic, ref.compact)
+    assert c.resolution == ref.resolution and c.volume is None
 
 
 def test_hyperbolic_metric_values():

@@ -10,7 +10,7 @@ from bachlab import charts, fdcheck
 from bachlab.curvature import (CurvatureError, CurvatureFrame,
                                bach_divergence, frame_at, grad_lap_scalar,
                                pipeline_pack, values)
-from bachlab.jets import JetOrderError
+from bachlab.jets import Jet, JetOrderError
 
 RNG_METRIC_3 = [
     ["2 + 0.3*sin(x)*cos(y) + 0.1*z^2", "0.2*sin(x+z)", "0.1*cos(y)*z"],
@@ -210,17 +210,15 @@ def test_divergence_vector_matches_oneform_route(rand3_frame):
     X = fr.vector_jets(["sin(y)", "cos(x)*z", "0.3*x"])
     div_v = fr.divergence_vector(X).value
     n = fr.n
-    # lower the index and take the one-form divergence
-    al = np.empty(n, dtype=object)
-    g3 = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            g3[i, j] = fr.g[i, j].truncated(X[0].order)
+    # lower the index entry by entry and take the one-form divergence
+    g3 = fr.g.truncated(X.order)
+    al = []
     for j in range(n):
         acc = g3[0, j] * X[0]
         for i in range(1, n):
             acc = acc + g3[i, j] * X[i]
-        al[j] = acc
+        al.append(acc)
+    al = Jet(n, X.order, np.stack([a.coeffs for a in al]))
     div_f = fr.divergence_oneform(al).value
     assert abs(div_v - div_f) <= 1e-12
 

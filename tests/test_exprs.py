@@ -102,6 +102,19 @@ def test_trailing_garbage_rejected():
         parse("1 + 2 )", [])
 
 
+def test_parse_returns_one_tree_per_text_and_names():
+    first = parse("sin(x)*a", coords=["x"], params=["a"])
+    assert parse("sin(x)*a", coords=("x",), params=("a",)) is first
+    # the same text over other names is another tree
+    assert parse("sin(x)*a", coords=["x", "a"]) is not first
+
+
+def test_parse_errors_are_raised_on_every_call():
+    for _ in range(3):
+        with pytest.raises(DslSyntaxError):
+            parse("1+*2", [])
+
+
 # ----------------------------------------------------------------------
 # pretty-printing round trip
 # ----------------------------------------------------------------------
@@ -222,6 +235,23 @@ def test_eval_jet_partials_match_fd_oracle(text):
     want = fdcheck.expr_partials(e, coords, point, alphas)
     for alpha, w in zip(alphas, want):
         assert abs(j.partial(alpha) - w) <= 1e-6 * max(1.0, abs(w)), alpha
+
+
+def test_nested_eval_jet_equals_per_entry_scalar_jets_bitwise():
+    coords, params = ["x", "y"], {"a": 1.5}
+    point = [0.31, -0.42]
+    rows = [["a*sin(x)^2 + y", parse("exp(x*y)", coords, ["a"])],
+            [parse("exp(x*y)", coords, ["a"]), "cosh(y)/(2 + x^2) - 0"]]
+    t = eval_jet(rows, point, coords, params, order=4)
+    assert t.shape == (2, 2) and t.order == 4
+    for i in range(2):
+        for j in range(2):
+            e = rows[i][j]
+            e = parse(e, coords, ["a"]) if isinstance(e, str) else e
+            one = eval_jet(e, point, coords, params, order=4)
+            assert np.array_equal(t[i, j].coeffs, one.coeffs)
+    # a text leaf on its own is a scalar jet
+    assert eval_jet("x*y", point, coords, order=2).shape == ()
 
 
 def test_substitute_names_for_product_charts():

@@ -65,6 +65,14 @@ def test_lie_pairing_killing_both_sides_vanish():
     assert out["sup"] <= 1e-13
 
 
+@pytest.mark.parametrize("t", [[["1", "0"]], [["1", "0"], ["0"]],
+                               [["1", "0", "0"], ["0", "1", "0"]]])
+def test_lie_pairing_rejects_a_tensor_of_the_wrong_shape(t):
+    man = charts.single(charts.round_sphere(2))
+    with pytest.raises(IdentityError, match="2 x 2"):
+        lie_pairing_identity(man, ("0", "1"), t, count=2)
+
+
 # ----------------------------------------------------------------------
 # integral identities on constructed data
 # ----------------------------------------------------------------------

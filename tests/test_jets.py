@@ -178,6 +178,14 @@ def test_integer_powers():
         x ** 1.5  # type: ignore[operator]
 
 
+def test_powi_spends_no_product_on_the_constant_one():
+    x, y = variables([0.37, -1.21], order=4)
+    z = (x * y).sin() + x
+    assert np.array_equal(z.powi(2).coeffs, (z * z).coeffs)
+    assert np.array_equal(z.powi(1).coeffs, z.coeffs)
+    assert np.array_equal(z.powi(3).coeffs, (z * (z * z)).coeffs)
+
+
 # ----------------------------------------------------------------------
 # elementary-function composition
 # ----------------------------------------------------------------------
