@@ -97,10 +97,12 @@ def _soliton_checks(tols, count: int, seed: int) -> list[dict]:
             inputs={"example": name, "count": count, "seed": seed}))
 
     root = solitons.solve_berger_soliton()
+    root_tol = tols["berger_root"]
     root_ok = (root["outcome"] == "root" and bool(root["passed"])
-               and abs(root["a_star"] - solitons.BERGER_SOLITON_A) <= 1e-9
+               and abs(root["a_star"] - solitons.BERGER_SOLITON_A)
+               <= root_tol
                and abs(root["lambda_star"]
-                       - solitons.BERGER_SOLITON_LAMBDA) <= 1e-9
+                       - solitons.BERGER_SOLITON_LAMBDA) <= root_tol
                and root["residual_sup"] <= tols["berger_residual"])
     checks.append(report.check_record(
         "soliton/berger-root",
@@ -124,7 +126,8 @@ def _soliton_checks(tols, count: int, seed: int) -> list[dict]:
     cf_sup = report.sup(cf["identity_sup"], cf["extended_residual_sup"],
                         cf["offblock_sup"], cf["tracefree_sup"])
     checks.append(report.check_record(
-        "soliton/conformal-factor-field", cf_sup, 1e-10, cf_sup <= 1e-10,
+        "soliton/conformal-factor-field", cf_sup, tols["conformal_field"],
+        cf_sup <= tols["conformal_field"],
         detail={"coefficient": cf["coefficient"]}))
     return checks
 

@@ -19,6 +19,10 @@ DEFAULTS: dict[str, float] = {
     "soliton_gradient_product": 1e-9,
     # full residual at a solved squashed-sphere root
     "berger_residual": 1e-7,
+    # solved squashed-sphere (a, lambda) against the frozen root
+    "berger_root": 1e-9,
+    # conformal-factor field identities on the r2 x s2 soliton
+    "conformal_field": 1e-10,
     # closed-form product components against the general pipeline
     "product_cross": 1e-8,
     # trace of the Bach tensor (exact identity)

@@ -1,7 +1,10 @@
 """Tests for the rotationally symmetric profile ODE explorer."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from bachlab import profiles
 from bachlab.profiles import (ProfileError, ProfileState, integrate_profile,
@@ -116,6 +119,15 @@ def test_conical_pinch_reported_as_blowup():
     assert abs(run.rho_p[-1] + 1.0) > 1e-4
 
 
+def test_run_ends_once_at_the_event_state():
+    run = integrate_profile(2.0, 4.0 / 3.0)
+    assert np.all(np.diff(run.t) > 0.0)
+    assert run.rho[-1] <= 1e-6 < run.rho[-2]
+    for t_max in (1e-6, math.inf, math.nan):
+        with pytest.raises(ProfileError, match="t_max"):
+            integrate_profile(2.0, 4.0 / 3.0, t_max=t_max)
+
+
 def test_closure_time_stable_under_tolerance_halving():
     for s0, c, t_ref in ((2.0, 4.0 / 3.0, np.pi),
                          (0.5, 1.0 / 12.0, 2.0 * np.pi)):
@@ -123,6 +135,135 @@ def test_closure_time_stable_under_tolerance_halving():
         t2 = integrate_profile(s0, c, rtol=5e-11).outcome.t_close
         assert abs(t1 - t2) <= 1e-8
         assert abs(t1 - t_ref) <= 1e-6
+
+
+# ----------------------------------------------------------------------
+# the stepper against scipy's RK45
+# ----------------------------------------------------------------------
+def _scipy_reference(s0, c, t_max=40.0, rtol=1e-10, atol=1e-12, eps=1e-6,
+                     delta=1e-6, s_cap=1e6):
+    """The same trajectory through ``solve_ivp(method="RK45")``.
+
+    Returns (classification, t_close, accepted times, S samples,
+    right-hand-side evaluations).
+    """
+    start = series_start(s0, c, eps)
+
+    def closure(t, y, c_):
+        return y[0] - delta
+
+    closure.terminal = True
+    closure.direction = -1.0
+
+    def blowup(t, y, c_):
+        return abs(y[2]) - s_cap
+
+    blowup.terminal = True
+    blowup.direction = 1.0
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = solve_ivp(profiles._rhs_raw, (eps, t_max), start.as_array(),
+                        args=(c,), method="RK45", rtol=rtol, atol=atol,
+                        events=(closure, blowup))
+    t_close = None
+    if sol.status == -1:
+        classification = profiles.STEP_FAILURE
+    elif len(sol.t_events[0]):
+        rho_e, rho_p_e, _, s_p_e = sol.y_events[0][0]
+        if (abs(rho_p_e + 1.0) <= profiles._CAP_TOL
+                and abs(s_p_e) <= profiles._CAP_TOL):
+            classification = profiles.CLOSED
+            t_close = float(sol.t_events[0][0] + rho_e / abs(rho_p_e))
+        else:
+            classification = profiles.CURVATURE_BLOWUP
+    elif len(sol.t_events[1]):
+        classification = profiles.CURVATURE_BLOWUP
+    else:
+        classification = profiles.COMPLETE_OPEN
+    return classification, t_close, sol.t, sol.y[2], sol.nfev
+
+
+REFERENCE_CELLS = (
+    [(2.0, 4.0 / 3.0), (0.5, 1.0 / 12.0),   # round caps, radii 1 and 2
+     (-4.0, -2.0),                          # curvature blow-up
+     (3.0, 1.0),                            # conical pinch
+     (0.0, 0.0), (-2.0, 4.0 / 3.0)]         # open: flat, hyperbolic
+    + [(1.37, c) for c in np.linspace(-2.0, 2.0, 8) + 0.21])  # shifted row
+
+
+def test_stepper_matches_scipy_rk45(monkeypatch):
+    raw = profiles._rhs_raw
+    evals = [0]
+
+    def counted(t, y, c):
+        evals[0] += 1
+        return raw(t, y, c)
+
+    classes = set()
+    for s0, c in REFERENCE_CELLS:
+        ref_class, ref_t_close, ref_t, ref_s, ref_evals = _scipy_reference(
+            s0, c)
+        monkeypatch.setattr(profiles, "_rhs_raw", counted)
+        evals[0] = 0
+        run = integrate_profile(s0, c)
+        monkeypatch.setattr(profiles, "_rhs_raw", raw)
+        out = run.outcome
+        cell = (s0, c)
+        classes.add(out.classification)
+        assert out.classification == ref_class, cell
+        # the same accepted and rejected steps; the step sizes differ only
+        # by the rounding of the error norm, which the controller amplifies
+        assert evals[0] == ref_evals, cell
+        assert len(run.t) == len(ref_t), cell
+        assert np.abs(run.t[:-1] - ref_t[:-1]).max() <= 1e-6, cell
+        if ref_t_close is None:
+            assert out.t_close is None, cell
+        else:
+            assert abs(out.t_close - ref_t_close) <= 1e-12, cell
+        if out.classification == profiles.CURVATURE_BLOWUP:
+            # the event time is located to 4 eps, and S moves fast there
+            assert abs(run.s[-1] - ref_s[-1]) <= 1e-6 * abs(ref_s[-1]), cell
+        else:
+            for mine, ref in ((out.s_min, ref_s.min()),
+                              (out.s_max, ref_s.max())):
+                assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref)), cell
+    assert classes == {profiles.CLOSED, profiles.CURVATURE_BLOWUP,
+                       profiles.COMPLETE_OPEN}
+
+
+def test_nan_vector_field_is_a_step_failure(monkeypatch):
+    # the stepper must reach the right-hand side through the module global
+    # (the benchmark tracer counts evaluations there), and a NaN field must
+    # end in StepFailure, never in a closed cap
+    raw = profiles._rhs_raw
+    calls = {"all": 0, "nan": 0}
+
+    def poisoned(t, y, c):
+        calls["all"] += 1
+        if t > 1.0:
+            calls["nan"] += 1
+            return (math.nan,) * 4
+        return raw(t, y, c)
+
+    monkeypatch.setattr(profiles, "_rhs_raw", poisoned)
+    run = integrate_profile(2.0, 4.0 / 3.0)
+    assert calls["nan"] > 0
+    assert run.outcome.classification == profiles.STEP_FAILURE
+    assert run.outcome.t_close is None
+    assert run.t[-1] <= 1.0
+    assert np.all(np.isfinite(run.s))
+
+    # a NaN launch makes the first step size NaN: a failure, not a hang
+    out = integrate_profile(math.nan, 4.0 / 3.0).outcome
+    assert out.classification == profiles.STEP_FAILURE
+    assert math.isnan(out.s_min) and math.isnan(out.s_max)
+
+    before = calls["all"]
+    res = scan([2.0], [4.0 / 3.0, 1.0 / 12.0])
+    assert calls["all"] > before
+    assert [r["class"] for r in res["rows"]] == [profiles.STEP_FAILURE] * 2
+    assert all(r["t_close"] is None for r in res["rows"])
+    assert res["closed_count"] == 0
 
 
 # ----------------------------------------------------------------------
