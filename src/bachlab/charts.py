@@ -129,6 +129,9 @@ def quadrature(chart: Chart, resolution: Sequence[int] | None = None
     res = tuple(int(r) for r in (resolution or chart.resolution))
     if len(res) != chart.dim:
         raise ChartError(f"resolution needs {chart.dim} axis counts")
+    if min(res) < 1:
+        raise ChartError(f"resolution needs at least one node per axis, "
+                         f"got {list(res)}")
     axes = [_axis_rule(chart.lo[a], chart.hi[a], chart.periodic[a], res[a])
             for a in range(chart.dim)]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")

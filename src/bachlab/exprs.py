@@ -377,7 +377,7 @@ def _eval(e: Expr, env: Mapping[str, object], funcs: Mapping[str, Callable],
         return _eval(e.a, env, funcs, const) ** e.k
     if t is Call:
         return funcs[e.fn](_eval(e.a, env, funcs, const))
-    raise TypeError(f"not an expression node: {e!r}")
+    raise DslError(f"not an expression node: {e!r}")
 
 
 def eval_float(e: Expr, env: Mapping[str, float]) -> float:

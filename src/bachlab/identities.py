@@ -18,7 +18,7 @@ import numpy as np
 
 from . import charts
 from .charts import Manifold
-from .curvature import CurvatureFrame, frame_at, grad_lap_scalar, values
+from .curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from .jets import contract
 from .report import sup
 from .solitons import residual_sample_points
@@ -56,18 +56,11 @@ def conformality_gap(frame: CurvatureFrame, x_jets) -> float:
     return sup(np.abs(values(frame.trace_free(lie))))
 
 
-def _require_conformal(man: Manifold, x_exprs, points,
-                       gate: float) -> float:
-    worst = 0.0
-    for p in points:
-        frame = frame_at(man, p)
-        worst = sup(worst, conformality_gap(frame,
-                                            frame.vector_jets(x_exprs)))
-    if worst > gate:
+def _check_conformal(gap: float, gate: float) -> None:
+    if gap > gate:
         raise IdentityError(
-            f"field is not conformal: trace-free Lie sup {worst:.3e} "
+            f"field is not conformal: trace-free Lie sup {gap:.3e} "
             f"exceeds the gate {gate:.1e}")
-    return worst
 
 
 # ----------------------------------------------------------------------
@@ -130,17 +123,19 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str],
     if points is None:
         points = residual_sample_points(man, count, seed=seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    gap = _require_conformal(man, x_exprs, points, gate)
     n = man.dim
     res = np.empty(len(points))
+    gap = 0.0
     for k, p in enumerate(points):
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
+        gap = sup(gap, conformality_gap(frame, x))
         sigma = frame.divergence_vector(x) * (1.0 / n)
         lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
         rhs = -2.0 * values(sigma) * values(frame.scalar) \
             - 2.0 * (n - 1) * values(frame.laplacian(sigma))
         res[k] = abs(lhs - rhs)
+    _check_conformal(gap, gate)
     return {"points": points, "residuals": res, "sup": sup(res),
             "conformality_gap": gap}
 
@@ -241,13 +236,13 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
         raise IdentityError("q = S g satisfies the divergence condition "
                             "in dimension 2 only")
     quad = _compact_quadrature(man, resolution)
-    gap = _require_conformal(man, x_exprs, quad.nodes[::7], gate)
     vals = np.empty(len(quad.nodes))
     absvals = np.empty(len(quad.nodes))
-    bianchi = 0.0
+    bianchi = gap = 0.0
     for k, p in enumerate(quad.nodes):
         frame = frame_at(man, p)
         x = frame.vector_jets(x_exprs)
+        gap = sup(gap, conformality_gap(frame, x))
         if q_mode == "ricci":
             q = frame.ricci
         else:
@@ -258,6 +253,7 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
                                       - 0.5 * values(d_tr)))
         vals[k] = values(frame.pair_oneform_vector(d_tr, x))
         absvals[k] = abs(values(tr_q))
+    _check_conformal(gap, gate)
     if bianchi > bianchi_tol:
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
@@ -317,14 +313,13 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
 # compact-surface scalar rigidity
 # ----------------------------------------------------------------------
 def surface_scalar_rigidity(man: Manifold, resolution=None,
-                            c_tol: float = 1e-8, tol: float = 1e-7,
-                            count: int = 24) -> dict:
+                            c_tol: float = 1e-8, tol: float = 1e-7) -> dict:
     """Rigidity machinery on a compact surface with Lap(S) + S^2/3 constant.
 
     Checks, in order: the hypothesis (the invariant c = Lap(S) + S^2/3 is
     constant over the chart within ``c_tol``; violated hypothesis raises);
     the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter exact,
-    from an order-5 frame: see `grad_lap_scalar`); the integral
+    from the order-5 frame built at each interior point); the integral
     identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the pointwise bound
     ||Hess S||^2 >= (Lap S)^2 / 2;  and the conclusion that S is constant.
     """
@@ -335,13 +330,14 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     # pointwise checks run on interior sample points: quadrature nodes next
     # to chart degeneracies (sphere poles) amplify harmless rounding in
     # Lap(S) through the inverse metric and would mask the real question
-    interior = charts.sample_points(chart, max(count, 24))
+    interior = charts.sample_points(chart, 24)
     c_vals = np.empty(len(interior))
     s_vals = np.empty(len(interior))
     lap_vals = np.empty(len(interior))
     slack = np.empty(len(interior))
+    grad_res = 0.0
     for k, p in enumerate(interior):
-        frame = frame_at(man, p)
+        frame = CurvatureFrame(chart, p, order=BASE_ORDER + 1)
         s = values(frame.scalar)
         lap = values(frame.lap_scalar)
         hess2 = values(frame.norm2_sym2(frame.hess_scalar))
@@ -349,18 +345,15 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
         s_vals[k] = s
         lap_vals[k] = lap
         slack[k] = hess2 - lap * lap / 2.0
+        grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
+        grad_lap = values(frame.lap_scalar.grad())
+        grad_res = sup(grad_res, np.abs(grad_s2 + 3.0 * grad_lap))
     cs_slack = float(np.min(slack))  # NaN propagates and fails below
     c_spread = float(np.ptp(c_vals))
     if not c_spread <= c_tol:  # a NaN spread violates it too
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
-    grad_res = 0.0
-    for p in interior[:count]:
-        frame = frame_at(man, p)
-        grad_s2 = 2.0 * values(frame.scalar) * values(frame.grad_scalar_lo)
-        grad_lap = grad_lap_scalar(chart, p)
-        grad_res = sup(grad_res, np.abs(grad_s2 + 3.0 * grad_lap))
     hess2_nodes = np.empty(len(quad.nodes))
     lap2_nodes = np.empty(len(quad.nodes))
     for k, p in enumerate(quad.nodes):
@@ -481,7 +474,7 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
         out = bochner_identity(man, merged["h"], count=count)
         out["passed"] = out["sup"] <= tol
     else:  # lemma48
-        out = surface_scalar_rigidity(man, resolution=resolution)
+        out = surface_scalar_rigidity(man, resolution=resolution, tol=tol)
     out["identity"] = identity_id
     out.pop("points", None)
     out.pop("residuals", None)

@@ -12,10 +12,10 @@ deterministic low-discrepancy point sets, plus a coarse quadrature grid when
 the chart is compact, and reported in the metric sup norm.
 
 Also here: the quadratic-profile check for line x N^3 gradient solitons, the
-squashed-sphere parameter solve (bisection bracket + secant polish on the
-signed scalar of the product-soliton obstruction), the conformal correction
-field on surface x surface products, and the mixed-Hessian splitting
-spot-check.
+squashed-sphere parameter solve (Brent's method on each sign-change bracket
+of the signed scalar of the product-soliton obstruction), the conformal
+correction field on surface x surface products, and the mixed-Hessian
+splitting spot-check.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, optimize
 
-from . import charts, products
+from . import charts, products, tolerances
 from .charts import Chart, Manifold
 from .curvature import CurvatureFrame, frame_at, values
 from .jets import contract
@@ -341,26 +341,14 @@ def berger_condition_scalar(a: float) -> float:
     return float(eigs[int(np.argmax(np.abs(eigs)))])
 
 
-def _secant_polish(fun, x0: float, x1: float, steps: int = 12) -> float:
-    f0, f1 = fun(x0), fun(x1)
-    for _ in range(steps):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not np.isfinite(x2) or abs(x2 - x1) < 1e-14:
-            x1 = x2 if np.isfinite(x2) else x1
-            break
-        x0, f0, x1, f1 = x1, f1, x2, fun(x2)
-    return x1
-
-
 def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
                          scan: int = 120, round_exclusion: float = 1e-3,
                          residual_tol: float = 1e-7) -> dict:
     """Root-find the squashed-sphere parameter of the line-product soliton.
 
-    Scans ``berger_condition_scalar`` over the interval for sign changes,
-    bisects each bracket and polishes with secant steps.  The round value
+    Scans ``berger_condition_scalar`` over the interval for sign changes
+    and refines each bracket with Brent's method.  A bracket needs finite
+    values of opposite sign, so a NaN never brackets.  The round value
     a = 1 is always a root and is excluded from the reported ``a_star``;
     an interval with no non-round bracket yields outcome ``"no bracket"``
     (reported, not raised).  At a root, the full four-dimensional flow
@@ -371,28 +359,13 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
         raise SolitonError("need 0 < lo < hi for the parameter interval")
     grid = np.linspace(lo, hi, int(scan) + 1)
     vals = np.array([berger_condition_scalar(x) for x in grid])
-    roots: list[float] = []
-    for x, v in zip(grid, vals):
-        if v == 0.0:
-            roots.append(float(x))
-    for k in range(len(grid) - 1):
-        f0, f1 = vals[k], vals[k + 1]
-        if f0 == 0.0 or f1 == 0.0 or (f0 > 0) == (f1 > 0):
-            continue
-        a0, a1 = float(grid[k]), float(grid[k + 1])
-        for _ in range(48):  # bisection to ~1e-15 of the bracket width
-            mid = 0.5 * (a0 + a1)
-            fm = berger_condition_scalar(mid)
-            if fm == 0.0:
-                a0 = a1 = mid
-                break
-            if (fm > 0) == (f0 > 0):
-                a0, f0 = mid, fm
-            else:
-                a1, f1 = mid, fm
-        root = _secant_polish(berger_condition_scalar, a0, a1) \
-            if a0 != a1 else a0
-        roots.append(float(root))
+    roots = [float(x) for x, v in zip(grid, vals) if v == 0.0]
+    tol = 4.0 * np.finfo(float).eps
+    for k in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+        # looked up in the module on every call, like the scan above, so a
+        # wrapped condition sees every evaluation
+        roots.append(optimize.brentq(berger_condition_scalar, grid[k],
+                                     grid[k + 1], xtol=tol, rtol=tol))
     uniq: list[float] = []
     for r in sorted(roots):
         if not uniq or abs(r - uniq[-1]) > 1e-8:
@@ -457,12 +430,17 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
 
     (rho_L mirrored) where E is the extended flow residual of (X, phi);
     in particular C is conformal on each factor exactly when the data is a
-    soliton.  Returns per-point C values, fitted and closed-form rho's, the
-    off-block / trace-free-block residuals of (1/2) L_C g, the sup of the
-    displayed identity, and the phi formulas forced when C has no K (resp.
-    no L) component.
+    soliton.  E is the residual of the obstruction flow, so ``spec.q``
+    must be ``"bach_flow"``.  Returns per-point C values, fitted and
+    closed-form rho's, the off-block / trace-free-block residuals of
+    (1/2) L_C g, the sup of the displayed identity, and the phi formulas
+    forced when C has no K (resp. no L) component.
     """
     sl_k, sl_l = _two_surface_slices(man)
+    if spec.q != "bach_flow":
+        raise SolitonError(
+            f"the conformal field needs the obstruction flow (q = "
+            f"'bach_flow'), got q = {spec.q!r}")
     if points is None:
         points = residual_sample_points(man, count, seed=seed)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -578,7 +556,8 @@ def _example_ho(kind: str, literal: bool) -> dict:
     lam, scale = (1.0 / 6.0, 1.0 / 6.0) if literal else (-1.0 / 12.0,
                                                          -1.0 / 12.0)
     man, f, lam = _flat_product_example(kind, lam, scale)
-    return {"manifold": man, "potential": f, "lam": lam, "tol": 1e-9,
+    return {"manifold": man, "potential": f, "lam": lam,
+            "tol": tolerances.DEFAULTS["soliton_gradient_product"],
             "note": ("opposite-normalization constants; expected to fail"
                      if literal else "flat-factor gradient soliton")}
 
@@ -588,7 +567,8 @@ def _example_s4() -> dict:
     # where the degenerating angular metric amplifies rounding in the
     # metric sup norm
     return {"manifold": charts.get_example("round_sphere_4"),
-            "x_exprs": ("0", "0", "0", "0"), "lam": 0.0, "tol": 1e-7,
+            "x_exprs": ("0", "0", "0", "0"), "lam": 0.0,
+            "tol": tolerances.DEFAULTS["soliton"],
             "note": "Einstein, obstruction-flat, X = 0"}
 
 
@@ -603,7 +583,8 @@ def _example_berger_line() -> dict:
     t = man.chart.coords[0]
     return {"manifold": man,
             "potential": f"2*({BERGER_SOLITON_LAMBDA!r})*{t}^2",
-            "lam": BERGER_SOLITON_LAMBDA, "tol": 1e-7,
+            "lam": BERGER_SOLITON_LAMBDA,
+            "tol": tolerances.DEFAULTS["soliton"],
             "note": "squashed-sphere line product at the solved parameter"}
 
 

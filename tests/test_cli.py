@@ -152,9 +152,10 @@ def test_check_identity_pass(capsys, tmp_path):
 
 
 def test_check_identity_tolerance_failure(capsys):
-    assert main(["check", "identity", "--id", "bochner",
-                 "--tol", "1e-30"]) == 1
-    assert "FAIL identity/bochner" in capsys.readouterr().out
+    for iid in ("bochner", "lemma48"):
+        assert main(["check", "identity", "--id", iid,
+                     "--tol", "1e-30"]) == 1
+        assert f"FAIL identity/{iid}" in capsys.readouterr().out
 
 
 def test_check_identity_bad_case(tmp_path, capsys):
@@ -163,6 +164,31 @@ def test_check_identity_bad_case(tmp_path, capsys):
     assert main(["check", "identity", "--id", "lemma35",
                  "--case", str(path)]) == 2
     assert "unknown case fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", [[24, 0], [24, -1]])
+def test_check_identity_resolution_below_one(tmp_path, capsys, resolution):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"resolution": resolution}))
+    assert main(["check", "identity", "--id", "thm32",
+                 "--case", str(path)]) == 2
+    assert "at least one node per axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("soliton", {"manifold": "r2_x_s2", "f": 0, "lambda": 0.0}),
+    ("soliton", {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"],
+                 "phi": 0.5}),
+    ("identity", {"X": [0, 0]}),
+])
+def test_check_expression_fields_that_are_not_text(tmp_path, capsys, kind,
+                                                   doc):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    args = ["check", kind, "--case", str(path)]
+    args += ["--id", "yano"] if kind == "identity" else ["--count", "2"]
+    assert main(args) == 2
+    assert "not an expression node" in capsys.readouterr().err
 
 
 def test_check_identity_rejected_hypothesis(tmp_path, capsys):

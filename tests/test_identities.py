@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bachlab import charts, identities, solitons
-from bachlab.curvature import frame_at, values
+from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
                                 lie_divergence_identity,
@@ -31,6 +31,19 @@ def generic_fields(man):
         f"0.2*sin({coords[min(i, j)]})*cos({coords[max(i, j)]})"
         for j in range(len(coords))) for i in range(len(coords)))
     return x, t
+
+
+def count_frames(monkeypatch) -> list[int]:
+    """Record the order of every `CurvatureFrame` built from now on."""
+    orders: list[int] = []
+    init = CurvatureFrame.__init__
+
+    def counted(self, chart, point, order=BASE_ORDER):
+        orders.append(order)
+        init(self, chart, point, order)
+
+    monkeypatch.setattr(CurvatureFrame, "__init__", counted)
+    return orders
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +206,13 @@ def test_yano_survives_conformal_rescaling():
         assert out2["sup"] <= 1e-7, u
 
 
+def test_yano_builds_one_frame_per_point(monkeypatch):
+    orders = count_frames(monkeypatch)
+    man = charts.get_example("conformal_sphere_bump")
+    out = yano_identity(man, ("-sin(th)", "0"), count=7)
+    assert orders == [BASE_ORDER] * len(out["points"])
+
+
 def test_yano_rejects_non_conformal_field():
     man = charts.single(charts.round_sphere(2))
     with pytest.raises(IdentityError, match="not conformal"):
@@ -216,6 +236,15 @@ def test_bourguignon_ezin_constant_curvature_trivial():
     man = charts.single(charts.round_sphere(2))
     out = bourguignon_ezin_integral(man, ("-sin(th)", "0"), "ricci")
     assert abs(out["integral"]) <= 1e-13
+
+
+def test_bourguignon_ezin_builds_one_frame_per_node(monkeypatch):
+    orders = count_frames(monkeypatch)
+    man = charts.get_example("conformal_sphere_bump")
+    out = bourguignon_ezin_integral(man, ("-sin(th)", "0"), "ricci",
+                                    resolution=(6, 5))
+    assert out["nodes"] == 30
+    assert orders == [BASE_ORDER] * 30
 
 
 def test_bourguignon_ezin_guards():
@@ -299,6 +328,22 @@ def test_rigidity_round_sphere_and_torus():
         charts.single(charts.flat_torus((5.0, 7.0))))
     assert out2["passed"]
     assert out2["hess_sq_integral"] == 0.0
+
+
+def test_rigidity_builds_one_frame_per_point(monkeypatch):
+    orders = count_frames(monkeypatch)
+    out = surface_scalar_rigidity(charts.single(charts.round_sphere(2)),
+                                  resolution=(6, 5))
+    assert out["passed"]
+    assert orders == [BASE_ORDER + 1] * 24 + [BASE_ORDER] * 30
+
+
+def test_rigidity_honours_the_case_tolerance():
+    # the round sphere's scalar spread is a few ulp, not zero
+    assert run_identity_case("lemma48")["passed"]
+    rep = run_identity_case("lemma48", tol=1e-30)
+    assert rep["scalar_spread"] > 1e-30
+    assert not rep["passed"]
 
 
 def test_rigidity_rejects_nonconstant_invariant():

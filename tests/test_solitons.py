@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bachlab import charts, solitons
+from bachlab import charts, solitons, tolerances
 from bachlab.curvature import values
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
@@ -134,6 +134,17 @@ def test_berger_line_example():
     assert rep.passed and rep.sup <= 1e-8
 
 
+def test_named_example_gates_come_from_the_tolerance_table(monkeypatch):
+    monkeypatch.setitem(tolerances.DEFAULTS, "soliton_gradient_product",
+                        2e-9)
+    monkeypatch.setitem(tolerances.DEFAULTS, "soliton", 3e-7)
+    gates = {name: build()["tol"]
+             for name, build in solitons.EXAMPLES.items()}
+    assert gates == {"ho-r2s2": 2e-9, "ho-r2h2": 2e-9,
+                     "ho-r2s2-literal": 2e-9, "ho-r2h2-literal": 2e-9,
+                     "s4-trivial": 3e-7, "berger-line": 3e-7}
+
+
 def test_named_example_unknown():
     with pytest.raises(SolitonError, match="unknown soliton example"):
         named_example("ho-r2s3")
@@ -235,6 +246,32 @@ def test_solver_no_bracket_above_one():
     assert out["a_star"] is None and out["roots"] == []
 
 
+def test_solver_default_interval_takes_few_evaluations(monkeypatch):
+    calls = []
+    condition = solitons.berger_condition_scalar
+
+    def counted(a):
+        calls.append(a)
+        return condition(a)
+
+    monkeypatch.setattr(solitons, "berger_condition_scalar", counted)
+    out = solve_berger_soliton()
+    assert out["outcome"] == "root" and out["passed"]
+    assert abs(out["a_star"] - 0.5) <= 1e-12
+    assert len(calls) <= 150
+
+
+def test_solver_nan_region_forms_no_bracket(monkeypatch):
+    # the condition is positive on (1/2, 1); a NaN next to a positive
+    # value is no sign change and must not be refined into a root
+    condition = solitons.berger_condition_scalar
+    monkeypatch.setattr(solitons, "berger_condition_scalar",
+                        lambda a: np.nan if a < 0.72 else condition(a))
+    out = solve_berger_soliton(interval=(0.6, 0.95), scan=7)
+    assert out["outcome"] == "no bracket"
+    assert out["roots"] == []
+
+
 def test_solver_interval_validation():
     with pytest.raises(SolitonError, match="0 < lo < hi"):
         solve_berger_soliton(interval=(-1.0, 2.0))
@@ -295,6 +332,16 @@ def test_c_field_structure_error():
     spec = SolitonSpec(manifold=man, potential="t", lam=0.0)
     with pytest.raises(SolitonError, match="two surfaces"):
         surface_conformal_field(man, spec)
+
+
+def test_c_field_rejects_other_flow_tensors():
+    man = charts.get_example("r2_x_s2")
+    for extra in ({"q": "zero"}, {"q": "bach"}, {"q": "constructed"},
+                  {"q": "custom", "custom_q": (("0",) * 4,) * 4}):
+        spec = SolitonSpec(manifold=man, potential="-(x^2 + y^2)/12",
+                           lam=-1.0 / 12.0, **extra)
+        with pytest.raises(SolitonError, match="bach_flow"):
+            surface_conformal_field(man, spec, count=1)
 
 
 # ----------------------------------------------------------------------
