@@ -1,4 +1,4 @@
-"""Charts, the manifold catalog, products, quadrature and sampling.
+"""Charts, the manifold catalog, products, quadrature and sample sets.
 
 A `Chart` is a coordinate box with periodicity flags and metric entries
 as DSL expressions; a `Manifold` is an ordered product of factor charts
@@ -13,6 +13,7 @@ integrands).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -124,14 +125,29 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
     return nodes, weights
 
 
-def quadrature(chart: Chart, resolution: Sequence[int] | None = None
-               ) -> Quadrature:
-    res = tuple(int(r) for r in (resolution or chart.resolution))
+def _axis_counts(chart: Chart, resolution: int | Sequence[int]
+                 ) -> tuple[int, ...]:
+    """Per-axis node counts from one count for every axis or a list."""
+    if isinstance(resolution, (int, np.integer)):
+        resolution = (resolution,) * chart.dim
+    try:
+        res = tuple(operator.index(r) for r in resolution)
+    except TypeError:
+        raise ChartError(f"resolution needs whole numbers, got "
+                         f"{resolution!r}") from None
     if len(res) != chart.dim:
         raise ChartError(f"resolution needs {chart.dim} axis counts")
     if min(res) < 1:
         raise ChartError(f"resolution needs at least one node per axis, "
                          f"got {list(res)}")
+    return res
+
+
+def quadrature(chart: Chart, resolution: int | Sequence[int] | None = None
+               ) -> Quadrature:
+    """Tensor-product rule; `resolution` defaults to the chart's own."""
+    res = _axis_counts(chart, chart.resolution if resolution is None
+                       else resolution)
     axes = [_axis_rule(chart.lo[a], chart.hi[a], chart.periodic[a], res[a])
             for a in range(chart.dim)]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
@@ -167,7 +183,7 @@ def positive_definite_check(chart: Chart, points: np.ndarray) -> None:
 
 def integrate(chart: Chart, values: np.ndarray | Callable,
               quad: Quadrature | None = None,
-              resolution: Sequence[int] | None = None) -> float:
+              resolution: int | Sequence[int] | None = None) -> float:
     """Integral of a scalar field against the metric volume measure.
 
     `values` is either an array of field values at the quadrature nodes
@@ -186,21 +202,25 @@ def integrate(chart: Chart, values: np.ndarray | Callable,
     return float(np.sum(quad.weights * dens * f))
 
 
-def volume(chart: Chart, resolution: Sequence[int] | None = None) -> float:
+def volume(chart: Chart, resolution: int | Sequence[int] | None = None
+           ) -> float:
     return integrate(chart, lambda pts: np.ones(pts.shape[0]),
                      resolution=resolution)
 
 
-def sample_points(chart: Chart, count: int, margin: float = 0.08,
-                  seed: int = 0) -> np.ndarray:
+def sample_points(chart: Chart, count: int, margin: float = 0.08
+                  ) -> np.ndarray:
     """Deterministic low-discrepancy interior sample points.
 
     Periodic axes use no margin; open axes keep `margin` of the box away
     from each end (poles/edges are coordinate artifacts).  The Halton
-    sequence is unscrambled, so the result depends only on (dim, count);
-    `seed` is accepted for interface uniformity.
+    sequence is unscrambled, so the result depends only on the chart box,
+    `count` and `margin`.  An empty set would let every sup over it pass,
+    so `count` must be at least 1.
     """
-    del seed  # unscrambled Halton is already deterministic
+    if count < 1:
+        raise ChartError(f"a sample set needs at least one point, got "
+                         f"count {count}")
     sampler = qmc.Halton(d=chart.dim, scramble=False)
     unit = sampler.random(count)
     lo = np.asarray(chart.lo)
@@ -208,6 +228,19 @@ def sample_points(chart: Chart, count: int, margin: float = 0.08,
     span = hi - lo
     m = np.where(chart.periodic, 0.0, margin) * span
     return lo + m + unit * (span - 2 * m)
+
+
+def residual_sample_points(man: Manifold, count: int = 200,
+                           grid_cap: int = 81) -> np.ndarray:
+    """Halton interior points, plus a coarse quadrature grid when compact.
+
+    The grid has about `grid_cap` nodes, the same count on every axis.
+    """
+    pts = sample_points(man.chart, count)
+    if man.chart.compact:
+        per_axis = max(2, int(round(grid_cap ** (1.0 / man.dim))))
+        pts = np.vstack([pts, quadrature(man.chart, per_axis).nodes])
+    return pts
 
 
 # ----------------------------------------------------------------------
@@ -525,15 +558,8 @@ def build_factor(doc: Mapping) -> Chart:
             f"unknown params for kind {kind!r}: {sorted(bad)}; "
             f"allowed: {sorted(_KIND_PARAMS[kind])}")
     chart = _KIND_BUILDERS[kind](**params)
-    res = doc.get("resolution")
-    if res is not None:
-        if isinstance(res, int):
-            chart.resolution = (res,) * chart.dim
-        else:
-            if len(res) != chart.dim:
-                raise ChartError(
-                    f"resolution for {kind!r} needs {chart.dim} entries")
-            chart.resolution = tuple(int(r) for r in res)
+    if doc.get("resolution") is not None:
+        chart.resolution = _axis_counts(chart, doc["resolution"])
     return chart
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed; 1 a check ran and failed its gate;
 2 usage or input-document error; 3 numerical failure (no root bracketed,
 integrator step failure).  Reports are canonical JSON and byte-identical
-for identical configuration and seed.
+for identical configuration: every sample set and quadrature grid is
+fixed by the command's arguments.
 """
 
 from __future__ import annotations
@@ -149,11 +150,10 @@ def _cmd_check_identity(args) -> int:
 
 def _cmd_check_soliton(args) -> int:
     tols = tolerances.resolve()
-    config = {"subcommand": "check soliton", "count": args.count,
-              "seed": args.seed}
+    config = {"subcommand": "check soliton", "count": args.count}
     if args.example:
         rep = solitons.named_example(args.example, count=args.count,
-                                     seed=args.seed, tol=args.tol)
+                                     tol=args.tol)
         config["example"] = args.example
         check_id = f"soliton/{args.example}"
     else:
@@ -161,7 +161,7 @@ def _cmd_check_soliton(args) -> int:
         spec = solitons.SolitonSpec.from_doc(doc)
         tol = args.tol if args.tol is not None else tols["soliton"]
         rep = solitons.extended_q_residual(
-            spec.manifold, spec, count=args.count, seed=args.seed, tol=tol,
+            spec.manifold, spec, count=args.count, tol=tol,
             label=Path(args.case).stem)
         config["case"] = doc
         check_id = f"soliton/{rep.label}"
@@ -205,7 +205,7 @@ def _cmd_ode_scan(args) -> int:
 
 def _cmd_suite(args) -> int:
     rep = suite_mod.run_suite(
-        seed=args.seed, soliton_count=args.count, scan_cells=args.cells,
+        soliton_count=args.count, scan_cells=args.cells,
         tol_overrides=_parse_tol_overrides(args.tol))
     if args.out:
         report.write_report(rep, args.out)
@@ -254,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--example", choices=sorted(solitons.EXAMPLES))
     group.add_argument("--case", help="JSON soliton document path")
     p_cs.add_argument("--count", type=int, default=200)
-    p_cs.add_argument("--seed", type=int, default=0)
     p_cs.add_argument("--tol", type=float)
     p_cs.add_argument("--out")
 
@@ -274,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="aggregated check battery")
     p_suite.add_argument("what", choices=["all"])
     p_suite.add_argument("--out")
-    p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--count", type=int, default=80,
                          help="sample points per soliton example")
     p_suite.add_argument("--cells", type=int, default=9,

@@ -21,7 +21,6 @@ from .charts import Manifold
 from .curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from .jets import contract
 from .report import sup
-from .solitons import residual_sample_points
 
 __all__ = [
     "IdentityError", "CONFORMAL_GATE",
@@ -39,17 +38,6 @@ class IdentityError(ValueError):
     """Violated hypothesis or malformed identity case."""
 
 
-def _resolution(chart, resolution):
-    if resolution is None:
-        return None
-    if isinstance(resolution, int):
-        return (resolution,) * chart.dim
-    res = tuple(int(r) for r in resolution)
-    if len(res) != chart.dim:
-        raise IdentityError(f"resolution needs {chart.dim} axes")
-    return res
-
-
 def conformality_gap(frame: CurvatureFrame, x_jets) -> float:
     """Sup norm of the trace-free part of L_X g at the frame's point."""
     lie = frame.lie_metric(x_jets)
@@ -63,17 +51,25 @@ def _check_conformal(gap: float, gate: float) -> None:
             f"exceeds the gate {gate:.1e}")
 
 
+def _constructed_flow(man: Manifold, point, x_exprs: Sequence[str],
+                      phi_expr: str):
+    """The order-3 frame at a point, X, L_X g, phi and q = L_X g - 2 phi g."""
+    frame = CurvatureFrame(man.chart, point, order=3)
+    x = frame.vector_jets(x_exprs, order=3)
+    lie = frame.lie_metric(x)
+    phi = frame.scalar_jet(phi_expr, order=lie.order)
+    q = lie - 2.0 * phi * frame.g_at(lie.order)
+    return frame, x, lie, phi, q
+
+
 # ----------------------------------------------------------------------
 # pointwise identities
 # ----------------------------------------------------------------------
 def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
                          t_exprs: Sequence[Sequence[str]],
-                         points: np.ndarray | None = None,
-                         count: int = 50, seed: int = 0) -> dict:
+                         count: int = 50) -> dict:
     """<L_X g, T> = 2 div(i_X T) - 2 (div T)(X) for any X and symmetric T."""
-    if points is None:
-        points = residual_sample_points(man, count, seed=seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = charts.residual_sample_points(man, count)
     n = man.dim
     if len(t_exprs) != n or any(len(row) != n for row in t_exprs):
         raise IdentityError(f"T must be {n} x {n}")
@@ -93,21 +89,13 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
 
 
 def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
-                            phi_expr: str = "0",
-                            points: np.ndarray | None = None,
-                            count: int = 50, seed: int = 0) -> dict:
+                            phi_expr: str = "0", count: int = 50) -> dict:
     """div(L_X g) = div of the trace-free constructed q plus (2/n) d(div X)."""
-    if points is None:
-        points = residual_sample_points(man, count, seed=seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = charts.residual_sample_points(man, count)
     n = man.dim
     res = np.empty(len(points))
     for k, p in enumerate(points):
-        frame = frame_at(man, p)
-        x = frame.vector_jets(x_exprs)
-        lie = frame.lie_metric(x)
-        phi = frame.scalar_jet(phi_expr, order=lie.order)
-        q = lie - 2.0 * phi * frame.g_at(lie.order)
+        frame, x, lie, _, q = _constructed_flow(man, p, x_exprs, phi_expr)
         lhs = values(frame.divergence_sym2(lie))
         d_div = values(frame.divergence_vector(x).grad())
         rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
@@ -116,13 +104,10 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
-def yano_identity(man: Manifold, x_exprs: Sequence[str],
-                  points: np.ndarray | None = None, count: int = 50,
-                  seed: int = 0, gate: float = CONFORMAL_GATE) -> dict:
+def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
+                  gate: float = CONFORMAL_GATE) -> dict:
     """L_X S = -2 sigma S - 2(n-1) Lap(sigma), sigma = div(X)/n, X conformal."""
-    if points is None:
-        points = residual_sample_points(man, count, seed=seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = charts.residual_sample_points(man, count)
     n = man.dim
     res = np.empty(len(points))
     gap = 0.0
@@ -140,14 +125,9 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str],
             "conformality_gap": gap}
 
 
-def bochner_identity(man: Manifold, h_expr: str,
-                     points: np.ndarray | None = None, count: int = 50,
-                     seed: int = 0) -> dict:
+def bochner_identity(man: Manifold, h_expr: str, count: int = 50) -> dict:
     """div(Hess h) = Ric(grad h) + d(Lap h) as 1-forms."""
-    if points is None:
-        points = residual_sample_points(man, count, seed=seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = man.dim
+    points = charts.residual_sample_points(man, count)
     res = np.empty(len(points))
     for k, p in enumerate(points):
         frame = frame_at(man, p)
@@ -170,8 +150,7 @@ def _compact_quadrature(man: Manifold, resolution):
         raise IdentityError(
             f"integral identities need a compact chart; {chart.name!r} "
             "is an open patch")
-    return charts.quadrature(chart, resolution=_resolution(chart,
-                                                           resolution))
+    return charts.quadrature(chart, resolution)
 
 
 def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
@@ -188,11 +167,7 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
     n = man.dim
     cols = np.empty((len(quad.nodes), 6))
     for k, p in enumerate(quad.nodes):
-        frame = CurvatureFrame(man.chart, p, order=3)
-        x = frame.vector_jets(x_exprs, order=3)
-        lie = frame.lie_metric(x)
-        phi = frame.scalar_jet(phi_expr, order=lie.order)
-        q = lie - 2.0 * phi * frame.g_at(lie.order)
+        frame, x, lie, phi, q = _constructed_flow(man, p, x_exprs, phi_expr)
         tr_q = frame.trace(q)
         q_bar = frame.trace_free(q)
         cols[k] = (
@@ -282,11 +257,7 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     bianchi = 0.0
     conf = 0.0
     for k, p in enumerate(quad.nodes):
-        frame = CurvatureFrame(man.chart, p, order=3)
-        x = frame.vector_jets(x_exprs, order=3)
-        lie = frame.lie_metric(x)
-        phi = frame.scalar_jet(phi_expr, order=lie.order)
-        q = lie - 2.0 * phi * frame.g_at(lie.order)
+        frame, x, lie, _, q = _constructed_flow(man, p, x_exprs, phi_expr)
         qbar_vals[k] = values(frame.norm2_sym2(frame.trace_free(q)))
         d_tr = frame.trace(q).grad()
         lie_tr_vals[k] = values(frame.pair_oneform_vector(d_tr, x))

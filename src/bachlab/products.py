@@ -161,14 +161,9 @@ def surface_c_invariant(fc: FactorCurvature) -> float:
 # ----------------------------------------------------------------------
 # chart-level wrappers (constancy checks over sample sets)
 # ----------------------------------------------------------------------
-def factor_samples(chart: Chart, count: int = 24, margin: float = 0.12
-                   ) -> np.ndarray:
-    return sample_points(chart, count, margin=margin)
-
-
 def constancy_spread(chart: Chart, count: int = 24) -> dict[str, float]:
     """Max-minus-min of S and |Ric|^2 over a deterministic sample set."""
-    pts = factor_samples(chart, count)
+    pts = sample_points(chart, count, margin=0.12)
     s_vals, r_vals = [], []
     for p in pts:
         fr = CurvatureFrame(chart, p)
@@ -202,7 +197,7 @@ def product_lambda_report(chart: Chart, family: str, count: int = 24,
 
 def surface_c_report(chart: Chart, count: int = 32) -> dict:
     """c = Lap S + S^2/3 over a sample set, with its constancy spread."""
-    pts = factor_samples(chart, count)
+    pts = sample_points(chart, count, margin=0.12)
     vals = [surface_c_invariant(FactorCurvature.at(chart, p)) for p in pts]
     return {"values": [float(v) for v in vals],
             "mean": float(np.mean(vals)), "spread": float(np.ptp(vals))}
@@ -211,13 +206,11 @@ def surface_c_report(chart: Chart, count: int = 32) -> dict:
 # ----------------------------------------------------------------------
 # cross-validation against the general pipeline
 # ----------------------------------------------------------------------
-def line_cross_check(n_chart: Chart, count: int = 5,
-                     line_factor: Chart | None = None) -> float:
-    """Max |closed form - pipeline| for (line) x N^3 over sample points."""
+def line_cross_check(n_chart: Chart, count: int = 5) -> float:
+    """Max |closed form - pipeline| for line x N^3 over sample points."""
     from .charts import line, product
-    man = product([line_factor if line_factor is not None else line(),
-                   n_chart])
-    pts = factor_samples(n_chart, count, margin=0.15)
+    man = product([line(), n_chart])
+    pts = sample_points(n_chart, count, margin=0.15)
     worst = 0.0
     for q in pts:
         fc = FactorCurvature.at(n_chart, q, role="n3")
@@ -234,8 +227,8 @@ def surface_cross_check(k_chart: Chart, l_chart: Chart, count: int = 5
     """Max |closed form - pipeline| for K^2 x L^2 over sample points."""
     from .charts import product
     man = product([k_chart, l_chart])
-    pts_k = factor_samples(k_chart, count, margin=0.15)
-    pts_l = factor_samples(l_chart, count, margin=0.15)
+    pts_k = sample_points(k_chart, count, margin=0.15)
+    pts_l = sample_points(l_chart, count, margin=0.15)
     worst = 0.0
     for qk, ql in zip(pts_k, pts_l):
         fck = FactorCurvature.at(k_chart, qk, role="surface_k")

@@ -113,7 +113,7 @@ def rhs(state: ProfileState | Sequence[float], c: float):
         rho, rho_p, s, s_p = (float(v) for v in state)
     if rho <= 0.0:
         raise ProfileError(f"profile radius must be positive, got {rho!r}")
-    return (rho_p, -0.5 * rho * s, s_p, c - s * s / 3.0 - (rho_p / rho) * s_p)
+    return _rhs_raw(0.0, (rho, rho_p, s, s_p), c)
 
 
 def _rhs_raw(t, y, c):

@@ -2,7 +2,7 @@
 
 Reports are plain JSON objects serialized canonically: keys sorted,
 floats in shortest round-trip form, no timestamps or environment state.
-The same configuration and seed therefore produce byte-identical output.
+The same configuration therefore produces byte-identical output.
 
 Gates fail closed: `sup` turns any NaN or infinity into ``inf``, which no
 gate admits, and `check_record` never passes a value that holds a

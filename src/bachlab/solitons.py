@@ -34,7 +34,7 @@ from .report import sup
 
 __all__ = [
     "SolitonError", "SolitonSpec", "ResidualReport", "Q_SELECTORS",
-    "residual_sample_points", "extended_q_residual", "bach_soliton_residual",
+    "extended_q_residual", "bach_soliton_residual",
     "quadratic_profile_check", "berger_condition_scalar",
     "solve_berger_soliton", "surface_conformal_field", "splitting_spotcheck",
     "EXAMPLES", "named_example",
@@ -94,14 +94,12 @@ class SolitonSpec:
         return self.phi is not None
 
     @classmethod
-    def from_doc(cls, doc: Mapping, manifold: Manifold | None = None
-                 ) -> "SolitonSpec":
+    def from_doc(cls, doc: Mapping) -> "SolitonSpec":
         """Build from a JSON document.
 
         Schema: ``{"manifold": name-or-document, "X": [expr, ...] | "f":
         expr, "phi": expr | "lambda": number, "q": selector, "custom_q":
-        [[expr, ...], ...]}``; unknown fields are rejected.  ``manifold``
-        overrides the document's reference when given.
+        [[expr, ...], ...]}``; unknown fields are rejected.
         """
         if not isinstance(doc, Mapping):
             raise SolitonError("soliton document must be an object")
@@ -110,14 +108,13 @@ class SolitonSpec:
             raise SolitonError(
                 f"unknown soliton fields {sorted(bad)}; "
                 f"allowed: {sorted(_SOLITON_DOC_FIELDS)}")
-        if manifold is None:
-            ref = doc.get("manifold")
-            if isinstance(ref, str):
-                manifold = charts.get_example(ref)
-            elif isinstance(ref, Mapping):
-                manifold = charts.manifold_from_spec(ref)
-            else:
-                raise SolitonError("manifold must be a name or a document")
+        ref = doc.get("manifold")
+        if isinstance(ref, str):
+            manifold = charts.get_example(ref)
+        elif isinstance(ref, Mapping):
+            manifold = charts.manifold_from_spec(ref)
+        else:
+            raise SolitonError("manifold must be a name or a document")
         x = doc.get("X")
         lam = doc.get("lambda")
         if lam is not None and not isinstance(lam, (int, float)):
@@ -160,24 +157,6 @@ class ResidualReport:
 
 
 # ----------------------------------------------------------------------
-# sample sets
-# ----------------------------------------------------------------------
-def _coarse_grid(chart: Chart, cap: int) -> np.ndarray:
-    per_axis = max(2, int(round(cap ** (1.0 / chart.dim))))
-    quad = charts.quadrature(chart, resolution=(per_axis,) * chart.dim)
-    return quad.nodes
-
-
-def residual_sample_points(man: Manifold, count: int = 200, seed: int = 0,
-                           grid_cap: int = 81) -> np.ndarray:
-    """Halton interior points, plus a coarse quadrature grid when compact."""
-    pts = charts.sample_points(man.chart, count, seed=seed)
-    if man.chart.compact:
-        pts = np.vstack([pts, _coarse_grid(man.chart, grid_cap)])
-    return pts
-
-
-# ----------------------------------------------------------------------
 # pointwise residual machinery
 # ----------------------------------------------------------------------
 def _field_jets(frame: CurvatureFrame, spec: SolitonSpec):
@@ -215,11 +194,11 @@ def metric_norm(g: np.ndarray, tensor: np.ndarray) -> float:
 
 def extended_q_residual(man: Manifold, spec: SolitonSpec,
                         points: np.ndarray | None = None, count: int = 200,
-                        seed: int = 0, tol: float = 1e-7,
+                        tol: float = 1e-7,
                         label: str = "extended-q") -> ResidualReport:
     """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set."""
     if points is None:
-        points = residual_sample_points(man, count, seed=seed)
+        points = charts.residual_sample_points(man, count)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     residuals = np.empty((len(points), man.dim, man.dim))
     norms = np.empty(len(points))
@@ -240,7 +219,7 @@ def bach_soliton_residual(man: Manifold, lam: float,
                           potential: str | None = None,
                           x_exprs: Sequence[str] | None = None,
                           points: np.ndarray | None = None, count: int = 200,
-                          seed: int = 0, tol: float = 1e-7,
+                          tol: float = 1e-7,
                           label: str = "bach-soliton") -> ResidualReport:
     """Residual of (1/2) L_X g = (1/2)(B + (1/12) Lap(S) g) + lambda g."""
     if man.dim != 4:
@@ -250,7 +229,7 @@ def bach_soliton_residual(man: Manifold, lam: float,
         x_exprs=None if x_exprs is None else tuple(x_exprs),
         lam=float(lam), q="bach_flow")
     return extended_q_residual(man, spec, points=points, count=count,
-                               seed=seed, tol=tol, label=label)
+                               tol=tol, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +246,7 @@ def _line_cross_structure(man: Manifold) -> tuple[Chart, Chart]:
 
 
 def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
-                            b: float = 0.0, count: int = 24, seed: int = 0,
+                            b: float = 0.0, count: int = 24,
                             tol: float = 1e-7,
                             constancy_tol: float = 1e-8) -> dict:
     """Check the quadratic gradient profile f = 2*lam*t^2 + a*t + b.
@@ -289,7 +268,7 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
 
     t = man.chart.coords[0]
     f_text = f"2*({lam!r})*{t}^2 + ({a!r})*{t} + ({b!r})"
-    pts = residual_sample_points(man, count, seed=seed)
+    pts = charts.residual_sample_points(man, count)
     profile_dev = 0.0
     traced_dev = 0.0
     for p in pts[:max(4, count // 4)]:
@@ -419,7 +398,7 @@ def _block_scalar_jet(frame: CurvatureFrame, sl: slice):
 
 def surface_conformal_field(man: Manifold, spec: SolitonSpec,
                             points: np.ndarray | None = None,
-                            count: int = 40, seed: int = 0,
+                            count: int = 40,
                             coefficient: float = 1.0 / 12.0) -> dict:
     """Extract C = X + coefficient * (grad S_K + grad S_L) and its blocks.
 
@@ -442,7 +421,7 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
             f"the conformal field needs the obstruction flow (q = "
             f"'bach_flow'), got q = {spec.q!r}")
     if points is None:
-        points = residual_sample_points(man, count, seed=seed)
+        points = charts.residual_sample_points(man, count)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = man.dim
     m = len(points)
@@ -507,9 +486,8 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
 # mixed-Hessian splitting spot-check
 # ----------------------------------------------------------------------
 def splitting_spotcheck(man: Manifold, split_f: str,
-                        control_f: str | None = None,
-                        points: np.ndarray | None = None, count: int = 24,
-                        seed: int = 0) -> dict:
+                        control_f: str | None = None, count: int = 24
+                        ) -> dict:
     """Sup of the mixed factor blocks of Hess f over a sample set.
 
     A function that is a sum of per-factor pieces has vanishing mixed
@@ -518,9 +496,7 @@ def splitting_spotcheck(man: Manifold, split_f: str,
     """
     if len(man.factors) < 2:
         raise SolitonError("need a product with at least two factors")
-    if points is None:
-        points = residual_sample_points(man, count, seed=seed)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = charts.residual_sample_points(man, count)
     slices = [man.factor_slice(k) for k in range(len(man.factors))]
 
     def mixed_sup(text: str) -> float:
@@ -598,7 +574,7 @@ EXAMPLES: dict[str, Callable[[], dict]] = {
 }
 
 
-def named_example(name: str, count: int = 200, seed: int = 0,
+def named_example(name: str, count: int = 200,
                   tol: float | None = None) -> ResidualReport:
     """Run one of the named soliton checks by its CLI identifier."""
     if name not in EXAMPLES:
@@ -608,5 +584,5 @@ def named_example(name: str, count: int = 200, seed: int = 0,
     ex = EXAMPLES[name]()
     return bach_soliton_residual(
         ex["manifold"], ex["lam"], potential=ex.get("potential"),
-        x_exprs=ex.get("x_exprs"), count=count, seed=seed,
+        x_exprs=ex.get("x_exprs"), count=count,
         tol=ex["tol"] if tol is None else tol, label=name)

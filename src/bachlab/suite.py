@@ -3,10 +3,11 @@
 Runs every module's example checks — curvature tensor properties, product
 closed forms against the pipeline, named soliton examples, the squashed
 three-sphere root solve, the identity bank, and the profile ODE — and
-assembles one deterministic report.  All gates come from the tolerance
-defaults table; the configuration (seed, sample counts, resolved
-tolerances) is echoed into the report so runs are reproducible
-byte-for-byte.
+assembles one deterministic report.  Each check's gate is read from the
+resolved tolerance table (the defaults merged with the run's overrides);
+the configuration (sample counts, resolved tolerances) is echoed into
+the report, and the same configuration gives the same report byte for
+byte.
 """
 
 from __future__ import annotations
@@ -88,15 +89,19 @@ def _product_checks(tols) -> list[dict]:
     return checks
 
 
-def _soliton_checks(tols, count: int, seed: int) -> list[dict]:
+def _soliton_checks(tols, count: int) -> list[dict]:
     checks = []
-    for name in ("ho-r2s2", "ho-r2h2", "s4-trivial", "berger-line"):
-        rep = solitons.named_example(name, count=count, seed=seed)
+    for name, gate in (("ho-r2s2", "soliton_gradient_product"),
+                       ("ho-r2h2", "soliton_gradient_product"),
+                       ("s4-trivial", "soliton"),
+                       ("berger-line", "soliton")):
+        rep = solitons.named_example(name, count=count, tol=tols[gate])
         checks.append(report.check_record(
             f"soliton/{name}", rep.sup, rep.tol, rep.passed,
-            inputs={"example": name, "count": count, "seed": seed}))
+            inputs={"example": name, "count": count}))
 
-    root = solitons.solve_berger_soliton()
+    root = solitons.solve_berger_soliton(
+        residual_tol=tols["berger_residual"])
     root_tol = tols["berger_root"]
     root_ok = (root["outcome"] == "root" and bool(root["passed"])
                and abs(root["a_star"] - solitons.BERGER_SOLITON_A)
@@ -114,7 +119,8 @@ def _soliton_checks(tols, count: int, seed: int) -> list[dict]:
 
     round_man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)],
                                name="line_x_round_berger")
-    pc = solitons.quadratic_profile_check(round_man, 0.0, count=8)
+    pc = solitons.quadratic_profile_check(round_man, 0.0, count=8,
+                                          tol=tols["soliton"])
     checks.append(report.check_record(
         "soliton/round-berger-lambda-zero", pc["residual"].sup,
         pc["residual"].tol, bool(pc["passed"]), expected=0.0))
@@ -181,16 +187,16 @@ def _ode_checks(tols, scan_cells: int) -> list[dict]:
     return checks
 
 
-def run_suite(seed: int = 0, soliton_count: int = 80, scan_cells: int = 9,
+def run_suite(soliton_count: int = 80, scan_cells: int = 9,
               tol_overrides=None) -> dict:
     """Run the whole battery and return the assembled report."""
     tols = tolerances.resolve(tol_overrides)
-    config = {"seed": seed, "soliton_count": soliton_count,
-              "scan_cells": scan_cells, "tolerances": tols}
+    config = {"soliton_count": soliton_count, "scan_cells": scan_cells,
+              "tolerances": tols}
     checks = []
     checks.extend(_bach_property_checks(tols))
     checks.extend(_product_checks(tols))
-    checks.extend(_soliton_checks(tols, soliton_count, seed))
+    checks.extend(_soliton_checks(tols, soliton_count))
     checks.extend(_identity_checks(tols))
     checks.extend(_ode_checks(tols, scan_cells))
     return report.build_report(config, checks)

@@ -71,6 +71,19 @@ def test_volume_stable_under_resolution_doubling():
         assert abs(v1 - v2) <= 1e-10, c.name
 
 
+def test_quadrature_takes_one_count_for_every_axis():
+    for chart in (charts.round_sphere(2), charts.berger_sphere(1.5),
+                  charts.circle()):
+        for k in (1, 5):
+            one = charts.quadrature(chart, k)
+            per_axis = charts.quadrature(chart, (k,) * chart.dim)
+            assert one.shape == per_axis.shape == (k,) * chart.dim
+            assert np.array_equal(one.nodes, per_axis.nodes)
+            assert np.array_equal(one.weights, per_axis.weights)
+    with pytest.raises(ChartError, match="needs 2 axis counts"):
+        charts.quadrature(charts.round_sphere(2), (4, 4, 4))
+
+
 # ----------------------------------------------------------------------
 # integrals of known fields
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bachlab import report, tolerances
+from bachlab import report, solitons, suite, tolerances
 from bachlab.cli import main
 
 
@@ -175,6 +175,37 @@ def test_check_identity_resolution_below_one(tmp_path, capsys, resolution):
     assert "at least one node per axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution, message", [
+    ([12, 12, 12], "resolution needs 2 axis counts"),
+    (12.0, "resolution needs whole numbers"),
+    ([12.5, 12], "resolution needs whole numbers"),
+    ("12", "resolution needs whole numbers"),
+])
+def test_check_identity_resolution_that_is_not_axis_counts(
+        tmp_path, capsys, resolution, message):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"resolution": resolution}))
+    assert main(["check", "identity", "--id", "thm32",
+                 "--case", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_soliton_count_below_one(capsys):
+    # no points would make the sup 0.0, a pass for any data
+    assert main(["check", "soliton", "--example", "ho-r2s2-literal",
+                 "--count", "0"]) == 2
+    assert "at least one point" in capsys.readouterr().err
+
+
+def test_check_identity_count_below_one(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"manifold": "hyperbolic_2", "X": ["x", "y"],
+                                "T": [["1", "0"], ["0", "1"]], "count": 0}))
+    assert main(["check", "identity", "--id", "lemma35",
+                 "--case", str(path)]) == 2
+    assert "at least one point" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("soliton", {"manifold": "r2_x_s2", "f": 0, "lambda": 0.0}),
     ("soliton", {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"],
@@ -298,6 +329,25 @@ def test_suite_all_cli(tmp_path, capsys):
     assert rep["summary"] == {"checks": 28, "passed": 28, "failed": 0}
     assert rep["config"]["soliton_count"] == 6
     assert rep["config"]["tolerances"]["identity"] == 1e-7
+
+
+def test_suite_soliton_gates_follow_tolerance_overrides(monkeypatch):
+    overrides = {"soliton": 1e-30, "soliton_gradient_product": 2e-30,
+                 "berger_residual": 3e-30}
+    # each named example's own gate key, read through its builder
+    with monkeypatch.context() as m:
+        for key, value in overrides.items():
+            m.setitem(tolerances.DEFAULTS, key, value)
+        gates = {name: solitons.EXAMPLES[name]()["tol"]
+                 for name in solitons.EXAMPLES}
+    recs = {rec["check_id"]: rec for rec in suite._soliton_checks(
+        tolerances.resolve(overrides), count=2)}
+    for name in ("ho-r2s2", "ho-r2h2", "s4-trivial", "berger-line"):
+        rec = recs[f"soliton/{name}"]
+        assert rec["tolerance"] == gates[name] and not rec["pass"], name
+    for cid in ("soliton/berger-root", "soliton/round-berger-lambda-zero"):
+        assert not recs[cid]["pass"], cid
+    assert recs["soliton/round-berger-lambda-zero"]["tolerance"] == 1e-30
 
 
 def test_suite_tol_override_validation(capsys):

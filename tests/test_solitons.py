@@ -8,8 +8,7 @@ from bachlab.curvature import values
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
-                              quadratic_profile_check,
-                              residual_sample_points, solve_berger_soliton,
+                              quadratic_profile_check, solve_berger_soliton,
                               splitting_spotcheck, surface_conformal_field)
 
 
@@ -157,7 +156,7 @@ def test_lambda_form_equals_extended_form():
                              "0.2*cos(th) + 0.1*sin(th_2)")
     man = charts.single(chart)
     lam = 0.3
-    pts = residual_sample_points(man, 4, grid_cap=16)[:6]
+    pts = charts.residual_sample_points(man, 4, grid_cap=16)[:6]
     a = bach_soliton_residual(man, lam, potential="0.2*cos(th)*cos(ph)",
                               points=pts)
     spec = SolitonSpec(
@@ -361,10 +360,10 @@ def test_splitting_spotcheck():
 
 def test_residual_sample_points():
     open_man = charts.get_example("r2_x_s2")
-    pts = residual_sample_points(open_man, 20)
+    pts = charts.residual_sample_points(open_man, 20)
     assert pts.shape == (20, 4)
     compact = charts.get_example("s2_x_s2")
-    pts2 = residual_sample_points(compact, 20, grid_cap=81)
+    pts2 = charts.residual_sample_points(compact, 20, grid_cap=81)
     assert len(pts2) == 20 + 81
-    assert np.array_equal(pts2, residual_sample_points(compact, 20,
-                                                       grid_cap=81))
+    assert np.array_equal(pts2, charts.residual_sample_points(
+        compact, 20, grid_cap=81))
