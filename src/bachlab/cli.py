@@ -130,14 +130,11 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_check_identity(args) -> int:
-    tols = tolerances.resolve()
-    tol = args.tol if args.tol is not None else tols["identity"]
+    tol = tolerances.DEFAULTS["identity"] if args.tol is None else args.tol
     doc = _load_json(args.case) if args.case else None
     rep = identities.run_identity_case(args.id, doc, tol=tol)
-    value = {k: rep[k] for k in ("sup", "imbalance1", "imbalance2",
-                                 "integral", "scalar_spread", "verdict")
-             if k in rep}
-    rec = report.check_record(f"identity/{args.id}", value, tol,
+    rec = report.check_record(f"identity/{args.id}",
+                              identities.case_value(rep), tol,
                               bool(rep["passed"]),
                               inputs={"id": args.id, "case": doc},
                               detail=rep)

@@ -232,11 +232,6 @@ class CurvatureFrame:
         return self.scalar.grad()
 
     @cached_property
-    def grad_scalar_up(self) -> Jet:
-        """grad S (upper index), order 1."""
-        return contract("ij,j->i", self.ginv, self.grad_scalar_lo)
-
-    @cached_property
     def hess_scalar(self) -> Jet:
         """Hessian of S, order 0."""
         return self.hessian(self.scalar)

@@ -12,11 +12,11 @@ of the trace-free part of L_X g staying below a gate tolerance.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import charts
+from . import charts, tolerances
 from .charts import Manifold
 from .curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from .jets import contract
@@ -28,7 +28,7 @@ __all__ = [
     "lie_divergence_identity", "yano_identity",
     "bourguignon_ezin_integral", "soliton_conformality_integral",
     "bochner_identity", "surface_scalar_rigidity",
-    "IDENTITY_IDS", "DEFAULT_CASES", "run_identity_case",
+    "IDENTITY_IDS", "case_value", "run_identity_case",
 ]
 
 CONFORMAL_GATE = 1e-9
@@ -356,29 +356,60 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
 # ----------------------------------------------------------------------
 # CLI case plumbing
 # ----------------------------------------------------------------------
-_CASE_FIELDS = {"manifold", "X", "phi", "T", "h", "q", "count",
-                "resolution"}
+class _Identity(NamedTuple):
+    run: Callable[..., dict]
+    default: dict  # the default case
+    fields: tuple  # the case fields ``run`` reads besides "manifold"
+    verdict: Callable[[dict, float], bool]  # (report, tol) -> passed
+    takes_tol: bool = False  # ``run`` reads tol and reports its answer
+
+
+# case field -> keyword; count and resolution keep their names
+_KEYWORDS = {"X": "x_exprs", "T": "t_exprs", "phi": "phi_expr",
+             "h": "h_expr", "q": "q_mode"}
 
 # conformal gradient field and a generic tensor on the round 2-sphere
 _ROUND_CONFORMAL_X = ("-sin(th)", "0")
 _GENERIC_T = (("1 + 0.3*cos(th)", "0.2*sin(th)*sin(ph)"),
               ("0.2*sin(th)*sin(ph)", "2 - 0.4*cos(ph)*sin(th)"))
 
-DEFAULT_CASES: dict[str, dict] = {
-    "lemma35": {"manifold": "round_sphere_2",
-                "X": ("0.4*sin(ph)*sin(th)", "0.7"),
-                "T": _GENERIC_T},
-    "thm32": {"manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
-              "phi": "0.3*cos(th)"},
-    "yano": {"manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X},
-    "be": {"manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X,
-           "q": "ricci"},
-    "thm38": {"manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
-              "phi": "0.1*cos(th)"},
-    "bochner": {"manifold": "conformal_sphere_bump",
-                "h": "0.5*cos(th) + 0.2*sin(th)*cos(ph)"},
-    "lemma48": {"manifold": "round_sphere_2"},
+_IDENTITIES = {
+    "lemma35": _Identity(lie_pairing_identity, {
+        "manifold": "round_sphere_2", "X": ("0.4*sin(ph)*sin(th)", "0.7"),
+        "T": _GENERIC_T}, ("X", "T", "count"),
+        lambda r, tol: r["sup"] <= tol),
+    "thm32": _Identity(soliton_integral_identities, {
+        "manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
+        "phi": "0.3*cos(th)"}, ("X", "phi", "resolution"),
+        lambda r, tol: r["imbalance1"] <= tol * max(r["scale1"], 1.0)
+        and r["imbalance2"] <= tol * max(r["scale2"], 1.0)),
+    "yano": _Identity(yano_identity, {
+        "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X},
+        ("X", "count"), lambda r, tol: r["sup"] <= tol),
+    "be": _Identity(bourguignon_ezin_integral, {
+        "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X,
+        "q": "ricci"}, ("X", "q", "resolution"),
+        lambda r, tol: abs(r["integral"]) <= tol * max(r["scale"], 1.0)),
+    "thm38": _Identity(soliton_conformality_integral, {
+        "manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
+        "phi": "0.1*cos(th)"}, ("X", "phi", "resolution"),
+        lambda r, tol: r["verdict"] == "conformal", takes_tol=True),
+    "bochner": _Identity(bochner_identity, {
+        "manifold": "conformal_sphere_bump",
+        "h": "0.5*cos(th) + 0.2*sin(th)*cos(ph)"}, ("h", "count"),
+        lambda r, tol: r["sup"] <= tol),
+    "lemma48": _Identity(surface_scalar_rigidity, {
+        "manifold": "round_sphere_2"}, ("resolution",),
+        lambda r, tol: r["passed"], takes_tol=True),
 }
+
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
+def case_value(rep: Mapping) -> dict:
+    """The entries of a case report that a check record shows as value."""
+    return {k: rep[k] for k in ("sup", "imbalance1", "imbalance2",
+                                "integral", "scalar_spread") if k in rep}
 
 
 def _case_manifold(doc: Mapping) -> Manifold:
@@ -391,66 +422,40 @@ def _case_manifold(doc: Mapping) -> Manifold:
 
 
 def run_identity_case(identity_id: str, doc: Mapping | None = None,
-                      tol: float = 1e-7) -> dict:
+                      tol: float = tolerances.DEFAULTS["identity"]) -> dict:
     """Run one identity check from a JSON-style case document.
 
-    Case schema: ``{"manifold": name-or-document, "X": [...], "phi": expr,
-    "T": [[...]], "h": expr, "q": mode, "count": int, "resolution":
-    int-or-list}``; each identity consumes the fields it needs; unknown
-    fields are rejected.  Returns a report with a ``"passed"`` entry.
+    The document overrides fields of the identity's default case.  Each
+    identity reads ``manifold`` (a name or a document) and its own fields
+    and rejects any other: lemma35 ``X``, ``T``, ``count``; thm32 and thm38
+    ``X``, ``phi``, ``resolution``; yano ``X``, ``count``; be ``X``, ``q``,
+    ``resolution``; bochner ``h``, ``count``; lemma48 ``resolution``.
+    Returns the identity's report with ``"identity"`` and ``"passed"``.
     """
-    if identity_id not in IDENTITY_IDS:
+    if identity_id not in _IDENTITIES:
         raise IdentityError(
             f"unknown identity id {identity_id!r}; known: "
             f"{', '.join(sorted(IDENTITY_IDS))}")
-    merged = dict(DEFAULT_CASES[identity_id])
-    if doc:
-        if not isinstance(doc, Mapping):
-            raise IdentityError("identity case must be an object")
-        bad = set(doc) - _CASE_FIELDS
-        if bad:
-            raise IdentityError(
-                f"unknown case fields {sorted(bad)}; "
-                f"allowed: {sorted(_CASE_FIELDS)}")
-        merged.update(doc)
-    man = _case_manifold(merged)
-    count = int(merged.get("count", 50))
-    resolution = merged.get("resolution")
-    out: dict
-    if identity_id == "lemma35":
-        out = lie_pairing_identity(man, merged["X"], merged["T"],
-                                   count=count)
-        out["passed"] = out["sup"] <= tol
-    elif identity_id == "thm32":
-        out = soliton_integral_identities(man, merged["X"],
-                                          merged.get("phi", "0"),
-                                          resolution=resolution)
-        out["passed"] = (out["imbalance1"] <= tol * max(out["scale1"], 1.0)
-                         and out["imbalance2"]
-                         <= tol * max(out["scale2"], 1.0))
-    elif identity_id == "yano":
-        out = yano_identity(man, merged["X"], count=count)
-        out["passed"] = out["sup"] <= tol
-    elif identity_id == "be":
-        out = bourguignon_ezin_integral(man, merged["X"],
-                                        merged.get("q", "ricci"),
-                                        resolution=resolution)
-        out["passed"] = abs(out["integral"]) <= tol * max(out["scale"], 1.0)
-    elif identity_id == "thm38":
-        out = soliton_conformality_integral(man, merged["X"],
-                                            merged.get("phi", "0"),
-                                            resolution=resolution, tol=tol)
-        out["passed"] = out["verdict"] == "conformal"
-    elif identity_id == "bochner":
-        out = bochner_identity(man, merged["h"], count=count)
-        out["passed"] = out["sup"] <= tol
-    else:  # lemma48
-        out = surface_scalar_rigidity(man, resolution=resolution, tol=tol)
+    case = _IDENTITIES[identity_id]
+    if doc is not None and not isinstance(doc, Mapping):
+        raise IdentityError("identity case must be an object")
+    merged = {**case.default, **(doc or {})}
+    fields = ("manifold",) + case.fields
+    bad = set(merged) - set(fields)
+    if bad:
+        raise IdentityError(
+            f"unknown case fields {sorted(bad)} for {identity_id}; its "
+            f"fields: {', '.join(fields)}")
+    if not isinstance(merged.get("count", 1), (int, np.integer)):
+        raise IdentityError(
+            f"count needs a whole number, got {merged['count']!r}")
+    kwargs = {_KEYWORDS.get(f, f): merged[f]
+              for f in case.fields if f in merged}
+    if case.takes_tol:
+        kwargs["tol"] = tol
+    out = case.run(_case_manifold(merged), **kwargs)
+    out["passed"] = case.verdict(out, tol)
     out["identity"] = identity_id
     out.pop("points", None)
     out.pop("residuals", None)
     return out
-
-
-IDENTITY_IDS = ("lemma35", "thm32", "yano", "be", "thm38", "bochner",
-                "lemma48")

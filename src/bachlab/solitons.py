@@ -186,6 +186,24 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
     return frame.scalar_jet(spec.custom_q, order=0).value
 
 
+def _residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets):
+    """g, phi and R = (1/2) L_X g - (1/2) q - phi g at the frame's point."""
+    g = values(frame.g)
+    lie = values(frame.lie_metric(x_jets))
+    phi = _phi_value(frame, spec)
+    q = _q_value(frame, spec, lie, phi, g)
+    return g, phi, 0.5 * lie - 0.5 * q - phi * g
+
+
+def _point_set(man: Manifold, points, count: int) -> np.ndarray:
+    if points is None:
+        return charts.residual_sample_points(man, count)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:  # a sup over no points is 0.0, a pass
+        raise SolitonError("a residual needs at least one point")
+    return points
+
+
 def metric_norm(g: np.ndarray, tensor: np.ndarray) -> float:
     """sqrt(T^i_j T^j_i) for a symmetric 2-tensor in coordinate components."""
     mixed = np.linalg.solve(g, tensor)
@@ -197,18 +215,12 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
                         tol: float = 1e-7,
                         label: str = "extended-q") -> ResidualReport:
     """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set."""
-    if points is None:
-        points = charts.residual_sample_points(man, count)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_set(man, points, count)
     residuals = np.empty((len(points), man.dim, man.dim))
     norms = np.empty(len(points))
     for i, p in enumerate(points):
         frame = frame_at(man, p)
-        g = values(frame.g)
-        lie = values(frame.lie_metric(_field_jets(frame, spec)))
-        phi = _phi_value(frame, spec)
-        q = _q_value(frame, spec, lie, phi, g)
-        r = 0.5 * lie - 0.5 * q - phi * g
+        g, _, r = _residual(frame, spec, _field_jets(frame, spec))
         residuals[i] = r
         norms[i] = metric_norm(g, r)
     return ResidualReport(label=label, points=points, residuals=residuals,
@@ -420,9 +432,7 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         raise SolitonError(
             f"the conformal field needs the obstruction flow (q = "
             f"'bach_flow'), got q = {spec.q!r}")
-    if points is None:
-        points = charts.residual_sample_points(man, count)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_set(man, points, count)
     n = man.dim
     m = len(points)
     c_vals = np.empty((m, n))
@@ -435,19 +445,14 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
     e_sup = 0.0
     for idx, p in enumerate(points):
         frame = frame_at(man, p)
-        g = values(frame.g)
         x_jets = _field_jets(frame, spec)
-        phi = _phi_value(frame, spec)
+        g, phi, e_tensor = _residual(frame, spec, x_jets)
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
         c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
         c_vals[idx] = values(c_jets)
         half_lie = 0.5 * values(frame.lie_metric(c_jets))
-        lie_x = values(frame.lie_metric(x_jets))
-        e_tensor = (0.5 * lie_x - 0.5 * (values(frame.bach)
-                                         + values(frame.lap_scalar) / 12.0
-                                         * g) - phi * g)
         e_sup = sup(e_sup, np.abs(e_tensor))
         s_vals = [values(s) for s in s_blocks]
         lap_s = [values(frame.laplacian(s)) for s in s_blocks]

@@ -142,11 +142,8 @@ def _identity_checks(tols) -> list[dict]:
     checks = []
     for iid in identities.IDENTITY_IDS:
         rep = identities.run_identity_case(iid, tol=tols["identity"])
-        value = {k: rep[k] for k in ("sup", "imbalance1", "imbalance2",
-                                     "integral", "scalar_spread")
-                 if k in rep}
         checks.append(report.check_record(
-            f"identity/{iid}", value, tols["identity"],
+            f"identity/{iid}", identities.case_value(rep), tols["identity"],
             bool(rep["passed"])))
     return checks
 

@@ -206,6 +206,22 @@ def test_check_identity_count_below_one(tmp_path, capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iid, doc, message", [
+    ("yano", {"resolution": [3, 3]}, "unknown case fields"),
+    ("thm32", {"count": 10}, "unknown case fields"),
+    ("lemma48", {"X": ["0", "0"]}, "unknown case fields"),
+    ("lemma35", {"count": "7"}, "count needs a whole number"),
+    ("bochner", {"count": 7.9}, "count needs a whole number"),
+])
+def test_check_identity_rejects_fields_that_would_do_nothing(
+        tmp_path, capsys, iid, doc, message):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "identity", "--id", iid,
+                 "--case", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("soliton", {"manifold": "r2_x_s2", "f": 0, "lambda": 0.0}),
     ("soliton", {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"],

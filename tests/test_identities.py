@@ -380,3 +380,31 @@ def test_case_overrides_and_validation():
     with pytest.raises(IdentityError, match="not conformal"):
         run_identity_case("yano", {"manifold": "round_sphere_2",
                                    "X": ("0.3*sin(ph)*sin(th)", "0")})
+
+
+@pytest.mark.parametrize("iid, doc", [
+    ("yano", {"resolution": [3, 3]}),
+    ("thm32", {"count": 10}),
+    ("thm38", {"count": 10}),
+    ("be", {"count": 10}),
+    ("lemma35", {"h": "0"}),
+    ("bochner", {"X": ("0", "0")}),
+    ("lemma48", {"X": ("0", "0")}),
+    ("lemma48", {"count": 5}),
+])
+def test_case_rejects_fields_its_identity_does_not_read(iid, doc):
+    # each of these fields would change nothing in the identity's report
+    with pytest.raises(IdentityError, match="unknown case fields") as err:
+        run_identity_case(iid, doc)
+    assert iid in str(err.value) and "its fields: manifold" in str(err.value)
+
+
+@pytest.mark.parametrize("count", ["7", 7.9, 7.0, None])
+def test_case_count_needs_a_whole_number(count):
+    with pytest.raises(IdentityError, match="count needs a whole number"):
+        run_identity_case("yano", {"count": count})
+
+
+def test_case_document_must_be_an_object():
+    with pytest.raises(IdentityError, match="must be an object"):
+        run_identity_case("yano", [])

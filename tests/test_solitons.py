@@ -326,6 +326,29 @@ def test_c_field_identity_holds_off_soliton():
     assert literal["identity_sup"] > 1e-2
 
 
+def test_c_field_residual_is_the_extended_residual():
+    man = charts.get_example("s2_x_s2")
+    spec = SolitonSpec(manifold=man, x_exprs=("0.1*sin(th)", "1", "0", "0"),
+                       phi="0.02*cos(th_2)")
+    pts = charts.sample_points(man.chart, 3)
+    out = surface_conformal_field(man, spec, points=pts)
+    rep = extended_q_residual(man, spec, points=pts)
+    assert out["extended_residual_sup"] == np.abs(rep.residuals).max() > 0
+
+
+@pytest.mark.parametrize("empty", [np.empty((0, 4)), []])
+def test_an_empty_point_set_is_rejected(empty):
+    # a sup over no points is 0.0, which would pass any data
+    man = charts.get_example("r2_x_s2")
+    with pytest.raises(SolitonError, match="at least one point"):
+        bach_soliton_residual(man, 1.0 / 6.0, potential="(x^2+y^2)/6",
+                              points=empty)
+    spec = SolitonSpec(manifold=man, potential="-(x^2 + y^2)/12",
+                       lam=-1.0 / 12.0)
+    with pytest.raises(SolitonError, match="at least one point"):
+        surface_conformal_field(man, spec, points=empty)
+
+
 def test_c_field_structure_error():
     man = charts.get_example("line_x_berger")
     spec = SolitonSpec(manifold=man, potential="t", lam=0.0)
