@@ -13,7 +13,6 @@ integrands).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -125,22 +124,24 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
     return nodes, weights
 
 
+def is_count(value) -> bool:
+    """The one rule for a count read from a document: an int that is not
+    a bool, and at least 1."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 1)
+
+
 def _axis_counts(chart: Chart, resolution: int | Sequence[int]
                  ) -> tuple[int, ...]:
     """Per-axis node counts from one count for every axis or a list."""
-    if isinstance(resolution, (int, np.integer)):
-        resolution = (resolution,) * chart.dim
-    try:
-        res = tuple(operator.index(r) for r in resolution)
-    except TypeError:
-        raise ChartError(f"resolution needs whole numbers, got "
-                         f"{resolution!r}") from None
+    res = (resolution if isinstance(resolution, (list, tuple))
+           else (resolution,) * chart.dim)
     if len(res) != chart.dim:
         raise ChartError(f"resolution needs {chart.dim} axis counts")
-    if min(res) < 1:
-        raise ChartError(f"resolution needs at least one node per axis, "
-                         f"got {list(res)}")
-    return res
+    if not all(map(is_count, res)):
+        raise ChartError(f"resolution needs whole numbers, at least one "
+                         f"node per axis; got {resolution!r}")
+    return tuple(int(r) for r in res)
 
 
 def quadrature(chart: Chart, resolution: int | Sequence[int] | None = None
@@ -627,6 +628,16 @@ NAMED_EXAMPLES: dict[str, dict] = {
 
 def catalog_names() -> list[str]:
     return sorted(NAMED_EXAMPLES)
+
+
+def resolve_manifold(ref) -> Manifold:
+    """A manifold from a catalog name or a manifold document."""
+    if isinstance(ref, str):
+        return get_example(ref)
+    if isinstance(ref, Mapping):
+        return manifold_from_spec(ref)
+    raise ChartError(f"manifold must be a catalog name or a manifold "
+                     f"document, got {ref!r}")
 
 
 def get_example(name: str) -> Manifold:

@@ -44,8 +44,8 @@ def _load_json(path: str):
 def _load_manifold(spec: str):
     """A manifold from a catalog name or a JSON document path."""
     if Path(spec).is_file():
-        return charts.manifold_from_spec(_load_json(spec))
-    return charts.get_example(spec)
+        spec = _load_json(spec)
+    return charts.resolve_manifold(spec)
 
 
 def _parse_point(text: str, man) -> list[float]:
@@ -93,6 +93,12 @@ def _parse_tol_overrides(pairs) -> dict[str, float]:
     return out
 
 
+def _tol(key: str, value: float | None) -> float:
+    """A --tol value checked as `tolerances.resolve` checks every gate,
+    or the default gate of `key` when the flag is absent."""
+    return tolerances.resolve(None if value is None else {key: value})[key]
+
+
 def _emit(doc, out_path: str | None, pretty: bool = True) -> None:
     if out_path:
         report.write_report(doc, out_path)
@@ -130,7 +136,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_check_identity(args) -> int:
-    tol = tolerances.DEFAULTS["identity"] if args.tol is None else args.tol
+    tol = _tol("identity", args.tol)
     doc = _load_json(args.case) if args.case else None
     rep = identities.run_identity_case(args.id, doc, tol=tol)
     rec = report.check_record(f"identity/{args.id}",
@@ -146,17 +152,18 @@ def _cmd_check_identity(args) -> int:
 
 
 def _cmd_check_soliton(args) -> int:
-    tols = tolerances.resolve()
     config = {"subcommand": "check soliton", "count": args.count}
     if args.example:
+        # without --tol, each example keeps its own gate
+        tol = None if args.tol is None else _tol("soliton", args.tol)
         rep = solitons.named_example(args.example, count=args.count,
-                                     tol=args.tol)
+                                     tol=tol)
         config["example"] = args.example
         check_id = f"soliton/{args.example}"
     else:
         doc = _load_json(args.case)
         spec = solitons.SolitonSpec.from_doc(doc)
-        tol = args.tol if args.tol is not None else tols["soliton"]
+        tol = _tol("soliton", args.tol)
         rep = solitons.extended_q_residual(
             spec.manifold, spec, count=args.count, tol=tol,
             label=Path(args.case).stem)

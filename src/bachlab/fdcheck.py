@@ -14,6 +14,7 @@ which freezes the expensive deep-curvature values into data/.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -25,75 +26,67 @@ DEFAULT_H = "1e-3"
 DEFAULT_DPS = 50
 
 
+def _central(f: Callable, point: tuple, axis: int, h):
+    """4th-order central difference of f (an mpf or an array of them)."""
+    def at(s):
+        q = list(point)
+        q[axis] = q[axis] + s * h
+        return f(tuple(q))
+
+    return (-at(2) + 8 * at(1) - 8 * at(-1) + at(-2)) / (12 * h)
+
+
 # ----------------------------------------------------------------------
 # scalar partials (oracle for jet composition)
 # ----------------------------------------------------------------------
-def diff_axis(f: Callable, point: Sequence, axis: int, h) -> mp.mpf:
-    """4th-order central difference of a scalar function along one axis."""
-    def at(offset):
-        q = list(point)
-        q[axis] = q[axis] + offset
-        return f(tuple(q))
-
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
-
-
 def partial_mp(f: Callable, point: Sequence, alpha: Sequence[int],
                h=None) -> mp.mpf:
     """Mixed partial d^alpha f at a point by nested central differences."""
     h = mp.mpf(DEFAULT_H) if h is None else mp.mpf(h)
     point = tuple(mp.mpf(x) for x in point)
     alpha = tuple(int(a) for a in alpha)
-    for axis in range(len(alpha)):
-        if alpha[axis] > 0:
-            lower = tuple(a - 1 if i == axis else a
-                          for i, a in enumerate(alpha))
-            return diff_axis(lambda q: partial_mp(f, q, lower, h),
-                             point, axis, h)
+    for axis, a in enumerate(alpha):
+        if a > 0:
+            lower = alpha[:axis] + (a - 1,) + alpha[axis + 1:]
+            return _central(lambda q: partial_mp(f, q, lower, h),
+                            point, axis, h)
     return f(point)
 
 
 def expr_partials(ex, coords: Sequence[str], point: Sequence[float],
                   alphas: Sequence[Sequence[int]],
-                  params: dict | None = None,
-                  dps: int = DEFAULT_DPS) -> list[float]:
+                  params: dict | None = None) -> list[float]:
     """All requested mixed partials of a DSL expression, via mpmath FD."""
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
+        consts = {k: mp.mpf(v) for k, v in (params or {}).items()}
+
         def f(q):
-            env = {name: q[i] for i, name in enumerate(coords)}
-            for k, v in (params or {}).items():
-                env[k] = mp.mpf(v)
-            return exprs.eval_mp(ex, env)
+            return exprs.eval_mp(ex, {**dict(zip(coords, q)), **consts})
 
         return [float(partial_mp(f, point, alpha)) for alpha in alphas]
 
 
 # ----------------------------------------------------------------------
-# nested-list tensor helpers (mpf entries)
+# curvature by nested differences
 # ----------------------------------------------------------------------
-def tmap(fn, *tensors):
-    """Apply fn elementwise over identically-shaped nested lists."""
-    if isinstance(tensors[0], list):
-        return [tmap(fn, *parts) for parts in zip(*tensors)]
-    return fn(*tensors)
-
-
-def _zeros(shape):
-    if not shape:
-        return mp.mpf(0)
-    return [_zeros(shape[1:]) for _ in range(shape[0])]
-
-
-def _to_numpy(t):
-    return np.array(tmap(float, t), dtype=np.float64)
+def _per_point(build: Callable) -> Callable:
+    """Memoise a tensor method per point, so nested stencils share work."""
+    @functools.wraps(build)
+    def method(self, p):
+        key = (build.__name__, p)
+        if key not in self._cache:
+            self._cache[key] = build(self, p)
+        return self._cache[key]
+    return method
 
 
 class FDGeometry:
     """Curvature of a metric by nested finite differences (the oracle).
 
     gfun maps a point (tuple of mpf) to the n x n metric matrix as nested
-    lists of mpf.  Tensors are cached per point so the stencil lattices
-    of nested derivatives share work.
+    lists of mpf.  Tensors are object arrays of mpf, each built entry by
+    entry from its textbook formula; every covariant derivative comes from
+    the one rule in `_cov`.
 
     Index conventions match the engine: Riem storage R[l][i][j][k] is
     g_{lm} R^m_{ijk} with R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
@@ -107,334 +100,202 @@ class FDGeometry:
         self._cache: dict = {}
 
     # -- plumbing ------------------------------------------------------
-    def _memo(self, tag: str, point: tuple, builder: Callable):
-        key = (tag, point)
-        val = self._cache.get(key)
-        if val is None:
-            val = self._cache[key] = builder(point)
-        return val
+    def _box(self, rank: int, entry: Callable) -> np.ndarray:
+        """The rank-`rank` tensor with entry(i, j, ..) at (i, j, ..)."""
+        out = np.empty((self.n,) * rank, dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = entry(*idx)
+        return out
 
     def _dtensor(self, fun: Callable, point: tuple, axis: int):
         """Elementwise 4th-order central difference of a tensor function."""
-        h = self.h
+        return _central(fun, point, axis, self.h)
 
-        def shift(s):
-            q = list(point)
-            q[axis] = q[axis] + s * h
-            return tuple(q)
+    def _grad(self, fun: Callable, q: tuple) -> np.ndarray:
+        """[a, ...] = d_a fun, the partial index first."""
+        return np.array([self._dtensor(fun, q, a) for a in range(self.n)],
+                        dtype=object)
 
-        tp2, tp1 = fun(shift(2)), fun(shift(1))
-        tm1, tm2 = fun(shift(-1)), fun(shift(-2))
-        return tmap(lambda a, b, c, d: (-a + 8 * b - 8 * c + d) / (12 * h),
-                    tp2, tp1, tm1, tm2)
+    def _cov(self, fun: Callable, q: tuple) -> np.ndarray:
+        """nabla_m T_{i..} = d_m T_{i..} - sum_s Gamma^a_{m i_s} T_{..a..},
+        the derivative index m first, for an all-lower tensor T = fun."""
+        dT, T, gam = self._grad(fun, q), fun(q), self.christoffel(q)
+
+        def entry(m, *idx):
+            acc = dT[(m,) + idx]
+            for a in range(self.n):
+                for s in range(len(idx)):
+                    acc -= gam[a, m, idx[s]] * T[idx[:s] + (a,) + idx[s + 1:]]
+            return acc
+        return self._box(np.ndim(T) + 1, entry)
 
     # -- metric level ---------------------------------------------------
+    @_per_point
     def metric(self, p):
-        return self._memo("g", p, lambda q: self.gfun(q))
+        return np.array(self.gfun(p), dtype=object)
 
+    @_per_point
     def metric_inv(self, p):
-        def build(q):
-            g = mp.matrix(self.metric(q))
-            gi = g ** -1
-            return [[gi[i, j] for j in range(self.n)] for i in range(self.n)]
-        return self._memo("ginv", p, build)
+        gi = mp.matrix(self.metric(p).tolist()) ** -1
+        return np.array(gi.tolist(), dtype=object)
 
+    @_per_point
     def christoffel(self, p):
-        def build(q):
-            n = self.n
-            dg = [self._dtensor(self.metric, q, a) for a in range(n)]
-            gi = self.metric_inv(q)
-            gamma = _zeros((n, n, n))
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        acc = mp.mpf(0)
-                        for l in range(n):
-                            acc += gi[k][l] * (dg[i][j][l] + dg[j][i][l]
-                                               - dg[l][i][j])
-                        gamma[k][i][j] = acc / 2
-            return gamma
-        return self._memo("gamma", p, build)
+        """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+        R = range(self.n)
+        dg, gi = self._grad(self.metric, p), self.metric_inv(p)
+        return self._box(3, lambda k, i, j: sum(
+            gi[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+            for l in R) / 2)
 
     # -- curvature level --------------------------------------------------
+    @_per_point
     def riemann_up(self, p):
-        def build(q):
-            n = self.n
-            dgam = [self._dtensor(self.christoffel, q, a) for a in range(n)]
-            gam = self.christoffel(q)
-            riem = _zeros((n, n, n, n))
-            for l in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc = dgam[i][l][j][k] - dgam[j][l][i][k]
-                            for m in range(n):
-                                acc += (gam[l][i][m] * gam[m][j][k]
-                                        - gam[l][j][m] * gam[m][i][k])
-                            riem[l][i][j][k] = acc
-            return riem
-        return self._memo("riem_up", p, build)
+        R = range(self.n)
+        dgam, gam = self._grad(self.christoffel, p), self.christoffel(p)
+        return self._box(4, lambda l, i, j, k: sum(
+            (gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k]
+             for m in R), dgam[i, l, j, k] - dgam[j, l, i, k]))
 
+    @_per_point
     def riemann_lo(self, p):
-        def build(q):
-            n = self.n
-            up = self.riemann_up(q)
-            g = self.metric(q)
-            lo = _zeros((n, n, n, n))
-            for l in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc = mp.mpf(0)
-                            for m in range(n):
-                                acc += g[l][m] * up[m][i][j][k]
-                            lo[l][i][j][k] = acc
-            return lo
-        return self._memo("riem_lo", p, build)
+        R = range(self.n)
+        up, g = self.riemann_up(p), self.metric(p)
+        return self._box(4, lambda l, i, j, k: sum(
+            g[l, m] * up[m, i, j, k] for m in R))
 
+    @_per_point
     def ricci(self, p):
-        def build(q):
-            n = self.n
-            up = self.riemann_up(q)
-            return [[sum(up[i][i][j][k] for i in range(n))
-                     for k in range(n)] for j in range(n)]
-        return self._memo("ric", p, build)
+        R = range(self.n)
+        up = self.riemann_up(p)
+        return self._box(2, lambda j, k: sum(up[i, i, j, k] for i in R))
 
+    @_per_point
     def scalar(self, p):
-        def build(q):
-            n = self.n
-            ric = self.ricci(q)
-            gi = self.metric_inv(q)
-            return sum(gi[j][k] * ric[j][k] for j in range(n)
-                       for k in range(n))
-        return self._memo("scal", p, build)
+        R = range(self.n)
+        ric, gi = self.ricci(p), self.metric_inv(p)
+        return sum(gi[j, k] * ric[j, k] for j in R for k in R)
 
+    @_per_point
     def ric2(self, p):
         """Composition square (Ric^2)_ij = Ric_ik g^kl Ric_lj."""
-        n = self.n
-        ric = self.ricci(p)
-        gi = self.metric_inv(p)
-        return [[sum(ric[i][k] * gi[k][l] * ric[l][j]
-                     for k in range(n) for l in range(n))
-                 for j in range(n)] for i in range(n)]
+        R = range(self.n)
+        ric, gi = self.ricci(p), self.metric_inv(p)
+        return self._box(2, lambda i, j: sum(
+            ric[i, k] * gi[k, l] * ric[l, j] for k in R for l in R))
 
+    @_per_point
     def ric_norm2(self, p):
-        n = self.n
-        ric = self.ricci(p)
-        gi = self.metric_inv(p)
-        acc = mp.mpf(0)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc += gi[i][k] * gi[j][l] * ric[i][j] * ric[k][l]
-        return acc
+        R = range(self.n)
+        ric, gi = self.ricci(p), self.metric_inv(p)
+        return sum(gi[i, k] * gi[j, l] * ric[i, j] * ric[k, l]
+                   for i in R for j in R for k in R for l in R)
 
     # -- scalar-curvature derivatives -------------------------------------
+    @_per_point
     def grad_scalar_lo(self, p):
         """dS (lower index)."""
-        def build(q):
-            return [self._dtensor(self.scalar, q, a) for a in range(self.n)]
-        return self._memo("dS", p, build)
+        return self._grad(self.scalar, p)
 
+    @_per_point
     def hess_scalar(self, p):
-        def build(q):
-            n = self.n
-            ddS = [self._dtensor(self.grad_scalar_lo, q, a) for a in range(n)]
-            dS = self.grad_scalar_lo(q)
-            gam = self.christoffel(q)
-            return [[ddS[i][j] - sum(gam[k][i][j] * dS[k] for k in range(n))
-                     for j in range(n)] for i in range(n)]
-        return self._memo("hessS", p, build)
+        return self._cov(self.grad_scalar_lo, p)
 
+    @_per_point
     def lap_scalar(self, p):
-        n = self.n
-        hess = self.hess_scalar(p)
-        gi = self.metric_inv(p)
-        return sum(gi[i][j] * hess[i][j] for i in range(n) for j in range(n))
+        R = range(self.n)
+        hess, gi = self.hess_scalar(p), self.metric_inv(p)
+        return sum(gi[i, j] * hess[i, j] for i in R for j in R)
 
     # -- Ricci derivatives -------------------------------------------------
+    @_per_point
     def cov_ricci(self, p):
         """(grad Ric)[m][i][j] = nabla_m Ric_ij."""
-        def build(q):
-            n = self.n
-            dric = [self._dtensor(self.ricci, q, a) for a in range(n)]
-            ric = self.ricci(q)
-            gam = self.christoffel(q)
-            out = _zeros((n, n, n))
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        acc = dric[m][i][j]
-                        for a in range(n):
-                            acc -= gam[a][m][i] * ric[a][j]
-                            acc -= gam[a][m][j] * ric[i][a]
-                        out[m][i][j] = acc
-            return out
-        return self._memo("covric", p, build)
+        return self._cov(self.ricci, p)
 
+    @_per_point
     def lap_ricci(self, p):
-        def build(q):
-            n = self.n
-            dcov = [self._dtensor(self.cov_ricci, q, a) for a in range(n)]
-            cov = self.cov_ricci(q)
-            gam = self.christoffel(q)
-            gi = self.metric_inv(q)
-            out = _zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    acc = mp.mpf(0)
-                    for a in range(n):
-                        for b in range(n):
-                            # (nabla nabla Ric)_{a b i j}
-                            term = dcov[a][b][i][j]
-                            for m in range(n):
-                                term -= gam[m][a][b] * cov[m][i][j]
-                                term -= gam[m][a][i] * cov[b][m][j]
-                                term -= gam[m][a][j] * cov[b][i][m]
-                            acc += gi[a][b] * term
-                    out[i][j] = acc
-            return out
-        return self._memo("lapric", p, build)
+        R = range(self.n)
+        nn, gi = self._cov(self.cov_ricci, p), self.metric_inv(p)
+        return self._box(2, lambda i, j: sum(
+            gi[a, b] * nn[a, b, i, j] for a in R for b in R))
 
     # -- conformal tensors ---------------------------------------------------
+    @_per_point
     def schouten(self, p):
-        def build(q):
-            n = self.n
-            if n < 3:
-                raise ValueError("Schouten tensor needs dim >= 3")
-            ric = self.ricci(q)
-            S = self.scalar(q)
-            g = self.metric(q)
-            return [[(ric[i][j] - S * g[i][j] / (2 * (n - 1))) / (n - 2)
-                     for j in range(n)] for i in range(n)]
-        return self._memo("schouten", p, build)
+        n = self.n
+        if n < 3:
+            raise ValueError("Schouten tensor needs dim >= 3")
+        ric, S, g = self.ricci(p), self.scalar(p), self.metric(p)
+        return self._box(2, lambda i, j: (
+            ric[i, j] - S * g[i, j] / (2 * (n - 1))) / (n - 2))
 
+    @_per_point
     def cov_schouten(self, p):
-        def build(q):
-            n = self.n
-            dP = [self._dtensor(self.schouten, q, a) for a in range(n)]
-            P = self.schouten(q)
-            gam = self.christoffel(q)
-            out = _zeros((n, n, n))
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        acc = dP[m][i][j]
-                        for a in range(n):
-                            acc -= gam[a][m][i] * P[a][j]
-                            acc -= gam[a][m][j] * P[i][a]
-                        out[m][i][j] = acc
-            return out
-        return self._memo("covP", p, build)
+        return self._cov(self.schouten, p)
 
+    @_per_point
     def cotton(self, p):
         """C[k][i][j] = nabla_k P_ij - nabla_i P_kj."""
-        def build(q):
-            n = self.n
-            cp = self.cov_schouten(q)
-            return [[[cp[k][i][j] - cp[i][k][j] for j in range(n)]
-                     for i in range(n)] for k in range(n)]
-        return self._memo("cotton", p, build)
+        cp = self.cov_schouten(p)
+        return self._box(3, lambda k, i, j: cp[k, i, j] - cp[i, k, j])
 
+    @_per_point
     def weyl_lo(self, p):
-        def build(q):
-            n = self.n
-            lo = self.riemann_lo(q)
-            P = self.schouten(q)
-            g = self.metric(q)
-            out = _zeros((n, n, n, n))
-            for l in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            kn = (P[l][i] * g[j][k] - P[l][j] * g[i][k]
-                                  + g[l][i] * P[j][k] - g[l][j] * P[i][k])
-                            out[l][i][j][k] = lo[l][i][j][k] - kn
-            return out
-        return self._memo("weyl", p, build)
+        lo, P, g = self.riemann_lo(p), self.schouten(p), self.metric(p)
+        return self._box(4, lambda l, i, j, k: lo[l, i, j, k] - (
+            P[l, i] * g[j, k] - P[l, j] * g[i, k]
+            + g[l, i] * P[j, k] - g[l, j] * P[i, k]))
 
+    @_per_point
     def bach(self, p):
         """B_ij = g^{km} nabla_m C_{kij} + P^{ab} W[b][a][i][j] (n = 4)."""
-        def build(q):
-            n = self.n
-            if n != 4:
-                raise ValueError("Bach tensor is implemented for dim 4 only")
-            dC = [self._dtensor(self.cotton, q, a) for a in range(n)]
-            C = self.cotton(q)
-            gam = self.christoffel(q)
-            gi = self.metric_inv(q)
-            P = self.schouten(q)
-            W = self.weyl_lo(q)
-            out = _zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    acc = mp.mpf(0)
-                    for k in range(n):
-                        for m in range(n):
-                            term = dC[m][k][i][j]
-                            for a in range(n):
-                                term -= gam[a][m][k] * C[a][i][j]
-                                term -= gam[a][m][i] * C[k][a][j]
-                                term -= gam[a][m][j] * C[k][i][a]
-                            acc += gi[k][m] * term
-                    for a in range(n):
-                        for b in range(n):
-                            Pab = sum(gi[a][c] * gi[b][d] * P[c][d]
-                                      for c in range(n) for d in range(n))
-                            acc += Pab * W[b][a][i][j]
-                    out[i][j] = acc
-            return out
-        return self._memo("bach", p, build)
+        if self.n != 4:
+            raise ValueError("Bach tensor is implemented for dim 4 only")
+        R = range(self.n)
+        dC, gi = self._cov(self.cotton, p), self.metric_inv(p)
+        P, W = self.schouten(p), self.weyl_lo(p)
+        P_up = self._box(2, lambda a, b: sum(
+            gi[a, c] * gi[b, d] * P[c, d] for c in R for d in R))
+        return self._box(2, lambda i, j: sum(
+            (P_up[a, b] * W[b, a, i, j] for a in R for b in R),
+            sum(gi[k, m] * dC[m, k, i, j] for k in R for m in R)))
 
     # -- packaged export ---------------------------------------------------
-    def pack(self, point: Sequence[float], deep: bool = True,
-             dps: int = DEFAULT_DPS) -> dict[str, np.ndarray]:
+    def pack(self, point: Sequence[float], deep: bool = True
+             ) -> dict[str, np.ndarray]:
         """Full curvature pack at a point, as plain float arrays."""
-        with mp.workdps(dps):
+        parts = {"gamma": self.christoffel, "riemann_lo": self.riemann_lo,
+                 "ricci": self.ricci, "scalar": self.scalar,
+                 "ric2": self.ric2, "ric_norm2": self.ric_norm2}
+        if self.n >= 3:
+            parts.update(schouten=self.schouten, cotton=self.cotton,
+                         weyl=self.weyl_lo)
+        if deep:
+            parts.update(grad_scalar_lo=self.grad_scalar_lo,
+                         hess_scalar=self.hess_scalar,
+                         lap_scalar=self.lap_scalar,
+                         cov_ricci=self.cov_ricci, lap_ricci=self.lap_ricci)
+            if self.n == 4:
+                parts["bach"] = self.bach
+        with mp.workdps(DEFAULT_DPS):
             p = tuple(mp.mpf(repr(float(x))) for x in point)
-            out = {
-                "gamma": _to_numpy(self.christoffel(p)),
-                "riemann_lo": _to_numpy(self.riemann_lo(p)),
-                "ricci": _to_numpy(self.ricci(p)),
-                "scalar": np.float64(float(self.scalar(p))),
-                "ric2": _to_numpy(self.ric2(p)),
-                "ric_norm2": np.float64(float(self.ric_norm2(p))),
-            }
-            if self.n >= 3:
-                out["schouten"] = _to_numpy(self.schouten(p))
-                out["cotton"] = _to_numpy(self.cotton(p))
-                out["weyl"] = _to_numpy(self.weyl_lo(p))
-            if deep:
-                out["grad_scalar_lo"] = _to_numpy(self.grad_scalar_lo(p))
-                out["hess_scalar"] = _to_numpy(self.hess_scalar(p))
-                out["lap_scalar"] = np.float64(float(self.lap_scalar(p)))
-                out["cov_ricci"] = _to_numpy(self.cov_ricci(p))
-                out["lap_ricci"] = _to_numpy(self.lap_ricci(p))
-                if self.n == 4:
-                    out["bach"] = _to_numpy(self.bach(p))
-            return out
+            return {key: _floats(fun(p)) for key, fun in parts.items()}
 
 
-def geometry_from_exprs(entries: Sequence[Sequence], coords: Sequence[str],
-                        params: dict | None = None, h=DEFAULT_H) -> FDGeometry:
-    """FDGeometry over metric entries given as parsed DSL expressions."""
-    n = len(coords)
-    entries = [[exprs.parse(entries[i][j], coords, tuple(params or {}))
-                if isinstance(entries[i][j], str) else entries[i][j]
-                for j in range(n)] for i in range(n)]
-    params = {k: mp.mpf(repr(float(v))) for k, v in (params or {}).items()}
-
-    def gfun(q):
-        env = {name: q[i] for i, name in enumerate(coords)}
-        env.update(params)
-        return [[exprs.eval_mp(entries[i][j], env) for j in range(n)]
-                for i in range(n)]
-
-    return FDGeometry(gfun, n, h=h)
+def _floats(t):
+    """An mpf tensor or scalar as float64."""
+    if isinstance(t, np.ndarray):
+        return t.astype(np.float64)
+    return np.float64(float(t))
 
 
 def geometry_from_chart(chart, h=DEFAULT_H) -> FDGeometry:
     """FDGeometry for a catalog chart (independent of the jet pipeline)."""
-    return geometry_from_exprs(chart.metric, chart.coords,
-                               dict(chart.params), h=h)
+    params = {k: mp.mpf(repr(float(v))) for k, v in chart.params.items()}
+
+    def gfun(q):
+        env = {**dict(zip(chart.coords, q)), **params}
+        return [[exprs.eval_mp(e, env) for e in row] for row in chart.metric]
+
+    return FDGeometry(gfun, chart.dim, h=h)

@@ -412,15 +412,6 @@ def case_value(rep: Mapping) -> dict:
                                 "integral", "scalar_spread") if k in rep}
 
 
-def _case_manifold(doc: Mapping) -> Manifold:
-    ref = doc.get("manifold")
-    if isinstance(ref, str):
-        return charts.get_example(ref)
-    if isinstance(ref, Mapping):
-        return charts.manifold_from_spec(ref)
-    raise IdentityError("case needs a manifold name or document")
-
-
 def run_identity_case(identity_id: str, doc: Mapping | None = None,
                       tol: float = tolerances.DEFAULTS["identity"]) -> dict:
     """Run one identity check from a JSON-style case document.
@@ -446,14 +437,14 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
         raise IdentityError(
             f"unknown case fields {sorted(bad)} for {identity_id}; its "
             f"fields: {', '.join(fields)}")
-    if not isinstance(merged.get("count", 1), (int, np.integer)):
-        raise IdentityError(
-            f"count needs a whole number, got {merged['count']!r}")
+    if not charts.is_count(merged.get("count", 1)):
+        raise IdentityError(f"count needs a whole number, at least one "
+                            f"point; got {merged['count']!r}")
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
     if case.takes_tol:
         kwargs["tol"] = tol
-    out = case.run(_case_manifold(merged), **kwargs)
+    out = case.run(charts.resolve_manifold(merged["manifold"]), **kwargs)
     out["passed"] = case.verdict(out, tol)
     out["identity"] = identity_id
     out.pop("points", None)

@@ -35,7 +35,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .tolerances import DEFAULTS
+from . import charts
+from .tolerances import DEFAULTS, resolve
 
 __all__ = [
     "ProfileError", "ProfileState", "ScanOutcome", "ProfileRun",
@@ -412,12 +413,16 @@ def scan(s0_values: Sequence[float] | None = None,
     "s_range_tol": float}`` where ``corroborates`` records that every
     ``Closed`` cell has S-range at most ``s_range_tol`` — closed profiles
     carry constant curvature (round caps).  The full table is exploratory
-    data about the open cells, never an assertion about completeness.
+    data about the open cells, never an assertion about completeness.  An
+    empty axis raises `ProfileError`: zero cells would corroborate
+    vacuously.
     """
     s0_grid = DEFAULT_S0_GRID if s0_values is None else tuple(
         float(v) for v in s0_values)
     c_grid = DEFAULT_C_GRID if c_values is None else tuple(
         float(v) for v in c_values)
+    if not (s0_grid and c_grid):
+        raise ProfileError("a scan needs at least one S0 and one c value")
     rows = []
     closed = 0
     corroborates = True
@@ -453,12 +458,13 @@ def _config_axis(value, name: str) -> tuple[float, ...] | None:
                 "allowed: ['count', 'hi', 'lo']")
         try:
             lo, hi = float(value["lo"]), float(value["hi"])
-            count = int(value["count"])
+            count = value["count"]
         except KeyError as missing:
             raise ProfileError(
                 f"{name} grid needs lo, hi and count") from missing
-        if count < 1:
-            raise ProfileError(f"{name} grid count must be >= 1")
+        if not charts.is_count(count):
+            raise ProfileError(f"{name} grid count must be a whole number "
+                               f">= 1, got {count!r}")
         return tuple(np.linspace(lo, hi, count))
     return tuple(float(v) for v in value)
 
@@ -478,11 +484,11 @@ def scan_from_config(doc: Mapping) -> dict:
         raise ProfileError(f"unknown scan fields {sorted(bad)}; "
                            f"allowed: {sorted(_CONFIG_FIELDS)}")
     controls = {k: float(doc[k]) for k in _CONTROL_FIELDS if k in doc}
+    gate = ({"scan_s_range": doc["s_range_tol"]} if "s_range_tol" in doc
+            else None)
     return scan(_config_axis(doc.get("s0"), "s0"),
                 _config_axis(doc.get("c"), "c"),
-                s_range_tol=float(doc.get("s_range_tol",
-                                          DEFAULTS["scan_s_range"])),
-                **controls)
+                s_range_tol=resolve(gate)["scan_s_range"], **controls)
 
 
 def table_to_csv(rows: Sequence[Mapping]) -> str:

@@ -108,19 +108,12 @@ class SolitonSpec:
             raise SolitonError(
                 f"unknown soliton fields {sorted(bad)}; "
                 f"allowed: {sorted(_SOLITON_DOC_FIELDS)}")
-        ref = doc.get("manifold")
-        if isinstance(ref, str):
-            manifold = charts.get_example(ref)
-        elif isinstance(ref, Mapping):
-            manifold = charts.manifold_from_spec(ref)
-        else:
-            raise SolitonError("manifold must be a name or a document")
         x = doc.get("X")
         lam = doc.get("lambda")
         if lam is not None and not isinstance(lam, (int, float)):
             raise SolitonError("lambda must be a number")
         return cls(
-            manifold=manifold,
+            manifold=charts.resolve_manifold(doc.get("manifold")),
             x_exprs=None if x is None else tuple(str(e) for e in x),
             potential=doc.get("f"),
             phi=doc.get("phi"),

@@ -6,6 +6,7 @@ overridable per run; check code never hard-codes its own gate.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 __all__ = ["DEFAULTS", "ToleranceError", "resolve"]
@@ -59,7 +60,9 @@ def resolve(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
                 f"known: {sorted(DEFAULTS)}")
         for key, value in overrides.items():
             value = float(value)
-            if not value > 0.0:
-                raise ToleranceError(f"tolerance {key!r} must be positive")
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ToleranceError(
+                    f"tolerance {key!r} must be finite and positive, "
+                    f"got {value!r}")
             merged[key] = value
     return merged

@@ -1,6 +1,7 @@
 """Reporting helpers, tolerance table, and command-line behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ def test_resolve_applies_overrides():
 def test_resolve_validation():
     with pytest.raises(tolerances.ToleranceError, match="unknown"):
         tolerances.resolve({"bogus": 1e-3})
-    with pytest.raises(tolerances.ToleranceError, match="positive"):
-        tolerances.resolve({"identity": 0.0})
+    for bad in (0.0, -1e-3, math.inf, -math.inf, math.nan):
+        with pytest.raises(tolerances.ToleranceError,
+                           match="finite and positive"):
+            tolerances.resolve({"identity": bad})
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +183,7 @@ def test_check_identity_resolution_below_one(tmp_path, capsys, resolution):
     (12.0, "resolution needs whole numbers"),
     ([12.5, 12], "resolution needs whole numbers"),
     ("12", "resolution needs whole numbers"),
+    ([True, 3], "resolution needs whole numbers"),
 ])
 def test_check_identity_resolution_that_is_not_axis_counts(
         tmp_path, capsys, resolution, message):
@@ -212,6 +216,7 @@ def test_check_identity_count_below_one(tmp_path, capsys):
     ("lemma48", {"X": ["0", "0"]}, "unknown case fields"),
     ("lemma35", {"count": "7"}, "count needs a whole number"),
     ("bochner", {"count": 7.9}, "count needs a whole number"),
+    ("bochner", {"count": True}, "count needs a whole number"),
 ])
 def test_check_identity_rejects_fields_that_would_do_nothing(
         tmp_path, capsys, iid, doc, message):
@@ -236,6 +241,34 @@ def test_check_expression_fields_that_are_not_text(tmp_path, capsys, kind,
     args += ["--id", "yano"] if kind == "identity" else ["--count", "2"]
     assert main(args) == 2
     assert "not an expression node" in capsys.readouterr().err
+
+
+def test_check_tol_must_be_finite_and_positive(tmp_path, capsys):
+    # an infinite gate would pass any finite residual
+    case = tmp_path / "sol.json"
+    case.write_text(json.dumps({"manifold": "r2_x_s2", "f": "0",
+                                "lambda": 0.0}))
+    for argv in (["check", "identity", "--id", "yano"],
+                 ["check", "soliton", "--example", "s4-trivial"],
+                 ["check", "soliton", "--case", str(case)]):
+        for tol in ("inf", "nan", "0"):
+            assert main(argv + ["--tol", tol]) == 2, (argv, tol)
+            assert "finite and positive" in capsys.readouterr().err
+
+
+def test_case_manifold_errors_are_one_rule(tmp_path, capsys):
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"manifold": 3}))
+    soliton = tmp_path / "soliton.json"
+    soliton.write_text(json.dumps({"manifold": 3, "f": "0", "lambda": 0.0}))
+    assert main(["check", "identity", "--id", "yano",
+                 "--case", str(identity)]) == 2
+    from_identity = capsys.readouterr().err
+    assert main(["check", "soliton", "--case", str(soliton)]) == 2
+    from_soliton = capsys.readouterr().err
+    assert from_identity == from_soliton
+    assert "manifold must be a catalog name or a manifold document" \
+        in from_soliton
 
 
 def test_check_identity_rejected_hypothesis(tmp_path, capsys):
@@ -334,6 +367,32 @@ def test_ode_scan_bad_config(tmp_path, capsys):
     assert "unknown scan fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"s0": [], "c": [1.0]}, "at least one S0 and one c"),
+    ({"s0": [0.0], "c": []}, "at least one S0 and one c"),
+    ({"s0": {"lo": 0.0, "hi": 1.0, "count": 2.9}, "c": [0.0]},
+     "s0 grid count must be a whole number"),
+    ({"s0": [0.0], "c": {"lo": 0.0, "hi": 1.0, "count": True}},
+     "c grid count must be a whole number"),
+    ({"s0": [2.0], "c": [4.0 / 3.0], "s_range_tol": math.inf},
+     "finite and positive"),
+])
+def test_ode_scan_rejects_configs_that_cannot_fail(tmp_path, capsys, doc,
+                                                   message):
+    # zero cells, or an infinite S-range gate, would corroborate anything;
+    # 2.9 is no count of cells
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["ode", "scan", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_suite_scan_of_zero_cells_is_rejected():
+    # what `suite all --cells 0` runs; a ValueError exits 2
+    with pytest.raises(ValueError, match="at least one S0 and one c"):
+        suite._ode_checks(tolerances.resolve(), 0)
+
+
 def test_suite_all_cli(tmp_path, capsys):
     out_path = tmp_path / "suite.json"
     code = main(["suite", "all", "--count", "6", "--cells", "3",
@@ -369,6 +428,7 @@ def test_suite_soliton_gates_follow_tolerance_overrides(monkeypatch):
 def test_suite_tol_override_validation(capsys):
     assert main(["suite", "all", "--tol", "nope"]) == 2
     assert main(["suite", "all", "--tol", "bogus=1e-3"]) == 2
+    assert main(["suite", "all", "--tol", "soliton=inf"]) == 2
     capsys.readouterr()
 
 

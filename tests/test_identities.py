@@ -399,7 +399,7 @@ def test_case_rejects_fields_its_identity_does_not_read(iid, doc):
     assert iid in str(err.value) and "its fields: manifold" in str(err.value)
 
 
-@pytest.mark.parametrize("count", ["7", 7.9, 7.0, None])
+@pytest.mark.parametrize("count", ["7", 7.9, 7.0, None, True])
 def test_case_count_needs_a_whole_number(count):
     with pytest.raises(IdentityError, match="count needs a whole number"):
         run_identity_case("yano", {"count": count})

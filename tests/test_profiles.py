@@ -293,10 +293,10 @@ def test_scan_grid_with_round_cell():
 
 
 def test_scan_empty_grid():
-    res = scan([], [0.0])
-    assert res["rows"] == []
-    assert res["closed_count"] == 0
-    assert res["corroborates"] is True
+    # zero cells would corroborate vacuously
+    for s0, c in (([], [0.0]), ([0.0], []), ([], [])):
+        with pytest.raises(ProfileError, match="at least one S0 and one c"):
+            scan(s0, c)
 
 
 def test_scan_rows_carry_all_columns():
@@ -337,9 +337,10 @@ def test_scan_from_config_validation():
         scan_from_config({"s0": {"lo": 0.0, "hi": 1.0, "n": 3}, "c": [0.0]})
     with pytest.raises(ProfileError, match="lo, hi and count"):
         scan_from_config({"s0": {"lo": 0.0, "hi": 1.0}, "c": [0.0]})
-    with pytest.raises(ProfileError, match=">= 1"):
-        scan_from_config({"s0": {"lo": 0.0, "hi": 1.0, "count": 0},
-                          "c": [0.0]})
+    for count in (0, 2.9, True, "3"):
+        with pytest.raises(ProfileError, match=">= 1"):
+            scan_from_config({"s0": {"lo": 0.0, "hi": 1.0, "count": count},
+                              "c": [0.0]})
 
 
 def test_csv_output_and_determinism():

@@ -50,7 +50,8 @@ def test_spec_from_doc():
     with pytest.raises(SolitonError, match="lambda must be a number"):
         SolitonSpec.from_doc({"manifold": "r2_x_s2", "f": "x",
                               "lambda": "big"})
-    with pytest.raises(SolitonError, match="name or a document"):
+    with pytest.raises(charts.ChartError,
+                       match="catalog name or a manifold document"):
         SolitonSpec.from_doc({"f": "x", "lambda": 0.0})
     with pytest.raises(charts.ChartError):
         SolitonSpec.from_doc({**doc, "manifold": "nope"})
