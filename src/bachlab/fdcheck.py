@@ -4,9 +4,13 @@ This module deliberately shares no differentiation machinery with the jet
 pipeline.  Scalar quantities are evaluated pointwise in arbitrary
 precision and every derivative is a 4th-order central difference
 (stencil [1, -8, 0, 8, -1]/12h), nested for higher and mixed
-derivatives.  With h ~ 1e-3 and 50 working digits the truncation error
-is ~1e-12 relative and roundoff is negligible, comfortably below the
-1e-6/1e-7 comparison tolerances.
+derivatives.  With 50 working digits roundoff is negligible; the
+truncation error shrinks as h^4 and grows with every nesting level and
+with the size of the metric's higher derivatives.  At the default
+h = 1e-3 it is below 1e-9 relative on the smooth metrics of the
+cross-checks, but near a sphere chart's pole it reaches 2.0e-5: the
+derivative of the Bach tensor of a bumpy S^2 x T^2 at theta = 0.25 is off
+by that much, and by 1.6e-7 at h = 3e-4.
 
 Used by the oracle regression tests and by `scripts/regen_goldens.py`,
 which freezes the expensive deep-curvature values into data/.
@@ -69,6 +73,21 @@ def expr_partials(ex, coords: Sequence[str], point: Sequence[float],
 # ----------------------------------------------------------------------
 # curvature by nested differences
 # ----------------------------------------------------------------------
+class OracleError(ValueError):
+    """A metric the oracle cannot difference: not finite, not exactly
+    symmetric, or singular at a lattice node."""
+
+
+def _where(p: tuple) -> str:
+    return "(" + ", ".join(mp.nstr(x, 12) for x in p) + ")"
+
+
+def _pivot_weight(row: list, j: int):
+    """|row[j]| scaled by the row's absolute sum from column j on."""
+    a = abs(row[j])
+    return a and 1 / mp.fsum(abs(x) for x in row[j:]) * a
+
+
 def _per_point(build: Callable) -> Callable:
     """Memoise a tensor method per point, so nested stencils share work."""
     @functools.wraps(build)
@@ -86,7 +105,16 @@ class FDGeometry:
     gfun maps a point (tuple of mpf) to the n x n metric matrix as nested
     lists of mpf.  Tensors are object arrays of mpf, each built entry by
     entry from its textbook formula; every covariant derivative comes from
-    the one rule in `_cov`.
+    the one rule in `_cov`.  Each tensor is memoised per lattice node.
+
+    The work at a node: gfun is called once (`geometry_from_chart`
+    evaluates each distinct entry tree once), and the metric must be
+    finite and exactly symmetric there (`OracleError` otherwise).  The
+    inverse is one LU elimination.  Gamma sums its bracket, built once per
+    (l, i, j), for i <= j and mirrors the rest; the metric and Gamma are
+    differenced over their i <= j entries only.  Ricci takes the l = i
+    entries of the one Riemann entry rule, so only the base point builds
+    all n^4 entries of R^l_ijk.
 
     Index conventions match the engine: Riem storage R[l][i][j][k] is
     g_{lm} R^m_{ijk} with R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
@@ -116,6 +144,16 @@ class FDGeometry:
         return np.array([self._dtensor(fun, q, a) for a in range(self.n)],
                         dtype=object)
 
+    def _grad_sym(self, fun: Callable, q: tuple) -> np.ndarray:
+        """`_grad` of a tensor symmetric in its last two indices: only the
+        entries with i <= j are differenced, and mirrored."""
+        tri = np.triu_indices(self.n)
+        part = self._grad(lambda x: fun(x)[(..., *tri)], q)
+        out = np.empty(part.shape[:-1] + (self.n, self.n), dtype=object)
+        out[(..., *tri)] = part
+        out[(..., *tri[::-1])] = part
+        return out
+
     def _cov(self, fun: Callable, q: tuple) -> np.ndarray:
         """nabla_m T_{i..} = d_m T_{i..} - sum_s Gamma^a_{m i_s} T_{..a..},
         the derivative index m first, for an all-lower tensor T = fun."""
@@ -132,30 +170,80 @@ class FDGeometry:
     # -- metric level ---------------------------------------------------
     @_per_point
     def metric(self, p):
-        return np.array(self.gfun(p), dtype=object)
+        """g at p; every entry finite and g exactly symmetric."""
+        g = np.array(self.gfun(p), dtype=object)
+        if not all(mp.isfinite(x) for x in g.flat):
+            raise OracleError(f"metric is not finite at {_where(p)}")
+        if any(g[i, j] != g[j, i] for i in range(self.n) for j in range(i)):
+            raise OracleError(f"metric is not symmetric at {_where(p)}")
+        return g
 
     @_per_point
     def metric_inv(self, p):
-        gi = mp.matrix(self.metric(p).tolist()) ** -1
-        return np.array(gi.tolist(), dtype=object)
+        """g^-1 with 10 guard bits: LU elimination with row-scaled partial
+        pivoting, then one forward and back substitution per unit column
+        (the arithmetic of mpmath's `inverse`, on plain lists)."""
+        n, R = self.n, range(self.n)
+        lu, perm = self.metric(p).tolist(), []
+        with mp.extraprec(10):
+            for j in R:
+                if j < n - 1:
+                    weight = [_pivot_weight(row, j) for row in lu[j:]]
+                    k = j + weight.index(max(weight))
+                    lu[j], lu[k] = lu[k], lu[j]
+                    perm.append(k)
+                pivot = lu[j][j]
+                if not pivot or not mp.isfinite(pivot):
+                    raise OracleError(f"metric is singular at {_where(p)}")
+                for i in range(j + 1, n):
+                    lu[i][j] /= pivot
+                    for k in range(j + 1, n):
+                        lu[i][k] -= lu[i][j] * lu[j][k]
+            cols = []
+            for c in R:
+                x = [mp.mpf(int(i == c)) for i in R]
+                for j, k in enumerate(perm):
+                    x[j], x[k] = x[k], x[j]
+                for i in R:
+                    for j in range(i):
+                        x[i] -= lu[i][j] * x[j]
+                for i in reversed(R):
+                    for j in range(i + 1, n):
+                        x[i] -= lu[i][j] * x[j]
+                    x[i] /= lu[i][i]
+                cols.append(x)
+        return np.array(cols, dtype=object).T
 
     @_per_point
     def christoffel(self, p):
-        """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+        """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2.
+
+        The bracket is built once per (l, i, j); entries with i <= j are
+        summed and mirrored, as the metric is symmetric."""
         R = range(self.n)
-        dg, gi = self._grad(self.metric, p), self.metric_inv(p)
-        return self._box(3, lambda k, i, j: sum(
-            gi[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-            for l in R) / 2)
+        dg, gi = self._grad_sym(self.metric, p), self.metric_inv(p)
+        bracket = {(l, i, j): dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
+                   for l in R for i in R for j in R if i <= j}
+        gam = np.empty((self.n,) * 3, dtype=object)
+        for k in R:
+            for i in R:
+                for j in range(i, self.n):
+                    gam[k, i, j] = gam[k, j, i] = sum(
+                        gi[k, l] * bracket[l, i, j] for l in R) / 2
+        return gam
 
     # -- curvature level --------------------------------------------------
+    def _riemann_rule(self, p) -> Callable:
+        """The entry rule (l, i, j, k) -> R^l_ijk at p."""
+        R = range(self.n)
+        dgam, gam = self._grad_sym(self.christoffel, p), self.christoffel(p)
+        return lambda l, i, j, k: sum(
+            (gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k]
+             for m in R), dgam[i, l, j, k] - dgam[j, l, i, k])
+
     @_per_point
     def riemann_up(self, p):
-        R = range(self.n)
-        dgam, gam = self._grad(self.christoffel, p), self.christoffel(p)
-        return self._box(4, lambda l, i, j, k: sum(
-            (gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k]
-             for m in R), dgam[i, l, j, k] - dgam[j, l, i, k]))
+        return self._box(4, self._riemann_rule(p))
 
     @_per_point
     def riemann_lo(self, p):
@@ -166,9 +254,10 @@ class FDGeometry:
 
     @_per_point
     def ricci(self, p):
+        """Ric_jk = R^i_ijk, from the l = i entries of the Riemann rule."""
         R = range(self.n)
-        up = self.riemann_up(p)
-        return self._box(2, lambda j, k: sum(up[i, i, j, k] for i in R))
+        up = self._riemann_rule(p)
+        return self._box(2, lambda j, k: sum(up(i, i, j, k) for i in R))
 
     @_per_point
     def scalar(self, p):
@@ -293,9 +382,14 @@ def _floats(t):
 def geometry_from_chart(chart, h=DEFAULT_H) -> FDGeometry:
     """FDGeometry for a catalog chart (independent of the jet pipeline)."""
     params = {k: mp.mpf(repr(float(v))) for k, v in chart.params.items()}
+    # each distinct entry tree is evaluated once per point; equal trees
+    # (g_ij and g_ji of a symmetric chart) share the value
+    trees = list(dict.fromkeys(e for row in chart.metric for e in row))
+    slots = [[trees.index(e) for e in row] for row in chart.metric]
 
     def gfun(q):
         env = {**dict(zip(chart.coords, q)), **params}
-        return [[exprs.eval_mp(e, env) for e in row] for row in chart.metric]
+        vals = [exprs.eval_mp(e, env) for e in trees]
+        return [[vals[s] for s in row] for row in slots]
 
     return FDGeometry(gfun, chart.dim, h=h)

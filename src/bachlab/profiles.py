@@ -469,6 +469,21 @@ def _config_axis(value, name: str) -> tuple[float, ...] | None:
     return tuple(float(v) for v in value)
 
 
+def _config_control(value, name: str) -> float:
+    """An integrator control of a scan document: a finite positive number,
+    and below 1 for rtol.  Out of range, it would reclassify cells."""
+    top = 1.0 if name == "rtol" else math.inf
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not 0.0 < x < top:  # NaN fails too
+        raise ProfileError(
+            f"scan field {name!r} must be finite and positive"
+            f"{' and below 1' if name == 'rtol' else ''}, got {value!r}")
+    return x
+
+
 def scan_from_config(doc: Mapping) -> dict:
     """Run a scan from a JSON-style configuration document.
 
@@ -483,7 +498,8 @@ def scan_from_config(doc: Mapping) -> dict:
     if bad:
         raise ProfileError(f"unknown scan fields {sorted(bad)}; "
                            f"allowed: {sorted(_CONFIG_FIELDS)}")
-    controls = {k: float(doc[k]) for k in _CONTROL_FIELDS if k in doc}
+    controls = {k: _config_control(doc[k], k) for k in _CONTROL_FIELDS
+                if k in doc}
     gate = ({"scan_s_range": doc["s_range_tol"]} if "s_range_tol" in doc
             else None)
     return scan(_config_axis(doc.get("s0"), "s0"),

@@ -376,6 +376,13 @@ def test_ode_scan_bad_config(tmp_path, capsys):
      "c grid count must be a whole number"),
     ({"s0": [2.0], "c": [4.0 / 3.0], "s_range_tol": math.inf},
      "finite and positive"),
+    # out-of-range integrator controls would reclassify the round cap
+    ({"s0": [2.0], "c": [4.0 / 3.0], "rtol": -1},
+     "scan field 'rtol' must be finite and positive"),
+    ({"s0": [2.0], "c": [4.0 / 3.0], "delta": math.nan},
+     "scan field 'delta' must be finite and positive"),
+    ({"s0": [2.0], "c": [4.0 / 3.0], "rtol": math.nan},
+     "scan field 'rtol' must be finite and positive"),
 ])
 def test_ode_scan_rejects_configs_that_cannot_fail(tmp_path, capsys, doc,
                                                    message):

@@ -1,0 +1,118 @@
+"""The oracle's assumptions, work and values, checked on its packs.
+
+`fdcheck` fails closed on a metric it cannot difference (not finite, not
+exactly symmetric, or singular at a lattice node), evaluates each lattice
+node and each distinct metric entry there once, and reproduces the
+frozen goldens bit for bit.
+"""
+
+import json
+from importlib import resources
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from bachlab import charts, exprs, fdcheck
+
+
+# ----------------------------------------------------------------------
+# what the oracle assumes, checked at every lattice node
+# ----------------------------------------------------------------------
+def _chart(entries, coords=("x", "y")):
+    n = len(coords)
+    return charts.Chart(
+        name="oracle_case", kind="custom", coords=coords,
+        metric_strs=tuple(tuple(r) for r in entries), params={},
+        lo=(-1.0,) * n, hi=(1.0,) * n, periodic=(False,) * n,
+        compact=False, resolution=(8,) * n)
+
+
+def test_oracle_rejects_a_metric_that_is_not_exactly_symmetric():
+    # g_xy and g_yx differ by 1e-20, far below any positive-definiteness
+    # check, but Gamma is mirrored on the assumption g_xy == g_yx
+    chart = _chart([["2 + 0.1*sin(x)", "0.1*cos(x*y)"],
+                    ["0.1*cos(x*y) + 1e-20", "2 + 0.1*cos(y)"]])
+    with pytest.raises(fdcheck.OracleError, match="not symmetric"):
+        fdcheck.geometry_from_chart(chart).pack([0.2, 0.3])
+
+
+@pytest.mark.parametrize("entries", [
+    [["1", "1"], ["1", "1"]],
+    [["1 + x^2", "0"], ["0", "0"]],
+])
+def test_oracle_rejects_a_singular_metric(entries):
+    with pytest.raises(fdcheck.OracleError, match="singular"):
+        fdcheck.geometry_from_chart(_chart(entries)).pack([0.2, 0.3])
+
+
+def test_oracle_rejects_a_metric_that_is_not_finite():
+    geo = fdcheck.FDGeometry(lambda q: [[mp.nan, 0], [0, 1]], 2)
+    with pytest.raises(fdcheck.OracleError, match="not finite"):
+        geo.pack([0.2, 0.3])
+
+
+# ----------------------------------------------------------------------
+# the oracle's work: one metric evaluation per distinct lattice node
+# ----------------------------------------------------------------------
+@pytest.fixture
+def oracle_counts(monkeypatch):
+    """Count gfun calls (as the benchmark tracer does) and eval_mp calls."""
+    counts = {"gfun": 0, "eval_mp": 0}
+    init, eval_mp = fdcheck.FDGeometry.__init__, exprs.eval_mp
+
+    def counted_init(geo, gfun, *args, **kwargs):
+        def counted(q):
+            counts["gfun"] += 1
+            return gfun(q)
+        init(geo, counted, *args, **kwargs)
+
+    def counted_eval(*args):
+        counts["eval_mp"] += 1
+        return eval_mp(*args)
+
+    monkeypatch.setattr(fdcheck.FDGeometry, "__init__", counted_init)
+    monkeypatch.setattr(exprs, "eval_mp", counted_eval)
+    return counts
+
+
+@pytest.mark.parametrize("name, nodes, entries", [
+    ("hyperbolic_2", 129, 2), ("berger_sphere", 593, 6),
+    ("r2_x_s2", 1921, 4)])
+def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
+        oracle_counts, name, nodes, entries):
+    chart = charts.get_example(name).chart
+    fdcheck.geometry_from_chart(chart).pack(
+        charts.sample_points(chart, 2)[1], deep=True)
+    assert oracle_counts == {"gfun": nodes, "eval_mp": nodes * entries}
+
+
+def test_symmetric_entries_share_one_evaluation(oracle_counts):
+    coords = ("x", "y", "z", "w")
+    entries = [[f"{2 + i} + 0.1*sin({coords[i]})" if i == j else
+                f"0.05*cos({coords[min(i, j)]} + 2*{coords[max(i, j)]})"
+                for j in range(4)] for i in range(4)]
+    geo = fdcheck.geometry_from_chart(_chart(entries, coords))
+    with mp.workdps(fdcheck.DEFAULT_DPS):
+        geo.metric((mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf("0.3"),
+                    mp.mpf("0.4")))
+    assert oracle_counts == {"gfun": 1, "eval_mp": 10}
+
+
+# ----------------------------------------------------------------------
+# the oracle's values: the frozen goldens, bit for bit
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["hyperbolic_2", "round_sphere_2",
+                                  "berger_sphere"])
+def test_oracle_reproduces_the_frozen_goldens_bitwise(name):
+    path = resources.files("bachlab").joinpath("data/curvature_goldens.json")
+    doc = json.loads(path.read_text(encoding="ascii"))
+    assert doc["oracle"]["dps"] == fdcheck.DEFAULT_DPS
+    entry, = (e for e in doc["entries"] if e["manifold"] == name)
+    chart = charts.get_example(name).chart
+    pack = fdcheck.geometry_from_chart(chart, h=doc["oracle"]["h"]).pack(
+        entry["point"], deep=True)
+    assert set(pack) == set(entry["oracle"])
+    for key, val in pack.items():
+        gold = np.asarray(entry["oracle"][key], dtype=np.float64)
+        assert np.asarray(val).tobytes() == gold.tobytes(), key

@@ -343,6 +343,21 @@ def test_scan_from_config_validation():
                               "c": [0.0]})
 
 
+# the round cap S0 = 2, c = 4/3 closes at t = pi; unchecked, rtol = -1,
+# delta = NaN and rtol = NaN would classify it CurvatureBlowUp,
+# CompleteOpen and StepFailure, and the scan would still corroborate
+BAD_CONTROLS = [("rtol", -1), ("delta", math.nan), ("rtol", math.nan),
+                ("rtol", 1.0), ("atol", 0.0), ("eps", math.inf),
+                ("s_cap", -math.inf), ("t_max", True), ("t_max", "pi")]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONTROLS)
+def test_scan_from_config_rejects_bad_controls(field, value):
+    doc = {"s0": [2.0], "c": [4.0 / 3.0], field: value}
+    with pytest.raises(ProfileError, match=f"scan field '{field}' must be"):
+        scan_from_config(doc)
+
+
 def test_csv_output_and_determinism():
     res = scan([2.0, 0.0], [4.0 / 3.0], t_max=8.0)
     text = table_to_csv(res["rows"])
