@@ -1,9 +1,10 @@
 """Pointwise curvature pipeline on truncated jets.
 
 A `CurvatureFrame` holds every curvature quantity of a chart metric at
-one point, computed by exact jet arithmetic with explicit order
-bookkeeping.  Starting from metric jets of order m (4 by default, 5 at
-most) the pipeline loses one order per derivative:
+one point, or at each point of a point set, computed by exact jet
+arithmetic with explicit order bookkeeping.  Starting from metric jets of
+order m (4 by default, 5 at most) the pipeline loses one order per
+derivative:
 
     g (m) -> Gamma (m-1) -> Riemann, Ricci, scalar, Schouten, Weyl (m-2)
           -> grad S, cov Ricci, Cotton (m-3)
@@ -12,7 +13,13 @@ most) the pipeline loses one order per derivative:
 Every tensor is one `Jet` whose coefficients form a float64 array of
 shape ``(*tensor_shape, size)``: the tensor indices first, in the order
 of the formulas below, then the Taylor coefficients of each entry in the
-graded layout of `_jettables`.  The trailing size fixes the order (15
+graded layout of `_jettables`.  A frame over N points adds one point
+axis between the two, ``(*tensor_shape, N, size)``: a scalar is then a
+jet of shape (N,), `Jet.value` gives one value per point, and ``t.value
+[..., k]`` is what a frame at the k-th point alone gives, bit for bit.
+The einsum subscripts below name tensor indices only, and the point axis
+rides along with the coefficients in their ``...``, so the same code
+serves one point and a point set.  The trailing size fixes the order (15
 coefficients are order 2 in four variables), and grading makes lowering
 the order a prefix slice.  Index gymnastics (transposes, traces) are
 `np.einsum` calls on the coefficient array; every product of tensors is
@@ -41,7 +48,6 @@ one frame at order BASE_ORDER + 1 = 5; see `bach_divergence` and
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -77,17 +83,29 @@ def _upper_mirrored(t: Jet) -> Jet:
     return Jet(t.dim, t.order, coeffs, _tab=t.tab)
 
 
-class CurvatureFrame:
-    """Curvature of a chart metric at one interior point."""
+def _first_singular(mats: np.ndarray) -> int:
+    """Index of the first matrix of a stack that `np.linalg.inv` rejects."""
+    for k, m in enumerate(mats.reshape((-1,) + mats.shape[-2:])):
+        try:
+            np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            return k
+    raise AssertionError("no singular matrix in the stack")
 
-    def __init__(self, chart: Chart, point: Sequence[float],
-                 order: int = BASE_ORDER):
+
+class CurvatureFrame:
+    """Curvature of a chart metric at one interior point, or at each point
+    of an ``(N, dim)`` array of them."""
+
+    def __init__(self, chart: Chart, point, order: int = BASE_ORDER):
         self.chart = chart
-        self.point = tuple(float(x) for x in point)
-        if len(self.point) != chart.dim:
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != chart.dim:
             raise CurvatureError(
-                f"point has {len(self.point)} coordinates, chart "
-                f"{chart.name!r} has {chart.dim}")
+                f"point has shape {pts.shape}, chart {chart.name!r} has "
+                f"{chart.dim} coordinates")
+        self.point = tuple(pts.tolist()) if pts.ndim == 1 else pts
+        self.batch = pts.shape[:-1]  # () for one point, (N,) for a set
         self.n = chart.dim
         self.order = order
 
@@ -100,14 +118,18 @@ class CurvatureFrame:
     def ginv(self) -> Jet:
         """Inverse metric jets via Newton iteration X <- X(2I - GX)."""
         n = self.n
+        g0 = np.moveaxis(self.g.value, (0, 1), (-2, -1))  # (*batch, n, n)
         try:
-            x0 = np.linalg.inv(self.g.value)
+            x0 = np.linalg.inv(g0)
         except np.linalg.LinAlgError:
-            raise CurvatureError(
-                f"metric of {self.chart.name!r} is singular at "
-                f"{self.point}") from None
-        X = Jet.constant(x0, n, self.order)
-        two_i = Jet.constant(2.0 * np.eye(n), n, self.order)
+            k = _first_singular(g0)
+            at = (f"node {k}, point {tuple(self.point[k].tolist())}"
+                  if self.batch else f"{self.point}")
+            raise CurvatureError(f"metric of {self.chart.name!r} is "
+                                 f"singular at {at}") from None
+        X = Jet.constant(np.moveaxis(x0, (-2, -1), (0, 1)), n, self.order)
+        eye = np.eye(n).reshape((n, n) + (1,) * len(self.batch))
+        two_i = Jet.constant(2.0 * eye, n, self.order)
         for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 5
             X = contract("ik,kj->ij", X,
                          two_i - contract("ik,kj->ij", self.g, X))
@@ -198,7 +220,7 @@ class CurvatureFrame:
         """
         out = T.grad()
         Tm = T.truncated(T.order - 1)
-        idx = "bcdefgh"[:T.ndim]
+        idx = "bcdefgh"[:T.ndim - len(self.batch)]
         for s, i_s in enumerate(idx):
             slot = idx[:s] + "m" + idx[s + 1:]
             out = out - contract(f"ma{i_s},{slot}->a{idx}", self.gamma, Tm)
@@ -259,7 +281,7 @@ class CurvatureFrame:
     # -- generic operators ------------------------------------------------
     def scalar_jet(self, text_or_expr, order: int | None = None) -> Jet:
         """A chart expression or its text, or a nested list of them, as
-        one jet at the frame's point (see `exprs.eval_jet`)."""
+        one jet at the frame's points (see `exprs.eval_jet`)."""
         return exprs.eval_jet(text_or_expr, self.point, self.chart.coords,
                               self.chart.params,
                               order if order is not None else self.order)
@@ -345,8 +367,8 @@ class CurvatureFrame:
         return contract("j,j->", al, X)
 
 
-def frame_at(obj: Chart | Manifold, point: Sequence[float]
-             ) -> CurvatureFrame:
+def frame_at(obj: Chart | Manifold, point) -> CurvatureFrame:
+    """The frame of a chart or manifold at a point or an (N, dim) array."""
     chart = obj.chart if isinstance(obj, Manifold) else obj
     return CurvatureFrame(chart, point)
 

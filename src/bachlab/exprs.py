@@ -20,8 +20,9 @@ set of declared names.  The same AST evaluates against several backends:
 python floats, NumPy arrays (vectorized over node grids), mpmath (for
 the finite-difference oracle), and jets (for derivative propagation).
 `eval_jet` also takes a text, or a nested list of expressions and texts
-such as a metric matrix, and returns one tensor `Jet` of that shape; its
-functions are `jets.ELEMENTARY`.
+such as a metric matrix, and returns one tensor `Jet` of that shape, at
+one point or at each of an array of points; it evaluates each distinct
+subtree once per call, and its functions are `jets.ELEMENTARY`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Callable, Mapping, Sequence
 import mpmath as mp
 import numpy as np
 
+from ._jettables import tables
 from .jets import ELEMENTARY, Jet
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "log")
@@ -395,37 +397,115 @@ def eval_mp(e: Expr, env: Mapping[str, mp.mpf]) -> mp.mpf:
     return _eval(e, env, MP_FUNCS, mp.mpf)
 
 
-def eval_jet(e, point: Sequence[float], coords: Sequence[str],
+def eval_jet(e, point, coords: Sequence[str],
              params: Mapping[str, float] | None = None, order: int = 4) -> Jet:
     """Evaluate to a jet at a point: all partials up to `order` at once.
 
     `e` is an expression, its text, or a nested list or tuple of them; the
     result is one `Jet` of that tensor shape (a scalar jet for a single
-    expression).  The coordinate and parameter jets are built once per
-    call and every entry is evaluated on them with scalar jets.
+    expression).  `point` is one point, or an ``(N, dim)`` array of them,
+    which adds a point axis after the tensor axes: coefficients of shape
+    ``(*tensor_shape, N, size)``.  The coordinate and parameter jets are
+    built once per call, and each distinct subtree is evaluated once per
+    call, however many entries or subexpressions it occurs in.
     """
     dim = len(coords)
-    if len(point) != dim:
-        raise DslError(f"point has length {len(point)}, expected {dim}")
+    pts = np.asarray(point, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
+        raise DslError(f"point has shape {pts.shape}, expected ({dim},) "
+                       f"or (N, {dim})")
+    batch = pts.shape[:-1]
     params = params or {}
-    env: dict[str, object] = {
-        name: Jet.variable(axis, float(point[axis]), dim, order)
+    env: dict[str, Jet] = {
+        name: Jet.variable(axis, pts[..., axis], dim, order)
         for axis, name in enumerate(coords)
     }
     for name, value in params.items():
         env[name] = Jet.constant(float(value), dim, order)
+    out = _JetEvaluation(env, dim, order, batch).coeffs(
+        e, coords, tuple(params))
+    return Jet(dim, order, out if out.flags.writeable else out.copy())
 
-    def const(v: float) -> Jet:
-        return Jet.constant(v, dim, order)
 
-    def coeffs(x) -> np.ndarray:
+class _JetEvaluation:
+    """The jets of one `eval_jet` call, one per distinct subtree.
+
+    Value numbering: a node's key holds its children's value numbers, so
+    equal subtrees share one jet without hashing whole trees.
+    """
+
+    def __init__(self, env: Mapping[str, Jet], dim: int, order: int,
+                 batch: tuple[int, ...]):
+        self.env, self.dim, self.order = env, dim, order
+        self.full = batch + (tables(dim, order).size,)
+        self.numbers: dict[int, int] = {}  # id(node) -> value number
+        self.by_key: dict[tuple, int] = {}  # node key -> value number
+        self.vals: list[Jet] = []
+        self.trees: list = []  # parsed trees, alive while ids are keys
+
+    def coeffs(self, x, coords, params) -> np.ndarray:
+        """Coefficients of an expression, its text or a nested list."""
         if isinstance(x, (list, tuple)):
-            return np.stack([coeffs(y) for y in x])
+            return np.stack([self.coeffs(y, coords, params) for y in x])
         if isinstance(x, str):
-            x = parse(x, coords, tuple(params))
-        return _eval(x, env, JET_FUNCS, const).coeffs
+            x = parse(x, coords, params)
+            self.trees.append(x)
+        c = self.vals[self.number(x)].coeffs
+        # an entry constant in the point broadcasts over the point axis
+        return c if c.shape == self.full else np.broadcast_to(c, self.full)
 
-    return Jet(dim, order, coeffs(e))
+    def number(self, x) -> int:
+        got = self.numbers.get(id(x))
+        if got is not None:
+            return got
+        t = type(x)
+        if t is Num:
+            key = (t, x.v, math.copysign(1.0, x.v))
+        elif t is Var or t is Par:
+            key = (Var, x.name)
+        elif t is Neg:
+            key = (t, self.number(x.a))
+        elif t is Pow:
+            key = (t, self.number(x.a), x.k)
+        elif t is Call:
+            key = (t, self.number(x.a), x.fn)
+        elif t in (Add, Sub, Mul, Div):
+            key = (t, self.number(x.a), self.number(x.b))
+        else:
+            raise DslError(f"not an expression node: {x!r}")
+        got = self.by_key.get(key)
+        if got is None:
+            got = self.by_key[key] = len(self.vals)
+            self.vals.append(self.jet(x, key))
+        self.numbers[id(x)] = got
+        return got
+
+    def jet(self, x, key: tuple) -> Jet:
+        """The jet of one node, given its children's by value number."""
+        t = type(x)
+        if t is Num:
+            return Jet.constant(x.v, self.dim, self.order)
+        if t is Var or t is Par:
+            try:
+                return self.env[x.name]
+            except KeyError:
+                raise DslNameError(
+                    f"unbound name {x.name!r} at evaluation") from None
+        a = self.vals[key[1]]
+        if t is Neg:
+            return -a
+        if t is Pow:
+            return a ** x.k
+        if t is Call:
+            return JET_FUNCS[x.fn](a)
+        b = self.vals[key[2]]
+        if t is Add:
+            return a + b
+        if t is Sub:
+            return a - b
+        if t is Mul:
+            return a * b
+        return a / b
 
 
 def free_names(e: Expr) -> set[str]:

@@ -1,9 +1,10 @@
 """Pointwise and integral identities for vector fields and flow tensors.
 
-Each function evaluates both sides of one identity with the jet pipeline
-and reports residuals; the integral identities integrate over the chart's
-quadrature rule and report per-term magnitudes so imbalances can be judged
-against the largest term.  Integral identities are exercised on constructed
+Each function evaluates both sides of one identity with the jet pipeline,
+on one `CurvatureFrame` over its whole set of sample points or quadrature
+nodes (values carry a trailing point axis), and reports residuals; the
+integral identities integrate over the chart's quadrature rule and report
+per-term magnitudes so imbalances can be judged against the largest term.  Integral identities are exercised on constructed
 flow data q := L_X g - 2 phi g, for which the generalized soliton relation
 holds by definition; this gives a sound test family without solving any
 flow equation.  Conformality of a field is operationalized as the sup norm
@@ -31,7 +32,8 @@ __all__ = [
     "IDENTITY_IDS", "case_value", "run_identity_case",
 ]
 
-CONFORMAL_GATE = 1e-9
+_TOLS = tolerances.DEFAULTS
+CONFORMAL_GATE = _TOLS["conformal_gate"]
 
 
 class IdentityError(ValueError):
@@ -39,7 +41,7 @@ class IdentityError(ValueError):
 
 
 def conformality_gap(frame: CurvatureFrame, x_jets) -> float:
-    """Sup norm of the trace-free part of L_X g at the frame's point."""
+    """Sup norm of the trace-free part of L_X g over the frame's points."""
     lie = frame.lie_metric(x_jets)
     return sup(np.abs(values(frame.trace_free(lie))))
 
@@ -51,10 +53,10 @@ def _check_conformal(gap: float, gate: float) -> None:
             f"exceeds the gate {gate:.1e}")
 
 
-def _constructed_flow(man: Manifold, point, x_exprs: Sequence[str],
+def _constructed_flow(man: Manifold, points, x_exprs: Sequence[str],
                       phi_expr: str):
-    """The order-3 frame at a point, X, L_X g, phi and q = L_X g - 2 phi g."""
-    frame = CurvatureFrame(man.chart, point, order=3)
+    """The order-3 frame at the points, X, L_X g, phi, q = L_X g - 2 phi g."""
+    frame = CurvatureFrame(man.chart, points, order=3)
     x = frame.vector_jets(x_exprs, order=3)
     lie = frame.lie_metric(x)
     phi = frame.scalar_jet(phi_expr, order=lie.order)
@@ -73,18 +75,15 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
     n = man.dim
     if len(t_exprs) != n or any(len(row) != n for row in t_exprs):
         raise IdentityError(f"T must be {n} x {n}")
-    res = np.empty(len(points))
-    for k, p in enumerate(points):
-        frame = frame_at(man, p)
-        x = frame.vector_jets(x_exprs)
-        t = frame.scalar_jet(t_exprs)
-        lie = frame.lie_metric(x)
-        lhs = values(frame.inner_sym2(lie, t))
-        alpha = contract("ij,j->i", t, x)
-        div_t = frame.divergence_sym2(t)
-        rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
-            - 2.0 * values(frame.pair_oneform_vector(div_t, x))
-        res[k] = abs(lhs - rhs)
+    frame = frame_at(man, points)
+    x = frame.vector_jets(x_exprs)
+    t = frame.scalar_jet(t_exprs)
+    lhs = values(frame.inner_sym2(frame.lie_metric(x), t))
+    alpha = contract("ij,j->i", t, x)
+    div_t = frame.divergence_sym2(t)
+    rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
+        - 2.0 * values(frame.pair_oneform_vector(div_t, x))
+    res = np.abs(lhs - rhs)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -93,14 +92,12 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
     """div(L_X g) = div of the trace-free constructed q plus (2/n) d(div X)."""
     points = charts.residual_sample_points(man, count)
     n = man.dim
-    res = np.empty(len(points))
-    for k, p in enumerate(points):
-        frame, x, lie, _, q = _constructed_flow(man, p, x_exprs, phi_expr)
-        lhs = values(frame.divergence_sym2(lie))
-        d_div = values(frame.divergence_vector(x).grad())
-        rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
-            + (2.0 / n) * d_div
-        res[k] = float(np.abs(lhs - rhs).max())
+    frame, x, lie, _, q = _constructed_flow(man, points, x_exprs, phi_expr)
+    lhs = values(frame.divergence_sym2(lie))
+    d_div = values(frame.divergence_vector(x).grad())
+    rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
+        + (2.0 / n) * d_div
+    res = np.abs(lhs - rhs).max(axis=0)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -109,17 +106,14 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
     """L_X S = -2 sigma S - 2(n-1) Lap(sigma), sigma = div(X)/n, X conformal."""
     points = charts.residual_sample_points(man, count)
     n = man.dim
-    res = np.empty(len(points))
-    gap = 0.0
-    for k, p in enumerate(points):
-        frame = frame_at(man, p)
-        x = frame.vector_jets(x_exprs)
-        gap = sup(gap, conformality_gap(frame, x))
-        sigma = frame.divergence_vector(x) * (1.0 / n)
-        lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
-        rhs = -2.0 * values(sigma) * values(frame.scalar) \
-            - 2.0 * (n - 1) * values(frame.laplacian(sigma))
-        res[k] = abs(lhs - rhs)
+    frame = frame_at(man, points)
+    x = frame.vector_jets(x_exprs)
+    gap = conformality_gap(frame, x)
+    sigma = frame.divergence_vector(x) * (1.0 / n)
+    lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
+    rhs = -2.0 * values(sigma) * values(frame.scalar) \
+        - 2.0 * (n - 1) * values(frame.laplacian(sigma))
+    res = np.abs(lhs - rhs)
     _check_conformal(gap, gate)
     return {"points": points, "residuals": res, "sup": sup(res),
             "conformality_gap": gap}
@@ -128,16 +122,13 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
 def bochner_identity(man: Manifold, h_expr: str, count: int = 50) -> dict:
     """div(Hess h) = Ric(grad h) + d(Lap h) as 1-forms."""
     points = charts.residual_sample_points(man, count)
-    res = np.empty(len(points))
-    for k, p in enumerate(points):
-        frame = frame_at(man, p)
-        h = frame.scalar_jet(h_expr)
-        hess = frame.hessian(h)
-        lhs = values(frame.divergence_sym2(hess))
-        ric_grad = values(frame.contract_vector_sym2(
-            frame.gradient_vector(h), frame.ricci))
-        d_lap = values(frame.laplacian(h).grad())
-        res[k] = float(np.abs(lhs - ric_grad - d_lap).max())
+    frame = frame_at(man, points)
+    h = frame.scalar_jet(h_expr)
+    lhs = values(frame.divergence_sym2(frame.hessian(h)))
+    ric_grad = values(frame.contract_vector_sym2(
+        frame.gradient_vector(h), frame.ricci))
+    d_lap = values(frame.laplacian(h).grad())
+    res = np.abs(lhs - ric_grad - d_lap).max(axis=0)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -165,23 +156,20 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
     """
     quad = _compact_quadrature(man, resolution)
     n = man.dim
-    cols = np.empty((len(quad.nodes), 6))
-    for k, p in enumerate(quad.nodes):
-        frame, x, lie, phi, q = _constructed_flow(man, p, x_exprs, phi_expr)
-        tr_q = frame.trace(q)
-        q_bar = frame.trace_free(q)
-        cols[k] = (
-            values(phi) * values(tr_q),
-            values(tr_q) ** 2 / (2.0 * n),
-            values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
-            -0.5 * values(frame.norm2_sym2(q_bar)),
-            values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar),
-                                             x)),
-            -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
-        )
-    ints = [charts.integrate(man.chart, cols[:, j], quad=quad)
-            for j in range(6)]
-    t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = ints
+    frame, x, lie, phi, q = _constructed_flow(man, quad.nodes, x_exprs,
+                                              phi_expr)
+    tr_q = values(frame.trace(q))
+    q_bar = frame.trace_free(q)
+    cols = (
+        values(phi) * tr_q,
+        tr_q ** 2 / (2.0 * n),
+        values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
+        -0.5 * values(frame.norm2_sym2(q_bar)),
+        values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar), x)),
+        -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
+    )
+    t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = (
+        charts.integrate(man.chart, col, quad=quad) for col in cols)
     lhs1 = t_phi + t_tr + t_div
     scale1 = max(abs(t_phi), abs(t_tr), abs(t_div), abs(rhs1))
     scale2 = max(abs(lhs2), abs(rhs2))
@@ -198,7 +186,8 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
 def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
                               q_mode: str = "ricci", resolution=None,
                               gate: float = CONFORMAL_GATE,
-                              bianchi_tol: float = 1e-8) -> dict:
+                              bianchi_tol: float = _TOLS["bianchi"]
+                              ) -> dict:
     """Integral of L_X tr(q) vanishes for conformal X when div q = (1/2) d tr q.
 
     ``q_mode`` selects the flow tensor: ``"ricci"`` (the divergence
@@ -211,29 +200,24 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
         raise IdentityError("q = S g satisfies the divergence condition "
                             "in dimension 2 only")
     quad = _compact_quadrature(man, resolution)
-    vals = np.empty(len(quad.nodes))
-    absvals = np.empty(len(quad.nodes))
-    bianchi = gap = 0.0
-    for k, p in enumerate(quad.nodes):
-        frame = frame_at(man, p)
-        x = frame.vector_jets(x_exprs)
-        gap = sup(gap, conformality_gap(frame, x))
-        if q_mode == "ricci":
-            q = frame.ricci
-        else:
-            q = frame.scalar * frame.g_at(frame.scalar.order)
-        tr_q = frame.trace(q)
-        d_tr = tr_q.grad()
-        bianchi = sup(bianchi, np.abs(values(frame.divergence_sym2(q))
-                                      - 0.5 * values(d_tr)))
-        vals[k] = values(frame.pair_oneform_vector(d_tr, x))
-        absvals[k] = abs(values(tr_q))
+    frame = frame_at(man, quad.nodes)
+    x = frame.vector_jets(x_exprs)
+    gap = conformality_gap(frame, x)
+    if q_mode == "ricci":
+        q = frame.ricci
+    else:
+        q = frame.scalar * frame.g_at(frame.scalar.order)
+    tr_q = frame.trace(q)
+    d_tr = tr_q.grad()
+    bianchi = sup(np.abs(values(frame.divergence_sym2(q))
+                          - 0.5 * values(d_tr)))
     _check_conformal(gap, gate)
     if bianchi > bianchi_tol:
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
+    vals = values(frame.pair_oneform_vector(d_tr, x))
     integral = charts.integrate(man.chart, vals, quad=quad)
-    scale = charts.integrate(man.chart, absvals, quad=quad)
+    scale = charts.integrate(man.chart, np.abs(values(tr_q)), quad=quad)
     return {"integral": integral, "scale": scale,
             "conformality_gap": gap, "bianchi_residual": bianchi,
             "nodes": len(quad.nodes)}
@@ -241,7 +225,7 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
 
 def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
                                   phi_expr: str = "0", resolution=None,
-                                  tol: float = 1e-7,
+                                  tol: float = _TOLS["identity"],
                                   gate: float = CONFORMAL_GATE) -> dict:
     """Integral of ||tracefree q||^2 + ((n-2)/n) L_X tr q for constructed q.
 
@@ -252,20 +236,16 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     """
     quad = _compact_quadrature(man, resolution)
     n = man.dim
-    qbar_vals = np.empty(len(quad.nodes))
-    lie_tr_vals = np.empty(len(quad.nodes))
-    bianchi = 0.0
-    conf = 0.0
-    for k, p in enumerate(quad.nodes):
-        frame, x, lie, _, q = _constructed_flow(man, p, x_exprs, phi_expr)
-        qbar_vals[k] = values(frame.norm2_sym2(frame.trace_free(q)))
-        d_tr = frame.trace(q).grad()
-        lie_tr_vals[k] = values(frame.pair_oneform_vector(d_tr, x))
-        bianchi = sup(bianchi, np.abs(values(frame.divergence_sym2(q))
-                                      - 0.5 * values(d_tr)))
-        conf = sup(conf, np.abs(values(frame.trace_free(lie))))
-    qbar_int = charts.integrate(man.chart, qbar_vals, quad=quad)
-    lie_tr_int = charts.integrate(man.chart, lie_tr_vals, quad=quad)
+    frame, x, lie, _, q = _constructed_flow(man, quad.nodes, x_exprs,
+                                            phi_expr)
+    d_tr = frame.trace(q).grad()
+    qbar_int = charts.integrate(
+        man.chart, values(frame.norm2_sym2(frame.trace_free(q))), quad=quad)
+    lie_tr_int = charts.integrate(
+        man.chart, values(frame.pair_oneform_vector(d_tr, x)), quad=quad)
+    bianchi = sup(np.abs(values(frame.divergence_sym2(q))
+                          - 0.5 * values(d_tr)))
+    conf = sup(np.abs(values(frame.trace_free(lie))))
     total = qbar_int + (n - 2.0) / n * lie_tr_int
     scale = max(qbar_int, abs((n - 2.0) / n * lie_tr_int), 1.0)
     vanishes = abs(total) <= tol * scale
@@ -284,15 +264,20 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
 # compact-surface scalar rigidity
 # ----------------------------------------------------------------------
 def surface_scalar_rigidity(man: Manifold, resolution=None,
-                            c_tol: float = 1e-8, tol: float = 1e-7) -> dict:
+                            c_tol: float = _TOLS["rigidity_c_spread"],
+                            tol: float = _TOLS["identity"],
+                            grad_tol: float = _TOLS["rigidity_grad"],
+                            slack_tol: float = _TOLS["rigidity_slack"]
+                            ) -> dict:
     """Rigidity machinery on a compact surface with Lap(S) + S^2/3 constant.
 
     Checks, in order: the hypothesis (the invariant c = Lap(S) + S^2/3 is
     constant over the chart within ``c_tol``; violated hypothesis raises);
     the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter exact,
-    from the order-5 frame built at each interior point); the integral
-    identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the pointwise bound
-    ||Hess S||^2 >= (Lap S)^2 / 2;  and the conclusion that S is constant.
+    from one order-5 frame over the interior points) within ``grad_tol``;
+    the integral identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the
+    pointwise bound ||Hess S||^2 >= (Lap S)^2 / 2, to ``slack_tol`` below
+    zero;  and the conclusion that S is constant.
     """
     chart = man.chart
     if chart.dim != 2:
@@ -301,44 +286,30 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     # pointwise checks run on interior sample points: quadrature nodes next
     # to chart degeneracies (sphere poles) amplify harmless rounding in
     # Lap(S) through the inverse metric and would mask the real question
-    interior = charts.sample_points(chart, 24)
-    c_vals = np.empty(len(interior))
-    s_vals = np.empty(len(interior))
-    lap_vals = np.empty(len(interior))
-    slack = np.empty(len(interior))
-    grad_res = 0.0
-    for k, p in enumerate(interior):
-        frame = CurvatureFrame(chart, p, order=BASE_ORDER + 1)
-        s = values(frame.scalar)
-        lap = values(frame.lap_scalar)
-        hess2 = values(frame.norm2_sym2(frame.hess_scalar))
-        c_vals[k] = lap + s * s / 3.0
-        s_vals[k] = s
-        lap_vals[k] = lap
-        slack[k] = hess2 - lap * lap / 2.0
-        grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
-        grad_lap = values(frame.lap_scalar.grad())
-        grad_res = sup(grad_res, np.abs(grad_s2 + 3.0 * grad_lap))
-    cs_slack = float(np.min(slack))  # NaN propagates and fails below
-    c_spread = float(np.ptp(c_vals))
+    frame = CurvatureFrame(chart, charts.sample_points(chart, 24),
+                           order=BASE_ORDER + 1)
+    s = values(frame.scalar)
+    lap = values(frame.lap_scalar)
+    hess2 = values(frame.norm2_sym2(frame.hess_scalar))
+    grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
+    grad_res = sup(np.abs(grad_s2 + 3.0 * values(frame.lap_scalar.grad())))
+    cs_slack = float(np.min(hess2 - lap * lap / 2.0))  # NaN fails below
+    c_spread = float(np.ptp(lap + s * s / 3.0))
     if not c_spread <= c_tol:  # a NaN spread violates it too
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
-    hess2_nodes = np.empty(len(quad.nodes))
-    lap2_nodes = np.empty(len(quad.nodes))
-    for k, p in enumerate(quad.nodes):
-        frame = frame_at(man, p)
-        lap2_nodes[k] = values(frame.lap_scalar) ** 2
-        hess2_nodes[k] = values(frame.norm2_sym2(frame.hess_scalar))
-    hess2_int = charts.integrate(chart, hess2_nodes, quad=quad)
-    lap2_int = charts.integrate(chart, lap2_nodes, quad=quad)
+    nodes = frame_at(man, quad.nodes)
+    hess2_int = charts.integrate(
+        chart, values(nodes.norm2_sym2(nodes.hess_scalar)), quad=quad)
+    lap2_int = charts.integrate(chart, values(nodes.lap_scalar) ** 2,
+                                quad=quad)
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
-    s_spread = float(np.ptp(s_vals))
-    lap_sup = float(np.abs(lap_vals).max())
-    passed = bool(grad_res <= 1e-6
+    s_spread = float(np.ptp(s))
+    lap_sup = float(np.abs(lap).max())
+    passed = bool(grad_res <= grad_tol
                   and abs(hess2_int - lap2_int / 4.0) <= tol * int_scale
-                  and cs_slack >= -1e-10
+                  and cs_slack >= -slack_tol
                   and s_spread <= tol and lap_sup <= tol)
     return {
         "c_spread": c_spread,
@@ -362,6 +333,7 @@ class _Identity(NamedTuple):
     fields: tuple  # the case fields ``run`` reads besides "manifold"
     verdict: Callable[[dict, float], bool]  # (report, tol) -> passed
     takes_tol: bool = False  # ``run`` reads tol and reports its answer
+    gates: tuple = ()  # (keyword, tolerance key) of ``run``'s other gates
 
 
 # case field -> keyword; count and resolution keep their names
@@ -385,22 +357,27 @@ _IDENTITIES = {
         and r["imbalance2"] <= tol * max(r["scale2"], 1.0)),
     "yano": _Identity(yano_identity, {
         "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X},
-        ("X", "count"), lambda r, tol: r["sup"] <= tol),
+        ("X", "count"), lambda r, tol: r["sup"] <= tol,
+        gates=(("gate", "conformal_gate"),)),
     "be": _Identity(bourguignon_ezin_integral, {
         "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X,
         "q": "ricci"}, ("X", "q", "resolution"),
-        lambda r, tol: abs(r["integral"]) <= tol * max(r["scale"], 1.0)),
+        lambda r, tol: abs(r["integral"]) <= tol * max(r["scale"], 1.0),
+        gates=(("gate", "conformal_gate"), ("bianchi_tol", "bianchi"))),
     "thm38": _Identity(soliton_conformality_integral, {
         "manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
         "phi": "0.1*cos(th)"}, ("X", "phi", "resolution"),
-        lambda r, tol: r["verdict"] == "conformal", takes_tol=True),
+        lambda r, tol: r["verdict"] == "conformal", takes_tol=True,
+        gates=(("gate", "conformal_gate"),)),
     "bochner": _Identity(bochner_identity, {
         "manifold": "conformal_sphere_bump",
         "h": "0.5*cos(th) + 0.2*sin(th)*cos(ph)"}, ("h", "count"),
         lambda r, tol: r["sup"] <= tol),
     "lemma48": _Identity(surface_scalar_rigidity, {
         "manifold": "round_sphere_2"}, ("resolution",),
-        lambda r, tol: r["passed"], takes_tol=True),
+        lambda r, tol: r["passed"], takes_tol=True,
+        gates=(("c_tol", "rigidity_c_spread"), ("grad_tol", "rigidity_grad"),
+               ("slack_tol", "rigidity_slack"))),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -413,7 +390,8 @@ def case_value(rep: Mapping) -> dict:
 
 
 def run_identity_case(identity_id: str, doc: Mapping | None = None,
-                      tol: float = tolerances.DEFAULTS["identity"]) -> dict:
+                      tol: float = _TOLS["identity"],
+                      gates: Mapping[str, float] = _TOLS) -> dict:
     """Run one identity check from a JSON-style case document.
 
     The document overrides fields of the identity's default case.  Each
@@ -421,7 +399,10 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
     and rejects any other: lemma35 ``X``, ``T``, ``count``; thm32 and thm38
     ``X``, ``phi``, ``resolution``; yano ``X``, ``count``; be ``X``, ``q``,
     ``resolution``; bochner ``h``, ``count``; lemma48 ``resolution``.
-    Returns the identity's report with ``"identity"`` and ``"passed"``.
+    ``tol`` is the case's own gate; its other gates (the conformality
+    gate, the divergence condition, the rigidity hypothesis and bounds)
+    are read from ``gates``, a resolved tolerance table.  Returns the
+    identity's report with ``"identity"`` and ``"passed"``.
     """
     if identity_id not in _IDENTITIES:
         raise IdentityError(
@@ -444,6 +425,7 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
               for f in case.fields if f in merged}
     if case.takes_tol:
         kwargs["tol"] = tol
+    kwargs.update((kw, gates[key]) for kw, key in case.gates)
     out = case.run(charts.resolve_manifold(merged["manifold"]), **kwargs)
     out["passed"] = case.verdict(out, tol)
     out["identity"] = identity_id

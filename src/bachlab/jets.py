@@ -9,8 +9,10 @@ truncation order, exactly (to roundoff) for the retained grades.
 
 A jet may also be a tensor of jets: ``coeffs`` then has shape
 ``(*shape, size)``, one coefficient vector per tensor entry, and indexing
-a full tensor index gives back a scalar `Jet`.  Ring operations act
-entrywise with NumPy broadcasting; `contract` multiplies two tensors of
+a full tensor index gives back a scalar `Jet`.  Jets at a set of points
+use the same layout: the points are one more tensor axis, the last before
+the coefficients (see `curvature`).  Ring operations act entrywise with
+NumPy broadcasting; `contract` multiplies two tensors of
 jets and sums over their shared tensor indices.  Every product runs
 through the one kernel in `_kernels`.  Tensors of jets are built as one
 coefficient array: `exprs.eval_jet` evaluates a nested list of
@@ -24,10 +26,13 @@ Conventions and contracts:
   hard error, lowering is explicit via `truncated`; `contract` works at
   the lower of its operands' orders, which is as far as their product is
   known;
-* elementary functions take scalar jets only;
-* elementary-function composition uses the univariate Taylor expansion of
-  the function at the constant term, evaluated by Horner's rule on the
-  nilpotent part, so it is exact on the retained grades;
+* elementary functions act entrywise on a tensor of jets; each entry's
+  composition uses the univariate Taylor expansion of the function at its
+  constant term, computed with `math` per entry and evaluated by Horner's
+  rule on the nilpotent part, so it is exact on the retained grades;
+* a domain error (sqrt or log of a non-positive constant term, the
+  reciprocal of a zero one) in any entry raises `JetDomainError` naming the
+  entry; a NaN constant term propagates;
 * derivative() lowers the order by one, as it must.
 """
 
@@ -96,17 +101,16 @@ class Jet:
         return cls(dim, order, coeffs, _tab=tab)
 
     @classmethod
-    def variable(cls, axis: int, value: float, dim: int, order: int) -> "Jet":
-        """The coordinate function x_axis expanded at x_axis = value."""
+    def variable(cls, axis: int, value, dim: int, order: int) -> "Jet":
+        """The coordinate function x_axis expanded at x_axis = value, or a
+        tensor of such jets for an array of values."""
         if not (0 <= axis < dim):
             raise JetError(f"variable axis {axis} out of range for dim {dim}")
-        tab = tables(dim, order)
-        coeffs = np.zeros(tab.size)
-        coeffs[0] = value
+        jet = cls.constant(value, dim, order)
         if order >= 1:
             unit = tuple(1 if a == axis else 0 for a in range(dim))
-            coeffs[tab.index[unit]] = 1.0
-        return cls(dim, order, coeffs, _tab=tab)
+            jet.coeffs[..., jet.tab.index[unit]] = 1.0
+        return jet
 
     # ------------------------------------------------------------------
     # tensor structure
@@ -303,87 +307,93 @@ class Jet:
     # ------------------------------------------------------------------
     # elementary-function composition
     # ------------------------------------------------------------------
-    def _horner(self, series: Sequence[float]) -> "Jet":
-        """Evaluate sum_k series[k] * (self - value)^k by Horner's rule.
+    def _compose(self, series_at: Callable[[float], list]) -> "Jet":
+        """f(self) entrywise, for the f whose Taylor coefficients at c are
+        series_at(c): sum_k series_k * (self - c)^k by Horner's rule.
 
         The shifted jet is nilpotent (zero constant term), so the truncated
-        products are exact on the retained grades.
+        products are exact on the retained grades.  The series is computed
+        with `math` per entry, so a tensor entry gets the same bits as a
+        scalar jet with its coefficients.
         """
+        base = self.coeffs[..., 0]
+        if self.ndim:
+            series = np.array([series_at(c) for c in base.ravel()]).T
+            series = series.reshape((self.order + 1,) + self.shape)
+        else:
+            series = series_at(base[()])
         u = self.coeffs.copy()
-        u[0] = 0.0
-        nilpotent = Jet(self.dim, self.order, u, _tab=self.tab)
-        acc = Jet.constant(series[-1], self.dim, self.order)
-        for ck in reversed(series[:-1]):
+        u[..., 0] = 0.0
+        nilpotent = self._like(u)
+        acc = self._like(np.zeros_like(u))
+        acc.coeffs[..., 0] = series[-1]
+        for ck in series[-2::-1]:
             acc = acc * nilpotent
-            acc.coeffs[0] += ck
+            acc.coeffs[..., 0] += ck
         return acc
 
-    def _base(self) -> float:
-        """The constant term of a scalar jet."""
-        if self.ndim:
-            raise JetError("elementary functions take scalar jets, got a "
-                           f"tensor of shape {self.shape}")
-        return self.coeffs[0]
+    def _require(self, bad: np.ndarray, message: str) -> None:
+        """Raise JetDomainError at the first entry whose constant term is
+        bad."""
+        if bad.any():
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            entry = f" at entry {at}" if at else ""
+            raise JetDomainError(
+                f"{message}, got {self.coeffs[at + (0,)]}{entry}")
 
     def reciprocal(self) -> "Jet":
-        c = self._base()
-        if c == 0.0:
-            raise JetDomainError("division by a jet with zero constant term")
-        series = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
-        return self._horner(series)
+        self._require(self.coeffs[..., 0] == 0.0,
+                      "division by a jet with zero constant term")
+        return self._compose(lambda c: [(-1.0) ** k / c ** (k + 1)
+                                        for k in range(self.order + 1)])
 
     def sin(self) -> "Jet":
-        c = self._base()
-        series = [math.sin(c + 0.5 * k * math.pi) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self._horner(series)
+        return self._compose(lambda c: [
+            math.sin(c + 0.5 * k * math.pi) / math.factorial(k)
+            for k in range(self.order + 1)])
 
     def cos(self) -> "Jet":
-        c = self._base()
-        series = [math.cos(c + 0.5 * k * math.pi) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self._horner(series)
+        return self._compose(lambda c: [
+            math.cos(c + 0.5 * k * math.pi) / math.factorial(k)
+            for k in range(self.order + 1)])
 
     def exp(self) -> "Jet":
-        e = math.exp(self._base())
-        series = [e / math.factorial(k) for k in range(self.order + 1)]
-        return self._horner(series)
+        def series(c):
+            e = math.exp(c)
+            return [e / math.factorial(k) for k in range(self.order + 1)]
+        return self._compose(series)
 
     def sinh(self) -> "Jet":
-        c = self._base()
-        sh, ch = math.sinh(c), math.cosh(c)
-        series = [(sh if k % 2 == 0 else ch) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self._horner(series)
+        def series(c):
+            sh, ch = math.sinh(c), math.cosh(c)
+            return [(sh if k % 2 == 0 else ch) / math.factorial(k)
+                    for k in range(self.order + 1)]
+        return self._compose(series)
 
     def cosh(self) -> "Jet":
-        c = self._base()
-        sh, ch = math.sinh(c), math.cosh(c)
-        series = [(ch if k % 2 == 0 else sh) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self._horner(series)
+        def series(c):
+            sh, ch = math.sinh(c), math.cosh(c)
+            return [(ch if k % 2 == 0 else sh) / math.factorial(k)
+                    for k in range(self.order + 1)]
+        return self._compose(series)
 
     def sqrt(self) -> "Jet":
-        c = self._base()
-        if c <= 0.0:
-            raise JetDomainError(
-                f"sqrt of a jet needs a positive constant term, got {c}"
-            )
-        series = [math.sqrt(c)]
-        for k in range(1, self.order + 1):
-            series.append(series[-1] * (1.5 - k) / (k * c))
-        return self._horner(series)
+        self._require(self.coeffs[..., 0] <= 0.0,
+                      "sqrt of a jet needs a positive constant term")
+
+        def series(c):
+            out = [math.sqrt(c)]
+            for k in range(1, self.order + 1):
+                out.append(out[-1] * (1.5 - k) / (k * c))
+            return out
+        return self._compose(series)
 
     def log(self) -> "Jet":
-        c = self._base()
-        if c <= 0.0:
-            raise JetDomainError(
-                f"log of a jet needs a positive constant term, got {c}"
-            )
-        series = [math.log(c)]
-        for k in range(1, self.order + 1):
-            series.append((-1.0) ** (k - 1) / (k * c ** k))
-        return self._horner(series)
+        self._require(self.coeffs[..., 0] <= 0.0,
+                      "log of a jet needs a positive constant term")
+        return self._compose(lambda c: [math.log(c)] + [
+            (-1.0) ** (k - 1) / (k * c ** k)
+            for k in range(1, self.order + 1)])
 
 
 def contract(spec: str, a: Jet, b: Jet) -> Jet:

@@ -141,7 +141,8 @@ def _soliton_checks(tols, count: int) -> list[dict]:
 def _identity_checks(tols) -> list[dict]:
     checks = []
     for iid in identities.IDENTITY_IDS:
-        rep = identities.run_identity_case(iid, tol=tols["identity"])
+        rep = identities.run_identity_case(iid, tol=tols["identity"],
+                                           gates=tols)
         checks.append(report.check_record(
             f"identity/{iid}", identities.case_value(rep), tols["identity"],
             bool(rep["passed"])))

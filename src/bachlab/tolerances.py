@@ -14,6 +14,16 @@ __all__ = ["DEFAULTS", "ToleranceError", "resolve"]
 DEFAULTS: dict[str, float] = {
     # pointwise/integral identity residuals relative to the largest term
     "identity": 1e-7,
+    # sup of the trace-free part of L_X g below which X counts as conformal
+    "conformal_gate": 1e-9,
+    # div q - (1/2) d tr q, the divergence condition of the flux identity
+    "bianchi": 1e-8,
+    # spread of c = Lap(S) + S^2/3 over a surface, the rigidity hypothesis
+    "rigidity_c_spread": 1e-8,
+    # grad(S^2) + 3 grad(Lap S), pointwise, in the rigidity check
+    "rigidity_grad": 1e-6,
+    # how far ||Hess S||^2 - (Lap S)^2 / 2 may dip below zero
+    "rigidity_slack": 1e-10,
     # extended soliton residual sup over sample points
     "soliton": 1e-7,
     # gradient examples on flat x space-form products hit machine precision

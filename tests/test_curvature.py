@@ -404,3 +404,39 @@ def test_catalog_frames_all_run():
         m = charts.get_example(name)
         fr = frame_at(m, m.chart.center())
         assert np.isfinite(fr.scalar.value)
+
+
+# ----------------------------------------------------------------------
+# frames over a point set
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("order", [4, 5])
+def test_point_set_frame_equals_its_points_bitwise(order):
+    for name in charts.catalog_names():
+        chart = charts.get_example(name).chart
+        pts = charts.sample_points(chart, 3)
+        batch = pipeline_pack(CurvatureFrame(chart, pts, order=order))
+        for k, p in enumerate(pts):
+            one = pipeline_pack(CurvatureFrame(chart, p, order=order))
+            assert one.keys() == batch.keys()
+            for key, val in one.items():
+                assert np.array_equal(np.asarray(batch[key])[..., k], val), \
+                    (name, order, k, key)
+
+
+def test_point_set_singular_metric_names_its_node():
+    # the round sphere's chart metric diag(1, sin(th)^2) is singular at th = 0
+    frame = CurvatureFrame(charts.round_sphere(2),
+                           [[0.5, 0.1], [0.0, 0.2], [1.0, 0.3]])
+    with pytest.raises(CurvatureError, match=r"node 1, point \(0\.0, 0\.2\)"):
+        frame.ginv  # noqa: B018
+    with pytest.raises(CurvatureError, match=r"singular at \(0\.0, 0\.2\)"):
+        CurvatureFrame(charts.round_sphere(2), [0.0, 0.2]).ginv  # noqa: B018
+
+
+def test_point_set_nan_stays_at_its_node():
+    chart = charts.round_sphere(2)
+    pts = np.array([[0.5, 0.1], [math.nan, 0.2], [1.0, 0.3]])
+    s = CurvatureFrame(chart, pts).scalar.value
+    assert np.isnan(s[1])
+    for k in (0, 2):
+        assert s[k] == CurvatureFrame(chart, pts[k]).scalar.value

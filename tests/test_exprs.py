@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bachlab import exprs, fdcheck
-from bachlab.exprs import (Add, Call, Div, DslNameError, DslSyntaxError, Mul,
-                           Neg, Num, Par, Pow, Sub, Var, eval_float, eval_jet,
-                           eval_numpy, parse, pretty)
+from bachlab import charts, exprs, fdcheck, jets
+from bachlab.exprs import (Add, Call, Div, DslError, DslNameError,
+                           DslSyntaxError, Mul, Neg, Num, Par, Pow, Sub, Var,
+                           eval_float, eval_jet, eval_numpy, parse, pretty)
+from bachlab.jets import JetDomainError
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +254,83 @@ def test_nested_eval_jet_equals_per_entry_scalar_jets_bitwise():
             assert np.array_equal(t[i, j].coeffs, one.coeffs)
     # a text leaf on its own is a scalar jet
     assert eval_jet("x*y", point, coords, order=2).shape == ()
+
+
+# sha256 (first 16 hex digits) of the order-4 metric jets of each catalog
+# chart at its first two `charts.sample_points`, frozen from the per-entry
+# evaluator that preceded subtree sharing and point sets (on x86-64 with
+# glibc: another libm may round `math.sin` and friends differently)
+METRIC_JET_DIGESTS = {
+    "berger_sphere": "d915451648f2a3e3",
+    "circle_x_berger": "40ceef52ba30c9c0",
+    "conformal_sphere_bump": "271cc9a7124131e5",
+    "flat_torus_2": "d83de3389c23124f",
+    "flat_torus_3": "88d45f20e4552dff",
+    "hyperbolic_2": "20d851a48ce5150f",
+    "line_x_berger": "40ceef52ba30c9c0",
+    "r2_x_h2": "ffbd92769ff722da",
+    "r2_x_s2": "533f041f7cb3c82c",
+    "round_profile": "669ea7e5e0500c87",
+    "round_sphere_2": "669ea7e5e0500c87",
+    "round_sphere_3": "63419e73946e1470",
+    "round_sphere_4": "b010c1da9b7a6936",
+    "s1_x_s3": "f212b16aeb503213",
+    "s2_x_s2": "6cb539fdce593224",
+    "s2_x_t2": "8898da7084761249",
+}
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_JET_DIGESTS))
+def test_catalog_metric_jets_match_frozen_digests(name):
+    chart = charts.get_example(name).chart
+    pts = charts.sample_points(chart, 2)
+    one_by_one = [chart.metric_jets(p, order=4).coeffs for p in pts]
+    batch = chart.metric_jets(pts, order=4).coeffs
+    assert batch.shape == one_by_one[0].shape[:-1] + (2, batch.shape[-1])
+    assert _digest(one_by_one) == METRIC_JET_DIGESTS[name]
+    assert _digest(batch[..., k, :] for k in range(2)) \
+        == METRIC_JET_DIGESTS[name]
+
+
+def test_eval_jet_shares_equal_subtrees(monkeypatch):
+    # the Berger metric spells out 15 sin/cos calls of 4 distinct ones
+    chart = charts.get_example("berger_sphere").chart
+    text = " ".join(e for row in chart.metric_strs for e in row)
+    assert text.count("sin(") + text.count("cos(") == 15
+    calls = []
+    for name, fn in list(jets.ELEMENTARY.items()):
+        monkeypatch.setitem(jets.ELEMENTARY, name,
+                            lambda j, fn=fn, name=name:
+                            calls.append(name) or fn(j))
+    chart.metric_jets(chart.center())
+    assert sorted(calls) == ["cos", "cos", "sin", "sin"]
+
+
+def test_eval_jet_over_points_adds_a_point_axis():
+    coords = ["x", "y"]
+    pts = np.array([[0.31, -0.42], [0.1, 0.2], [-0.5, 0.7]])
+    rows = [["sin(x)*y", "1"], ["1", "sqrt(2 + x*y)"]]
+    t = eval_jet(rows, pts, coords, order=3)
+    assert t.shape == (2, 2, 3)
+    for k, p in enumerate(pts):
+        assert np.array_equal(t.coeffs[..., k, :],
+                              eval_jet(rows, p, coords, order=3).coeffs)
+    with pytest.raises(DslError, match="shape"):
+        eval_jet("x", np.zeros((2, 3)), coords)
+
+
+def test_eval_jet_domain_error_at_any_point():
+    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+    for text in ("sqrt(x)", "log(x)", "1/(x - 2)"):
+        with pytest.raises(JetDomainError, match=r"entry \((1|2),\)"):
+            eval_jet(text, pts, ["x", "y"], order=2)
 
 
 def test_substitute_names_for_product_charts():

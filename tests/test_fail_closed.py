@@ -66,7 +66,8 @@ def test_nan_bach_fails_the_suite_bach_group(monkeypatch):
 
 def test_nan_lie_derivative_fails_the_conformality_gate(monkeypatch):
     monkeypatch.setattr(CurvatureFrame, "lie_metric",
-                        lambda self, X: _nan_jet(self.n, (self.n,) * 2))
+                        lambda self, X: _nan_jet(self.n,
+                                                 (self.n,) * 2 + self.batch))
     with pytest.raises(identities.IdentityError, match="not conformal"):
         identities.yano_identity(charts.get_example("round_sphere_2"),
                                  ("-sin(th)", "0"), count=2)
@@ -89,3 +90,21 @@ def test_nan_s_range_fails_the_scan_corroboration(monkeypatch):
     records = suite._ode_checks(tolerances.resolve(), scan_cells=2)
     assert records[-1]["check_id"] == "ode/scan-corroborates"
     assert not records[-1]["pass"]
+
+
+def test_nan_at_one_node_fails_a_point_set_identity(monkeypatch):
+    ricci = CurvatureFrame.ricci.func
+
+    def nan_at_node_3(self):
+        r = ricci(self)
+        r.coeffs[..., 3, :] = math.nan
+        return r
+
+    monkeypatch.setattr(CurvatureFrame, "ricci", property(nan_at_node_3))
+    man = charts.get_example("round_sphere_2")
+    out = identities.bochner_identity(man, "0.5*cos(th)", count=6)
+    assert np.isnan(out["residuals"][3])
+    assert np.all(np.isfinite(np.delete(out["residuals"], 3)))
+    assert out["sup"] == math.inf
+    rep = identities.run_identity_case("bochner", {"count": 6})
+    assert rep["sup"] == math.inf and not rep["passed"]

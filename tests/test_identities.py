@@ -1,9 +1,12 @@
 """Pointwise and integral identity checks across the metric corpus."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bachlab import charts, identities, solitons
+from bachlab import charts, identities, solitons, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
@@ -33,13 +36,14 @@ def generic_fields(man):
     return x, t
 
 
-def count_frames(monkeypatch) -> list[int]:
-    """Record the order of every `CurvatureFrame` built from now on."""
-    orders: list[int] = []
+def count_frames(monkeypatch) -> list[tuple[int, int]]:
+    """Record (order, number of points) of every `CurvatureFrame` built
+    from now on."""
+    orders: list[tuple[int, int]] = []
     init = CurvatureFrame.__init__
 
     def counted(self, chart, point, order=BASE_ORDER):
-        orders.append(order)
+        orders.append((order, len(np.atleast_2d(point))))
         init(self, chart, point, order)
 
     monkeypatch.setattr(CurvatureFrame, "__init__", counted)
@@ -206,11 +210,11 @@ def test_yano_survives_conformal_rescaling():
         assert out2["sup"] <= 1e-7, u
 
 
-def test_yano_builds_one_frame_per_point(monkeypatch):
+def test_yano_builds_one_frame_per_point_set(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.get_example("conformal_sphere_bump")
     out = yano_identity(man, ("-sin(th)", "0"), count=7)
-    assert orders == [BASE_ORDER] * len(out["points"])
+    assert orders == [(BASE_ORDER, len(out["points"]))]
 
 
 def test_yano_rejects_non_conformal_field():
@@ -238,13 +242,13 @@ def test_bourguignon_ezin_constant_curvature_trivial():
     assert abs(out["integral"]) <= 1e-13
 
 
-def test_bourguignon_ezin_builds_one_frame_per_node(monkeypatch):
+def test_bourguignon_ezin_builds_one_frame_per_node_set(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.get_example("conformal_sphere_bump")
     out = bourguignon_ezin_integral(man, ("-sin(th)", "0"), "ricci",
                                     resolution=(6, 5))
     assert out["nodes"] == 30
-    assert orders == [BASE_ORDER] * 30
+    assert orders == [(BASE_ORDER, 30)]
 
 
 def test_bourguignon_ezin_guards():
@@ -330,12 +334,12 @@ def test_rigidity_round_sphere_and_torus():
     assert out2["hess_sq_integral"] == 0.0
 
 
-def test_rigidity_builds_one_frame_per_point(monkeypatch):
+def test_rigidity_builds_one_frame_per_point_set(monkeypatch):
     orders = count_frames(monkeypatch)
     out = surface_scalar_rigidity(charts.single(charts.round_sphere(2)),
                                   resolution=(6, 5))
     assert out["passed"]
-    assert orders == [BASE_ORDER + 1] * 24 + [BASE_ORDER] * 30
+    assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30)]
 
 
 def test_rigidity_honours_the_case_tolerance():
@@ -408,3 +412,38 @@ def test_case_count_needs_a_whole_number(count):
 def test_case_document_must_be_an_object():
     with pytest.raises(IdentityError, match="must be an object"):
         run_identity_case("yano", [])
+
+
+def test_identity_gates_live_in_the_tolerance_table():
+    tree = ast.parse(Path(identities.__file__).read_text())
+    # every gate is a small number; formula constants (0.5, 2.0, ...) are not
+    gates = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant)
+             and type(node.value) is float and 0.0 < abs(node.value) < 1e-3]
+    assert gates == []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for default in fn.args.defaults + fn.args.kw_defaults:
+                assert not (isinstance(default, ast.Constant)
+                            and type(default.value) is float), fn.name
+    assert identities.CONFORMAL_GATE == tolerances.DEFAULTS["conformal_gate"]
+    assert {key: tolerances.DEFAULTS[key] for key in (
+        "conformal_gate", "bianchi", "rigidity_c_spread", "rigidity_grad",
+        "rigidity_slack")} == {
+        "conformal_gate": 1e-9, "bianchi": 1e-8, "rigidity_c_spread": 1e-8,
+        "rigidity_grad": 1e-6, "rigidity_slack": 1e-10}
+
+
+def test_case_gates_come_from_the_resolved_table():
+    with pytest.raises(IdentityError, match="div q = .1/2. d tr q"):
+        run_identity_case("be", gates=tolerances.resolve({"bianchi": 1e-30}))
+    with pytest.raises(IdentityError, match="hypothesis violated"):
+        run_identity_case("lemma48", gates=tolerances.resolve(
+            {"rigidity_c_spread": 1e-30}))
+    assert not run_identity_case("lemma48", gates=tolerances.resolve(
+        {"rigidity_grad": 1e-30}))["passed"]
+    # a field far from conformal passes a gate loosened past its gap
+    bent = {"manifold": "round_sphere_2", "X": ("0.3*sin(ph)*sin(th)", "0")}
+    rep = run_identity_case("yano", bent, gates=tolerances.resolve(
+        {"conformal_gate": 10.0}))
+    assert rep["conformality_gap"] > 1e-3

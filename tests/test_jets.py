@@ -215,6 +215,31 @@ def test_domain_errors():
         x.log()
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos", "exp", "sinh", "cosh", "sqrt",
+                                "log", "reciprocal"])
+def test_elementary_functions_act_entrywise_bitwise(fn):
+    rng = np.random.default_rng(7)
+    coeffs = rng.uniform(-1.0, 1.0, (2, 3, 15))
+    coeffs[..., 0] = rng.uniform(0.5, 2.0, (2, 3))
+    t = getattr(Jet(2, 4, coeffs), fn)()
+    assert t.shape == (2, 3)
+    for i, j in iproduct(range(2), range(3)):
+        one = getattr(Jet(2, 4, coeffs[i, j]), fn)()
+        assert np.array_equal(t.coeffs[i, j], one.coeffs), (i, j)
+
+
+def test_domain_errors_at_any_entry_name_it():
+    x = Jet.variable(0, np.array([1.0, 2.0, -1.0]), 1, 2)
+    for fn in ("sqrt", "log"):
+        with pytest.raises(JetDomainError, match=r"got -1\.0 at entry \(2,\)"):
+            getattr(x, fn)()
+    with pytest.raises(JetDomainError, match=r"entry \(1,\)"):
+        1.0 / (x - 2.0)
+    # a NaN constant term is not a domain error: it propagates to its entry
+    nan = Jet.variable(0, np.array([1.0, math.nan]), 1, 2).sqrt()
+    assert np.isnan(nan.value[1]) and nan.value[0] == 1.0
+
+
 def test_compose_sin_of_polynomial_vs_fd_oracle():
     """sin(x^2 + y) at (0.3, 0.1): every partial to |alpha| <= 4."""
     x, y = variables([0.3, 0.1], order=4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,29 @@ def test_elementwise_tensor_product_is_commutative_bitwise(pair):
     # a scalar jet broadcast against a tensor, from either side
     s = a[0, 1]
     assert np.array_equal((s * b).coeffs, (b * s).coeffs)
+
+
+def test_long_products_scatter_in_chunks_with_a_bounded_cache(monkeypatch):
+    tab = tables(2, 4)
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal((2, 2, 300, tab.size)) for _ in range(2))
+    whole = _kernels.product(a, b, tab, "ik,kj->ij")
+    monkeypatch.setattr(_kernels, "_SCATTER_ROWS", 7)
+    monkeypatch.setattr(_kernels, "_SCATTER", {})
+    chunked = _kernels.product(a, b, tab, "ik,kj->ij")
+    assert np.array_equal(chunked, whole)
+    assert [len(idx) for idx in _kernels._SCATTER.values()] == [7 * len(tab.all_k)]
+
+
+@pytest.mark.parametrize("spec", ["ij,ij->", "ab,abij->ij", "ik,kj->ij"])
+def test_one_column_contractions_round_each_point_alike(spec):
+    # at order 0 a contraction sums plain values; a point axis must not
+    # change the order of that sum
+    tab = tables(4, 0)
+    rng = np.random.default_rng(5)
+    ins = spec.split("->")[0].split(",")
+    a, b = (rng.standard_normal((4,) * len(s) + (6, 1)) for s in ins)
+    both = _kernels.product(a, b, tab, spec)
+    for k in range(6):
+        one = _kernels.product(a[..., k, :], b[..., k, :], tab, spec)
+        assert np.array_equal(both[..., k, :], one), k
