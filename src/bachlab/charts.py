@@ -191,16 +191,31 @@ def integrate(chart: Chart, values: np.ndarray | Callable,
     or a callable mapping the (N, dim) node array to an (N,) array.
     Summation is NumPy pairwise — deterministic for a fixed resolution.
     """
+    return integrate_columns(chart, [values], quad, resolution)[0]
+
+
+def integrate_columns(chart: Chart, columns: Sequence[np.ndarray | Callable],
+                      quad: Quadrature | None = None,
+                      resolution: int | Sequence[int] | None = None
+                      ) -> list[float]:
+    """`integrate` of several fields on one rule, in order.
+
+    The measure (weights times volume density) is formed once for all of
+    them, and each integral is bitwise what `integrate` gives on its own.
+    """
     if not chart.compact:
         raise ChartError(
             f"{chart.name!r} is not compact; integration is undefined")
     if quad is None:
         quad = quadrature(chart, resolution)
-    f = values(quad.nodes) if callable(values) else np.asarray(values)
-    if f.shape != quad.weights.shape:
-        f = np.broadcast_to(f, quad.weights.shape)
-    dens = volume_density(chart, quad.nodes)
-    return float(np.sum(quad.weights * dens * f))
+    measure = quad.weights * volume_density(chart, quad.nodes)
+    out = []
+    for values in columns:
+        f = values(quad.nodes) if callable(values) else np.asarray(values)
+        if f.shape != measure.shape:
+            f = np.broadcast_to(f, measure.shape)
+        out.append(float(np.sum(measure * f)))
+    return out
 
 
 def volume(chart: Chart, resolution: int | Sequence[int] | None = None

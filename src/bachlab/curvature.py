@@ -19,7 +19,8 @@ jet of shape (N,), `Jet.value` gives one value per point, and ``t.value
 [..., k]`` is what a frame at the k-th point alone gives, bit for bit.
 The einsum subscripts below name tensor indices only, and the point axis
 rides along with the coefficients in their ``...``, so the same code
-serves one point and a point set.  The trailing size fixes the order (15
+serves one point and a point set; `chunked_frames` takes a long point set
+in frames over bounded chunks of it.  The trailing size fixes the order (15
 coefficients are order 2 in four variables), and grading makes lowering
 the order a prefix slice.  Index gymnastics (transposes, traces) are
 `np.einsum` calls on the coefficient array; every product of tensors is
@@ -371,6 +372,27 @@ def frame_at(obj: Chart | Manifold, point) -> CurvatureFrame:
     """The frame of a chart or manifold at a point or an (N, dim) array."""
     chart = obj.chart if isinstance(obj, Manifold) else obj
     return CurvatureFrame(chart, point)
+
+
+# A frame keeps every stage it has computed for each of its points (about
+# 0.25 MB per point for a dim-4 residual), so a long point set is taken in
+# chunks of at most _CHUNK_POINTS points.  The named soliton residuals run
+# as fast in chunks of 8 as in chunks of 16, at half the memory, and about
+# a fifth faster than in chunks of 4.
+_CHUNK_POINTS = 8
+
+
+def chunked_frames(obj: Chart | Manifold, points, order: int = BASE_ORDER):
+    """Frames over consecutive chunks of an (N, dim) point array.
+
+    Yields ``(rows, frame)``: the slice of the chunk's rows in ``points``
+    and one frame over them, so ``frame.point`` is ``points[rows]``.
+    """
+    chart = obj.chart if isinstance(obj, Manifold) else obj
+    pts = np.asarray(points, dtype=float)
+    for start in range(0, len(pts), _CHUNK_POINTS):
+        rows = slice(start, min(start + _CHUNK_POINTS, len(pts)))
+        yield rows, CurvatureFrame(chart, pts[rows], order)
 
 
 def pipeline_pack(frame: CurvatureFrame, deep: bool = True

@@ -168,8 +168,8 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
         values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar), x)),
         -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
     )
-    t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = (
-        charts.integrate(man.chart, col, quad=quad) for col in cols)
+    t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = charts.integrate_columns(
+        man.chart, cols, quad=quad)
     lhs1 = t_phi + t_tr + t_div
     scale1 = max(abs(t_phi), abs(t_tr), abs(t_div), abs(rhs1))
     scale2 = max(abs(lhs2), abs(rhs2))
@@ -216,8 +216,8 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
     vals = values(frame.pair_oneform_vector(d_tr, x))
-    integral = charts.integrate(man.chart, vals, quad=quad)
-    scale = charts.integrate(man.chart, np.abs(values(tr_q)), quad=quad)
+    integral, scale = charts.integrate_columns(
+        man.chart, (vals, np.abs(values(tr_q))), quad=quad)
     return {"integral": integral, "scale": scale,
             "conformality_gap": gap, "bianchi_residual": bianchi,
             "nodes": len(quad.nodes)}
@@ -239,10 +239,9 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     frame, x, lie, _, q = _constructed_flow(man, quad.nodes, x_exprs,
                                             phi_expr)
     d_tr = frame.trace(q).grad()
-    qbar_int = charts.integrate(
-        man.chart, values(frame.norm2_sym2(frame.trace_free(q))), quad=quad)
-    lie_tr_int = charts.integrate(
-        man.chart, values(frame.pair_oneform_vector(d_tr, x)), quad=quad)
+    qbar_int, lie_tr_int = charts.integrate_columns(
+        man.chart, (values(frame.norm2_sym2(frame.trace_free(q))),
+                    values(frame.pair_oneform_vector(d_tr, x))), quad=quad)
     bianchi = sup(np.abs(values(frame.divergence_sym2(q))
                           - 0.5 * values(d_tr)))
     conf = sup(np.abs(values(frame.trace_free(lie))))
@@ -300,10 +299,9 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
     nodes = frame_at(man, quad.nodes)
-    hess2_int = charts.integrate(
-        chart, values(nodes.norm2_sym2(nodes.hess_scalar)), quad=quad)
-    lap2_int = charts.integrate(chart, values(nodes.lap_scalar) ** 2,
-                                quad=quad)
+    hess2_int, lap2_int = charts.integrate_columns(
+        chart, (values(nodes.norm2_sym2(nodes.hess_scalar)),
+                values(nodes.lap_scalar) ** 2), quad=quad)
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
     s_spread = float(np.ptp(s))
     lap_sup = float(np.abs(lap).max())

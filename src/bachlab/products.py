@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tolerances
 from .charts import Chart, Manifold, sample_points
-from .curvature import CurvatureFrame, values
+from .curvature import CurvatureFrame, chunked_frames, values
 from .report import sup
 
 
@@ -165,16 +166,16 @@ def constancy_spread(chart: Chart, count: int = 24) -> dict[str, float]:
     """Max-minus-min of S and |Ric|^2 over a deterministic sample set."""
     pts = sample_points(chart, count, margin=0.12)
     s_vals, r_vals = [], []
-    for p in pts:
-        fr = CurvatureFrame(chart, p)
+    for _, fr in chunked_frames(chart, pts):
         s_vals.append(fr.scalar.value)
         r_vals.append(fr.ricci_norm2.value)
-    return {"scalar_spread": float(np.ptp(s_vals)),
-            "ricci_norm2_spread": float(np.ptp(r_vals))}
+    return {"scalar_spread": float(np.ptp(np.concatenate(s_vals))),
+            "ricci_norm2_spread": float(np.ptp(np.concatenate(r_vals)))}
 
 
-def product_lambda_report(chart: Chart, family: str, count: int = 24,
-                          tol: float = 1e-8) -> dict:
+def product_lambda_report(
+        chart: Chart, family: str, count: int = 24,
+        tol: float = tolerances.DEFAULTS["factor_constancy"]) -> dict:
     """lambda for the S^1 x N^3 or R x N^3 family with constancy checks."""
     if family not in ("circle", "line"):
         raise ProductFormulaError("family must be 'circle' or 'line'")

@@ -9,7 +9,12 @@ where ``q`` selects the flow tensor (the four-dimensional obstruction flow
 symmetric tensor, the constructed ``L_X g - 2 phi g``, or zero) and ``phi``
 is either a function or a constant ``lambda``.  Residuals are evaluated on
 deterministic low-discrepancy point sets, plus a coarse quadrature grid when
-the chart is compact, and reported in the metric sup norm.
+the chart is compact, and reported in the metric sup norm.  Every check
+builds one `CurvatureFrame` per chunk of its points (see
+`curvature.chunked_frames`), not one per point; only the small per-point
+NumPy steps (the metric norm, the 2 x 2 block fits of the conformal field)
+loop over a chunk's values, so each value is bitwise what a frame at its
+point alone gives.
 
 Also here: the quadratic-profile check for line x N^3 gradient solitons, the
 squashed-sphere parameter solve (Brent's method on each sign-change bracket
@@ -28,7 +33,7 @@ from scipy import linalg, optimize
 
 from . import charts, products, tolerances
 from .charts import Chart, Manifold
-from .curvature import CurvatureFrame, frame_at, values
+from .curvature import CurvatureFrame, chunked_frames, values
 from .jets import contract
 from .report import sup
 
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 Q_SELECTORS = ("bach_flow", "bach", "constructed", "zero", "custom")
+
+_TOLS = tolerances.DEFAULTS
 
 _SOLITON_DOC_FIELDS = {"manifold", "X", "f", "phi", "lambda", "q", "custom_q"}
 
@@ -55,14 +62,15 @@ class SolitonSpec:
 
     Exactly one of ``x_exprs`` (component expressions) and ``potential``
     (a scalar ``f`` with ``X = grad f``) must be given, and exactly one of
-    ``phi`` (expression string, or a callable receiving the curvature frame)
-    and ``lam`` (constant).
+    ``phi`` and ``lam`` (constant).  ``phi`` is an expression string or a
+    callable that takes a curvature frame over a chunk of points and
+    returns a float or one value per point (``frame.batch`` long).
     """
 
     manifold: Manifold
     x_exprs: tuple[str, ...] | None = None
     potential: str | None = None
-    phi: str | Callable[[CurvatureFrame], float] | None = None
+    phi: str | Callable[[CurvatureFrame], float | np.ndarray] | None = None
     lam: float | None = None
     q: str = "bach_flow"
     custom_q: tuple[tuple[str, ...], ...] | None = None
@@ -158,16 +166,17 @@ def _field_jets(frame: CurvatureFrame, spec: SolitonSpec):
     return frame.vector_jets(spec.x_exprs)
 
 
-def _phi_value(frame: CurvatureFrame, spec: SolitonSpec) -> float:
+def _phi_value(frame: CurvatureFrame, spec: SolitonSpec):
+    """phi at the frame's points: a float, or one value per point."""
     if spec.phi is None:
         return float(spec.lam)
     if callable(spec.phi):
-        return float(spec.phi(frame))
-    return float(values(frame.scalar_jet(spec.phi, order=0)))
+        return np.asarray(spec.phi(frame), dtype=float)
+    return values(frame.scalar_jet(spec.phi, order=0))
 
 
 def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
-             phi: float, g: np.ndarray) -> np.ndarray:
+             phi, g: np.ndarray) -> np.ndarray:
     if spec.q == "bach_flow":
         return values(frame.bach) + values(frame.lap_scalar) / 12.0 * g
     if spec.q == "bach":
@@ -180,7 +189,8 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
 
 
 def _residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets):
-    """g, phi and R = (1/2) L_X g - (1/2) q - phi g at the frame's point."""
+    """g, phi and R = (1/2) L_X g - (1/2) q - phi g at the frame's points
+    (the point axis last)."""
     g = values(frame.g)
     lie = values(frame.lie_metric(x_jets))
     phi = _phi_value(frame, spec)
@@ -203,19 +213,24 @@ def metric_norm(g: np.ndarray, tensor: np.ndarray) -> float:
     return float(np.sqrt(abs(np.trace(mixed @ mixed))))
 
 
+def _per_point(t: np.ndarray) -> np.ndarray:
+    """Chunk values with the point axis first, one contiguous entry each."""
+    return np.ascontiguousarray(np.moveaxis(t, -1, 0))
+
+
 def extended_q_residual(man: Manifold, spec: SolitonSpec,
                         points: np.ndarray | None = None, count: int = 200,
-                        tol: float = 1e-7,
+                        tol: float = _TOLS["soliton"],
                         label: str = "extended-q") -> ResidualReport:
     """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set."""
     points = _point_set(man, points, count)
     residuals = np.empty((len(points), man.dim, man.dim))
     norms = np.empty(len(points))
-    for i, p in enumerate(points):
-        frame = frame_at(man, p)
+    for rows, frame in chunked_frames(man, points):
         g, _, r = _residual(frame, spec, _field_jets(frame, spec))
-        residuals[i] = r
-        norms[i] = metric_norm(g, r)
+        residuals[rows] = _per_point(r)
+        norms[rows] = [metric_norm(gk, rk) for gk, rk in
+                       zip(_per_point(g), residuals[rows])]
     return ResidualReport(label=label, points=points, residuals=residuals,
                           norms=norms, tol=tol)
 
@@ -224,7 +239,7 @@ def bach_soliton_residual(man: Manifold, lam: float,
                           potential: str | None = None,
                           x_exprs: Sequence[str] | None = None,
                           points: np.ndarray | None = None, count: int = 200,
-                          tol: float = 1e-7,
+                          tol: float = _TOLS["soliton"],
                           label: str = "bach-soliton") -> ResidualReport:
     """Residual of (1/2) L_X g = (1/2)(B + (1/12) Lap(S) g) + lambda g."""
     if man.dim != 4:
@@ -252,8 +267,9 @@ def _line_cross_structure(man: Manifold) -> tuple[Chart, Chart]:
 
 def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
                             b: float = 0.0, count: int = 24,
-                            tol: float = 1e-7,
-                            constancy_tol: float = 1e-8) -> dict:
+                            tol: float = _TOLS["soliton"],
+                            constancy_tol: float = _TOLS["factor_constancy"]
+                            ) -> dict:
     """Check the quadratic gradient profile f = 2*lam*t^2 + a*t + b.
 
     On line x N^3 with N of constant scalar curvature and constant Ricci
@@ -276,16 +292,16 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     pts = charts.residual_sample_points(man, count)
     profile_dev = 0.0
     traced_dev = 0.0
-    for p in pts[:max(4, count // 4)]:
-        frame = frame_at(man, p)
+    for _, frame in chunked_frames(man, pts[:max(4, count // 4)]):
         f_jet = frame.scalar_jet(f_text)
         x_jets = frame.gradient_vector(f_jet)
         div_x = values(frame.divergence_vector(x_jets))
         lap_s = values(frame.lap_scalar)
-        traced_dev = sup(traced_dev, abs(div_x - lap_s / 6.0 - 4.0 * lam))
+        traced_dev = sup(traced_dev,
+                         np.abs(div_x - lap_s / 6.0 - 4.0 * lam))
         # d^2 f / dt^2 from the jet itself
         f2 = f_jet.partial((2,) + (0,) * (man.dim - 1))
-        profile_dev = sup(profile_dev, abs(f2 - 4.0 * lam))
+        profile_dev = sup(profile_dev, np.abs(f2 - 4.0 * lam))
     report = bach_soliton_residual(man, lam, potential=f_text, points=pts,
                                    tol=tol, label=f"profile[{man.name}]")
     lam_dev = abs(lam - lam_formula)
@@ -307,6 +323,10 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
 # squashed-sphere parameter solve
 # ----------------------------------------------------------------------
 _BERGER_PROBE = (0.7, 1.1, 0.4)
+# Roots closer than this are one root found twice (Brent's method refines
+# each bracket to a few ulp).  It only merges duplicates; no verdict
+# depends on it, so it is not a gate.
+_ROOT_MERGE = 1e-8
 
 
 def berger_condition_scalar(a: float) -> float:
@@ -327,7 +347,9 @@ def berger_condition_scalar(a: float) -> float:
 
 def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
                          scan: int = 120, round_exclusion: float = 1e-3,
-                         residual_tol: float = 1e-7) -> dict:
+                         residual_tol: float = _TOLS["berger_residual"],
+                         constancy_tol: float = _TOLS["factor_constancy"]
+                         ) -> dict:
     """Root-find the squashed-sphere parameter of the line-product soliton.
 
     Scans ``berger_condition_scalar`` over the interval for sign changes
@@ -352,7 +374,7 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
                                      grid[k + 1], xtol=tol, rtol=tol))
     uniq: list[float] = []
     for r in sorted(roots):
-        if not uniq or abs(r - uniq[-1]) > 1e-8:
+        if not uniq or abs(r - uniq[-1]) > _ROOT_MERGE:
             uniq.append(r)
     non_round = [r for r in uniq if abs(r - 1.0) > round_exclusion]
     out: dict = {
@@ -373,7 +395,8 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
     man = charts.product([charts.line(4.0), charts.berger_sphere(a_star)],
                          name=f"line_x_berger[{a_star:.12g}]")
     profile = quadratic_profile_check(man, lam_star, count=8,
-                                      tol=residual_tol)
+                                      tol=residual_tol,
+                                      constancy_tol=constancy_tol)
     out.update({
         "outcome": "root",
         "a_star": a_star,
@@ -436,36 +459,41 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
     tracefree_sup = 0.0
     identity_sup = 0.0
     e_sup = 0.0
-    for idx, p in enumerate(points):
-        frame = frame_at(man, p)
+    for rows, frame in chunked_frames(man, points):
         x_jets = _field_jets(frame, spec)
         g, phi, e_tensor = _residual(frame, spec, x_jets)
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
         c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
-        c_vals[idx] = values(c_jets)
+        c_vals[rows] = _per_point(values(c_jets))
         half_lie = 0.5 * values(frame.lie_metric(c_jets))
         e_sup = sup(e_sup, np.abs(e_tensor))
-        s_vals = [values(s) for s in s_blocks]
-        lap_s = [values(frame.laplacian(s)) for s in s_blocks]
-        model = np.array(e_tensor)
-        for which, (sl, other) in enumerate(((sl_k, 1), (sl_l, 0))):
-            gb = g[sl, sl]
-            block = half_lie[sl, sl]
-            rho_fit[idx, which] = (np.einsum(
-                "ij,ij->", np.linalg.inv(gb), block) / 2.0)
-            rho_formula[idx, which] = (
-                phi + lap_s[which] / 8.0
-                + (s_vals[which] ** 2 - s_vals[other] ** 2) / 48.0)
-            phi_perp[idx, which] = (
-                -lap_s[which] / 8.0
-                - (s_vals[which] ** 2 - s_vals[other] ** 2) / 48.0)
-            tracefree_sup = sup(tracefree_sup,
-                                np.abs(block - rho_fit[idx, which] * gb))
-            model[sl, sl] += rho_formula[idx, which] * gb
-        off_sup = sup(off_sup, np.abs(half_lie[sl_k, sl_l]))
-        identity_sup = sup(identity_sup, np.abs(half_lie - model))
+        s_vals = np.array([values(s) for s in s_blocks])
+        lap_s = np.array([values(frame.laplacian(s)) for s in s_blocks])
+        # the block fits, one point at a time and in Python floats: a
+        # stacked einsum or ** rounds differently from one point's values
+        for idx, g_k, lie_k, model, s_k, lap_k, phi_k in zip(
+                range(rows.start, rows.stop), _per_point(g),
+                _per_point(half_lie), _per_point(e_tensor),
+                _per_point(s_vals).tolist(), _per_point(lap_s).tolist(),
+                np.broadcast_to(phi, frame.batch).tolist()):
+            for which, (sl, other) in enumerate(((sl_k, 1), (sl_l, 0))):
+                gb = g_k[sl, sl]
+                block = lie_k[sl, sl]
+                rho_fit[idx, which] = (np.einsum(
+                    "ij,ij->", np.linalg.inv(gb), block) / 2.0)
+                rho_formula[idx, which] = (
+                    phi_k + lap_k[which] / 8.0
+                    + (s_k[which] ** 2 - s_k[other] ** 2) / 48.0)
+                phi_perp[idx, which] = (
+                    -lap_k[which] / 8.0
+                    - (s_k[which] ** 2 - s_k[other] ** 2) / 48.0)
+                tracefree_sup = sup(tracefree_sup,
+                                    np.abs(block - rho_fit[idx, which] * gb))
+                model[sl, sl] += rho_formula[idx, which] * gb
+            off_sup = sup(off_sup, np.abs(lie_k[sl_k, sl_l]))
+            identity_sup = sup(identity_sup, np.abs(lie_k - model))
     return {
         "points": points,
         "c_field": c_vals,
@@ -496,21 +524,17 @@ def splitting_spotcheck(man: Manifold, split_f: str,
         raise SolitonError("need a product with at least two factors")
     points = charts.residual_sample_points(man, count)
     slices = [man.factor_slice(k) for k in range(len(man.factors))]
-
-    def mixed_sup(text: str) -> float:
-        worst = 0.0
-        for p in points:
-            frame = frame_at(man, p)
+    texts = [split_f] + ([] if control_f is None else [control_f])
+    worst = [0.0] * len(texts)
+    for _, frame in chunked_frames(man, points):
+        for t, text in enumerate(texts):
             hess = values(frame.hessian(frame.scalar_jet(text)))
             for a in range(len(slices)):
                 for b in range(a + 1, len(slices)):
-                    worst = sup(worst, np.abs(hess[slices[a], slices[b]]))
-        return worst
-
-    out = {"split_mixed_sup": mixed_sup(split_f), "control_mixed_sup": None}
-    if control_f is not None:
-        out["control_mixed_sup"] = mixed_sup(control_f)
-    return out
+                    worst[t] = sup(worst[t],
+                                   np.abs(hess[slices[a], slices[b]]))
+    return {"split_mixed_sup": worst[0],
+            "control_mixed_sup": None if control_f is None else worst[1]}
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import charts, identities, products, profiles, report, solitons
 from . import tolerances
-from .curvature import CurvatureFrame, bach_divergence, values
+from .curvature import CurvatureFrame, bach_divergence, chunked_frames, values
 
 __all__ = ["run_suite"]
 
@@ -28,13 +28,13 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     conf = charts.conformal(base, u, name="bumpy_s2_x_t2_rescaled")
     pts = charts.sample_points(base, count)
     tr_sup = div_sup = cf_sup = 0.0
-    for p in pts:
-        frame = CurvatureFrame(base, p)
+    for _, frame in chunked_frames(base, pts):
         b = values(frame.bach)
-        tr_sup = report.sup(tr_sup, abs(values(frame.trace(frame.bach))))
-        div_sup = report.sup(div_sup, np.abs(bach_divergence(base, p)))
-        b_conf = values(CurvatureFrame(conf, p).bach)
-        scale = float(np.exp(-2.0 * values(frame.scalar_jet(u))))
+        tr_sup = report.sup(tr_sup, np.abs(values(frame.trace(frame.bach))))
+        div_sup = report.sup(div_sup,
+                             np.abs(bach_divergence(base, frame.point)))
+        b_conf = values(CurvatureFrame(conf, frame.point).bach)
+        scale = np.exp(-2.0 * values(frame.scalar_jet(u)))
         cf_sup = report.sup(cf_sup, np.abs(b_conf - scale * b))
     inputs = {"chart": base.name, "points": count, "u": u}
     return [
@@ -69,9 +69,11 @@ def _product_checks(tols) -> list[dict]:
     ):
         sup = float(sup)
         checks.append(report.check_record(cid, sup, tol, sup <= tol))
+    constancy = tols["factor_constancy"]
     circle = products.product_lambda_report(charts.berger_sphere(1.2),
-                                            "circle")
-    line = products.product_lambda_report(charts.berger_sphere(1.2), "line")
+                                            "circle", tol=constancy)
+    line = products.product_lambda_report(charts.berger_sphere(1.2), "line",
+                                          tol=constancy)
     non_einstein = circle["einstein_residual_norm2"] > gate
     checks.append(report.check_record(
         "products/lambda-sign/circle", circle["lambda"], gate,
@@ -101,7 +103,8 @@ def _soliton_checks(tols, count: int) -> list[dict]:
             inputs={"example": name, "count": count}))
 
     root = solitons.solve_berger_soliton(
-        residual_tol=tols["berger_residual"])
+        residual_tol=tols["berger_residual"],
+        constancy_tol=tols["factor_constancy"])
     root_tol = tols["berger_root"]
     root_ok = (root["outcome"] == "root" and bool(root["passed"])
                and abs(root["a_star"] - solitons.BERGER_SOLITON_A)
@@ -119,8 +122,9 @@ def _soliton_checks(tols, count: int) -> list[dict]:
 
     round_man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)],
                                name="line_x_round_berger")
-    pc = solitons.quadratic_profile_check(round_man, 0.0, count=8,
-                                          tol=tols["soliton"])
+    pc = solitons.quadratic_profile_check(
+        round_man, 0.0, count=8, tol=tols["soliton"],
+        constancy_tol=tols["factor_constancy"])
     checks.append(report.check_record(
         "soliton/round-berger-lambda-zero", pc["residual"].sup,
         pc["residual"].tol, bool(pc["passed"]), expected=0.0))

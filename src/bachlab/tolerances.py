@@ -24,6 +24,9 @@ DEFAULTS: dict[str, float] = {
     "rigidity_grad": 1e-6,
     # how far ||Hess S||^2 - (Lap S)^2 / 2 may dip below zero
     "rigidity_slack": 1e-10,
+    # spread of S and |Ric|^2 over an N^3 factor, the constancy hypothesis
+    # of the line x N^3 and S^1 x N^3 formulas
+    "factor_constancy": 1e-8,
     # extended soliton residual sup over sample points
     "soliton": 1e-7,
     # gradient examples on flat x space-form products hit machine precision

@@ -107,6 +107,23 @@ def test_integrate_accepts_callable():
     assert abs(val - 4 * math.pi / 3) <= 1e-9
 
 
+def test_integrate_columns_form_the_measure_once(monkeypatch):
+    b = charts.berger_sphere(1.4)
+    q = charts.quadrature(b, 6)
+    cols = [b.scalar_values("cos(be)^2 + sin(al)", q.nodes), 2.5,
+            lambda pts: np.sin(pts[:, 0])]
+    singles = [charts.integrate(b, c, quad=q) for c in cols]
+    density = charts.volume_density
+    # weights * density * f, as one integral was formed before
+    assert singles[0] == float(np.sum(q.weights * density(b, q.nodes)
+                                      * cols[0]))
+    calls = []
+    monkeypatch.setattr(charts, "volume_density",
+                        lambda *a: calls.append(a) or density(*a))
+    assert charts.integrate_columns(b, cols, quad=q) == singles
+    assert len(calls) == 1
+
+
 def test_berger_character_integral_matches_round_value():
     # The normalized Haar integral of |tr U|^2 over SU(2) equals 1 for the
     # fundamental character tr U = 2 cos(be/2) cos((al+ga)/2), and squashing

@@ -47,7 +47,7 @@ def test_nan_bach_fails_the_product_cross_check(monkeypatch):
 
 def test_nan_divergence_fails_the_soliton_profile_check(monkeypatch):
     monkeypatch.setattr(CurvatureFrame, "divergence_vector",
-                        lambda self, X: _nan_jet(self.n))
+                        lambda self, X: _nan_jet(self.n, self.batch))
     man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)])
     pc = solitons.quadratic_profile_check(man, 0.0, count=4)
     assert pc["residual"].passed  # the NaN sits only in the traced identity
@@ -108,3 +108,18 @@ def test_nan_at_one_node_fails_a_point_set_identity(monkeypatch):
     assert out["sup"] == math.inf
     rep = identities.run_identity_case("bochner", {"count": 6})
     assert rep["sup"] == math.inf and not rep["passed"]
+
+
+def test_nan_at_one_node_fails_a_soliton_residual(monkeypatch):
+    bach = CurvatureFrame.bach.func
+
+    def nan_at_node_3(self):
+        b = bach(self)
+        b.coeffs[..., 3, :] = math.nan
+        return b
+
+    monkeypatch.setattr(CurvatureFrame, "bach", property(nan_at_node_3))
+    rep = solitons.named_example("ho-r2s2", count=6)
+    assert np.isnan(rep.norms[3])
+    assert np.all(np.isfinite(np.delete(rep.norms, 3)))
+    assert rep.sup == math.inf and not rep.passed

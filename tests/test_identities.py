@@ -1,12 +1,13 @@
 """Pointwise and integral identity checks across the metric corpus."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bachlab import charts, identities, solitons, tolerances
+from bachlab import charts, identities, products, solitons, suite, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
@@ -342,6 +343,16 @@ def test_rigidity_builds_one_frame_per_point_set(monkeypatch):
     assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30)]
 
 
+@pytest.mark.parametrize("iid", ["thm32", "thm38", "be", "lemma48"])
+def test_integral_identities_form_the_volume_density_once(monkeypatch, iid):
+    density = charts.volume_density
+    calls = []
+    monkeypatch.setattr(charts, "volume_density",
+                        lambda *a: calls.append(a) or density(*a))
+    run_identity_case(iid, {"resolution": [6, 5]})
+    assert len(calls) == 1
+
+
 def test_rigidity_honours_the_case_tolerance():
     # the round sphere's scalar spread is a few ulp, not zero
     assert run_identity_case("lemma48")["passed"]
@@ -414,13 +425,22 @@ def test_case_document_must_be_an_object():
         run_identity_case("yano", [])
 
 
+def small_float_literals(module, allowed=()):
+    """(line, value) of each float literal below 1e-3 in a module's source,
+    except those assigned to a name in `allowed`.  Every gate is a small
+    number; formula constants (0.5, 2.0, ...) are not."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    exempt = {id(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in allowed}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in exempt
+            and type(node.value) is float and 0.0 < abs(node.value) < 1e-3]
+
+
 def test_identity_gates_live_in_the_tolerance_table():
     tree = ast.parse(Path(identities.__file__).read_text())
-    # every gate is a small number; formula constants (0.5, 2.0, ...) are not
-    gates = [(node.lineno, node.value) for node in ast.walk(tree)
-             if isinstance(node, ast.Constant)
-             and type(node.value) is float and 0.0 < abs(node.value) < 1e-3]
-    assert gates == []
+    assert small_float_literals(identities) == []
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             for default in fn.args.defaults + fn.args.kw_defaults:
@@ -432,6 +452,51 @@ def test_identity_gates_live_in_the_tolerance_table():
         "rigidity_slack")} == {
         "conformal_gate": 1e-9, "bianchi": 1e-8, "rigidity_c_spread": 1e-8,
         "rigidity_grad": 1e-6, "rigidity_slack": 1e-10}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    # the root-merge distance of the Berger solve decides no verdict
+    (solitons, ("_ROOT_MERGE",)),
+    (products, ()),
+])
+def test_soliton_and_product_gates_live_in_the_tolerance_table(module,
+                                                               allowed):
+    assert small_float_literals(module, allowed) == []
+    tree = ast.parse(Path(module.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            args = fn.args.args + fn.args.kwonlyargs
+            defaults = ([None] * (len(fn.args.args) - len(fn.args.defaults))
+                        + fn.args.defaults + fn.args.kw_defaults)
+            for arg, default in zip(args, defaults):
+                if arg.arg == "tol" or arg.arg.endswith("_tol"):
+                    assert not (isinstance(default, ast.Constant)
+                                and type(default.value) is float), fn.name
+
+
+def test_soliton_and_product_gate_defaults_read_the_table():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    table = tolerances.DEFAULTS
+    for fn in (solitons.extended_q_residual, solitons.bach_soliton_residual,
+               solitons.quadratic_profile_check):
+        assert default(fn, "tol") == table["soliton"] == 1e-7
+    assert default(solitons.solve_berger_soliton, "residual_tol") \
+        == table["berger_residual"] == 1e-7
+    for fn, name in ((solitons.quadratic_profile_check, "constancy_tol"),
+                     (solitons.solve_berger_soliton, "constancy_tol"),
+                     (products.product_lambda_report, "tol")):
+        assert default(fn, name) == table["factor_constancy"] == 1e-8
+
+
+def test_constancy_gate_comes_from_the_resolved_table():
+    # the Berger spheres' S and |Ric|^2 spread by a few ulp, not zero
+    tight = tolerances.resolve({"factor_constancy": 1e-30})
+    with pytest.raises(products.ProductFormulaError, match="constant"):
+        suite._product_checks(tight)
+    with pytest.raises(solitons.SolitonError, match="non-constant"):
+        suite._soliton_checks(tight, count=4)
 
 
 def test_case_gates_come_from_the_resolved_table():

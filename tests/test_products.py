@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from bachlab import charts, products
-from bachlab.curvature import CurvatureFrame, frame_at, values
+from bachlab import charts, curvature, products
+from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from bachlab.products import (FactorCurvature, ProductFormulaError,
                               bach_line_cross_3, bach_surface_product,
                               circle_product_lambda, einstein_residual_norm2,
                               line_product_lambda,
                               line_product_trace_residual,
                               line_soliton_obstruction, surface_c_invariant)
+from test_identities import count_frames
 
 
 def fc_at(chart, pt=None, role="factor"):
@@ -175,6 +176,21 @@ def test_product_lambda_report_and_constancy_gate():
         products.product_lambda_report(bumpy, "line")
     with pytest.raises(ProductFormulaError, match="family"):
         products.product_lambda_report(charts.berger_sphere(1.5), "torus")
+
+
+def test_constancy_spread_equals_the_per_point_path(monkeypatch):
+    chart = charts.conformal(charts.round_sphere(3), "0.2*cos(ch)")
+    pts = charts.sample_points(chart, 40, margin=0.12)
+    s = [CurvatureFrame(chart, p).scalar.value for p in pts]
+    r = [CurvatureFrame(chart, p).ricci_norm2.value for p in pts]
+    orders = count_frames(monkeypatch)
+    spread = products.constancy_spread(chart, count=40)
+    assert spread == {"scalar_spread": float(np.ptp(s)),
+                      "ricci_norm2_spread": float(np.ptp(r))}
+    size = curvature._CHUNK_POINTS
+    assert size < 40
+    assert orders == [(BASE_ORDER, min(size, 40 - k))
+                      for k in range(0, 40, size)]
 
 
 def test_obstruction_zero_on_constant_curvature():

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from bachlab import charts, solitons, tolerances
-from bachlab.curvature import values
+from bachlab import charts, curvature, solitons, suite, tolerances
+from bachlab.curvature import BASE_ORDER, frame_at, values
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
                               quadratic_profile_check, solve_berger_soliton,
                               splitting_spotcheck, surface_conformal_field)
+from test_identities import count_frames
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +163,7 @@ def test_lambda_form_equals_extended_form():
                               points=pts)
     spec = SolitonSpec(
         manifold=man, potential="0.2*cos(th)*cos(ph)", q="bach",
-        phi=lambda fr: lam + float(values(fr.lap_scalar)) / 24.0)
+        phi=lambda fr: lam + values(fr.lap_scalar) / 24.0)
     b = extended_q_residual(man, spec, points=pts)
     assert np.allclose(a.residuals, b.residuals, atol=1e-13)
     assert a.sup > 1e-3  # the data is not a soliton; agreement is the point
@@ -391,3 +392,149 @@ def test_residual_sample_points():
     assert len(pts2) == 20 + 81
     assert np.array_equal(pts2, charts.residual_sample_points(
         compact, 20, grid_cap=81))
+
+
+# ----------------------------------------------------------------------
+# point chunks: one frame per chunk, values bitwise per point
+# ----------------------------------------------------------------------
+def bumpy_s2_x_s2():
+    return charts.single(charts.conformal(
+        charts.get_example("s2_x_s2").chart, "0.2*cos(th) + 0.1*sin(th_2)"))
+
+
+def chunk_orders(n_points, order=BASE_ORDER):
+    """(order, points) of the frames over a set of n points."""
+    size = curvature._CHUNK_POINTS
+    return [(order, min(size, n_points - start))
+            for start in range(0, n_points, size)]
+
+
+def same_bits(a, b):
+    """Equal values of the same shape, bit for bit (NaN included)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, ResidualReport):
+        return same_bits(vars(a), vars(b))
+    if isinstance(a, str) or a is None:
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def per_point(monkeypatch, run):
+    """run() with one frame per point, then with the default chunks."""
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "_CHUNK_POINTS", 1)
+        one = run()
+    return one, run()
+
+
+@pytest.mark.parametrize("spec_kw", [
+    {"q": "bach", "phi": "0.3 + 0.1*cos(th)"},
+    {"q": "bach", "phi": lambda fr: 0.3 + values(fr.lap_scalar) / 24.0},
+    {"q": "bach_flow", "lam": 0.2},
+    {"q": "constructed", "phi": "0.1*sin(th_2)"},
+    {"q": "zero", "lam": -0.1},
+    {"q": "custom", "lam": 0.0,
+     "custom_q": tuple(tuple("0.1*cos(th)" if i == j else "0"
+                             for j in range(4)) for i in range(4))},
+])
+def test_residual_equals_the_per_point_path(spec_kw):
+    # 20 Halton points and the 16 grid nodes of a compact chart: 3 chunks
+    man = bumpy_s2_x_s2()
+    pts = charts.residual_sample_points(man, 20, grid_cap=16)
+    assert len(pts) > 2 * curvature._CHUNK_POINTS
+    spec = SolitonSpec(manifold=man, potential="0.2*cos(th)*cos(ph)",
+                       **spec_kw)
+    rep = extended_q_residual(man, spec, points=pts)
+    for i, p in enumerate(pts):
+        frame = frame_at(man, p)
+        g, _, r = solitons._residual(frame, spec,
+                                     solitons._field_jets(frame, spec))
+        assert same_bits(rep.residuals[i], r), i
+        assert same_bits(rep.norms[i], solitons.metric_norm(g, r)), i
+
+
+def test_residual_builds_one_frame_per_chunk(monkeypatch):
+    orders = count_frames(monkeypatch)
+    man = bumpy_s2_x_s2()
+    pts = charts.residual_sample_points(man, 20, grid_cap=16)
+    rep = bach_soliton_residual(man, 0.1, potential="0.2*cos(th)",
+                                points=pts)
+    assert len(rep.norms) == 36
+    assert orders == chunk_orders(36)
+    assert len(orders) > 1
+
+
+def test_profile_check_equals_the_per_point_path(monkeypatch):
+    man = charts.product([charts.line(4.0), charts.berger_sphere(1.3)])
+    one, chunked = per_point(monkeypatch, lambda: quadratic_profile_check(
+        man, -0.25, a=0.1, b=0.2, count=40, tol=10.0))
+    assert same_bits(one, chunked)
+    assert chunked["traced_identity_deviation"] > 0.0
+
+
+def test_profile_check_builds_one_frame_per_chunk(monkeypatch):
+    orders = count_frames(monkeypatch)
+    man = charts.product([charts.line(4.0), charts.berger_sphere(1.3)])
+    quadratic_profile_check(man, -0.25, count=80, tol=10.0)
+    # constancy spread (40 points of N^3), the factor at its center, the
+    # traced identity (20 points) and the residual (80 points)
+    assert orders == (chunk_orders(40) + [(BASE_ORDER, 1)]
+                      + chunk_orders(20) + chunk_orders(80))
+
+
+@pytest.mark.parametrize("name, spec_kw", [
+    ("r2_x_s2", {"potential": "-(x^2 + y^2)/12", "lam": -1.0 / 12.0}),
+    ("s2_x_s2", {"potential": "0.1*cos(th)", "phi": "0.2*cos(th_2) + 0.1"}),
+])
+def test_c_field_equals_the_per_point_path(monkeypatch, name, spec_kw):
+    man = charts.get_example(name)  # s2_x_s2 adds 16 grid nodes
+    pts = charts.residual_sample_points(man, 12, grid_cap=16)
+    spec = SolitonSpec(manifold=man, **spec_kw)
+    one, chunked = per_point(
+        monkeypatch, lambda: surface_conformal_field(man, spec, points=pts))
+    assert same_bits(one, chunked)
+
+
+def test_c_field_builds_one_frame_per_chunk(monkeypatch):
+    orders = count_frames(monkeypatch)
+    man = charts.get_example("s2_x_s2")
+    spec = SolitonSpec(manifold=man, potential="0.1*cos(th)", lam=0.0)
+    out = surface_conformal_field(man, spec, count=10)
+    assert len(out["points"]) == 91
+    assert orders == chunk_orders(91)
+
+
+def test_splitting_spotcheck_equals_the_per_point_path(monkeypatch):
+    man = charts.get_example("s2_x_s2")
+    one, chunked = per_point(monkeypatch, lambda: splitting_spotcheck(
+        man, "cos(th) + sin(th_2)", "cos(th)*sin(th_2)", count=4))
+    assert same_bits(one, chunked)
+    orders = count_frames(monkeypatch)
+    splitting_spotcheck(man, "cos(th) + sin(th_2)", "cos(th)*sin(th_2)",
+                        count=4)
+    assert orders == chunk_orders(4 + 81)  # both fields share the frames
+
+
+def test_suite_bach_group_equals_the_per_point_path(monkeypatch):
+    tols = tolerances.resolve()
+    one, chunked = per_point(
+        monkeypatch, lambda: suite._bach_property_checks(tols, count=18))
+    assert one == chunked
+    orders = count_frames(monkeypatch)
+    suite._bach_property_checks(tols, count=18)
+    # per chunk: the frame, its order-5 divergence frame, the rescaled one
+    assert sorted(orders) == sorted(
+        chunk_orders(18) * 2 + chunk_orders(18, BASE_ORDER + 1))
+
+
+def test_soliton_group_frame_budget(monkeypatch):
+    # suite all's soliton group at its default count builds 207 frames over
+    # 596 points: 150 are the single-point factor frames of the Berger
+    # root solve, the rest one per chunk of 8.  One frame per point was 596.
+    orders = count_frames(monkeypatch)
+    suite._soliton_checks(tolerances.resolve(), count=80)
+    assert sum(n for _, n in orders) == 596
+    assert len(orders) <= 207
