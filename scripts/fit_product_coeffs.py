@@ -5,13 +5,29 @@ pipeline over random conformal factor metrics, prints the coefficients
 (as fractions) and the fit residual.  The frozen rationals live in
 bachlab/products.py; rerun this script to re-derive them.
 """
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from bachlab import charts
-from bachlab.curvature import CurvatureFrame, frame_at, values
+from bachlab.curvature import chunked_frames
+from bachlab.products import FactorCurvature
+
+UPPER3 = np.triu_indices(3)
+UPPER2 = np.triu_indices(2)
+
+
+def product_bach(man, points):
+    """B of a product chart at each point, the point axis last."""
+    return np.concatenate([fr.bach.value
+                           for _, fr in chunked_frames(man, points)], axis=-1)
+
+
+def entry_rows(terms, upper):
+    """One row per point and upper-triangle entry (point-major), one
+    column per (n, n, N) term."""
+    return np.stack([t[upper].T for t in terms], axis=-1).reshape(
+        -1, len(terms))
 
 
 def line_family_rows():
@@ -28,33 +44,20 @@ def line_family_rows():
     for N in factors:
         man = charts.product([charts.line(), N])
         pts = charts.sample_points(N, 6, margin=0.15)
-        for q in pts:
-            p4 = np.concatenate(([0.0], q))
-            fr = frame_at(man, p4)
-            B = values(fr.bach)
-            frn = CurvatureFrame(N, q)
-            lapS = frn.lap_scalar.value
-            ric_n2 = frn.ricci_norm2.value
-            S = frn.scalar.value
-            rows_tt.append([lapS, ric_n2, S * S])
-            vals_tt.append(B[0, 0])
-            # N-block rows: one scalar equation per tensor entry
-            lapric = values(frn.lap_ricci)
-            hessS = values(frn.hess_scalar)
-            ric2 = values(frn.ricci_sq)
-            ric = values(frn.ricci)
-            g = values(frn.g)
-            for i in range(3):
-                for j in range(i, 3):
-                    rows_n.append([
-                        lapric[i, j], hessS[i, j], ric2[i, j],
-                        S * ric[i, j], lapS * g[i, j], ric_n2 * g[i, j],
-                        S * S * g[i, j]])
-                    vals_n.append(B[1 + i, 1 + j])
-            # mixed block must vanish
-            assert np.abs(B[0, 1:]).max() < 1e-9, "mixed block not zero"
-    return (np.array(rows_tt), np.array(vals_tt),
-            np.array(rows_n), np.array(vals_n))
+        B = product_bach(man, np.hstack([np.zeros((len(pts), 1)), pts]))
+        fc = FactorCurvature.at(N, pts)
+        S, lapS, ric_n2 = fc.scalar, fc.lap_scalar, fc.ricci_norm2
+        rows_tt.append(np.column_stack([lapS, ric_n2, S * S]))
+        vals_tt.append(B[0, 0])
+        # N-block rows: one scalar equation per tensor entry
+        rows_n.append(entry_rows(
+            [fc.lap_ricci, fc.hess_scalar, fc.ricci_sq, S * fc.ricci,
+             lapS * fc.g, ric_n2 * fc.g, S * S * fc.g], UPPER3))
+        vals_n.append(B[1:, 1:][UPPER3].T.ravel())
+        # mixed block must vanish
+        assert np.abs(B[0, 1:]).max() < 1e-9, "mixed block not zero"
+    return (np.concatenate(rows_tt), np.concatenate(vals_tt),
+            np.concatenate(rows_n), np.concatenate(vals_n))
 
 
 def surface_family_rows():
@@ -74,25 +77,15 @@ def surface_family_rows():
         man = charts.product([K, L])
         ptsK = charts.sample_points(K, 5, margin=0.2)
         ptsL = charts.sample_points(L, 5, margin=0.2)
-        for qK, qL in zip(ptsK, ptsL):
-            p4 = np.concatenate([qK, qL])
-            fr = frame_at(man, p4)
-            B = values(fr.bach)
-            fk = CurvatureFrame(K, qK)
-            fl = CurvatureFrame(L, qL)
-            SK, SL = fk.scalar.value, fl.scalar.value
-            lapSK, lapSL = fk.lap_scalar.value, fl.lap_scalar.value
-            hessSK = values(fk.hess_scalar)
-            gK = values(fk.g)
-            for i in range(2):
-                for j in range(i, 2):
-                    rows.append([
-                        hessSK[i, j], lapSK * gK[i, j], lapSL * gK[i, j],
-                        SK * SK * gK[i, j], SL * SL * gK[i, j],
-                        SK * SL * gK[i, j]])
-                    vals.append(B[i, j])
-            assert np.abs(B[:2, 2:]).max() < 1e-9, "mixed block not zero"
-    return np.array(rows), np.array(vals)
+        B = product_bach(man, np.hstack([ptsK, ptsL]))
+        fk, fl = FactorCurvature.at(K, ptsK), FactorCurvature.at(L, ptsL)
+        SK, SL, gK = fk.scalar, fl.scalar, fk.g
+        rows.append(entry_rows(
+            [fk.hess_scalar, fk.lap_scalar * gK, fl.lap_scalar * gK,
+             SK * SK * gK, SL * SL * gK, SK * SL * gK], UPPER2))
+        vals.append(B[:2, :2][UPPER2].T.ravel())
+        assert np.abs(B[:2, 2:]).max() < 1e-9, "mixed block not zero"
+    return np.concatenate(rows), np.concatenate(vals)
 
 
 def report(name, A, b, labels):

@@ -449,9 +449,6 @@ class Manifold:
         off = self.offsets[k]
         return slice(off, off + self.factors[k].dim)
 
-    def factor_point(self, point: Sequence[float], k: int) -> np.ndarray:
-        return np.asarray(point, dtype=float)[self.factor_slice(k)]
-
 
 def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
     """Block-diagonal product; coordinate/parameter clashes get suffixes."""

@@ -508,20 +508,6 @@ class _JetEvaluation:
         return a / b
 
 
-def free_names(e: Expr) -> set[str]:
-    """All coordinate/parameter names appearing in the expression."""
-    t = type(e)
-    if t is Num:
-        return set()
-    if t is Var or t is Par:
-        return {e.name}
-    if t in (Neg, Call):
-        return free_names(e.a)
-    if t is Pow:
-        return free_names(e.a)
-    return free_names(e.a) | free_names(e.b)
-
-
 def substitute_names(e: Expr, mapping: Mapping[str, str]) -> Expr:
     """Rename coordinates/parameters (used when building product charts)."""
     t = type(e)

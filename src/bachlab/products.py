@@ -21,18 +21,24 @@ Closed forms appear in the literature in more than one normalization;
 the ones here are consistent with B = g^{km} cov_m C_kij + P^{ab} W_baij
 as computed by the curvature pipeline (see curvature.py), and the suite
 cross-validates every component against that pipeline.
+
+`FactorCurvature` holds a factor's data at one point or at each point of
+a point set, from one frame, with the point axis last; the closed forms
+and scalar relations are elementwise, so they take either and give each
+point's value bit for bit (`einstein_residual_norm2` takes one point).
+The checks below build one `FactorCurvature` per factor point set and
+take the product frames in chunks (`curvature.chunked_frames`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import tolerances
-from .charts import Chart, Manifold, sample_points
-from .curvature import CurvatureFrame, chunked_frames, values
+from .charts import Chart, line, product, sample_points
+from .curvature import CurvatureFrame, chunked_frames
 from .report import sup
 
 
@@ -42,31 +48,34 @@ class ProductFormulaError(ValueError):
 
 @dataclass
 class FactorCurvature:
-    """Curvature data of one factor at one point, from its own metric."""
+    """Curvature data of one factor, from its own metric, at one point or
+    at each point of an ``(N, dim)`` set.
 
-    role: str
+    A point set gives every field its point axis last, as in the values of
+    a `CurvatureFrame` over the set: ``ricci[..., k]`` and ``scalar[k]``
+    are what the k-th point alone gives, bit for bit.  The closed forms
+    below are elementwise in it, so they take either.
+    """
+
     dim: int
-    point: tuple[float, ...]
     g: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
     hess_scalar: np.ndarray
-    lap_scalar: float
+    lap_scalar: float | np.ndarray
     lap_ricci: np.ndarray
     ricci_sq: np.ndarray
-    ricci_norm2: float
+    ricci_norm2: float | np.ndarray
 
     @classmethod
-    def at(cls, chart: Chart, point: Sequence[float], role: str = "factor"
-           ) -> "FactorCurvature":
+    def at(cls, chart: Chart, point) -> "FactorCurvature":
+        """From one frame of the chart at a point or an (N, dim) array."""
         fr = CurvatureFrame(chart, point)
         return cls(
-            role=role, dim=chart.dim, point=tuple(float(x) for x in point),
-            g=values(fr.g), ricci=values(fr.ricci), scalar=fr.scalar.value,
-            hess_scalar=values(fr.hess_scalar),
-            lap_scalar=fr.lap_scalar.value,
-            lap_ricci=values(fr.lap_ricci), ricci_sq=values(fr.ricci_sq),
-            ricci_norm2=fr.ricci_norm2.value)
+            dim=chart.dim, g=fr.g.value, ricci=fr.ricci.value,
+            scalar=fr.scalar.value, hess_scalar=fr.hess_scalar.value,
+            lap_scalar=fr.lap_scalar.value, lap_ricci=fr.lap_ricci.value,
+            ricci_sq=fr.ricci_sq.value, ricci_norm2=fr.ricci_norm2.value)
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +92,7 @@ def bach_line_cross_3(fc: FactorCurvature) -> dict[str, np.ndarray | float]:
             + (7.0 / 6.0) * s * fc.ricci
             + (-fc.lap_scalar / 12.0 + 0.75 * r2
                - (5.0 / 12.0) * s * s) * fc.g)
-    return {"B_tt": b_tt, "B_tY": np.zeros(3), "B_YZ": b_yz}
+    return {"B_tt": b_tt, "B_tY": np.zeros((3,) + np.shape(s)), "B_YZ": b_yz}
 
 
 def bach_surface_product(fck: FactorCurvature, fcl: FactorCurvature
@@ -96,42 +105,43 @@ def bach_surface_product(fck: FactorCurvature, fcl: FactorCurvature
 
     def block(a: FactorCurvature, b: FactorCurvature) -> np.ndarray:
         coeff = (a.lap_scalar / 6.0 - b.lap_scalar / 12.0
-                 + (a.scalar ** 2 - b.scalar ** 2) / 24.0)
+                 + (a.scalar * a.scalar - b.scalar * b.scalar) / 24.0)
         return -a.hess_scalar / 6.0 + coeff * a.g
 
-    return {"B_K": block(fck, fcl), "B_mixed": np.zeros((2, 2)),
+    return {"B_K": block(fck, fcl),
+            "B_mixed": np.zeros((2, 2) + np.shape(fck.scalar)),
             "B_L": block(fcl, fck)}
 
 
 # ----------------------------------------------------------------------
 # scalar relations
 # ----------------------------------------------------------------------
-def circle_product_lambda(fc: FactorCurvature) -> float:
+def circle_product_lambda(fc: FactorCurvature) -> float | np.ndarray:
     """Soliton constant for S^1 x N^3: 8 lambda = |Ric|^2 - S^2/3 >= 0."""
     if fc.dim != 3:
         raise ProductFormulaError("circle-product lambda needs N^3 data")
-    return (fc.ricci_norm2 - fc.scalar ** 2 / 3.0) / 8.0
+    return (fc.ricci_norm2 - fc.scalar * fc.scalar / 3.0) / 8.0
 
 
-def line_product_lambda(fc: FactorCurvature) -> float:
+def line_product_lambda(fc: FactorCurvature) -> float | np.ndarray:
     """Soliton constant for R x N^3: lambda = -(|Ric|^2 - S^2/3)/24 <= 0."""
     if fc.dim != 3:
         raise ProductFormulaError("line-product lambda needs N^3 data")
-    return -(fc.ricci_norm2 - fc.scalar ** 2 / 3.0) / 24.0
+    return -(fc.ricci_norm2 - fc.scalar * fc.scalar / 3.0) / 24.0
 
 
-def line_product_trace_residual(fc: FactorCurvature) -> float:
+def line_product_trace_residual(fc: FactorCurvature) -> float | np.ndarray:
     """Residual of the traced identity (1/8)|Ric|^2 - (1/24)S^2 + 3 lambda.
 
     With the line-product lambda substituted this vanishes identically;
     it is exposed so soliton reports can display the consistency check.
     """
     lam = line_product_lambda(fc)
-    return fc.ricci_norm2 / 8.0 - fc.scalar ** 2 / 24.0 + 3.0 * lam
+    return fc.ricci_norm2 / 8.0 - fc.scalar * fc.scalar / 24.0 + 3.0 * lam
 
 
 def einstein_residual_norm2(fc: FactorCurvature) -> float:
-    """|Ric - (S/n) g|^2 at the point (metric norm)."""
+    """|Ric - (S/n) g|^2 (metric norm) of data at one point."""
     tf = fc.ricci - (fc.scalar / fc.dim) * fc.g
     gi = np.linalg.inv(fc.g)
     m = gi @ tf
@@ -152,11 +162,11 @@ def line_soliton_obstruction(fc: FactorCurvature) -> np.ndarray:
             + (fc.ricci_norm2 - (7.0 / 12.0) * s * s) / 3.0 * fc.g)
 
 
-def surface_c_invariant(fc: FactorCurvature) -> float:
+def surface_c_invariant(fc: FactorCurvature) -> float | np.ndarray:
     """c = Lap S + (1/3) S^2 on a surface (4/3 on the round unit sphere)."""
     if fc.dim != 2:
         raise ProductFormulaError("the c-invariant is a surface quantity")
-    return fc.lap_scalar + fc.scalar ** 2 / 3.0
+    return fc.lap_scalar + fc.scalar * fc.scalar / 3.0
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +194,7 @@ def product_lambda_report(
         raise ProductFormulaError(
             f"S and |Ric|^2 must be constant on N (spread {spread}) for "
             "the product lambda formulas")
-    fc = FactorCurvature.at(chart, chart.center(), role="n3")
+    fc = FactorCurvature.at(chart, chart.center())
     lam = (circle_product_lambda(fc) if family == "circle"
            else line_product_lambda(fc))
     return {
@@ -199,9 +209,9 @@ def product_lambda_report(
 def surface_c_report(chart: Chart, count: int = 32) -> dict:
     """c = Lap S + S^2/3 over a sample set, with its constancy spread."""
     pts = sample_points(chart, count, margin=0.12)
-    vals = [surface_c_invariant(FactorCurvature.at(chart, p)) for p in pts]
-    return {"values": [float(v) for v in vals],
-            "mean": float(np.mean(vals)), "spread": float(np.ptp(vals))}
+    vals = surface_c_invariant(FactorCurvature.at(chart, pts))
+    return {"values": vals.tolist(), "mean": float(np.mean(vals)),
+            "spread": float(np.ptp(vals))}
 
 
 # ----------------------------------------------------------------------
@@ -209,45 +219,31 @@ def surface_c_report(chart: Chart, count: int = 32) -> dict:
 # ----------------------------------------------------------------------
 def line_cross_check(n_chart: Chart, count: int = 5) -> float:
     """Max |closed form - pipeline| for line x N^3 over sample points."""
-    from .charts import line, product
     man = product([line(), n_chart])
     pts = sample_points(n_chart, count, margin=0.15)
+    comp = bach_line_cross_3(FactorCurvature.at(n_chart, pts))
+    t = np.full((len(pts), 1), man.chart.center()[0])
     worst = 0.0
-    for q in pts:
-        fc = FactorCurvature.at(n_chart, q, role="n3")
-        comp = bach_line_cross_3(fc)
-        p4 = np.concatenate(([man.chart.center()[0]], q))
-        b = values(CurvatureFrame(man.chart, p4).bach)
-        worst = sup(worst, abs(comp["B_tt"] - b[0, 0]), np.abs(b[0, 1:]),
-                    np.abs(comp["B_YZ"] - b[1:, 1:]))
+    for rows, fr in chunked_frames(man, np.hstack([t, pts])):
+        b = fr.bach.value
+        worst = sup(worst, np.abs(b[0, 1:]),
+                    np.abs(comp["B_tt"][rows] - b[0, 0]),
+                    np.abs(comp["B_YZ"][..., rows] - b[1:, 1:]))
     return worst
 
 
 def surface_cross_check(k_chart: Chart, l_chart: Chart, count: int = 5
                         ) -> float:
     """Max |closed form - pipeline| for K^2 x L^2 over sample points."""
-    from .charts import product
     man = product([k_chart, l_chart])
     pts_k = sample_points(k_chart, count, margin=0.15)
     pts_l = sample_points(l_chart, count, margin=0.15)
+    comp = bach_surface_product(FactorCurvature.at(k_chart, pts_k),
+                                FactorCurvature.at(l_chart, pts_l))
     worst = 0.0
-    for qk, ql in zip(pts_k, pts_l):
-        fck = FactorCurvature.at(k_chart, qk, role="surface_k")
-        fcl = FactorCurvature.at(l_chart, ql, role="surface_l")
-        comp = bach_surface_product(fck, fcl)
-        b = values(CurvatureFrame(man.chart,
-                                  np.concatenate([qk, ql])).bach)
-        worst = sup(worst, np.abs(comp["B_K"] - b[:2, :2]),
-                    np.abs(b[:2, 2:]), np.abs(comp["B_L"] - b[2:, 2:]))
+    for rows, fr in chunked_frames(man, np.hstack([pts_k, pts_l])):
+        b = fr.bach.value
+        worst = sup(worst, np.abs(b[:2, 2:]),
+                    np.abs(comp["B_K"][..., rows] - b[:2, :2]),
+                    np.abs(comp["B_L"][..., rows] - b[2:, 2:]))
     return worst
-
-
-def manifold_factor_data(man: Manifold, point: Sequence[float],
-                         roles: Sequence[str] | None = None
-                         ) -> list[FactorCurvature]:
-    """FactorCurvature for each factor of a product at a product point."""
-    out = []
-    for k, f in enumerate(man.factors):
-        role = roles[k] if roles else f.kind
-        out.append(FactorCurvature.at(f, man.factor_point(point, k), role))
-    return out

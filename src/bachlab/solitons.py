@@ -11,10 +11,9 @@ is either a function or a constant ``lambda``.  Residuals are evaluated on
 deterministic low-discrepancy point sets, plus a coarse quadrature grid when
 the chart is compact, and reported in the metric sup norm.  Every check
 builds one `CurvatureFrame` per chunk of its points (see
-`curvature.chunked_frames`), not one per point; only the small per-point
-NumPy steps (the metric norm, the 2 x 2 block fits of the conformal field)
-loop over a chunk's values, so each value is bitwise what a frame at its
-point alone gives.
+`curvature.chunked_frames`), not one per point, and takes the metric norm
+and the 2 x 2 block fits of the conformal field on the chunk's arrays;
+each value is bitwise what a frame at its point alone gives.
 
 Also here: the quadratic-profile check for line x N^3 gradient solitons, the
 squashed-sphere parameter solve (Brent's method on each sign-change bracket
@@ -207,10 +206,11 @@ def _point_set(man: Manifold, points, count: int) -> np.ndarray:
     return points
 
 
-def metric_norm(g: np.ndarray, tensor: np.ndarray) -> float:
-    """sqrt(T^i_j T^j_i) for a symmetric 2-tensor in coordinate components."""
+def metric_norm(g: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """sqrt(T^i_j T^j_i) for symmetric 2-tensors in coordinate components,
+    one (n, n) pair or stacks (..., n, n) of them."""
     mixed = np.linalg.solve(g, tensor)
-    return float(np.sqrt(abs(np.trace(mixed @ mixed))))
+    return np.sqrt(np.abs(np.trace(mixed @ mixed, axis1=-2, axis2=-1)))
 
 
 def _per_point(t: np.ndarray) -> np.ndarray:
@@ -229,8 +229,7 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
     for rows, frame in chunked_frames(man, points):
         g, _, r = _residual(frame, spec, _field_jets(frame, spec))
         residuals[rows] = _per_point(r)
-        norms[rows] = [metric_norm(gk, rk) for gk, rk in
-                       zip(_per_point(g), residuals[rows])]
+        norms[rows] = metric_norm(_per_point(g), residuals[rows])
     return ResidualReport(label=label, points=points, residuals=residuals,
                           norms=norms, tol=tol)
 
@@ -470,30 +469,22 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         half_lie = 0.5 * values(frame.lie_metric(c_jets))
         e_sup = sup(e_sup, np.abs(e_tensor))
         s_vals = np.array([values(s) for s in s_blocks])
+        s2 = s_vals * s_vals
         lap_s = np.array([values(frame.laplacian(s)) for s in s_blocks])
-        # the block fits, one point at a time and in Python floats: a
-        # stacked einsum or ** rounds differently from one point's values
-        for idx, g_k, lie_k, model, s_k, lap_k, phi_k in zip(
-                range(rows.start, rows.stop), _per_point(g),
-                _per_point(half_lie), _per_point(e_tensor),
-                _per_point(s_vals).tolist(), _per_point(lap_s).tolist(),
-                np.broadcast_to(phi, frame.batch).tolist()):
-            for which, (sl, other) in enumerate(((sl_k, 1), (sl_l, 0))):
-                gb = g_k[sl, sl]
-                block = lie_k[sl, sl]
-                rho_fit[idx, which] = (np.einsum(
-                    "ij,ij->", np.linalg.inv(gb), block) / 2.0)
-                rho_formula[idx, which] = (
-                    phi_k + lap_k[which] / 8.0
-                    + (s_k[which] ** 2 - s_k[other] ** 2) / 48.0)
-                phi_perp[idx, which] = (
-                    -lap_k[which] / 8.0
-                    - (s_k[which] ** 2 - s_k[other] ** 2) / 48.0)
-                tracefree_sup = sup(tracefree_sup,
-                                    np.abs(block - rho_fit[idx, which] * gb))
-                model[sl, sl] += rho_formula[idx, which] * gb
-            off_sup = sup(off_sup, np.abs(lie_k[sl_k, sl_l]))
-            identity_sup = sup(identity_sup, np.abs(lie_k - model))
+        gs, lies, model = (_per_point(t) for t in (g, half_lie, e_tensor))
+        for which, sl in enumerate((sl_k, sl_l)):
+            gb, block = gs[:, sl, sl], lies[:, sl, sl]
+            fit = np.einsum("kij,kij->k", np.linalg.inv(gb), block) / 2.0
+            ds = (s2[which] - s2[1 - which]) / 48.0
+            formula = phi + lap_s[which] / 8.0 + ds
+            rho_fit[rows, which] = fit
+            rho_formula[rows, which] = formula
+            phi_perp[rows, which] = -lap_s[which] / 8.0 - ds
+            tracefree_sup = sup(tracefree_sup,
+                                np.abs(block - fit[:, None, None] * gb))
+            model[:, sl, sl] += formula[:, None, None] * gb
+        off_sup = sup(off_sup, np.abs(lies[:, sl_k, sl_l]))
+        identity_sup = sup(identity_sup, np.abs(lies - model))
     return {
         "points": points,
         "c_field": c_vals,

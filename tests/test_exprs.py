@@ -336,6 +336,6 @@ def test_eval_jet_domain_error_at_any_point():
 def test_substitute_names_for_product_charts():
     e = parse("sin(th)^2 * r", coords=["th"], params=["r"])
     renamed = exprs.substitute_names(e, {"th": "th_2"})
-    assert "th_2" in exprs.free_names(renamed)
+    assert exprs.pretty(renamed) == "sin(th_2)^2*r"
     assert eval_float(renamed, {"th_2": 0.7, "r": 2.0}) == pytest.approx(
         eval_float(e, {"th": 0.7, "r": 2.0}))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bachlab import charts, curvature, products
+from bachlab import charts, curvature, products, suite, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
 from bachlab.products import (FactorCurvature, ProductFormulaError,
                               bach_line_cross_3, bach_surface_product,
@@ -12,11 +12,11 @@ from bachlab.products import (FactorCurvature, ProductFormulaError,
                               line_product_trace_residual,
                               line_soliton_obstruction, surface_c_invariant)
 from test_identities import count_frames
+from test_solitons import same_bits
 
 
-def fc_at(chart, pt=None, role="factor"):
-    return FactorCurvature.at(chart, chart.center() if pt is None else pt,
-                              role)
+def fc_at(chart, pt=None):
+    return FactorCurvature.at(chart, chart.center() if pt is None else pt)
 
 
 # ----------------------------------------------------------------------
@@ -54,9 +54,8 @@ def test_line_cross_formula_is_trace_free_on_synthetic_data():
         s = float(np.einsum("ij,ij->", gi, ric))
         ric_mixed = gi @ ric
         fc = FactorCurvature(
-            role="synthetic", dim=3, point=(0, 0, 0), g=g, ricci=ric,
-            scalar=s, hess_scalar=hess, lap_scalar=lap_s, lap_ricci=lapric,
-            ricci_sq=ric @ ric_mixed,
+            dim=3, g=g, ricci=ric, scalar=s, hess_scalar=hess,
+            lap_scalar=lap_s, lap_ricci=lapric, ricci_sq=ric @ ric_mixed,
             ricci_norm2=float(np.trace(ric_mixed @ ric_mixed)))
         comp = bach_line_cross_3(fc)
         total_trace = comp["B_tt"] + np.einsum("ij,ij->", gi, comp["B_YZ"])
@@ -237,9 +236,76 @@ def test_c_invariant_rejects_wrong_dimension():
         surface_c_invariant(fc_at(charts.round_sphere(3)))
 
 
-def test_manifold_factor_data():
-    man = charts.get_example("r2_x_s2")
-    fcs = products.manifold_factor_data(man, [0.1, -0.2, 1.2, 0.7])
-    assert [fc.dim for fc in fcs] == [2, 2]
-    assert abs(fcs[1].scalar - 2.0) <= 1e-12
-    assert fcs[0].scalar == 0.0
+
+# ----------------------------------------------------------------------
+# point sets
+# ----------------------------------------------------------------------
+def at_point(x, k):
+    """The k-th point's entry of a point-set value (point axis last)."""
+    if isinstance(x, dict):
+        return {key: at_point(v, k) for key, v in x.items()}
+    return x[..., k]
+
+
+SET_CHARTS = [
+    charts.conformal_round_sphere("0.3*cos(th)"),
+    charts.conformal(charts.flat_torus((6.0, 7.0)), "0.25*sin(t0)*cos(t1)"),
+    charts.conformal(charts.berger_sphere(1.2), "0.2*sin(be)*cos(al)"),
+    charts.conformal(charts.round_sphere(3), "0.2*cos(ch)"),
+]
+
+
+def factor_data(chart, count=11):
+    """FactorCurvature over a sample set, and at each of its points."""
+    pts = charts.sample_points(chart, count, margin=0.15)
+    return (FactorCurvature.at(chart, pts),
+            [FactorCurvature.at(chart, p) for p in pts])
+
+
+def assert_set_holds_each(on_set, each):
+    """The k-th point of a point-set value is each[k], bit for bit."""
+    for k, one in enumerate(each):
+        got = at_point(on_set, k)
+        if isinstance(one, dict):
+            assert got.keys() == one.keys()
+            assert all(same_bits(got[key], one[key]) for key in one), k
+        else:
+            assert same_bits(got, one), k
+
+
+@pytest.mark.parametrize("chart", SET_CHARTS, ids=lambda c: c.name)
+def test_factor_curvature_on_a_set_equals_each_point(chart):
+    fcs, each = factor_data(chart)
+    assert fcs.dim == chart.dim
+    for name in vars(fcs):
+        if name != "dim":
+            assert_set_holds_each(getattr(fcs, name),
+                                  [getattr(fc, name) for fc in each])
+
+
+def test_n3_closed_forms_on_a_set_equal_each_point():
+    for chart in SET_CHARTS[2:]:
+        fcs, each = factor_data(chart)
+        for form in (bach_line_cross_3, circle_product_lambda,
+                     line_product_lambda, line_product_trace_residual,
+                     line_soliton_obstruction):
+            assert_set_holds_each(form(fcs), [form(fc) for fc in each])
+
+
+def test_surface_closed_forms_on_a_set_equal_each_point():
+    (ks, k_each), (ls, l_each) = (factor_data(c) for c in SET_CHARTS[:2])
+    assert_set_holds_each(surface_c_invariant(ks),
+                          [surface_c_invariant(fc) for fc in k_each])
+    assert_set_holds_each(bach_surface_product(ks, ls),
+                          [bach_surface_product(fk, fl)
+                           for fk, fl in zip(k_each, l_each)])
+
+
+def test_product_group_frame_budget(monkeypatch):
+    # suite all's product group: one factor frame per point set, the dim-4
+    # frames in chunks, and the two single-point factor frames of the
+    # lambda reports; one frame per point was 90 (84 single-point)
+    orders = count_frames(monkeypatch)
+    suite._product_checks(tolerances.resolve())
+    assert len(orders) <= 19
+    assert sum(n == 1 for _, n in orders) <= 2
