@@ -12,6 +12,7 @@ integrands).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -129,6 +130,18 @@ def is_count(value) -> bool:
     a bool, and at least 1."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool) and value >= 1)
+
+
+def is_expr_list(value, depth: int = 1) -> bool:
+    """The one rule for a list of expressions read from a document: a list
+    of expression texts or numbers, nested ``depth`` deep (2 for a matrix
+    of rows).  A string is not a list of its characters."""
+    if not isinstance(value, (list, tuple)):
+        return False
+    if depth > 1:
+        return all(is_expr_list(row, depth - 1) for row in value)
+    return all(isinstance(e, (str, int, float)) and not isinstance(e, bool)
+               for e in value)
 
 
 def _axis_counts(chart: Chart, resolution: int | Sequence[int]
@@ -541,17 +554,10 @@ _KIND_BUILDERS: dict[str, Callable[..., Chart]] = {
     "conformal_round_sphere": conformal_round_sphere,
 }
 
+# the params a document may give a kind: its builder's parameter names
 _KIND_PARAMS: dict[str, set[str]] = {
-    "euclidean": {"n", "box"},
-    "line": {"length"},
-    "circle": {"length"},
-    "flat_torus": {"lengths"},
-    "round_sphere": {"n", "r"},
-    "hyperbolic_2": {"r"},
-    "berger_sphere": {"a"},
-    "surface_of_revolution": {"rho", "t_min", "t_max"},
-    "conformal_round_sphere": {"u", "r"},
-}
+    kind: set(inspect.signature(build).parameters)
+    for kind, build in _KIND_BUILDERS.items()}
 
 
 def build_factor(doc: Mapping) -> Chart:

@@ -4,10 +4,11 @@ Each function evaluates both sides of one identity with the jet pipeline,
 on one `CurvatureFrame` over its whole set of sample points or quadrature
 nodes (values carry a trailing point axis), and reports residuals; the
 integral identities integrate over the chart's quadrature rule and report
-per-term magnitudes so imbalances can be judged against the largest term.  Integral identities are exercised on constructed
-flow data q := L_X g - 2 phi g, for which the generalized soliton relation
-holds by definition; this gives a sound test family without solving any
-flow equation.  Conformality of a field is operationalized as the sup norm
+per-term magnitudes so imbalances can be judged against the largest term.
+Integral identities are exercised on constructed flow data
+q := L_X g - 2 phi g, for which the generalized soliton relation holds by
+definition; this gives a sound test family without solving any flow
+equation.  Conformality of a field is operationalized as the sup norm
 of the trace-free part of L_X g staying below a gate tolerance.
 """
 
@@ -338,6 +339,10 @@ class _Identity(NamedTuple):
 _KEYWORDS = {"X": "x_exprs", "T": "t_exprs", "phi": "phi_expr",
              "h": "h_expr", "q": "q_mode"}
 
+# case fields that hold expressions: their nesting depth and its name
+_EXPR_LIST_FIELDS = {"X": (1, "a list of expressions"),
+                     "T": (2, "a list of rows of expressions")}
+
 # conformal gradient field and a generic tensor on the round 2-sphere
 _ROUND_CONFORMAL_X = ("-sin(th)", "0")
 _GENERIC_T = (("1 + 0.3*cos(th)", "0.2*sin(th)*sin(ph)"),
@@ -419,6 +424,10 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
     if not charts.is_count(merged.get("count", 1)):
         raise IdentityError(f"count needs a whole number, at least one "
                             f"point; got {merged['count']!r}")
+    for name, (depth, what) in _EXPR_LIST_FIELDS.items():
+        if name in merged and not charts.is_expr_list(merged[name], depth):
+            raise IdentityError(f"{name} must be {what}; "
+                                f"got {merged[name]!r}")
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
     if case.takes_tol:

@@ -15,11 +15,13 @@ builds one `CurvatureFrame` per chunk of its points (see
 and the 2 x 2 block fits of the conformal field on the chunk's arrays;
 each value is bitwise what a frame at its point alone gives.
 
-Also here: the quadratic-profile check for line x N^3 gradient solitons, the
-squashed-sphere parameter solve (Brent's method on each sign-change bracket
-of the signed scalar of the product-soliton obstruction), the conformal
-correction field on surface x surface products, and the mixed-Hessian
-splitting spot-check.
+Also here: the quadratic-profile check for line x N^3 gradient solitons
+(the flow residual, the traced identity and f'' at every sample point,
+from the same frames), the squashed-sphere parameter solve (Brent's
+method on each sign-change bracket of the signed scalar of the
+product-soliton obstruction, evaluated once per distinct parameter), the
+conformal correction field on surface x surface products, and the
+mixed-Hessian splitting spot-check.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ Q_SELECTORS = ("bach_flow", "bach", "constructed", "zero", "custom")
 _TOLS = tolerances.DEFAULTS
 
 _SOLITON_DOC_FIELDS = {"manifold", "X", "f", "phi", "lambda", "q", "custom_q"}
+
+# document fields that hold expressions: their nesting depth and its name
+_EXPR_LIST_FIELDS = {"X": (1, "a list of expressions"),
+                     "custom_q": (2, "a list of rows of expressions")}
 
 
 class SolitonError(ValueError):
@@ -115,9 +121,15 @@ class SolitonSpec:
             raise SolitonError(
                 f"unknown soliton fields {sorted(bad)}; "
                 f"allowed: {sorted(_SOLITON_DOC_FIELDS)}")
+        for name, (depth, what) in _EXPR_LIST_FIELDS.items():
+            if doc.get(name) is not None \
+                    and not charts.is_expr_list(doc[name], depth):
+                raise SolitonError(f"{name} must be {what}; "
+                                   f"got {doc[name]!r}")
         x = doc.get("X")
         lam = doc.get("lambda")
-        if lam is not None and not isinstance(lam, (int, float)):
+        if lam is not None and (isinstance(lam, bool)
+                                or not isinstance(lam, (int, float))):
             raise SolitonError("lambda must be a number")
         return cls(
             manifold=charts.resolve_manifold(doc.get("manifold")),
@@ -218,6 +230,15 @@ def _per_point(t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(t, -1, 0))
 
 
+def _chunk_residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals and their metric norms at a chunk's points, the point
+    axis first."""
+    g, _, r = _residual(frame, spec, x_jets)
+    r = _per_point(r)
+    return r, metric_norm(_per_point(g), r)
+
+
 def extended_q_residual(man: Manifold, spec: SolitonSpec,
                         points: np.ndarray | None = None, count: int = 200,
                         tol: float = _TOLS["soliton"],
@@ -227,9 +248,8 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
     residuals = np.empty((len(points), man.dim, man.dim))
     norms = np.empty(len(points))
     for rows, frame in chunked_frames(man, points):
-        g, _, r = _residual(frame, spec, _field_jets(frame, spec))
-        residuals[rows] = _per_point(r)
-        norms[rows] = metric_norm(_per_point(g), residuals[rows])
+        residuals[rows], norms[rows] = _chunk_residual(
+            frame, spec, _field_jets(frame, spec))
     return ResidualReport(label=label, points=points, residuals=residuals,
                           norms=norms, tol=tol)
 
@@ -275,7 +295,8 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     norm, a gradient product soliton forces f1'' = 4 lambda with
     lambda = -(1/24)(|Ric|^2 - S^2/3), and tracing the soliton equation
     gives div X = (1/6) Lap(S) + 4 lambda.  All three are verified, plus
-    the full residual of the flow equation.
+    the full residual of the flow equation, at every sample point and
+    from one frame per chunk of them.
     """
     line_chart, n_chart = _line_cross_structure(man)
     spread = products.constancy_spread(n_chart, count=max(8, count // 2))
@@ -288,12 +309,16 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
 
     t = man.chart.coords[0]
     f_text = f"2*({lam!r})*{t}^2 + ({a!r})*{t} + ({b!r})"
+    spec = SolitonSpec(manifold=man, potential=f_text, lam=float(lam))
     pts = charts.residual_sample_points(man, count)
+    residuals = np.empty((len(pts), man.dim, man.dim))
+    norms = np.empty(len(pts))
     profile_dev = 0.0
     traced_dev = 0.0
-    for _, frame in chunked_frames(man, pts[:max(4, count // 4)]):
+    for rows, frame in chunked_frames(man, pts):
         f_jet = frame.scalar_jet(f_text)
         x_jets = frame.gradient_vector(f_jet)
+        residuals[rows], norms[rows] = _chunk_residual(frame, spec, x_jets)
         div_x = values(frame.divergence_vector(x_jets))
         lap_s = values(frame.lap_scalar)
         traced_dev = sup(traced_dev,
@@ -301,8 +326,8 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
         # d^2 f / dt^2 from the jet itself
         f2 = f_jet.partial((2,) + (0,) * (man.dim - 1))
         profile_dev = sup(profile_dev, np.abs(f2 - 4.0 * lam))
-    report = bach_soliton_residual(man, lam, potential=f_text, points=pts,
-                                   tol=tol, label=f"profile[{man.name}]")
+    report = ResidualReport(label=f"profile[{man.name}]", points=pts,
+                            residuals=residuals, norms=norms, tol=tol)
     lam_dev = abs(lam - lam_formula)
     return {
         "manifold": man.name,
@@ -362,15 +387,25 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 < lo < hi):
         raise SolitonError("need 0 < lo < hi for the parameter interval")
+    known: dict[float, float] = {}
+
+    def condition(x: float) -> float:
+        # one evaluation per distinct a: Brent's method starts from the
+        # scan's bracket ends and returns a point it has evaluated.  The
+        # condition is looked up in the module on every call, so a wrapped
+        # one sees every evaluation.
+        x = float(x)
+        if x not in known:
+            known[x] = berger_condition_scalar(x)
+        return known[x]
+
     grid = np.linspace(lo, hi, int(scan) + 1)
-    vals = np.array([berger_condition_scalar(x) for x in grid])
+    vals = np.array([condition(x) for x in grid])
     roots = [float(x) for x, v in zip(grid, vals) if v == 0.0]
     tol = 4.0 * np.finfo(float).eps
     for k in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        # looked up in the module on every call, like the scan above, so a
-        # wrapped condition sees every evaluation
-        roots.append(optimize.brentq(berger_condition_scalar, grid[k],
-                                     grid[k + 1], xtol=tol, rtol=tol))
+        roots.append(optimize.brentq(condition, grid[k], grid[k + 1],
+                                     xtol=tol, rtol=tol))
     uniq: list[float] = []
     for r in sorted(roots):
         if not uniq or abs(r - uniq[-1]) > _ROOT_MERGE:
@@ -400,7 +435,7 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
         "outcome": "root",
         "a_star": a_star,
         "lambda_star": float(lam_star),
-        "scalar_at_root": berger_condition_scalar(a_star),
+        "scalar_at_root": condition(a_star),
         "factor_scalar_curvature": float(fc.scalar),
         "profile_check": profile,
         "residual_sup": profile["residual"].sup,

@@ -243,6 +243,37 @@ def test_check_expression_fields_that_are_not_text(tmp_path, capsys, kind,
     assert "not an expression node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iid, doc, message", [
+    ("yano", {"manifold": "flat_torus_2", "X": "00"},
+     "X must be a list of expressions"),
+    ("lemma35", {"manifold": "flat_torus_2", "T": "ab"},
+     "T must be a list of rows of expressions"),
+    ("lemma35", {"manifold": "flat_torus_2", "T": ["1", "0"]},
+     "T must be a list of rows of expressions"),
+    ("yano", {"manifold": "flat_torus_2", "X": ["0", True]},
+     "X must be a list of expressions"),
+    (None, {"manifold": "r2_x_s2", "X": "xyth", "lambda": 0.0},
+     "X must be a list of expressions"),
+    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": 0.0, "q": "custom",
+            "custom_q": ["0000"] * 4},
+     "custom_q must be a list of rows of expressions"),
+    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": 0.0, "q": "custom",
+            "custom_q": "0"}, "custom_q must be a list of rows"),
+    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": True},
+     "lambda must be a number"),
+])
+def test_check_rejects_mistyped_case_fields(tmp_path, capsys, iid, doc,
+                                            message):
+    # a string is not a list of its one-letter expressions, and a boolean
+    # is not the number 1
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    args = (["check", "identity", "--id", iid] if iid
+            else ["check", "soliton", "--count", "2"])
+    assert main(args + ["--case", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_tol_must_be_finite_and_positive(tmp_path, capsys):
     # an infinite gate would pass any finite residual
     case = tmp_path / "sol.json"

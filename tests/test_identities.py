@@ -420,6 +420,19 @@ def test_case_count_needs_a_whole_number(count):
         run_identity_case("yano", {"count": count})
 
 
+@pytest.mark.parametrize("iid, doc, message", [
+    ("yano", {"manifold": "flat_torus_2", "X": "00"}, "X must be a list"),
+    ("thm32", {"X": "xy"}, "X must be a list"),
+    ("lemma35", {"T": "ab"}, "T must be a list of rows"),
+    ("lemma35", {"T": ["10", "01"]}, "T must be a list of rows"),
+    ("lemma35", {"T": [["1", "0"], "01"]}, "T must be a list of rows"),
+])
+def test_case_expression_lists_are_lists(iid, doc, message):
+    # a string would be taken as the list of its one-letter expressions
+    with pytest.raises(IdentityError, match=message):
+        run_identity_case(iid, doc)
+
+
 def test_case_document_must_be_an_object():
     with pytest.raises(IdentityError, match="must be an object"):
         run_identity_case("yano", [])

@@ -1,5 +1,7 @@
 """Soliton residual machinery: named examples, profiles, parameter solve."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def test_spec_from_doc():
     with pytest.raises(SolitonError, match="lambda must be a number"):
         SolitonSpec.from_doc({"manifold": "r2_x_s2", "f": "x",
                               "lambda": "big"})
+    with pytest.raises(SolitonError, match="lambda must be a number"):
+        SolitonSpec.from_doc({"manifold": "r2_x_s2", "f": "x",
+                              "lambda": True})
+    with pytest.raises(SolitonError, match="X must be a list"):
+        SolitonSpec.from_doc({"manifold": "r2_x_s2", "X": "xyth",
+                              "lambda": 0.0})
+    with pytest.raises(SolitonError, match="custom_q must be a list of rows"):
+        SolitonSpec.from_doc({**doc, "q": "custom",
+                              "custom_q": ["0000"] * 4})
     with pytest.raises(charts.ChartError,
                        match="catalog name or a manifold document"):
         SolitonSpec.from_doc({"f": "x", "lambda": 0.0})
@@ -256,10 +267,18 @@ def test_solver_default_interval_takes_few_evaluations(monkeypatch):
         return condition(a)
 
     monkeypatch.setattr(solitons, "berger_condition_scalar", counted)
+    orders = count_frames(monkeypatch)
     out = solve_berger_soliton()
     assert out["outcome"] == "root" and out["passed"]
     assert abs(out["a_star"] - 0.5) <= 1e-12
-    assert len(calls) <= 150
+    # the scan's 121 values, then Brent's steps inside the two brackets;
+    # the bracket ends and the root are not evaluated again
+    assert len(calls) <= 141
+    assert len(set(calls)) == len(calls)
+    # one factor frame per condition value, lambda*'s factor at the root,
+    # and the profile check's spread, factor and residual frames
+    assert len(orders) <= 145
+    assert out["scalar_at_root"] == condition(out["a_star"])
 
 
 def test_solver_nan_region_forms_no_bracket(monkeypatch):
@@ -479,10 +498,10 @@ def test_profile_check_builds_one_frame_per_chunk(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.product([charts.line(4.0), charts.berger_sphere(1.3)])
     quadratic_profile_check(man, -0.25, count=80, tol=10.0)
-    # constancy spread (40 points of N^3), the factor at its center, the
-    # traced identity (20 points) and the residual (80 points)
+    # constancy spread (40 points of N^3), the factor at its center, and
+    # the residual with the traced identity and f'' (80 points)
     assert orders == (chunk_orders(40) + [(BASE_ORDER, 1)]
-                      + chunk_orders(20) + chunk_orders(80))
+                      + chunk_orders(80))
 
 
 @pytest.mark.parametrize("name, spec_kw", [
@@ -525,16 +544,66 @@ def test_suite_bach_group_equals_the_per_point_path(monkeypatch):
     assert one == chunked
     orders = count_frames(monkeypatch)
     suite._bach_property_checks(tols, count=18)
-    # per chunk: the frame, its order-5 divergence frame, the rescaled one
+    # per chunk: one order-5 frame for B, tr B and div B, the rescaled one
     assert sorted(orders) == sorted(
-        chunk_orders(18) * 2 + chunk_orders(18, BASE_ORDER + 1))
+        chunk_orders(18) + chunk_orders(18, BASE_ORDER + 1))
 
 
 def test_soliton_group_frame_budget(monkeypatch):
-    # suite all's soliton group at its default count builds 207 frames over
-    # 596 points: 150 are the single-point factor frames of the Berger
-    # root solve, the rest one per chunk of 8.  One frame per point was 596.
+    # suite all's soliton group at its default count builds 200 frames over
+    # 583 points: 144 are single-point factor frames (the Berger root
+    # solve's 141 condition values and lambda*, the two profile checks'
+    # factor at the center), the rest one per chunk of at most 8.  One
+    # frame per point was 596 frames.
     orders = count_frames(monkeypatch)
     suite._soliton_checks(tolerances.resolve(), count=80)
-    assert sum(n for _, n in orders) == 596
-    assert len(orders) <= 207
+    assert sum(n for _, n in orders) == 583
+    assert len(orders) <= 200
+
+
+def test_no_check_builds_two_frames_at_a_point(monkeypatch):
+    # (check, chart name, params, order, point) of every frame the soliton
+    # and Bach groups of suite all build, the check being the outermost
+    # check function on the stack.  Checks may share points (the conformal
+    # field's 6 points of r2_x_s2 begin the 80 of ho-r2s2); within one
+    # check, the only point with two frames is the squashed sphere's at the
+    # root a*, read once by the condition and once for lambda*.
+    covered = collections.Counter()
+    check = [None]
+    init = curvature.CurvatureFrame.__init__
+
+    def recorded(self, chart, point, order=BASE_ORDER):
+        params = tuple(sorted(chart.params.items()))
+        for p in np.atleast_2d(np.asarray(point, dtype=float)):
+            covered[check[0], chart.name, params, order, p.tobytes()] += 1
+        init(self, chart, point, order)
+
+    def labelled(name, fn):
+        def run(*args, **kwargs):
+            if check[0] is not None:
+                return fn(*args, **kwargs)
+            check[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                check[0] = None
+        return run
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", recorded)
+    for name in ("named_example", "solve_berger_soliton",
+                 "quadratic_profile_check", "surface_conformal_field"):
+        monkeypatch.setattr(solitons, name,
+                            labelled(name, getattr(solitons, name)))
+    monkeypatch.setattr(suite, "_bach_property_checks", labelled(
+        "bach", suite._bach_property_checks))
+    tols = tolerances.resolve()
+    suite._soliton_checks(tols, count=80)
+    suite._bach_property_checks(tols)
+    assert None not in {key[0] for key in covered}
+    repeats = {key: n for key, n in covered.items() if n > 1}
+    assert len(repeats) == 1, [key[:4] for key in repeats]
+    [((who, chart, params, order, point), n)] = repeats.items()
+    assert who == "solve_berger_soliton" and chart == "berger_sphere"
+    assert abs(dict(params)["a"] - solitons.BERGER_SOLITON_A) <= 1e-12
+    assert point == np.array(solitons._BERGER_PROBE).tobytes()
+    assert (order, n) == (BASE_ORDER, 2)
