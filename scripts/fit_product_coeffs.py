@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from bachlab import charts
-from bachlab.curvature import chunked_frames
+from bachlab.curvature import on_points
 from bachlab.products import FactorCurvature
 
 UPPER3 = np.triu_indices(3)
@@ -19,8 +19,7 @@ UPPER2 = np.triu_indices(2)
 
 def product_bach(man, points):
     """B of a product chart at each point, the point axis last."""
-    return np.concatenate([fr.bach.value
-                           for _, fr in chunked_frames(man, points)], axis=-1)
+    return on_points(man, points, lambda fr: fr.bach.value)
 
 
 def entry_rows(terms, upper):

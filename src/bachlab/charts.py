@@ -132,16 +132,20 @@ def is_count(value) -> bool:
             and not isinstance(value, bool) and value >= 1)
 
 
+def is_expr(value) -> bool:
+    """The one rule for an expression read from a document: an expression
+    text or a number, and not a boolean."""
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
 def is_expr_list(value, depth: int = 1) -> bool:
-    """The one rule for a list of expressions read from a document: a list
-    of expression texts or numbers, nested ``depth`` deep (2 for a matrix
-    of rows).  A string is not a list of its characters."""
-    if not isinstance(value, (list, tuple)):
-        return False
-    if depth > 1:
-        return all(is_expr_list(row, depth - 1) for row in value)
-    return all(isinstance(e, (str, int, float)) and not isinstance(e, bool)
-               for e in value)
+    """The rule for a list of expressions read from a document: `is_expr`
+    entries nested ``depth`` deep (2 for a matrix of rows, 0 for one
+    expression).  A string is not a list of its characters."""
+    if depth == 0:
+        return is_expr(value)
+    return isinstance(value, (list, tuple)) \
+        and all(is_expr_list(e, depth - 1) for e in value)
 
 
 def _axis_counts(chart: Chart, resolution: int | Sequence[int]
@@ -554,28 +558,45 @@ _KIND_BUILDERS: dict[str, Callable[..., Chart]] = {
     "conformal_round_sphere": conformal_round_sphere,
 }
 
-# the params a document may give a kind: its builder's parameter names
-_KIND_PARAMS: dict[str, set[str]] = {
-    kind: set(inspect.signature(build).parameters)
-    for kind, build in _KIND_BUILDERS.items()}
+def _fits(default, value) -> bool:
+    """Whether a document value fits a builder parameter with this default:
+    a list of finite numbers for a sequence, a finite number for a float,
+    else a value of the default's type.  A boolean fits none of them."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) \
+            and all(_fits(0.0, v) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, type(default))
 
 
 def build_factor(doc: Mapping) -> Chart:
     """Build one factor chart from a spec document entry."""
+    if not isinstance(doc, Mapping):
+        raise ChartError(f"a factor must be an object, got {doc!r}")
     unknown = set(doc) - {"kind", "params", "resolution"}
     if unknown:
         raise ChartError(f"unknown factor fields: {sorted(unknown)}")
     kind = doc.get("kind")
-    if kind not in _KIND_BUILDERS:
+    if not isinstance(kind, str) or kind not in _KIND_BUILDERS:
         raise ChartError(
             f"unknown factor kind {kind!r}; known: "
             f"{', '.join(sorted(_KIND_BUILDERS))}")
-    params = dict(doc.get("params") or {})
-    bad = set(params) - _KIND_PARAMS[kind]
-    if bad:
-        raise ChartError(
-            f"unknown params for kind {kind!r}: {sorted(bad)}; "
-            f"allowed: {sorted(_KIND_PARAMS[kind])}")
+    params = {} if doc.get("params") is None else doc["params"]
+    if not isinstance(params, Mapping):
+        raise ChartError(f"params of {kind!r} must be an object: {params!r}")
+    # the params a document may give a kind: its builder's, by default
+    allowed = {name: p.default for name, p in
+               inspect.signature(_KIND_BUILDERS[kind]).parameters.items()}
+    for name, value in params.items():
+        if name not in allowed:
+            raise ChartError(f"unknown params for kind {kind!r}: {name!r}; "
+                             f"allowed: {sorted(allowed)}")
+        if not _fits(allowed[name], value):
+            raise ChartError(f"param {name!r} of kind {kind!r} must be like "
+                             f"{allowed[name]!r}, got {value!r}")
     chart = _KIND_BUILDERS[kind](**params)
     if doc.get("resolution") is not None:
         chart.resolution = _axis_counts(chart, doc["resolution"])
@@ -588,7 +609,7 @@ def manifold_from_spec(doc: Mapping) -> Manifold:
     if unknown:
         raise ChartError(f"unknown manifold fields: {sorted(unknown)}")
     factors = doc.get("factors")
-    if not factors:
+    if not isinstance(factors, (list, tuple)) or not factors:
         raise ChartError("manifold spec needs a non-empty 'factors' list")
     charts = [build_factor(f) for f in factors]
     name = doc.get("name")

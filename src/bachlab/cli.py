@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, charts, identities, profiles, report, solitons
 from . import suite as suite_mod
 from . import tolerances
-from .curvature import frame_at, pipeline_pack
+from .curvature import CurvatureFrame, pipeline_pack
 
 __all__ = ["main"]
 
@@ -128,7 +128,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_curvature(args) -> int:
     man = _load_manifold(args.manifold)
     point = _parse_point(args.point, man)
-    pack = pipeline_pack(frame_at(man, point))
+    pack = pipeline_pack(CurvatureFrame(man.chart, point))
     doc = {"manifold": man.name, "point": point,
            "quantities": report.jsonable(pack)}
     _emit(doc, args.out)

@@ -19,10 +19,10 @@ jet of shape (N,), `Jet.value` gives one value per point, and ``t.value
 [..., k]`` is what a frame at the k-th point alone gives, bit for bit.
 The einsum subscripts below name tensor indices only, and the point axis
 rides along with the coefficients in their ``...``, so the same code
-serves one point and a point set; `chunked_frames` takes a long point set
-in frames over bounded chunks of it.  The trailing size fixes the order (15
-coefficients are order 2 in four variables), and grading makes lowering
-the order a prefix slice.  Index gymnastics (transposes, traces) are
+serves one point and a point set; `on_points` takes a point set in frames
+over chunks of it, each bounded by the coefficients its largest stage
+holds.  The trailing size fixes the order (15 coefficients are order 2 in
+four variables), and grading makes lowering the order a prefix slice.  Index gymnastics (transposes, traces) are
 `np.einsum` calls on the coefficient array; every product of tensors is
 one `jets.contract` call, which runs at the lower of its operands'
 orders.  There are no per-entry loops.  The metric arrives as one
@@ -54,6 +54,7 @@ import numpy as np
 
 from . import exprs
 from .charts import Chart, Manifold
+from ._jettables import tables
 from .jets import Jet, contract
 
 BASE_ORDER = 4
@@ -368,31 +369,33 @@ class CurvatureFrame:
         return contract("j,j->", al, X)
 
 
-def frame_at(obj: Chart | Manifold, point) -> CurvatureFrame:
-    """The frame of a chart or manifold at a point or an (N, dim) array."""
-    chart = obj.chart if isinstance(obj, Manifold) else obj
-    return CurvatureFrame(chart, point)
+# A frame keeps every stage it computes for each of its points; its
+# largest, the Riemann tensor, holds n**4 jets per point.  So a frame holds
+# at most _FRAME_COEFFS of their coefficients: 8 points at dim 4, order 4,
+# where the soliton residuals ran as fast as at 16 at half the memory.
+_FRAME_COEFFS = 8 * 4**4 * 70
 
 
-# A frame keeps every stage it has computed for each of its points (about
-# 0.25 MB per point for a dim-4 residual), so a long point set is taken in
-# chunks of at most _CHUNK_POINTS points.  The named soliton residuals run
-# as fast in chunks of 8 as in chunks of 16, at half the memory, and about
-# a fifth faster than in chunks of 4.
-_CHUNK_POINTS = 8
+def on_points(obj: Chart | Manifold, points, fn, order: int = BASE_ORDER):
+    """``fn(frame)`` on frames over consecutive chunks of an (N, dim) point
+    set, each holding at most ``_FRAME_COEFFS`` coefficients per stage.
 
-
-def chunked_frames(obj: Chart | Manifold, points, order: int = BASE_ORDER):
-    """Frames over consecutive chunks of an (N, dim) point array.
-
-    Yields ``(rows, frame)``: the slice of the chunk's rows in ``points``
-    and one frame over them, so ``frame.point`` is ``points[rows]``.
+    ``fn`` returns an array, or a tuple of arrays, with the point axis
+    last; the chunks' results are joined along it, so entry k belongs to
+    ``points[k]`` and is bitwise what a frame at that point alone gives.
     """
     chart = obj.chart if isinstance(obj, Manifold) else obj
     pts = np.asarray(points, dtype=float)
-    for start in range(0, len(pts), _CHUNK_POINTS):
-        rows = slice(start, min(start + _CHUNK_POINTS, len(pts)))
-        yield rows, CurvatureFrame(chart, pts[rows], order)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise CurvatureError(f"a point set is an (N, dim) array with N >= 1, "
+                             f"got shape {pts.shape}")
+    n = chart.dim
+    step = max(1, _FRAME_COEFFS // (n**4 * tables(n, order).size))
+    parts = [fn(CurvatureFrame(chart, pts[k:k + step], order))
+             for k in range(0, len(pts), step)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
+    return np.concatenate(parts, axis=-1)
 
 
 def pipeline_pack(frame: CurvatureFrame, deep: bool = True

@@ -1,14 +1,14 @@
 """Pointwise and integral identities for vector fields and flow tensors.
 
-Each function evaluates both sides of one identity with the jet pipeline,
-on one `CurvatureFrame` over its whole set of sample points or quadrature
-nodes (values carry a trailing point axis), and reports residuals; the
-integral identities integrate over the chart's quadrature rule and report
-per-term magnitudes so imbalances can be judged against the largest term.
-Integral identities are exercised on constructed flow data
-q := L_X g - 2 phi g, for which the generalized soliton relation holds by
-definition; this gives a sound test family without solving any flow
-equation.  Conformality of a field is operationalized as the sup norm
+Each function evaluates both sides of one identity with the jet pipeline
+over its sample points or quadrature nodes, in bounded frames through
+`curvature.on_points` (values carry a trailing point axis), and reports
+residuals; the integral identities integrate over the chart's quadrature
+rule and report per-term magnitudes so imbalances can be judged against
+the largest term.  Integral identities are exercised on constructed flow
+data q := L_X g - 2 phi g, for which the generalized soliton relation
+holds by definition; this gives a sound test family without solving any
+flow equation.  Conformality of a field is operationalized as the sup norm
 of the trace-free part of L_X g staying below a gate tolerance.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import charts, tolerances
 from .charts import Manifold
-from .curvature import BASE_ORDER, CurvatureFrame, frame_at, values
+from .curvature import BASE_ORDER, CurvatureFrame, on_points, values
 from .jets import contract
 from .report import sup
 
@@ -41,10 +41,10 @@ class IdentityError(ValueError):
     """Violated hypothesis or malformed identity case."""
 
 
-def conformality_gap(frame: CurvatureFrame, x_jets) -> float:
-    """Sup norm of the trace-free part of L_X g over the frame's points."""
-    lie = frame.lie_metric(x_jets)
-    return sup(np.abs(values(frame.trace_free(lie))))
+def conformality_gap(frame: CurvatureFrame, x_jets) -> np.ndarray:
+    """|trace-free part of L_X g| at the frame's points; its sup is the
+    field's conformality gap."""
+    return np.abs(values(frame.trace_free(frame.lie_metric(x_jets))))
 
 
 def _check_conformal(gap: float, gate: float) -> None:
@@ -54,15 +54,14 @@ def _check_conformal(gap: float, gate: float) -> None:
             f"exceeds the gate {gate:.1e}")
 
 
-def _constructed_flow(man: Manifold, points, x_exprs: Sequence[str],
+def _constructed_flow(frame: CurvatureFrame, x_exprs: Sequence[str],
                       phi_expr: str):
-    """The order-3 frame at the points, X, L_X g, phi, q = L_X g - 2 phi g."""
-    frame = CurvatureFrame(man.chart, points, order=3)
+    """X, L_X g, phi and q = L_X g - 2 phi g on an order-3 frame."""
     x = frame.vector_jets(x_exprs, order=3)
     lie = frame.lie_metric(x)
     phi = frame.scalar_jet(phi_expr, order=lie.order)
     q = lie - 2.0 * phi * frame.g_at(lie.order)
-    return frame, x, lie, phi, q
+    return x, lie, phi, q
 
 
 # ----------------------------------------------------------------------
@@ -76,15 +75,18 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
     n = man.dim
     if len(t_exprs) != n or any(len(row) != n for row in t_exprs):
         raise IdentityError(f"T must be {n} x {n}")
-    frame = frame_at(man, points)
-    x = frame.vector_jets(x_exprs)
-    t = frame.scalar_jet(t_exprs)
-    lhs = values(frame.inner_sym2(frame.lie_metric(x), t))
-    alpha = contract("ij,j->i", t, x)
-    div_t = frame.divergence_sym2(t)
-    rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
-        - 2.0 * values(frame.pair_oneform_vector(div_t, x))
-    res = np.abs(lhs - rhs)
+
+    def residual(frame):
+        x = frame.vector_jets(x_exprs)
+        t = frame.scalar_jet(t_exprs)
+        lhs = values(frame.inner_sym2(frame.lie_metric(x), t))
+        alpha = contract("ij,j->i", t, x)
+        div_t = frame.divergence_sym2(t)
+        rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
+            - 2.0 * values(frame.pair_oneform_vector(div_t, x))
+        return np.abs(lhs - rhs)
+
+    res = on_points(man, points, residual)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -93,12 +95,16 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
     """div(L_X g) = div of the trace-free constructed q plus (2/n) d(div X)."""
     points = charts.residual_sample_points(man, count)
     n = man.dim
-    frame, x, lie, _, q = _constructed_flow(man, points, x_exprs, phi_expr)
-    lhs = values(frame.divergence_sym2(lie))
-    d_div = values(frame.divergence_vector(x).grad())
-    rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
-        + (2.0 / n) * d_div
-    res = np.abs(lhs - rhs).max(axis=0)
+
+    def residual(frame):
+        x, lie, _, q = _constructed_flow(frame, x_exprs, phi_expr)
+        lhs = values(frame.divergence_sym2(lie))
+        d_div = values(frame.divergence_vector(x).grad())
+        rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
+            + (2.0 / n) * d_div
+        return np.abs(lhs - rhs).max(axis=0)
+
+    res = on_points(man, points, residual, order=3)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -107,14 +113,17 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
     """L_X S = -2 sigma S - 2(n-1) Lap(sigma), sigma = div(X)/n, X conformal."""
     points = charts.residual_sample_points(man, count)
     n = man.dim
-    frame = frame_at(man, points)
-    x = frame.vector_jets(x_exprs)
-    gap = conformality_gap(frame, x)
-    sigma = frame.divergence_vector(x) * (1.0 / n)
-    lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
-    rhs = -2.0 * values(sigma) * values(frame.scalar) \
-        - 2.0 * (n - 1) * values(frame.laplacian(sigma))
-    res = np.abs(lhs - rhs)
+
+    def residual(frame):
+        x = frame.vector_jets(x_exprs)
+        sigma = frame.divergence_vector(x) * (1.0 / n)
+        lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
+        rhs = -2.0 * values(sigma) * values(frame.scalar) \
+            - 2.0 * (n - 1) * values(frame.laplacian(sigma))
+        return np.abs(lhs - rhs), conformality_gap(frame, x)
+
+    res, tf_lie = on_points(man, points, residual)
+    gap = sup(tf_lie)
     _check_conformal(gap, gate)
     return {"points": points, "residuals": res, "sup": sup(res),
             "conformality_gap": gap}
@@ -123,13 +132,16 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
 def bochner_identity(man: Manifold, h_expr: str, count: int = 50) -> dict:
     """div(Hess h) = Ric(grad h) + d(Lap h) as 1-forms."""
     points = charts.residual_sample_points(man, count)
-    frame = frame_at(man, points)
-    h = frame.scalar_jet(h_expr)
-    lhs = values(frame.divergence_sym2(frame.hessian(h)))
-    ric_grad = values(frame.contract_vector_sym2(
-        frame.gradient_vector(h), frame.ricci))
-    d_lap = values(frame.laplacian(h).grad())
-    res = np.abs(lhs - ric_grad - d_lap).max(axis=0)
+
+    def residual(frame):
+        h = frame.scalar_jet(h_expr)
+        lhs = values(frame.divergence_sym2(frame.hessian(h)))
+        ric_grad = values(frame.contract_vector_sym2(
+            frame.gradient_vector(h), frame.ricci))
+        d_lap = values(frame.laplacian(h).grad())
+        return np.abs(lhs - ric_grad - d_lap).max(axis=0)
+
+    res = on_points(man, points, residual)
     return {"points": points, "residuals": res, "sup": sup(res)}
 
 
@@ -157,20 +169,23 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
     """
     quad = _compact_quadrature(man, resolution)
     n = man.dim
-    frame, x, lie, phi, q = _constructed_flow(man, quad.nodes, x_exprs,
-                                              phi_expr)
-    tr_q = values(frame.trace(q))
-    q_bar = frame.trace_free(q)
-    cols = (
-        values(phi) * tr_q,
-        tr_q ** 2 / (2.0 * n),
-        values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
-        -0.5 * values(frame.norm2_sym2(q_bar)),
-        values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar), x)),
-        -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
-    )
+
+    def columns(frame):
+        x, lie, phi, q = _constructed_flow(frame, x_exprs, phi_expr)
+        tr_q = values(frame.trace(q))
+        q_bar = frame.trace_free(q)
+        return (
+            values(phi) * tr_q,
+            tr_q ** 2 / (2.0 * n),
+            values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
+            -0.5 * values(frame.norm2_sym2(q_bar)),
+            values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar),
+                                             x)),
+            -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
+        )
+
     t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = charts.integrate_columns(
-        man.chart, cols, quad=quad)
+        man.chart, on_points(man, quad.nodes, columns, order=3), quad=quad)
     lhs1 = t_phi + t_tr + t_div
     scale1 = max(abs(t_phi), abs(t_tr), abs(t_div), abs(rhs1))
     scale2 = max(abs(lhs2), abs(rhs2))
@@ -201,24 +216,26 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
         raise IdentityError("q = S g satisfies the divergence condition "
                             "in dimension 2 only")
     quad = _compact_quadrature(man, resolution)
-    frame = frame_at(man, quad.nodes)
-    x = frame.vector_jets(x_exprs)
-    gap = conformality_gap(frame, x)
-    if q_mode == "ricci":
-        q = frame.ricci
-    else:
-        q = frame.scalar * frame.g_at(frame.scalar.order)
-    tr_q = frame.trace(q)
-    d_tr = tr_q.grad()
-    bianchi = sup(np.abs(values(frame.divergence_sym2(q))
-                          - 0.5 * values(d_tr)))
+
+    def columns(frame):
+        x = frame.vector_jets(x_exprs)
+        q = (frame.ricci if q_mode == "ricci"
+             else frame.scalar * frame.g_at(frame.scalar.order))
+        tr_q = frame.trace(q)
+        d_tr = tr_q.grad()
+        return (conformality_gap(frame, x),
+                np.abs(values(frame.divergence_sym2(q)) - 0.5 * values(d_tr)),
+                values(frame.pair_oneform_vector(d_tr, x)),
+                np.abs(values(tr_q)))
+
+    tf_lie, div_res, vals, abs_tr = on_points(man, quad.nodes, columns)
+    gap, bianchi = sup(tf_lie), sup(div_res)
     _check_conformal(gap, gate)
     if bianchi > bianchi_tol:
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
-    vals = values(frame.pair_oneform_vector(d_tr, x))
-    integral, scale = charts.integrate_columns(
-        man.chart, (vals, np.abs(values(tr_q))), quad=quad)
+    integral, scale = charts.integrate_columns(man.chart, (vals, abs_tr),
+                                               quad=quad)
     return {"integral": integral, "scale": scale,
             "conformality_gap": gap, "bianchi_residual": bianchi,
             "nodes": len(quad.nodes)}
@@ -237,15 +254,20 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     """
     quad = _compact_quadrature(man, resolution)
     n = man.dim
-    frame, x, lie, _, q = _constructed_flow(man, quad.nodes, x_exprs,
-                                            phi_expr)
-    d_tr = frame.trace(q).grad()
+
+    def columns(frame):
+        x, lie, _, q = _constructed_flow(frame, x_exprs, phi_expr)
+        d_tr = frame.trace(q).grad()
+        return (values(frame.norm2_sym2(frame.trace_free(q))),
+                values(frame.pair_oneform_vector(d_tr, x)),
+                np.abs(values(frame.divergence_sym2(q)) - 0.5 * values(d_tr)),
+                np.abs(values(frame.trace_free(lie))))
+
+    qbar, lie_tr, div_res, tf_lie = on_points(man, quad.nodes, columns,
+                                              order=3)
     qbar_int, lie_tr_int = charts.integrate_columns(
-        man.chart, (values(frame.norm2_sym2(frame.trace_free(q))),
-                    values(frame.pair_oneform_vector(d_tr, x))), quad=quad)
-    bianchi = sup(np.abs(values(frame.divergence_sym2(q))
-                          - 0.5 * values(d_tr)))
-    conf = sup(np.abs(values(frame.trace_free(lie))))
+        man.chart, (qbar, lie_tr), quad=quad)
+    bianchi, conf = sup(div_res), sup(tf_lie)
     total = qbar_int + (n - 2.0) / n * lie_tr_int
     scale = max(qbar_int, abs((n - 2.0) / n * lie_tr_int), 1.0)
     vanishes = abs(total) <= tol * scale
@@ -274,7 +296,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     Checks, in order: the hypothesis (the invariant c = Lap(S) + S^2/3 is
     constant over the chart within ``c_tol``; violated hypothesis raises);
     the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter exact,
-    from one order-5 frame over the interior points) within ``grad_tol``;
+    from order-5 frames over the interior points) within ``grad_tol``;
     the integral identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the
     pointwise bound ||Hess S||^2 >= (Lap S)^2 / 2, to ``slack_tol`` below
     zero;  and the conclusion that S is constant.
@@ -283,26 +305,29 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     if chart.dim != 2:
         raise IdentityError("scalar rigidity applies to surfaces")
     quad = _compact_quadrature(man, resolution)
+
+    def pointwise(frame):
+        s = values(frame.scalar)
+        grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
+        return (s, values(frame.lap_scalar),
+                values(frame.norm2_sym2(frame.hess_scalar)),
+                np.abs(grad_s2 + 3.0 * values(frame.lap_scalar.grad())))
+
     # pointwise checks run on interior sample points: quadrature nodes next
     # to chart degeneracies (sphere poles) amplify harmless rounding in
     # Lap(S) through the inverse metric and would mask the real question
-    frame = CurvatureFrame(chart, charts.sample_points(chart, 24),
-                           order=BASE_ORDER + 1)
-    s = values(frame.scalar)
-    lap = values(frame.lap_scalar)
-    hess2 = values(frame.norm2_sym2(frame.hess_scalar))
-    grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
-    grad_res = sup(np.abs(grad_s2 + 3.0 * values(frame.lap_scalar.grad())))
+    s, lap, hess2, grad_abs = on_points(
+        chart, charts.sample_points(chart, 24), pointwise, BASE_ORDER + 1)
+    grad_res = sup(grad_abs)
     cs_slack = float(np.min(hess2 - lap * lap / 2.0))  # NaN fails below
     c_spread = float(np.ptp(lap + s * s / 3.0))
     if not c_spread <= c_tol:  # a NaN spread violates it too
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
-    nodes = frame_at(man, quad.nodes)
-    hess2_int, lap2_int = charts.integrate_columns(
-        chart, (values(nodes.norm2_sym2(nodes.hess_scalar)),
-                values(nodes.lap_scalar) ** 2), quad=quad)
+    hess2_int, lap2_int = charts.integrate_columns(chart, on_points(
+        chart, quad.nodes, lambda fr: (values(fr.norm2_sym2(fr.hess_scalar)),
+                                       values(fr.lap_scalar) ** 2)), quad=quad)
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
     s_spread = float(np.ptp(s))
     lap_sup = float(np.abs(lap).max())
@@ -340,8 +365,9 @@ _KEYWORDS = {"X": "x_exprs", "T": "t_exprs", "phi": "phi_expr",
              "h": "h_expr", "q": "q_mode"}
 
 # case fields that hold expressions: their nesting depth and its name
-_EXPR_LIST_FIELDS = {"X": (1, "a list of expressions"),
-                     "T": (2, "a list of rows of expressions")}
+_EXPR_FIELDS = {"X": (1, "a list of expressions"),
+                "T": (2, "a list of rows of expressions"),
+                "phi": (0, "one expression"), "h": (0, "one expression")}
 
 # conformal gradient field and a generic tensor on the round 2-sphere
 _ROUND_CONFORMAL_X = ("-sin(th)", "0")
@@ -424,7 +450,7 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
     if not charts.is_count(merged.get("count", 1)):
         raise IdentityError(f"count needs a whole number, at least one "
                             f"point; got {merged['count']!r}")
-    for name, (depth, what) in _EXPR_LIST_FIELDS.items():
+    for name, (depth, what) in _EXPR_FIELDS.items():
         if name in merged and not charts.is_expr_list(merged[name], depth):
             raise IdentityError(f"{name} must be {what}; "
                                 f"got {merged[name]!r}")

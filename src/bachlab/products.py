@@ -23,22 +23,23 @@ as computed by the curvature pipeline (see curvature.py), and the suite
 cross-validates every component against that pipeline.
 
 `FactorCurvature` holds a factor's data at one point or at each point of
-a point set, from one frame, with the point axis last; the closed forms
-and scalar relations are elementwise, so they take either and give each
-point's value bit for bit (`einstein_residual_norm2` takes one point).
-The checks below build one `FactorCurvature` per factor point set and
-take the product frames in chunks (`curvature.chunked_frames`).
+a point set, with the point axis last; the closed forms and scalar
+relations are elementwise, so they take either and give each point's
+value bit for bit (`einstein_residual_norm2` takes one point).  The
+checks below build one `FactorCurvature` per factor point set and take
+every point set, factor or product, in bounded frames through
+`curvature.on_points`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tolerances
 from .charts import Chart, line, product, sample_points
-from .curvature import CurvatureFrame, chunked_frames
+from .curvature import CurvatureFrame, on_points
 from .report import sup
 
 
@@ -69,13 +70,15 @@ class FactorCurvature:
 
     @classmethod
     def at(cls, chart: Chart, point) -> "FactorCurvature":
-        """From one frame of the chart at a point or an (N, dim) array."""
-        fr = CurvatureFrame(chart, point)
-        return cls(
-            dim=chart.dim, g=fr.g.value, ricci=fr.ricci.value,
-            scalar=fr.scalar.value, hess_scalar=fr.hess_scalar.value,
-            lap_scalar=fr.lap_scalar.value, lap_ricci=fr.lap_ricci.value,
-            ricci_sq=fr.ricci_sq.value, ricci_norm2=fr.ricci_norm2.value)
+        """From the chart's frame at a point, or its frames over an
+        (N, dim) array: each field after ``dim`` is the frame's quantity
+        of that name."""
+        def data(fr: CurvatureFrame) -> tuple:
+            return tuple(getattr(fr, f.name).value for f in fields(cls)[1:])
+
+        if np.ndim(point) == 1:
+            return cls(chart.dim, *data(CurvatureFrame(chart, point)))
+        return cls(chart.dim, *on_points(chart, point, data))
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +177,10 @@ def surface_c_invariant(fc: FactorCurvature) -> float | np.ndarray:
 # ----------------------------------------------------------------------
 def constancy_spread(chart: Chart, count: int = 24) -> dict[str, float]:
     """Max-minus-min of S and |Ric|^2 over a deterministic sample set."""
-    pts = sample_points(chart, count, margin=0.12)
-    s_vals, r_vals = [], []
-    for _, fr in chunked_frames(chart, pts):
-        s_vals.append(fr.scalar.value)
-        r_vals.append(fr.ricci_norm2.value)
-    return {"scalar_spread": float(np.ptp(np.concatenate(s_vals))),
-            "ricci_norm2_spread": float(np.ptp(np.concatenate(r_vals)))}
+    s, r = on_points(chart, sample_points(chart, count, margin=0.12),
+                     lambda fr: (fr.scalar.value, fr.ricci_norm2.value))
+    return {"scalar_spread": float(np.ptp(s)),
+            "ricci_norm2_spread": float(np.ptp(r))}
 
 
 def product_lambda_report(
@@ -223,13 +223,9 @@ def line_cross_check(n_chart: Chart, count: int = 5) -> float:
     pts = sample_points(n_chart, count, margin=0.15)
     comp = bach_line_cross_3(FactorCurvature.at(n_chart, pts))
     t = np.full((len(pts), 1), man.chart.center()[0])
-    worst = 0.0
-    for rows, fr in chunked_frames(man, np.hstack([t, pts])):
-        b = fr.bach.value
-        worst = sup(worst, np.abs(b[0, 1:]),
-                    np.abs(comp["B_tt"][rows] - b[0, 0]),
-                    np.abs(comp["B_YZ"][..., rows] - b[1:, 1:]))
-    return worst
+    b = on_points(man, np.hstack([t, pts]), lambda fr: fr.bach.value)
+    return sup(np.abs(b[0, 1:]), np.abs(comp["B_tt"] - b[0, 0]),
+               np.abs(comp["B_YZ"] - b[1:, 1:]))
 
 
 def surface_cross_check(k_chart: Chart, l_chart: Chart, count: int = 5
@@ -240,10 +236,6 @@ def surface_cross_check(k_chart: Chart, l_chart: Chart, count: int = 5
     pts_l = sample_points(l_chart, count, margin=0.15)
     comp = bach_surface_product(FactorCurvature.at(k_chart, pts_k),
                                 FactorCurvature.at(l_chart, pts_l))
-    worst = 0.0
-    for rows, fr in chunked_frames(man, np.hstack([pts_k, pts_l])):
-        b = fr.bach.value
-        worst = sup(worst, np.abs(b[:2, 2:]),
-                    np.abs(comp["B_K"][..., rows] - b[:2, :2]),
-                    np.abs(comp["B_L"][..., rows] - b[2:, 2:]))
-    return worst
+    b = on_points(man, np.hstack([pts_k, pts_l]), lambda fr: fr.bach.value)
+    return sup(np.abs(b[:2, 2:]), np.abs(comp["B_K"] - b[:2, :2]),
+               np.abs(comp["B_L"] - b[2:, 2:]))

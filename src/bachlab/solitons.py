@@ -10,10 +10,10 @@ symmetric tensor, the constructed ``L_X g - 2 phi g``, or zero) and ``phi``
 is either a function or a constant ``lambda``.  Residuals are evaluated on
 deterministic low-discrepancy point sets, plus a coarse quadrature grid when
 the chart is compact, and reported in the metric sup norm.  Every check
-builds one `CurvatureFrame` per chunk of its points (see
-`curvature.chunked_frames`), not one per point, and takes the metric norm
-and the 2 x 2 block fits of the conformal field on the chunk's arrays;
-each value is bitwise what a frame at its point alone gives.
+takes its points in bounded frames through `curvature.on_points`, not one
+frame per point, and takes the metric norm and the 2 x 2 block fits of
+the conformal field on each frame's arrays; each value is bitwise what a
+frame at its point alone gives.
 
 Also here: the quadratic-profile check for line x N^3 gradient solitons
 (the flow residual, the traced identity and f'' at every sample point,
@@ -34,7 +34,7 @@ from scipy import linalg, optimize
 
 from . import charts, products, tolerances
 from .charts import Chart, Manifold
-from .curvature import CurvatureFrame, chunked_frames, values
+from .curvature import CurvatureFrame, on_points, values
 from .jets import contract
 from .report import sup
 
@@ -53,8 +53,9 @@ _TOLS = tolerances.DEFAULTS
 _SOLITON_DOC_FIELDS = {"manifold", "X", "f", "phi", "lambda", "q", "custom_q"}
 
 # document fields that hold expressions: their nesting depth and its name
-_EXPR_LIST_FIELDS = {"X": (1, "a list of expressions"),
-                     "custom_q": (2, "a list of rows of expressions")}
+_EXPR_FIELDS = {"X": (1, "a list of expressions"),
+                "custom_q": (2, "a list of rows of expressions"),
+                "f": (0, "one expression"), "phi": (0, "one expression")}
 
 
 class SolitonError(ValueError):
@@ -121,7 +122,7 @@ class SolitonSpec:
             raise SolitonError(
                 f"unknown soliton fields {sorted(bad)}; "
                 f"allowed: {sorted(_SOLITON_DOC_FIELDS)}")
-        for name, (depth, what) in _EXPR_LIST_FIELDS.items():
+        for name, (depth, what) in _EXPR_FIELDS.items():
             if doc.get(name) is not None \
                     and not charts.is_expr_list(doc[name], depth):
                 raise SolitonError(f"{name} must be {what}; "
@@ -129,8 +130,10 @@ class SolitonSpec:
         x = doc.get("X")
         lam = doc.get("lambda")
         if lam is not None and (isinstance(lam, bool)
-                                or not isinstance(lam, (int, float))):
-            raise SolitonError("lambda must be a number")
+                                or not isinstance(lam, (int, float))
+                                or not np.isfinite(lam)):
+            raise SolitonError(f"lambda must be a number, and finite; got "
+                               f"{lam!r}")
         return cls(
             manifold=charts.resolve_manifold(doc.get("manifold")),
             x_exprs=None if x is None else tuple(str(e) for e in x),
@@ -226,17 +229,16 @@ def metric_norm(g: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 
 def _per_point(t: np.ndarray) -> np.ndarray:
-    """Chunk values with the point axis first, one contiguous entry each."""
+    """Values with the point axis first, one contiguous entry each."""
     return np.ascontiguousarray(np.moveaxis(t, -1, 0))
 
 
-def _chunk_residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets
+def _residual_norms(frame: CurvatureFrame, spec: SolitonSpec, x_jets
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals and their metric norms at a chunk's points, the point
-    axis first."""
+    """The residuals and their metric norms at the frame's points, the
+    point axis last."""
     g, _, r = _residual(frame, spec, x_jets)
-    r = _per_point(r)
-    return r, metric_norm(_per_point(g), r)
+    return r, metric_norm(_per_point(g), _per_point(r))
 
 
 def extended_q_residual(man: Manifold, spec: SolitonSpec,
@@ -245,13 +247,11 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
                         label: str = "extended-q") -> ResidualReport:
     """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set."""
     points = _point_set(man, points, count)
-    residuals = np.empty((len(points), man.dim, man.dim))
-    norms = np.empty(len(points))
-    for rows, frame in chunked_frames(man, points):
-        residuals[rows], norms[rows] = _chunk_residual(
-            frame, spec, _field_jets(frame, spec))
-    return ResidualReport(label=label, points=points, residuals=residuals,
-                          norms=norms, tol=tol)
+    residuals, norms = on_points(man, points, lambda frame: _residual_norms(
+        frame, spec, _field_jets(frame, spec)))
+    return ResidualReport(label=label, points=points,
+                          residuals=_per_point(residuals), norms=norms,
+                          tol=tol)
 
 
 def bach_soliton_residual(man: Manifold, lam: float,
@@ -296,7 +296,7 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     lambda = -(1/24)(|Ric|^2 - S^2/3), and tracing the soliton equation
     gives div X = (1/6) Lap(S) + 4 lambda.  All three are verified, plus
     the full residual of the flow equation, at every sample point and
-    from one frame per chunk of them.
+    from the same frames.
     """
     line_chart, n_chart = _line_cross_structure(man)
     spread = products.constancy_spread(n_chart, count=max(8, count // 2))
@@ -311,23 +311,23 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     f_text = f"2*({lam!r})*{t}^2 + ({a!r})*{t} + ({b!r})"
     spec = SolitonSpec(manifold=man, potential=f_text, lam=float(lam))
     pts = charts.residual_sample_points(man, count)
-    residuals = np.empty((len(pts), man.dim, man.dim))
-    norms = np.empty(len(pts))
-    profile_dev = 0.0
-    traced_dev = 0.0
-    for rows, frame in chunked_frames(man, pts):
+
+    def deviations(frame):
         f_jet = frame.scalar_jet(f_text)
         x_jets = frame.gradient_vector(f_jet)
-        residuals[rows], norms[rows] = _chunk_residual(frame, spec, x_jets)
         div_x = values(frame.divergence_vector(x_jets))
         lap_s = values(frame.lap_scalar)
-        traced_dev = sup(traced_dev,
-                         np.abs(div_x - lap_s / 6.0 - 4.0 * lam))
         # d^2 f / dt^2 from the jet itself
         f2 = f_jet.partial((2,) + (0,) * (man.dim - 1))
-        profile_dev = sup(profile_dev, np.abs(f2 - 4.0 * lam))
+        return (*_residual_norms(frame, spec, x_jets),
+                np.abs(div_x - lap_s / 6.0 - 4.0 * lam),
+                np.abs(f2 - 4.0 * lam))
+
+    residuals, norms, traced, profile = on_points(man, pts, deviations)
+    traced_dev, profile_dev = sup(traced), sup(profile)
     report = ResidualReport(label=f"profile[{man.name}]", points=pts,
-                            residuals=residuals, norms=norms, tol=tol)
+                            residuals=_per_point(residuals), norms=norms,
+                            tol=tol)
     lam_dev = abs(lam - lam_formula)
     return {
         "manifold": man.name,
@@ -483,50 +483,47 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
             f"the conformal field needs the obstruction flow (q = "
             f"'bach_flow'), got q = {spec.q!r}")
     points = _point_set(man, points, count)
-    n = man.dim
-    m = len(points)
-    c_vals = np.empty((m, n))
-    rho_fit = np.empty((m, 2))
-    rho_formula = np.empty((m, 2))
-    phi_perp = np.empty((m, 2))
-    off_sup = 0.0
-    tracefree_sup = 0.0
-    identity_sup = 0.0
-    e_sup = 0.0
-    for rows, frame in chunked_frames(man, points):
+
+    def field(frame):
         x_jets = _field_jets(frame, spec)
         g, phi, e_tensor = _residual(frame, spec, x_jets)
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
         c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
-        c_vals[rows] = _per_point(values(c_jets))
         half_lie = 0.5 * values(frame.lie_metric(c_jets))
-        e_sup = sup(e_sup, np.abs(e_tensor))
         s_vals = np.array([values(s) for s in s_blocks])
         s2 = s_vals * s_vals
         lap_s = np.array([values(frame.laplacian(s)) for s in s_blocks])
+        # the largest entry of each sup's array at each point (a NaN stays);
+        # E first, as the model below may be a view of it
+        worst = [np.abs(e_tensor).max(axis=(0, 1))]
         gs, lies, model = (_per_point(t) for t in (g, half_lie, e_tensor))
+        ds = (s2 - s2[::-1]) / 48.0  # (S_K^2 - S_L^2) / 48, then mirrored
+        formula = phi + lap_s / 8.0 + ds
+        fit, tracefree = [], []
         for which, sl in enumerate((sl_k, sl_l)):
             gb, block = gs[:, sl, sl], lies[:, sl, sl]
-            fit = np.einsum("kij,kij->k", np.linalg.inv(gb), block) / 2.0
-            ds = (s2[which] - s2[1 - which]) / 48.0
-            formula = phi + lap_s[which] / 8.0 + ds
-            rho_fit[rows, which] = fit
-            rho_formula[rows, which] = formula
-            phi_perp[rows, which] = -lap_s[which] / 8.0 - ds
-            tracefree_sup = sup(tracefree_sup,
-                                np.abs(block - fit[:, None, None] * gb))
-            model[:, sl, sl] += formula[:, None, None] * gb
-        off_sup = sup(off_sup, np.abs(lies[:, sl_k, sl_l]))
-        identity_sup = sup(identity_sup, np.abs(lies - model))
+            fit.append(np.einsum("kij,kij->k", np.linalg.inv(gb), block)
+                       / 2.0)
+            tracefree.append(np.abs(block - fit[-1][:, None, None] * gb))
+            model[:, sl, sl] += formula[which][:, None, None] * gb
+        worst += [np.abs(lies[:, sl_k, sl_l]).max(axis=(1, 2)),
+                  np.maximum(*tracefree).max(axis=(1, 2)),
+                  np.abs(lies - model).max(axis=(1, 2))]
+        return (values(c_jets), np.array(fit), formula, -lap_s / 8.0 - ds,
+                np.array(worst))
+
+    c_vals, rho_fit, rho_formula, phi_perp, worst = on_points(man, points,
+                                                               field)
+    e_sup, off_sup, tracefree_sup, identity_sup = map(sup, worst)
     return {
         "points": points,
-        "c_field": c_vals,
+        "c_field": _per_point(c_vals),
         "coefficient": float(coefficient),
-        "rho_fit": rho_fit,
-        "rho_formula": rho_formula,
-        "phi_if_c_perp": phi_perp,
+        "rho_fit": _per_point(rho_fit),
+        "rho_formula": _per_point(rho_formula),
+        "phi_if_c_perp": _per_point(phi_perp),
         "extended_residual_sup": e_sup,
         "offblock_sup": off_sup,
         "tracefree_sup": tracefree_sup,
@@ -549,16 +546,15 @@ def splitting_spotcheck(man: Manifold, split_f: str,
     if len(man.factors) < 2:
         raise SolitonError("need a product with at least two factors")
     points = charts.residual_sample_points(man, count)
-    slices = [man.factor_slice(k) for k in range(len(man.factors))]
+    # mixed[i, j]: coordinate i lies in an earlier factor than coordinate j
+    factor = np.repeat(np.arange(len(man.factors)),
+                       [f.dim for f in man.factors])
+    mixed = factor[:, None] < factor[None, :]
     texts = [split_f] + ([] if control_f is None else [control_f])
-    worst = [0.0] * len(texts)
-    for _, frame in chunked_frames(man, points):
-        for t, text in enumerate(texts):
-            hess = values(frame.hessian(frame.scalar_jet(text)))
-            for a in range(len(slices)):
-                for b in range(a + 1, len(slices)):
-                    worst[t] = sup(worst[t],
-                                   np.abs(hess[slices[a], slices[b]]))
+    blocks = on_points(man, points, lambda frame: np.array(
+        [np.abs(values(frame.hessian(frame.scalar_jet(text)))[mixed])
+         for text in texts]))
+    worst = [sup(b) for b in blocks]
     return {"split_mixed_sup": worst[0],
             "control_mixed_sup": None if control_f is None else worst[1]}
 

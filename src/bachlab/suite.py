@@ -16,7 +16,7 @@ import numpy as np
 
 from . import charts, identities, products, profiles, report, solitons
 from . import tolerances
-from .curvature import BASE_ORDER, CurvatureFrame, chunked_frames, values
+from .curvature import BASE_ORDER, on_points, values
 
 __all__ = ["run_suite"]
 
@@ -27,16 +27,15 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     u = "0.15*sin(th)*cos(t1)"
     conf = charts.conformal(base, u, name="bumpy_s2_x_t2_rescaled")
     pts = charts.sample_points(base, count)
-    tr_sup = div_sup = cf_sup = 0.0
     # order 5, so that div B comes from the same frame as B and tr B
-    for _, frame in chunked_frames(base, pts, BASE_ORDER + 1):
-        b = values(frame.bach)
-        tr_sup = report.sup(tr_sup, np.abs(values(frame.trace(frame.bach))))
-        div_sup = report.sup(
-            div_sup, np.abs(values(frame.divergence_sym2(frame.bach))))
-        b_conf = values(CurvatureFrame(conf, frame.point).bach)
-        scale = np.exp(-2.0 * values(frame.scalar_jet(u)))
-        cf_sup = report.sup(cf_sup, np.abs(b_conf - scale * b))
+    tr_b, div_b, b, scale = on_points(base, pts, lambda frame: (
+        values(frame.trace(frame.bach)),
+        values(frame.divergence_sym2(frame.bach)), values(frame.bach),
+        np.exp(-2.0 * values(frame.scalar_jet(u)))), BASE_ORDER + 1)
+    b_conf = on_points(conf, pts, lambda frame: values(frame.bach))
+    tr_sup = report.sup(np.abs(tr_b))
+    div_sup = report.sup(np.abs(div_b))
+    cf_sup = report.sup(np.abs(b_conf - scale * b))
     inputs = {"chart": base.name, "points": count, "u": u}
     return [
         report.check_record("curvature/bach-trace", tr_sup,

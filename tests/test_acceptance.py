@@ -75,6 +75,7 @@ def _random_u(rng):
             f"+ {b:.6f}*cos({COORDS[c2]})")
 
 
+@pytest.mark.slow
 def test_curvature_pipeline_matches_finite_difference_oracle():
     rng = np.random.default_rng(101)
     worst = 0.0

@@ -346,6 +346,35 @@ def test_manifold_spec_rejects_unknown_fields():
             {"kind": "round_sphere", "params": {"n": 2, "radius": 1.0}}]})
 
 
+@pytest.mark.parametrize("factors, message", [
+    ([5], "a factor must be an object"),
+    ("round_sphere", "non-empty 'factors' list"),
+    ([{"kind": "round_sphere", "params": [1, 2]}], "must be an object"),
+    ([{"kind": "flat_torus", "params": {"lengths": 5}}], "param 'lengths'"),
+    ([{"kind": "flat_torus", "params": {"lengths": [1.0, True]}}],
+     "param 'lengths'"),
+    ([{"kind": "euclidean", "params": {"n": True}}], "param 'n'"),
+    ([{"kind": "euclidean", "params": {"n": 2.0}}], "param 'n'"),
+    ([{"kind": "round_sphere", "params": {"r": False}}], "param 'r'"),
+    ([{"kind": "round_sphere", "params": {"r": "2"}}], "param 'r'"),
+    ([{"kind": "berger_sphere", "params": {"a": math.inf}}], "param 'a'"),
+    ([{"kind": "conformal_round_sphere", "params": {"u": 0.2}}], "param 'u'"),
+    ([{"kind": ["line"]}], "unknown factor kind"),
+])
+def test_manifold_spec_rejects_mistyped_entries(factors, message):
+    # a boolean is not the number 1, and no entry ends in a TypeError
+    with pytest.raises(ChartError, match=message):
+        charts.manifold_from_spec({"factors": factors})
+
+
+def test_manifold_spec_takes_numbers_of_either_kind():
+    m = charts.manifold_from_spec({"factors": [
+        {"kind": "round_sphere", "params": {"n": 2, "r": 2}},
+        {"kind": "flat_torus", "params": {"lengths": [6, 7.5]}}]})
+    assert m.chart.params["r"] == 2.0
+    assert m.chart.hi[2:] == (6.0, 7.5)
+
+
 def test_manifold_spec_resolution_override():
     m = charts.manifold_from_spec({"name": "s", "factors": [
         {"kind": "round_sphere", "params": {"n": 2}, "resolution": 10}]})

@@ -261,6 +261,12 @@ def test_check_expression_fields_that_are_not_text(tmp_path, capsys, kind,
             "custom_q": "0"}, "custom_q must be a list of rows"),
     (None, {"manifold": "r2_x_s2", "f": "0", "lambda": True},
      "lambda must be a number"),
+    ("bochner", {"h": ["0.5*cos(th)"]}, "h must be one expression"),
+    ("thm32", {"phi": ["0.3*cos(th)"]}, "phi must be one expression"),
+    (None, {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"], "phi": ["x"]},
+     "phi must be one expression"),
+    (None, {"manifold": "r2_x_s2", "f": ["x", "y"], "lambda": 0.0},
+     "f must be one expression"),
 ])
 def test_check_rejects_mistyped_case_fields(tmp_path, capsys, iid, doc,
                                             message):
@@ -272,6 +278,33 @@ def test_check_rejects_mistyped_case_fields(tmp_path, capsys, iid, doc,
             else ["check", "soliton", "--count", "2"])
     assert main(args + ["--case", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_check_soliton_lambda_must_be_finite(tmp_path, capsys):
+    # JSON reads 1e400 as inf
+    path = tmp_path / "case.json"
+    path.write_text('{"manifold": "r2_x_s2", "f": "0", "lambda": 1e400}')
+    assert main(["check", "soliton", "--count", "2",
+                 "--case", str(path)]) == 2
+    assert "lambda must be a number, and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifold", [
+    {"factors": [5]},
+    {"factors": 5},
+    {"factors": [{"kind": "round_sphere", "params": [1, 2]}]},
+    {"factors": [{"kind": "flat_torus", "params": {"lengths": 5}}]},
+    {"factors": [{"kind": "euclidean", "params": {"n": True}}]},
+    {"factors": [{"kind": ["line"]}]},
+])
+def test_check_manifold_documents_fail_closed(tmp_path, capsys, manifold):
+    # exit 1 means a check failed its gate; a malformed document is a
+    # usage error, never a traceback or a 1-dim chart
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"manifold": manifold, "X": ["0"]}))
+    assert main(["check", "identity", "--id", "yano",
+                 "--case", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_tol_must_be_finite_and_positive(tmp_path, capsys):

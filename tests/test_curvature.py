@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bachlab import charts, fdcheck
-from bachlab.curvature import (CurvatureError, CurvatureFrame,
-                               bach_divergence, frame_at, grad_lap_scalar,
+from bachlab import charts, fdcheck, suite
+from bachlab.curvature import (BASE_ORDER, CurvatureError, CurvatureFrame,
+                               bach_divergence, grad_lap_scalar, on_points,
                                pipeline_pack, values)
 from bachlab.jets import Jet, JetOrderError
+from conftest import count_frames, frame_bound
 
 RNG_METRIC_3 = [
     ["2 + 0.3*sin(x)*cos(y) + 0.1*z^2", "0.2*sin(x+z)", "0.1*cos(y)*z"],
@@ -272,7 +273,7 @@ def test_pipeline_matches_fd_oracle_2d():
 def test_bach_product_hand_value():
     # R^2 x S^2(1): B = -(1/6) g on the flat block, +(1/6) g on the sphere
     m = charts.get_example("r2_x_s2")
-    fr = frame_at(m, [0.1, -0.2, 1.2, 0.7])
+    fr = CurvatureFrame(m.chart, [0.1, -0.2, 1.2, 0.7])
     b = values(fr.bach)
     g = values(fr.g)
     ref = np.zeros((4, 4))
@@ -286,13 +287,13 @@ def test_bach_vanishes_on_conformally_einstein_products():
     for name in ("s2_x_s2", "r2_x_h2"):
         m = charts.get_example(name)
         pt = m.chart.center() + 0.1
-        fr = frame_at(m, pt)
+        fr = CurvatureFrame(m.chart, pt)
         b = values(fr.bach)
         if name == "s2_x_s2":
             assert np.abs(b).max() <= 1e-11
     m = charts.product([charts.round_sphere(2, 1.0),
                         charts.hyperbolic_2(1.0)])
-    fr = frame_at(m, [1.1, 0.4, 0.2, 1.3])
+    fr = CurvatureFrame(m.chart, [1.1, 0.4, 0.2, 1.3])
     assert np.abs(values(fr.bach)).max() <= 1e-11
 
 
@@ -402,7 +403,7 @@ def test_point_dimension_guard(rand3):
 def test_catalog_frames_all_run():
     for name in charts.catalog_names():
         m = charts.get_example(name)
-        fr = frame_at(m, m.chart.center())
+        fr = CurvatureFrame(m.chart, m.chart.center())
         assert np.isfinite(fr.scalar.value)
 
 
@@ -440,3 +441,57 @@ def test_point_set_nan_stays_at_its_node():
     assert np.isnan(s[1])
     for k in (0, 2):
         assert s[k] == CurvatureFrame(chart, pts[k]).scalar.value
+
+
+# ----------------------------------------------------------------------
+# point sets in bounded frames
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dim, order, step", [
+    (4, 4, 8), (4, 5, 4), (4, 3, 16), (3, 4, 50),
+    (2, 3, 896), (2, 4, 597), (2, 5, 426)])
+def test_frames_are_bounded_by_their_largest_stage(monkeypatch, dim, order,
+                                                   step):
+    # the Riemann tensor of a frame holds dim**4 jets of the order's
+    # coefficients per point; a frame holds at most 8 dim-4 order-4 points'
+    chart = charts.flat_torus((1.0,) * dim)
+    orders = count_frames(monkeypatch)
+    out = on_points(chart, np.zeros((step + 1, dim)),
+                    lambda fr: np.zeros(fr.batch), order)
+    assert orders == [(order, step), (order, 1)]
+    assert out.shape == (step + 1,)
+    assert frame_bound(dim, order) == step
+
+
+def test_on_points_joins_each_array_along_the_point_axis(monkeypatch):
+    man = charts.get_example("s2_x_t2")
+    pts = charts.sample_points(man.chart, 11)
+    orders = count_frames(monkeypatch)
+    s, ric = on_points(man, pts, lambda fr: (fr.scalar.value,
+                                             fr.ricci.value))
+    assert orders == [(BASE_ORDER, 8), (BASE_ORDER, 3)]
+    assert s.shape == (11,) and ric.shape == (4, 4, 11)
+    for k, p in enumerate(pts):
+        one = CurvatureFrame(man.chart, p)
+        assert s[k] == one.scalar.value
+        assert np.array_equal(ric[..., k], one.ricci.value)
+
+
+def test_on_points_rejects_what_is_not_a_point_set():
+    chart = charts.round_sphere(2)
+    for pts in (np.empty((0, 2)), [], [1.0, 0.5]):
+        with pytest.raises(CurvatureError, match="N >= 1"):
+            on_points(chart, pts, lambda fr: fr.scalar.value)
+
+
+def test_suite_builds_no_frame_over_the_bound(monkeypatch):
+    sizes = []
+    init = CurvatureFrame.__init__
+
+    def recorded(self, chart, point, order=BASE_ORDER):
+        sizes.append((chart.dim, order, len(np.atleast_2d(point))))
+        init(self, chart, point, order)
+
+    monkeypatch.setattr(CurvatureFrame, "__init__", recorded)
+    suite.run_suite()
+    assert all(n <= frame_bound(dim, order) for dim, order, n in sizes)
+    assert (4, BASE_ORDER, 8) in sizes

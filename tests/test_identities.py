@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bachlab import charts, identities, products, solitons, suite, tolerances
-from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
+from bachlab import (charts, curvature, identities, products, solitons, suite,
+                     tolerances)
+from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
+from conftest import chunk_orders, count_frames
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
                                 lie_divergence_identity,
@@ -37,20 +39,6 @@ def generic_fields(man):
     return x, t
 
 
-def count_frames(monkeypatch) -> list[tuple[int, int]]:
-    """Record (order, number of points) of every `CurvatureFrame` built
-    from now on."""
-    orders: list[tuple[int, int]] = []
-    init = CurvatureFrame.__init__
-
-    def counted(self, chart, point, order=BASE_ORDER):
-        orders.append((order, len(np.atleast_2d(point))))
-        init(self, chart, point, order)
-
-    monkeypatch.setattr(CurvatureFrame, "__init__", counted)
-    return orders
-
-
 # ----------------------------------------------------------------------
 # Lie pairing identity
 # ----------------------------------------------------------------------
@@ -69,7 +57,7 @@ def test_lie_pairing_with_metric_tensor_gives_twice_divergence():
     out = lie_pairing_identity(man, x, man.chart.metric_strs, count=10)
     assert out["sup"] <= 1e-12
     p = out["points"][3]
-    frame = frame_at(man, p)
+    frame = CurvatureFrame(man.chart, p)
     xj = frame.vector_jets(x)
     lie = frame.lie_metric(xj)
     lhs = values(frame.inner_sym2(lie, frame.g_at(lie[0, 0].order)))
@@ -341,6 +329,38 @@ def test_rigidity_builds_one_frame_per_point_set(monkeypatch):
                                   resolution=(6, 5))
     assert out["passed"]
     assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30)]
+
+
+def test_quadrature_on_a_4_manifold_builds_bounded_frames(monkeypatch):
+    # 6^4 nodes at order 3: 81 frames of 16 points, not one of 1,296
+    orders = count_frames(monkeypatch)
+    rep = run_identity_case("thm32", {
+        "manifold": "s2_x_t2", "X": ["0"] * 4, "phi": "0.1*cos(th)",
+        "resolution": 6})
+    assert rep["nodes"] == 1296 and rep["passed"]
+    assert orders == chunk_orders(1296, order=3)
+
+
+S2_X_T2_CASES = {
+    "thm32": {"manifold": "s2_x_t2", "resolution": 4, "phi": "0.1*cos(th)",
+              "X": ["0.1*sin(th)*cos(t0)", "0.2", "0.3*cos(th)",
+                    "0.1*sin(t1)"]},
+    "lemma35": {"manifold": "s2_x_t2", "count": 20,
+                "X": ["0.3*sin(th)*cos(t0)", "0.2*cos(ph)", "0.1*sin(t1)",
+                      "0.4"],
+                "T": [[f"{2 + i} + 0.1*cos(th)" if i == j else
+                       f"0.05*sin(t{(i + j) % 2})" for j in range(4)]
+                      for i in range(4)]},
+}
+
+
+@pytest.mark.parametrize("iid", sorted(S2_X_T2_CASES))
+def test_dim4_reports_do_not_depend_on_the_frame_bound(monkeypatch, iid):
+    chunked = run_identity_case(iid, S2_X_T2_CASES[iid])
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "_FRAME_COEFFS", 10 ** 9)
+        whole = run_identity_case(iid, S2_X_T2_CASES[iid])
+    assert repr(whole) == repr(chunked)
 
 
 @pytest.mark.parametrize("iid", ["thm32", "thm38", "be", "lemma48"])

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from bachlab import charts, curvature, products, suite, tolerances
-from bachlab.curvature import BASE_ORDER, CurvatureFrame, frame_at, values
+from bachlab import charts, products, suite, tolerances
+from bachlab.curvature import BASE_ORDER, CurvatureFrame
 from bachlab.products import (FactorCurvature, ProductFormulaError,
                               bach_line_cross_3, bach_surface_product,
                               circle_product_lambda, einstein_residual_norm2,
                               line_product_lambda,
                               line_product_trace_residual,
                               line_soliton_obstruction, surface_c_invariant)
-from test_identities import count_frames
+from conftest import count_frames
 from test_solitons import same_bits
 
 
@@ -186,10 +186,7 @@ def test_constancy_spread_equals_the_per_point_path(monkeypatch):
     spread = products.constancy_spread(chart, count=40)
     assert spread == {"scalar_spread": float(np.ptp(s)),
                       "ricci_norm2_spread": float(np.ptp(r))}
-    size = curvature._CHUNK_POINTS
-    assert size < 40
-    assert orders == [(BASE_ORDER, min(size, 40 - k))
-                      for k in range(0, 40, size)]
+    assert orders == [(BASE_ORDER, 40)]  # 40 dim-3 points fit one frame
 
 
 def test_obstruction_zero_on_constant_curvature():
@@ -303,9 +300,10 @@ def test_surface_closed_forms_on_a_set_equal_each_point():
 
 def test_product_group_frame_budget(monkeypatch):
     # suite all's product group: one factor frame per point set, the dim-4
-    # frames in chunks, and the two single-point factor frames of the
-    # lambda reports; one frame per point was 90 (84 single-point)
+    # frames in chunks of 8, one frame per constancy spread's 24 dim-3
+    # points, and the two single-point factor frames of the lambda
+    # reports; one frame per point was 90 (84 single-point)
     orders = count_frames(monkeypatch)
     suite._product_checks(tolerances.resolve())
-    assert len(orders) <= 19
+    assert len(orders) <= 15
     assert sum(n == 1 for _, n in orders) <= 2

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from bachlab import charts, curvature, solitons, suite, tolerances
-from bachlab.curvature import BASE_ORDER, frame_at, values
+from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
                               quadratic_profile_check, solve_berger_soliton,
                               splitting_spotcheck, surface_conformal_field)
-from test_identities import count_frames
+from conftest import chunk_orders, count_frames, per_point
 
 
 # ----------------------------------------------------------------------
@@ -421,13 +421,6 @@ def bumpy_s2_x_s2():
         charts.get_example("s2_x_s2").chart, "0.2*cos(th) + 0.1*sin(th_2)"))
 
 
-def chunk_orders(n_points, order=BASE_ORDER):
-    """(order, points) of the frames over a set of n points."""
-    size = curvature._CHUNK_POINTS
-    return [(order, min(size, n_points - start))
-            for start in range(0, n_points, size)]
-
-
 def same_bits(a, b):
     """Equal values of the same shape, bit for bit (NaN included)."""
     if isinstance(a, dict):
@@ -441,14 +434,6 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
-def per_point(monkeypatch, run):
-    """run() with one frame per point, then with the default chunks."""
-    with monkeypatch.context() as m:
-        m.setattr(curvature, "_CHUNK_POINTS", 1)
-        one = run()
-    return one, run()
-
-
 @pytest.mark.parametrize("spec_kw", [
     {"q": "bach", "phi": "0.3 + 0.1*cos(th)"},
     {"q": "bach", "phi": lambda fr: 0.3 + values(fr.lap_scalar) / 24.0},
@@ -460,15 +445,15 @@ def per_point(monkeypatch, run):
                              for j in range(4)) for i in range(4))},
 ])
 def test_residual_equals_the_per_point_path(spec_kw):
-    # 20 Halton points and the 16 grid nodes of a compact chart: 3 chunks
+    # 20 Halton points and the 16 grid nodes of a compact chart: 5 frames
     man = bumpy_s2_x_s2()
     pts = charts.residual_sample_points(man, 20, grid_cap=16)
-    assert len(pts) > 2 * curvature._CHUNK_POINTS
+    assert len(chunk_orders(len(pts))) == 5
     spec = SolitonSpec(manifold=man, potential="0.2*cos(th)*cos(ph)",
                        **spec_kw)
     rep = extended_q_residual(man, spec, points=pts)
     for i, p in enumerate(pts):
-        frame = frame_at(man, p)
+        frame = CurvatureFrame(man.chart, p)
         g, _, r = solitons._residual(frame, spec,
                                      solitons._field_jets(frame, spec))
         assert same_bits(rep.residuals[i], r), i
@@ -498,9 +483,9 @@ def test_profile_check_builds_one_frame_per_chunk(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.product([charts.line(4.0), charts.berger_sphere(1.3)])
     quadratic_profile_check(man, -0.25, count=80, tol=10.0)
-    # constancy spread (40 points of N^3), the factor at its center, and
-    # the residual with the traced identity and f'' (80 points)
-    assert orders == (chunk_orders(40) + [(BASE_ORDER, 1)]
+    # constancy spread (one frame over 40 points of N^3), the factor at its
+    # center, and the residual with the traced identity and f'' (80 points)
+    assert orders == ([(BASE_ORDER, 40), (BASE_ORDER, 1)]
                       + chunk_orders(80))
 
 
