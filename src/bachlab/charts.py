@@ -378,10 +378,13 @@ def berger_sphere(a: float = 1.5) -> Chart:
     """Left-invariant SU(2) metric diag(a^2, 1, 1) in a Milnor frame.
 
     Euler-angle chart (al, be, ga) in [0,2pi) x (0,pi) x [0,4pi); the
-    frame satisfies [e_i, e_j] = 2 eps_ijk e_k, the invariant one-forms
-    sigma_i obey d sigma_1 = -sigma_2 ^ sigma_3 (cyclic), and the metric
-    is (a^2 sigma_1^2 + sigma_2^2 + sigma_3^2)/4, so a = 1 is the round
-    unit 3-sphere.  The Haar volume density is (a/8) sin(be).
+    invariant one-forms sigma_i obey d sigma_1 = -sigma_2 ^ sigma_3
+    (cyclic), and the metric is (a^2 sigma_1^2 + sigma_2^2 + sigma_3^2)/4,
+    so a = 1 is the round unit 3-sphere.  Twice the frame dual to the
+    sigma_i satisfies [e_i, e_j] = 2 eps_ijk e_k; rescaling e_1 by 1/a
+    makes it orthonormal, with brackets [e_2, e_3] = 2a e_1 and
+    [e_3, e_1] = (2/a) e_2, [e_1, e_2] = (2/a) e_3.  The Haar volume
+    density is (a/8) sin(be).
     """
     s = {
         (0, 0): "(a^2*sin(ga)^2*sin(be)^2 + cos(ga)^2*sin(be)^2 + cos(be)^2)/4",
@@ -611,8 +614,10 @@ def manifold_from_spec(doc: Mapping) -> Manifold:
     factors = doc.get("factors")
     if not isinstance(factors, (list, tuple)) or not factors:
         raise ChartError("manifold spec needs a non-empty 'factors' list")
-    charts = [build_factor(f) for f in factors]
     name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ChartError(f"a manifold name must be text, got {name!r}")
+    charts = [build_factor(f) for f in factors]
     if len(charts) == 1:
         m = single(charts[0])
         if name:

@@ -25,10 +25,10 @@ cross-validates every component against that pipeline.
 `FactorCurvature` holds a factor's data at one point or at each point of
 a point set, with the point axis last; the closed forms and scalar
 relations are elementwise, so they take either and give each point's
-value bit for bit (`einstein_residual_norm2` takes one point).  The
-checks below build one `FactorCurvature` per factor point set and take
-every point set, factor or product, in bounded frames through
-`curvature.on_points`.
+value bit for bit.  The checks below build one `FactorCurvature` per
+factor point set and take every point set, factor or product, in bounded
+frames through `curvature.on_points`.  `homogeneous` gives the same data
+of a left-invariant metric from its structure constants.
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def line_product_trace_residual(fc: FactorCurvature) -> float | np.ndarray:
     return fc.ricci_norm2 / 8.0 - fc.scalar * fc.scalar / 24.0 + 3.0 * lam
 
 
-def einstein_residual_norm2(fc: FactorCurvature) -> float:
-    """|Ric - (S/n) g|^2 (metric norm) of data at one point."""
-    tf = fc.ricci - (fc.scalar / fc.dim) * fc.g
-    gi = np.linalg.inv(fc.g)
-    m = gi @ tf
-    return float(np.trace(m @ m))
+def einstein_residual_norm2(fc: FactorCurvature) -> float | np.ndarray:
+    """|Ric - (S/n) g|^2 (metric norm)."""
+    g, tf = fc.g, fc.ricci - (fc.scalar / fc.dim) * fc.g
+    if np.ndim(fc.scalar):  # a point set: one (n, n) pair per point
+        g, tf = np.moveaxis(g, -1, 0), np.moveaxis(tf, -1, 0)
+    m = np.linalg.solve(g, tf)
+    return np.trace(m @ m, axis1=-2, axis2=-1)
 
 
 def line_soliton_obstruction(fc: FactorCurvature) -> np.ndarray:
@@ -175,33 +176,37 @@ def surface_c_invariant(fc: FactorCurvature) -> float | np.ndarray:
 # ----------------------------------------------------------------------
 # chart-level wrappers (constancy checks over sample sets)
 # ----------------------------------------------------------------------
-def constancy_spread(chart: Chart, count: int = 24) -> dict[str, float]:
-    """Max-minus-min of S and |Ric|^2 over a deterministic sample set."""
-    s, r = on_points(chart, sample_points(chart, count, margin=0.12),
-                     lambda fr: (fr.scalar.value, fr.ricci_norm2.value))
-    return {"scalar_spread": float(np.ptp(s)),
-            "ricci_norm2_spread": float(np.ptp(r))}
+def constancy_spread(chart: Chart, count: int = 24
+                     ) -> tuple[dict[str, float], FactorCurvature]:
+    """Max-minus-min of S and |Ric|^2 over a deterministic sample set, and
+    the factor's curvature at those points that they are taken from."""
+    fc = FactorCurvature.at(chart, sample_points(chart, count, margin=0.12))
+    return {"scalar_spread": float(np.ptp(fc.scalar)),
+            "ricci_norm2_spread": float(np.ptp(fc.ricci_norm2))}, fc
 
 
 def product_lambda_report(
         chart: Chart, family: str, count: int = 24,
         tol: float = tolerances.DEFAULTS["factor_constancy"]) -> dict:
-    """lambda for the S^1 x N^3 or R x N^3 family with constancy checks."""
+    """lambda for the S^1 x N^3 or R x N^3 family with constancy checks.
+
+    lambda is the mean of its values at the constancy spread's points,
+    the Einstein residual the least of them and the trace identity's
+    residual the largest magnitude."""
     if family not in ("circle", "line"):
         raise ProductFormulaError("family must be 'circle' or 'line'")
-    spread = constancy_spread(chart, count)
+    spread, fc = constancy_spread(chart, count)
     if sup(*spread.values()) > tol:
         raise ProductFormulaError(
             f"S and |Ric|^2 must be constant on N (spread {spread}) for "
             "the product lambda formulas")
-    fc = FactorCurvature.at(chart, chart.center())
     lam = (circle_product_lambda(fc) if family == "circle"
            else line_product_lambda(fc))
     return {
-        "family": family, "lambda": lam,
-        "einstein_residual_norm2": einstein_residual_norm2(fc),
-        "trace_identity_residual": (line_product_trace_residual(fc)
-                                    if family == "line" else 0.0),
+        "family": family, "lambda": float(np.mean(lam)),
+        "einstein_residual_norm2": float(np.min(einstein_residual_norm2(fc))),
+        "trace_identity_residual": (sup(np.abs(line_product_trace_residual(
+            fc))) if family == "line" else 0.0),
         **spread,
     }
 

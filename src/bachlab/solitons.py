@@ -19,9 +19,10 @@ Also here: the quadratic-profile check for line x N^3 gradient solitons
 (the flow residual, the traced identity and f'' at every sample point,
 from the same frames), the squashed-sphere parameter solve (Brent's
 method on each sign-change bracket of the signed scalar of the
-product-soliton obstruction, evaluated once per distinct parameter), the
-conformal correction field on surface x surface products, and the
-mixed-Hessian splitting spot-check.
+product-soliton obstruction, evaluated once per distinct parameter from
+the frame's structure constants, and the root verified by the jet
+residual), the conformal correction field on surface x surface products,
+and the mixed-Hessian splitting spot-check.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import optimize
 
-from . import charts, products, tolerances
+from . import charts, homogeneous, products, tolerances
 from .charts import Chart, Manifold
 from .curvature import CurvatureFrame, on_points, values
 from .jets import contract
@@ -296,20 +297,24 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     lambda = -(1/24)(|Ric|^2 - S^2/3), and tracing the soliton equation
     gives div X = (1/6) Lap(S) + 4 lambda.  All three are verified, plus
     the full residual of the flow equation, at every sample point and
-    from the same frames.
+    from the same frames; the lambda formula at each point of N's
+    constancy spread, whose pass gives it.  ``lambda_formula`` is its
+    mean there.
     """
     line_chart, n_chart = _line_cross_structure(man)
-    spread = products.constancy_spread(n_chart, count=max(8, count // 2))
+    spread, fc = products.constancy_spread(n_chart, count=max(8, count // 2))
     if sup(*spread.values()) > constancy_tol:
         raise SolitonError(
             f"N^3 invariants are non-constant: {spread} "
             f"(tolerance {constancy_tol})")
-    fc = products.FactorCurvature.at(n_chart, n_chart.center())
-    lam_formula = products.line_product_lambda(fc)
+    # lambda at each of the spread's points: the formula is checked at all
+    lam_formulas = products.line_product_lambda(fc)
 
+    # float(): the repr of a NumPy scalar is no number in the potential
+    lam, a, b = float(lam), float(a), float(b)
     t = man.chart.coords[0]
     f_text = f"2*({lam!r})*{t}^2 + ({a!r})*{t} + ({b!r})"
-    spec = SolitonSpec(manifold=man, potential=f_text, lam=float(lam))
+    spec = SolitonSpec(manifold=man, potential=f_text, lam=lam)
     pts = charts.residual_sample_points(man, count)
 
     def deviations(frame):
@@ -328,11 +333,11 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     report = ResidualReport(label=f"profile[{man.name}]", points=pts,
                             residuals=_per_point(residuals), norms=norms,
                             tol=tol)
-    lam_dev = abs(lam - lam_formula)
+    lam_dev = sup(np.abs(lam - lam_formulas))
     return {
         "manifold": man.name,
-        "lambda": float(lam),
-        "lambda_formula": float(lam_formula),
+        "lambda": lam,
+        "lambda_formula": float(np.mean(lam_formulas)),
         "lambda_deviation": float(lam_dev),
         "profile_second_derivative_deviation": float(profile_dev),
         "traced_identity_deviation": float(traced_dev),
@@ -346,31 +351,40 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
 # ----------------------------------------------------------------------
 # squashed-sphere parameter solve
 # ----------------------------------------------------------------------
-_BERGER_PROBE = (0.7, 1.1, 0.4)
 # Roots closer than this are one root found twice (Brent's method refines
 # each bracket to a few ulp).  It only merges duplicates; no verdict
 # depends on it, so it is not a gate.
 _ROOT_MERGE = 1e-8
 
 
+def _berger_curvature(a: float) -> products.FactorCurvature:
+    """The squashed sphere's curvature in the orthonormal Milnor frame of
+    `charts.berger_sphere`, whose brackets are [e_2, e_3] = 2a e_1 and
+    [e_3, e_1] = (2/a) e_2, [e_1, e_2] = (2/a) e_3."""
+    return homogeneous.factor_curvature(
+        homogeneous.structure_constants((2.0 * a, 2.0 / a, 2.0 / a)))
+
+
 def berger_condition_scalar(a: float) -> float:
     """Signed scalar of the product-soliton obstruction on a squashed S^3.
 
     The obstruction tensor on the homogeneous family diag(a^2, 1, 1) is
-    diagonal in the invariant frame and trace-free, with eigenvalue pattern
-    (r, -r/2, -r/2); the signed largest-magnitude generalized eigenvalue
-    against g is therefore a faithful scalar reduction whose roots are the
-    roots of the full tensor equation.
+    constant in the orthonormal Milnor frame, where it is diagonal and
+    trace-free with eigenvalue pattern (r, -r/2, -r/2); its signed
+    largest-magnitude eigenvalue is therefore a faithful scalar reduction
+    whose roots are the roots of the full tensor equation.  It comes from
+    the frame's structure constants alone (`homogeneous`), with no chart
+    point and no jets.
     """
-    fc = products.FactorCurvature.at(charts.berger_sphere(a),
-                                     list(_BERGER_PROBE))
-    obstruction = products.line_soliton_obstruction(fc)
-    eigs = linalg.eigh(obstruction, fc.g, eigvals_only=True)
+    eigs = np.linalg.eigvalsh(
+        products.line_soliton_obstruction(_berger_curvature(a)))
     return float(eigs[int(np.argmax(np.abs(eigs)))])
 
 
 def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
-                         scan: int = 120, round_exclusion: float = 1e-3,
+                         scan: int = 120,
+                         round_exclusion: float = _TOLS[
+                             "berger_round_exclusion"],
                          residual_tol: float = _TOLS["berger_residual"],
                          constancy_tol: float = _TOLS["factor_constancy"]
                          ) -> dict:
@@ -423,8 +437,7 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
     if not non_round:
         return out
     a_star = non_round[0]
-    fc = products.FactorCurvature.at(charts.berger_sphere(a_star),
-                                     list(_BERGER_PROBE))
+    fc = _berger_curvature(a_star)
     lam_star = products.line_product_lambda(fc)
     man = charts.product([charts.line(4.0), charts.berger_sphere(a_star)],
                          name=f"line_x_berger[{a_star:.12g}]")

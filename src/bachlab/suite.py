@@ -103,6 +103,7 @@ def _soliton_checks(tols, count: int) -> list[dict]:
             inputs={"example": name, "count": count}))
 
     root = solitons.solve_berger_soliton(
+        round_exclusion=tols["berger_round_exclusion"],
         residual_tol=tols["berger_residual"],
         constancy_tol=tols["factor_constancy"])
     root_tol = tols["berger_root"]

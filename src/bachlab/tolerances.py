@@ -35,6 +35,8 @@ DEFAULTS: dict[str, float] = {
     "berger_residual": 1e-7,
     # solved squashed-sphere (a, lambda) against the frozen root
     "berger_root": 1e-9,
+    # distance from a = 1 within which a squashed-sphere root is the round one
+    "berger_round_exclusion": 1e-3,
     # conformal-factor field identities on the r2 x s2 soliton
     "conformal_field": 1e-10,
     # closed-form product components against the general pipeline

@@ -389,6 +389,13 @@ def test_manifold_spec_resolution_override():
              "resolution": [10, 14, 3]}]})
 
 
+@pytest.mark.parametrize("name", [5, True, ["line"], {"n": "x"}])
+def test_manifold_spec_name_must_be_text(name):
+    with pytest.raises(ChartError, match="name must be text"):
+        charts.manifold_from_spec({"name": name,
+                                   "factors": [{"kind": "line"}]})
+
+
 def test_manifold_spec_requires_factors():
     with pytest.raises(ChartError, match="factors"):
         charts.manifold_from_spec({"name": "x"})

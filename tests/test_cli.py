@@ -296,6 +296,7 @@ def test_check_soliton_lambda_must_be_finite(tmp_path, capsys):
     {"factors": [{"kind": "flat_torus", "params": {"lengths": 5}}]},
     {"factors": [{"kind": "euclidean", "params": {"n": True}}]},
     {"factors": [{"kind": ["line"]}]},
+    {"name": 5, "factors": [{"kind": "line"}]},
 ])
 def test_check_manifold_documents_fail_closed(tmp_path, capsys, manifold):
     # exit 1 means a check failed its gate; a malformed document is a

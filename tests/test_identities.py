@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bachlab import (charts, curvature, identities, products, solitons, suite,
-                     tolerances)
+from bachlab import (charts, curvature, homogeneous, identities, products,
+                     solitons, suite, tolerances)
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
 from conftest import chunk_orders, count_frames
 from bachlab.identities import (IdentityError, bochner_identity,
@@ -459,7 +459,7 @@ def test_case_document_must_be_an_object():
 
 
 def small_float_literals(module, allowed=()):
-    """(line, value) of each float literal below 1e-3 in a module's source,
+    """(line, value) of each float literal up to 1e-3 in a module's source,
     except those assigned to a name in `allowed`.  Every gate is a small
     number; formula constants (0.5, 2.0, ...) are not."""
     tree = ast.parse(Path(module.__file__).read_text())
@@ -468,7 +468,7 @@ def small_float_literals(module, allowed=()):
               and getattr(node.targets[0], "id", None) in allowed}
     return [(node.lineno, node.value) for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and id(node) not in exempt
-            and type(node.value) is float and 0.0 < abs(node.value) < 1e-3]
+            and type(node.value) is float and 0.0 < abs(node.value) <= 1e-3]
 
 
 def test_identity_gates_live_in_the_tolerance_table():
@@ -491,6 +491,7 @@ def test_identity_gates_live_in_the_tolerance_table():
     # the root-merge distance of the Berger solve decides no verdict
     (solitons, ("_ROOT_MERGE",)),
     (products, ()),
+    (homogeneous, ()),
 ])
 def test_soliton_and_product_gates_live_in_the_tolerance_table(module,
                                                                allowed):
@@ -517,6 +518,8 @@ def test_soliton_and_product_gate_defaults_read_the_table():
         assert default(fn, "tol") == table["soliton"] == 1e-7
     assert default(solitons.solve_berger_soliton, "residual_tol") \
         == table["berger_residual"] == 1e-7
+    assert default(solitons.solve_berger_soliton, "round_exclusion") \
+        == table["berger_round_exclusion"] == 1e-3
     for fn, name in ((solitons.quadratic_profile_check, "constancy_tol"),
                      (solitons.solve_berger_soliton, "constancy_tol"),
                      (products.product_lambda_report, "tol")):

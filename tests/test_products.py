@@ -183,9 +183,11 @@ def test_constancy_spread_equals_the_per_point_path(monkeypatch):
     s = [CurvatureFrame(chart, p).scalar.value for p in pts]
     r = [CurvatureFrame(chart, p).ricci_norm2.value for p in pts]
     orders = count_frames(monkeypatch)
-    spread = products.constancy_spread(chart, count=40)
+    spread, fc = products.constancy_spread(chart, count=40)
     assert spread == {"scalar_spread": float(np.ptp(s)),
                       "ricci_norm2_spread": float(np.ptp(r))}
+    assert same_bits(fc.scalar, np.array(s))
+    assert same_bits(fc.ricci_norm2, np.array(r))
     assert orders == [(BASE_ORDER, 40)]  # 40 dim-3 points fit one frame
 
 
@@ -284,8 +286,8 @@ def test_n3_closed_forms_on_a_set_equal_each_point():
     for chart in SET_CHARTS[2:]:
         fcs, each = factor_data(chart)
         for form in (bach_line_cross_3, circle_product_lambda,
-                     line_product_lambda, line_product_trace_residual,
-                     line_soliton_obstruction):
+                     einstein_residual_norm2, line_product_lambda,
+                     line_product_trace_residual, line_soliton_obstruction):
             assert_set_holds_each(form(fcs), [form(fc) for fc in each])
 
 
@@ -300,10 +302,10 @@ def test_surface_closed_forms_on_a_set_equal_each_point():
 
 def test_product_group_frame_budget(monkeypatch):
     # suite all's product group: one factor frame per point set, the dim-4
-    # frames in chunks of 8, one frame per constancy spread's 24 dim-3
-    # points, and the two single-point factor frames of the lambda
-    # reports; one frame per point was 90 (84 single-point)
+    # frames in chunks of 8, and one frame per constancy spread's 24 dim-3
+    # points, from which the lambda reports take lambda as well; one frame
+    # per point was 90 (84 single-point)
     orders = count_frames(monkeypatch)
     suite._product_checks(tolerances.resolve())
-    assert len(orders) <= 15
-    assert sum(n == 1 for _, n in orders) <= 2
+    assert len(orders) == 13
+    assert sum(n == 1 for _, n in orders) == 0

@@ -4,9 +4,11 @@ import collections
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bachlab import charts, curvature, solitons, suite, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
+from bachlab.products import FactorCurvature, line_soliton_obstruction
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
@@ -194,10 +196,14 @@ def test_profile_round_sphere_forces_linear():
                          name="line_x_s3")
     out = quadratic_profile_check(man, lam=0.0, a=0.3, b=-1.0, count=6)
     assert out["passed"]
-    assert out["lambda_formula"] == 0.0
+    # the formula at each of the 8 spread points, which round off on their
+    # own; their mean is lambda_formula
+    assert out["lambda_deviation"] <= 1e-15
+    assert abs(out["lambda_formula"]) <= 1e-15
     assert out["residual"].sup <= 1e-10
-    bad = quadratic_profile_check(man, lam=0.1, count=4)
-    assert not bad["passed"] and bad["lambda_deviation"] > 0.09
+    for lam in (0.1, -0.1):
+        bad = quadratic_profile_check(man, lam=lam, count=4)
+        assert not bad["passed"] and bad["lambda_deviation"] > 0.09
 
 
 def test_profile_flat_torus_lambda_zero():
@@ -217,6 +223,17 @@ def test_profile_off_root_berger_fails_only_residual():
     assert out["profile_second_derivative_deviation"] <= 1e-12
     assert out["traced_identity_deviation"] <= 1e-9
     assert not out["residual"].passed and out["residual"].sup > 1.0
+
+
+def test_profile_takes_numpy_scalars():
+    # the repr of np.float64(0.0) is "np.float64(0.0)", no number in a
+    # potential's text
+    man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)])
+    out = quadratic_profile_check(man, np.float64(0.0), a=np.float64(0.3),
+                                  b=np.float64(-1.0), count=4)
+    assert out["passed"]
+    assert same_bits(out, quadratic_profile_check(man, 0.0, a=0.3, b=-1.0,
+                                                  count=4))
 
 
 def test_profile_structure_errors():
@@ -245,11 +262,46 @@ def test_condition_scalar_signs():
 def test_solver_finds_half():
     out = solve_berger_soliton(interval=(0.2, 1.6), scan=28)
     assert out["outcome"] == "root"
-    assert abs(out["a_star"] - 0.5) <= 1e-10
-    assert abs(out["lambda_star"] + 0.25) <= 1e-10
+    assert abs(out["a_star"] - 0.5) <= 1e-14
+    assert abs(out["lambda_star"] + 0.25) <= 1e-14
     assert out["round_root_included"]
     assert out["residual_sup"] <= 1e-7 and out["passed"]
-    assert abs(out["factor_scalar_curvature"] - 7.5) <= 1e-10
+    assert abs(out["factor_scalar_curvature"] - 7.5) <= 1e-14
+    # the 4-dim jet residual's own lambda agrees with the algebraic one
+    assert out["profile_check"]["lambda_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("interval, scan", [
+    ((0.1, 3.0), 120), ((0.25, 0.8), 5), ((0.32, 0.67), 5),
+    ((0.39, 0.62), 5), ((0.45, 0.55), 2)])
+def test_solver_root_is_half_to_rounding(interval, scan):
+    out = solve_berger_soliton(interval=interval, scan=scan)
+    assert abs(out["a_star"] - 0.5) <= 1e-14
+    assert abs(out["lambda_star"] + 0.25) <= 1e-14
+    assert out["passed"]
+
+
+def jet_condition(a):
+    """The condition as it was computed through jets: the obstruction of a
+    factor frame at one chart point, reduced by generalized eigenvalues."""
+    fc = FactorCurvature.at(charts.berger_sphere(a), [0.7, 1.1, 0.4])
+    eigs = scipy.linalg.eigh(line_soliton_obstruction(fc), fc.g,
+                             eigvals_only=True)
+    return float(eigs[int(np.argmax(np.abs(eigs)))])
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 1.0, 1.5, 2.2])
+def test_condition_agrees_with_the_jet_route(a):
+    # the jets round off at about 1e-11 of the obstruction's scale at
+    # a = 0.3, and far less elsewhere
+    ref = jet_condition(a)
+    assert abs(berger_condition_scalar(a) - ref) <= 3e-11 * max(1.0,
+                                                                 abs(ref))
+
+
+def test_condition_vanishes_exactly_at_the_roots():
+    assert berger_condition_scalar(0.5) == 0.0
+    assert berger_condition_scalar(1.0) == 0.0
 
 
 def test_solver_no_bracket_above_one():
@@ -270,14 +322,15 @@ def test_solver_default_interval_takes_few_evaluations(monkeypatch):
     orders = count_frames(monkeypatch)
     out = solve_berger_soliton()
     assert out["outcome"] == "root" and out["passed"]
-    assert abs(out["a_star"] - 0.5) <= 1e-12
+    assert abs(out["a_star"] - 0.5) <= 1e-14
     # the scan's 121 values, then Brent's steps inside the two brackets;
     # the bracket ends and the root are not evaluated again
     assert len(calls) <= 141
     assert len(set(calls)) == len(calls)
-    # one factor frame per condition value, lambda*'s factor at the root,
-    # and the profile check's spread, factor and residual frames
-    assert len(orders) <= 145
+    # the condition and lambda* build no frame: the only frames are the
+    # profile check's, its constancy spread over 8 points of the squashed
+    # sphere and its residual at 8 points
+    assert orders == [(BASE_ORDER, 8)] + chunk_orders(8)
     assert out["scalar_at_root"] == condition(out["a_star"])
 
 
@@ -483,10 +536,9 @@ def test_profile_check_builds_one_frame_per_chunk(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.product([charts.line(4.0), charts.berger_sphere(1.3)])
     quadratic_profile_check(man, -0.25, count=80, tol=10.0)
-    # constancy spread (one frame over 40 points of N^3), the factor at its
-    # center, and the residual with the traced identity and f'' (80 points)
-    assert orders == ([(BASE_ORDER, 40), (BASE_ORDER, 1)]
-                      + chunk_orders(80))
+    # constancy spread with the lambda formula (one frame over 40 points of
+    # N^3), and the residual with the traced identity and f'' (80 points)
+    assert orders == [(BASE_ORDER, 40)] + chunk_orders(80)
 
 
 @pytest.mark.parametrize("name, spec_kw", [
@@ -535,15 +587,15 @@ def test_suite_bach_group_equals_the_per_point_path(monkeypatch):
 
 
 def test_soliton_group_frame_budget(monkeypatch):
-    # suite all's soliton group at its default count builds 200 frames over
-    # 583 points: 144 are single-point factor frames (the Berger root
-    # solve's 141 condition values and lambda*, the two profile checks'
-    # factor at the center), the rest one per chunk of at most 8.  One
-    # frame per point was 596 frames.
+    # suite all's soliton group at its default count builds 56 frames over
+    # 439 points, one per chunk of at most 8; the Berger root solve's
+    # condition and lambda* come from structure constants and build none.
+    # One frame per point was 596 frames, and 200 with the condition on
+    # single-point factor frames.
     orders = count_frames(monkeypatch)
     suite._soliton_checks(tolerances.resolve(), count=80)
-    assert sum(n for _, n in orders) == 583
-    assert len(orders) <= 200
+    assert sum(n for _, n in orders) == 439
+    assert len(orders) == 56
 
 
 def test_no_check_builds_two_frames_at_a_point(monkeypatch):
@@ -551,8 +603,7 @@ def test_no_check_builds_two_frames_at_a_point(monkeypatch):
     # and Bach groups of suite all build, the check being the outermost
     # check function on the stack.  Checks may share points (the conformal
     # field's 6 points of r2_x_s2 begin the 80 of ho-r2s2); within one
-    # check, the only point with two frames is the squashed sphere's at the
-    # root a*, read once by the condition and once for lambda*.
+    # check, no point has two frames.
     covered = collections.Counter()
     check = [None]
     init = curvature.CurvatureFrame.__init__
@@ -586,9 +637,4 @@ def test_no_check_builds_two_frames_at_a_point(monkeypatch):
     suite._bach_property_checks(tols)
     assert None not in {key[0] for key in covered}
     repeats = {key: n for key, n in covered.items() if n > 1}
-    assert len(repeats) == 1, [key[:4] for key in repeats]
-    [((who, chart, params, order, point), n)] = repeats.items()
-    assert who == "solve_berger_soliton" and chart == "berger_sphere"
-    assert abs(dict(params)["a"] - solitons.BERGER_SOLITON_A) <= 1e-12
-    assert point == np.array(solitons._BERGER_PROBE).tobytes()
-    assert (order, n) == (BASE_ORDER, 2)
+    assert not repeats, [key[:4] for key in repeats]
