@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import exprs
 from .jets import Jet
@@ -241,6 +240,21 @@ def volume(chart: Chart, resolution: int | Sequence[int] | None = None
                      resolution=resolution)
 
 
+def _halton(dim: int, count: int) -> np.ndarray:
+    """The first ``count`` unscrambled Halton points in [0, 1)^dim, from 0
+    on (Halton 1960): the radical inverse of each index in bases 2, 3, 5
+    and 7, one digit at a time over the whole index array."""
+    out = np.zeros((count, dim))
+    for axis, base in enumerate((2, 3, 5, 7)[:dim]):
+        index = np.arange(count)
+        scale = 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            out[:, axis] += digit * scale
+            scale /= base
+    return out
+
+
 def sample_points(chart: Chart, count: int, margin: float = 0.08
                   ) -> np.ndarray:
     """Deterministic low-discrepancy interior sample points.
@@ -249,13 +263,12 @@ def sample_points(chart: Chart, count: int, margin: float = 0.08
     from each end (poles/edges are coordinate artifacts).  The Halton
     sequence is unscrambled, so the result depends only on the chart box,
     `count` and `margin`.  An empty set would let every sup over it pass,
-    so `count` must be at least 1.
+    so `count` must be a whole number (`is_count`), at least 1.
     """
-    if count < 1:
-        raise ChartError(f"a sample set needs at least one point, got "
-                         f"count {count}")
-    sampler = qmc.Halton(d=chart.dim, scramble=False)
-    unit = sampler.random(count)
+    if not is_count(count):
+        raise ChartError(f"a sample set needs at least one point, a whole "
+                         f"number; got count {count!r}")
+    unit = _halton(chart.dim, count)
     lo = np.asarray(chart.lo)
     hi = np.asarray(chart.hi)
     span = hi - lo

@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed; 1 a check ran and failed its gate;
 2 usage or input-document error; 3 numerical failure (no root bracketed,
-integrator step failure).  Reports are canonical JSON and byte-identical
-for identical configuration: every sample set and quadrature grid is
-fixed by the command's arguments.
+a failed root search, integrator step failure).  Reports are canonical
+JSON and byte-identical for identical configuration: every sample set and
+quadrature grid is fixed by the command's arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, charts, identities, profiles, report, solitons
+from . import (__version__, charts, identities, profiles, report, roots,
+               solitons)
 from . import suite as suite_mod
 from . import tolerances
 from .curvature import CurvatureFrame, pipeline_pack
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
                        else _cmd_check_soliton)
             return handler(args)
         return _HANDLERS[args.command](args)
+    except roots.RootError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

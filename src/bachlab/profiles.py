@@ -19,10 +19,11 @@ The integrator is one scalar Dormand-Prince 5(4) stepper on Python floats
 and II.6).  It follows the rules of scipy's ``solve_ivp(method="RK45")``
 step for step: the same tableau with the last stage reused, the same
 initial step, error norm, step-size factors and minimum step, and events
-located by ``brentq`` on the quartic dense output.  A scan row is a few
-thousand steps, where scipy's per-step NumPy overhead dominated;
-``tests/test_profiles.py`` keeps ``solve_ivp`` as the reference and checks
-classes, closing times, S-ranges and step counts against it.
+located by Brent's method (`roots.brent`, which runs as scipy's ``brentq``)
+on the quartic dense output.  A scan row is a few thousand steps, where
+scipy's per-step NumPy overhead dominated; ``tests/test_profiles.py`` keeps
+``solve_ivp`` as the reference and checks classes, closing times, S-ranges
+and step counts against it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import charts
+from . import charts, roots
 from .tolerances import DEFAULTS, resolve
 
 __all__ = [
@@ -230,7 +230,6 @@ _P = (  # rows: stages 1, 3, 4, 5, 6, 7 (stage 2 has weight zero)
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1 / 5  # -1 / (embedded order + 1)
-_EVENT_TOL = 4 * math.ulp(1.0)  # brentq xtol and rtol, as in solve_ivp
 
 
 def _rms(a: float, b: float, c: float, d: float) -> float:
@@ -265,7 +264,7 @@ def _dopri5(rhs, c, t, y, t_end, rtol, atol, delta, s_cap):
     one of ``Closed`` (rho fell through ``delta``), ``CurvatureBlowUp``
     (|S| rose through ``s_cap``), ``CompleteOpen`` (``t_end`` reached) or
     ``StepFailure``.  An event is a sign change of rho - delta (falling)
-    or |S| - s_cap (rising) over an accepted step, located by ``brentq``
+    or |S| - s_cap (rising) over an accepted step, located by `roots.brent`
     on the step's dense output; the run then ends at the event state.
 
     Step control is scipy's RK45: error norm RMS of the error estimate
@@ -377,16 +376,15 @@ def _dopri5(rhs, c, t, y, t_end, rtol, atol, delta, s_cap):
                 return y[i] + h * (qi[0] * x + qi[1] * x2 + qi[2] * x3
                                    + qi[3] * x3 * x)
 
-            roots = []
+            events = []
             if closing:
-                roots.append((brentq(lambda tt: dense(tt, 0) - delta, t,
-                                     t_new, xtol=_EVENT_TOL,
-                                     rtol=_EVENT_TOL), CLOSED))
+                events.append((roots.brent(lambda tt: dense(tt, 0) - delta,
+                                           t, t_new), CLOSED))
             if blowing:
-                roots.append((brentq(lambda tt: abs(dense(tt, 2)) - s_cap,
-                                     t, t_new, xtol=_EVENT_TOL,
-                                     rtol=_EVENT_TOL), CURVATURE_BLOWUP))
-            t_ev, end = min(roots, key=lambda root: root[0])
+                events.append((roots.brent(
+                    lambda tt: abs(dense(tt, 2)) - s_cap, t, t_new),
+                    CURVATURE_BLOWUP))
+            t_ev, end = min(events, key=lambda event: event[0])
             ts.append(t_ev)
             ys.append(tuple(dense(t_ev, i) for i in range(4)))
             return ts, ys, end

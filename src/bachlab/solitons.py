@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from . import charts, homogeneous, products, tolerances
+from . import charts, homogeneous, products, roots, tolerances
 from .charts import Chart, Manifold
 from .curvature import CurvatureFrame, on_points, values
 from .jets import contract
@@ -391,8 +390,9 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
     """Root-find the squashed-sphere parameter of the line-product soliton.
 
     Scans ``berger_condition_scalar`` over the interval for sign changes
-    and refines each bracket with Brent's method.  A bracket needs finite
-    values of opposite sign, so a NaN never brackets.  The round value
+    and refines each bracket with Brent's method (`roots.brent`).  A
+    bracket needs finite values of opposite sign, so a NaN never brackets;
+    a NaN met inside a bracket raises `roots.RootError`.  The round value
     a = 1 is always a root and is excluded from the reported ``a_star``;
     an interval with no non-round bracket yields outcome ``"no bracket"``
     (reported, not raised).  At a root, the full four-dimensional flow
@@ -415,13 +415,11 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
 
     grid = np.linspace(lo, hi, int(scan) + 1)
     vals = np.array([condition(x) for x in grid])
-    roots = [float(x) for x, v in zip(grid, vals) if v == 0.0]
-    tol = 4.0 * np.finfo(float).eps
+    found = [float(x) for x, v in zip(grid, vals) if v == 0.0]
     for k in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        roots.append(optimize.brentq(condition, grid[k], grid[k + 1],
-                                     xtol=tol, rtol=tol))
+        found.append(roots.brent(condition, grid[k], grid[k + 1]))
     uniq: list[float] = []
-    for r in sorted(roots):
+    for r in sorted(found):
         if not uniq or abs(r - uniq[-1]) > _ROOT_MERGE:
             uniq.append(r)
     non_round = [r for r in uniq if abs(r - 1.0) > round_exclusion]

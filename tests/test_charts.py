@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from bachlab import charts
 from bachlab.charts import ChartError
@@ -317,6 +318,23 @@ def test_sampling_margin_zero_on_periodic_only():
     t2 = charts.flat_torus((1.0, 1.0))
     pts = charts.sample_points(t2, 50)
     assert pts.min() >= 0.0 and pts.max() < 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_halton_is_scipy_unscrambled_halton_bit_for_bit(dim):
+    for n in [*range(1, 301), 1000]:
+        ref = qmc.Halton(d=dim, scramble=False).random(n)
+        ours = charts._halton(dim, n)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, np.float64(3.0)])
+def test_sample_count_must_be_a_whole_number_of_points(count):
+    # np.arange(2.5) has 3 points and np.arange(True) has 1: a count that
+    # is not a whole number is refused, not rounded
+    with pytest.raises(ChartError, match="at least one point"):
+        charts.sample_points(charts.round_sphere(2), count)
 
 
 # ----------------------------------------------------------------------

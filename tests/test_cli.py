@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bachlab
 from bachlab import report, solitons, suite, tolerances
 from bachlab.cli import main
 
@@ -509,3 +513,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "bachlab" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# packaging
+# ----------------------------------------------------------------------
+def test_no_module_imports_scipy():
+    # the runtime is NumPy and mpmath; SciPy is only a test reference
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import bachlab\n"
+        "names = [m.name for m in pkgutil.walk_packages(bachlab.__path__, "
+        "'bachlab.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "assert 'bachlab.cli' in names and 'bachlab.roots' in names\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(bachlab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
