@@ -12,5 +12,4 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND_NAME as kernel_backend  # noqa: F401
 from .jets import Jet, variables  # noqa: F401

@@ -176,26 +176,27 @@ def quadrature(chart: Chart, resolution: int | Sequence[int] | None = None
     return Quadrature(nodes=nodes, weights=weights, shape=res)
 
 
+def _checked_metric(chart: Chart, points: np.ndarray) -> np.ndarray:
+    """The metric at the points, each exactly symmetric with every
+    eigenvalue positive; else `ChartError` with the count of bad nodes."""
+    g = chart.metric_values(points)
+    # only a finite, exactly symmetric matrix gets eigenvalues
+    bad = ~np.all(np.isfinite(g) & (g == np.swapaxes(g, 1, 2)), axis=(1, 2))
+    bad[~bad] = ~(np.linalg.eigvalsh(g[~bad]).min(axis=1) > 0)
+    if np.any(bad):
+        raise ChartError(
+            f"metric of {chart.name!r} is not symmetric positive definite "
+            f"at {int(np.sum(bad))} node(s)")
+    return g
+
+
 def volume_density(chart: Chart, points: np.ndarray) -> np.ndarray:
     """sqrt(det g) at the given points."""
-    g = chart.metric_values(points)
-    det = np.linalg.det(g)
-    if np.any(det <= 0):
-        raise ChartError(
-            f"metric of {chart.name!r} is not positive definite at "
-            f"{int(np.sum(det <= 0))} node(s)")
-    return np.sqrt(det)
+    return np.sqrt(np.linalg.det(_checked_metric(chart, points)))
 
 
 def positive_definite_check(chart: Chart, points: np.ndarray) -> None:
-    g = chart.metric_values(points)
-    if not np.allclose(g, np.swapaxes(g, 1, 2), atol=1e-12):
-        raise ChartError(f"metric of {chart.name!r} is not symmetric")
-    eig = np.linalg.eigvalsh(g)
-    if np.any(eig <= 0):
-        raise ChartError(
-            f"metric of {chart.name!r} is not positive definite at "
-            f"{int(np.sum(eig.min(axis=1) <= 0))} node(s)")
+    _checked_metric(chart, points)
 
 
 def integrate(chart: Chart, values: np.ndarray | Callable,
@@ -483,13 +484,27 @@ class Manifold:
         return slice(off, off + self.factors[k].dim)
 
 
+def _fresh_name(name: str, k: int, used) -> str:
+    """``name`` if unused, else the first unused of ``{name}_{k}``,
+    ``{name}_{k}b``, ``{name}_{k}c``, ..."""
+    if name not in used:
+        return name
+    for suffix in ("", *"bcdefghijklmnopqrstuvwxyz"):
+        if f"{name}_{k}{suffix}" not in used:
+            return f"{name}_{k}{suffix}"
+    raise ChartError(f"no free name for {name!r} in factor {k}")
+
+
 def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
-    """Block-diagonal product; coordinate/parameter clashes get suffixes."""
+    """Block-diagonal product; coordinate/parameter clashes get suffixes.
+
+    A coordinate clashes with any coordinate of an earlier factor, a
+    parameter with an earlier parameter of another value (an equal one is
+    shared); a clashing name in factor k takes the first unused of
+    ``{name}_{k}``, ``{name}_{k}b``, ``{name}_{k}c``, ..."""
     total = sum(c.dim for c in charts)
     if total > 4:
         raise ChartError(f"product dimension {total} exceeds the jet cap 4")
-    used_coords: set[str] = set()
-    used_params: dict[str, float] = {}
     new_coords: list[str] = []
     rows: list[list[str]] = [["0"] * total for _ in range(total)]
     lo: list[float] = []
@@ -498,26 +513,15 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
     resolution: list[int] = []
     params: dict[str, float] = {}
     offset = 0
-    for idx, c in enumerate(charts):
+    for k, c in enumerate(charts, start=1):
         cmap: dict[str, str] = {}
         for cname in c.coords:
-            newname = cname
-            while newname in used_coords:
-                newname = f"{cname}_{idx + 1}"
-                if newname in used_coords:
-                    newname = f"{cname}_{idx + 1}b"
-            used_coords.add(newname)
-            cmap[cname] = newname
-            new_coords.append(newname)
+            cmap[cname] = _fresh_name(cname, k, new_coords)
+            new_coords.append(cmap[cname])
         for pname, pval in c.params.items():
-            if pname in used_params and used_params[pname] != pval:
-                newp = f"{pname}_{idx + 1}"
-                cmap[pname] = newp
-                params[newp] = pval
-                used_params[newp] = pval
-            else:
-                params[pname] = pval
-                used_params[pname] = pval
+            if params.get(pname, pval) != pval:
+                cmap[pname] = _fresh_name(pname, k, params)
+            params[cmap.get(pname, pname)] = pval
         for i in range(c.dim):
             for j in range(c.dim):
                 text = c.metric_strs[i][j]

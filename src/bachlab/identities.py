@@ -10,6 +10,12 @@ data q := L_X g - 2 phi g, for which the generalized soliton relation
 holds by definition; this gives a sound test family without solving any
 flow equation.  Conformality of a field is operationalized as the sup norm
 of the trace-free part of L_X g staying below a gate tolerance.
+
+Every identity reads each of its gates from ``tols``, a resolved
+tolerance table (``tolerances.DEFAULTS`` unless given), and decides its
+own verdict: the report carries ``passed``.  A violated hypothesis (a
+field that is not conformal, a flow tensor off the divergence condition,
+a non-constant rigidity invariant) raises `IdentityError` instead.
 """
 
 from __future__ import annotations
@@ -25,17 +31,13 @@ from .jets import contract
 from .report import sup
 
 __all__ = [
-    "IdentityError", "CONFORMAL_GATE",
+    "IdentityError",
     "lie_pairing_identity", "soliton_integral_identities",
     "lie_divergence_identity", "yano_identity",
     "bourguignon_ezin_integral", "soliton_conformality_integral",
     "bochner_identity", "surface_scalar_rigidity",
     "IDENTITY_IDS", "case_value", "run_identity_case",
 ]
-
-_TOLS = tolerances.DEFAULTS
-CONFORMAL_GATE = _TOLS["conformal_gate"]
-
 
 class IdentityError(ValueError):
     """Violated hypothesis or malformed identity case."""
@@ -47,7 +49,8 @@ def conformality_gap(frame: CurvatureFrame, x_jets) -> np.ndarray:
     return np.abs(values(frame.trace_free(frame.lie_metric(x_jets))))
 
 
-def _check_conformal(gap: float, gate: float) -> None:
+def _check_conformal(gap: float, tols: Mapping) -> None:
+    gate = tols["conformal_gate"]
     if gap > gate:
         raise IdentityError(
             f"field is not conformal: trace-free Lie sup {gap:.3e} "
@@ -67,11 +70,21 @@ def _constructed_flow(frame: CurvatureFrame, x_exprs: Sequence[str],
 # ----------------------------------------------------------------------
 # pointwise identities
 # ----------------------------------------------------------------------
-def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
-                         t_exprs: Sequence[Sequence[str]],
-                         count: int = 50) -> dict:
-    """<L_X g, T> = 2 div(i_X T) - 2 (div T)(X) for any X and symmetric T."""
+def _pointwise(man: Manifold, count: int, residual, tols: Mapping,
+               order: int = BASE_ORDER) -> dict:
+    """``residual(frame)`` over ``count`` sample points, its sup, and
+    whether the sup is within the identity gate."""
     points = charts.residual_sample_points(man, count)
+    res = on_points(man, points, residual, order)
+    worst = sup(res)
+    return {"points": points, "residuals": res, "sup": worst,
+            "passed": worst <= tols["identity"]}
+
+
+def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
+                         t_exprs: Sequence[Sequence[str]], count: int = 50,
+                         tols: Mapping = tolerances.DEFAULTS) -> dict:
+    """<L_X g, T> = 2 div(i_X T) - 2 (div T)(X) for any X and symmetric T."""
     n = man.dim
     if len(t_exprs) != n or any(len(row) != n for row in t_exprs):
         raise IdentityError(f"T must be {n} x {n}")
@@ -86,14 +99,13 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
             - 2.0 * values(frame.pair_oneform_vector(div_t, x))
         return np.abs(lhs - rhs)
 
-    res = on_points(man, points, residual)
-    return {"points": points, "residuals": res, "sup": sup(res)}
+    return _pointwise(man, count, residual, tols)
 
 
 def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
-                            phi_expr: str = "0", count: int = 50) -> dict:
+                            phi_expr: str = "0", count: int = 50,
+                            tols: Mapping = tolerances.DEFAULTS) -> dict:
     """div(L_X g) = div of the trace-free constructed q plus (2/n) d(div X)."""
-    points = charts.residual_sample_points(man, count)
     n = man.dim
 
     def residual(frame):
@@ -104,12 +116,11 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
             + (2.0 / n) * d_div
         return np.abs(lhs - rhs).max(axis=0)
 
-    res = on_points(man, points, residual, order=3)
-    return {"points": points, "residuals": res, "sup": sup(res)}
+    return _pointwise(man, count, residual, tols, order=3)
 
 
 def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
-                  gate: float = CONFORMAL_GATE) -> dict:
+                  tols: Mapping = tolerances.DEFAULTS) -> dict:
     """L_X S = -2 sigma S - 2(n-1) Lap(sigma), sigma = div(X)/n, X conformal."""
     points = charts.residual_sample_points(man, count)
     n = man.dim
@@ -123,15 +134,15 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
         return np.abs(lhs - rhs), conformality_gap(frame, x)
 
     res, tf_lie = on_points(man, points, residual)
-    gap = sup(tf_lie)
-    _check_conformal(gap, gate)
-    return {"points": points, "residuals": res, "sup": sup(res),
-            "conformality_gap": gap}
+    gap, worst = sup(tf_lie), sup(res)
+    _check_conformal(gap, tols)
+    return {"points": points, "residuals": res, "sup": worst,
+            "conformality_gap": gap, "passed": worst <= tols["identity"]}
 
 
-def bochner_identity(man: Manifold, h_expr: str, count: int = 50) -> dict:
+def bochner_identity(man: Manifold, h_expr: str, count: int = 50,
+                     tols: Mapping = tolerances.DEFAULTS) -> dict:
     """div(Hess h) = Ric(grad h) + d(Lap h) as 1-forms."""
-    points = charts.residual_sample_points(man, count)
 
     def residual(frame):
         h = frame.scalar_jet(h_expr)
@@ -141,8 +152,7 @@ def bochner_identity(man: Manifold, h_expr: str, count: int = 50) -> dict:
         d_lap = values(frame.laplacian(h).grad())
         return np.abs(lhs - ric_grad - d_lap).max(axis=0)
 
-    res = on_points(man, points, residual)
-    return {"points": points, "residuals": res, "sup": sup(res)}
+    return _pointwise(man, count, residual, tols)
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +168,8 @@ def _compact_quadrature(man: Manifold, resolution):
 
 
 def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
-                                phi_expr: str = "0",
-                                resolution=None) -> dict:
+                                phi_expr: str = "0", resolution=None,
+                                tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Both integral identities for constructed flow data q = L_X g - 2 phi g.
 
     First:  integral of (phi tr q + (tr q)^2/(2n) + (div q)(X))
@@ -189,21 +199,20 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
     lhs1 = t_phi + t_tr + t_div
     scale1 = max(abs(t_phi), abs(t_tr), abs(t_div), abs(rhs1))
     scale2 = max(abs(lhs2), abs(rhs2))
+    imb1, imb2, tol = abs(lhs1 - rhs1), abs(lhs2 - rhs2), tols["identity"]
     return {
         "terms": {"phi_trace": t_phi, "trace_sq": t_tr, "div_pair": t_div},
-        "lhs1": lhs1, "rhs1": rhs1,
-        "imbalance1": abs(lhs1 - rhs1), "scale1": scale1,
-        "lhs2": lhs2, "rhs2": rhs2,
-        "imbalance2": abs(lhs2 - rhs2), "scale2": scale2,
+        "lhs1": lhs1, "rhs1": rhs1, "imbalance1": imb1, "scale1": scale1,
+        "lhs2": lhs2, "rhs2": rhs2, "imbalance2": imb2, "scale2": scale2,
         "nodes": len(quad.nodes),
+        "passed": imb1 <= tol * max(scale1, 1.0)
+        and imb2 <= tol * max(scale2, 1.0),
     }
 
 
 def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
                               q_mode: str = "ricci", resolution=None,
-                              gate: float = CONFORMAL_GATE,
-                              bianchi_tol: float = _TOLS["bianchi"]
-                              ) -> dict:
+                              tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Integral of L_X tr(q) vanishes for conformal X when div q = (1/2) d tr q.
 
     ``q_mode`` selects the flow tensor: ``"ricci"`` (the divergence
@@ -230,21 +239,21 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
 
     tf_lie, div_res, vals, abs_tr = on_points(man, quad.nodes, columns)
     gap, bianchi = sup(tf_lie), sup(div_res)
-    _check_conformal(gap, gate)
-    if bianchi > bianchi_tol:
+    _check_conformal(gap, tols)
+    if bianchi > tols["bianchi"]:
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
     integral, scale = charts.integrate_columns(man.chart, (vals, abs_tr),
                                                quad=quad)
     return {"integral": integral, "scale": scale,
             "conformality_gap": gap, "bianchi_residual": bianchi,
-            "nodes": len(quad.nodes)}
+            "nodes": len(quad.nodes),
+            "passed": abs(integral) <= tols["identity"] * max(scale, 1.0)}
 
 
 def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
                                   phi_expr: str = "0", resolution=None,
-                                  tol: float = _TOLS["identity"],
-                                  gate: float = CONFORMAL_GATE) -> dict:
+                                  tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Integral of ||tracefree q||^2 + ((n-2)/n) L_X tr q for constructed q.
 
     When the integral vanishes the field must be conformal; the report
@@ -270,8 +279,8 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     bianchi, conf = sup(div_res), sup(tf_lie)
     total = qbar_int + (n - 2.0) / n * lie_tr_int
     scale = max(qbar_int, abs((n - 2.0) / n * lie_tr_int), 1.0)
-    vanishes = abs(total) <= tol * scale
-    if vanishes and conf > gate:
+    vanishes = abs(total) <= tols["identity"] * scale
+    if vanishes and conf > tols["conformal_gate"]:
         raise IdentityError(
             f"integral vanishes but the field is not conformal "
             f"(trace-free Lie sup {conf:.3e}); inconsistent data")
@@ -279,27 +288,25 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     return {"integral": total, "qbar_integral": qbar_int,
             "lie_trace_integral": lie_tr_int, "scale": scale,
             "bianchi_residual": bianchi, "conformality_sup": conf,
-            "verdict": verdict, "nodes": len(quad.nodes)}
+            "verdict": verdict, "nodes": len(quad.nodes),
+            "passed": vanishes}
 
 
 # ----------------------------------------------------------------------
 # compact-surface scalar rigidity
 # ----------------------------------------------------------------------
 def surface_scalar_rigidity(man: Manifold, resolution=None,
-                            c_tol: float = _TOLS["rigidity_c_spread"],
-                            tol: float = _TOLS["identity"],
-                            grad_tol: float = _TOLS["rigidity_grad"],
-                            slack_tol: float = _TOLS["rigidity_slack"]
-                            ) -> dict:
+                            tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Rigidity machinery on a compact surface with Lap(S) + S^2/3 constant.
 
     Checks, in order: the hypothesis (the invariant c = Lap(S) + S^2/3 is
-    constant over the chart within ``c_tol``; violated hypothesis raises);
-    the pointwise consequence grad(S^2) = -3 grad(Lap S) (the latter exact,
-    from order-5 frames over the interior points) within ``grad_tol``;
-    the integral identity  int ||Hess S||^2 = (1/4) int (Lap S)^2;  the
-    pointwise bound ||Hess S||^2 >= (Lap S)^2 / 2, to ``slack_tol`` below
-    zero;  and the conclusion that S is constant.
+    constant over the chart within ``rigidity_c_spread``; violated
+    hypothesis raises); the pointwise consequence grad(S^2) = -3 grad(Lap S)
+    (the latter exact, from order-5 frames over the interior points)
+    within ``rigidity_grad``; the integral identity  int ||Hess S||^2 =
+    (1/4) int (Lap S)^2  within ``identity``; the pointwise bound
+    ||Hess S||^2 >= (Lap S)^2 / 2, to ``rigidity_slack`` below zero; and
+    the conclusion that S is constant within ``identity``.
     """
     chart = man.chart
     if chart.dim != 2:
@@ -321,6 +328,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     grad_res = sup(grad_abs)
     cs_slack = float(np.min(hess2 - lap * lap / 2.0))  # NaN fails below
     c_spread = float(np.ptp(lap + s * s / 3.0))
+    c_tol, tol = tols["rigidity_c_spread"], tols["identity"]
     if not c_spread <= c_tol:  # a NaN spread violates it too
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
@@ -331,9 +339,9 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
     s_spread = float(np.ptp(s))
     lap_sup = float(np.abs(lap).max())
-    passed = bool(grad_res <= grad_tol
+    passed = bool(grad_res <= tols["rigidity_grad"]
                   and abs(hess2_int - lap2_int / 4.0) <= tol * int_scale
-                  and cs_slack >= -slack_tol
+                  and cs_slack >= -tols["rigidity_slack"]
                   and s_spread <= tol and lap_sup <= tol)
     return {
         "c_spread": c_spread,
@@ -352,12 +360,9 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
 # CLI case plumbing
 # ----------------------------------------------------------------------
 class _Identity(NamedTuple):
-    run: Callable[..., dict]
+    run: Callable[..., dict]  # reads its gates from ``tols``
     default: dict  # the default case
     fields: tuple  # the case fields ``run`` reads besides "manifold"
-    verdict: Callable[[dict, float], bool]  # (report, tol) -> passed
-    takes_tol: bool = False  # ``run`` reads tol and reports its answer
-    gates: tuple = ()  # (keyword, tolerance key) of ``run``'s other gates
 
 
 # case field -> keyword; count and resolution keep their names
@@ -377,36 +382,24 @@ _GENERIC_T = (("1 + 0.3*cos(th)", "0.2*sin(th)*sin(ph)"),
 _IDENTITIES = {
     "lemma35": _Identity(lie_pairing_identity, {
         "manifold": "round_sphere_2", "X": ("0.4*sin(ph)*sin(th)", "0.7"),
-        "T": _GENERIC_T}, ("X", "T", "count"),
-        lambda r, tol: r["sup"] <= tol),
+        "T": _GENERIC_T}, ("X", "T", "count")),
     "thm32": _Identity(soliton_integral_identities, {
         "manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
-        "phi": "0.3*cos(th)"}, ("X", "phi", "resolution"),
-        lambda r, tol: r["imbalance1"] <= tol * max(r["scale1"], 1.0)
-        and r["imbalance2"] <= tol * max(r["scale2"], 1.0)),
+        "phi": "0.3*cos(th)"}, ("X", "phi", "resolution")),
     "yano": _Identity(yano_identity, {
         "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X},
-        ("X", "count"), lambda r, tol: r["sup"] <= tol,
-        gates=(("gate", "conformal_gate"),)),
+        ("X", "count")),
     "be": _Identity(bourguignon_ezin_integral, {
         "manifold": "conformal_sphere_bump", "X": _ROUND_CONFORMAL_X,
-        "q": "ricci"}, ("X", "q", "resolution"),
-        lambda r, tol: abs(r["integral"]) <= tol * max(r["scale"], 1.0),
-        gates=(("gate", "conformal_gate"), ("bianchi_tol", "bianchi"))),
+        "q": "ricci"}, ("X", "q", "resolution")),
     "thm38": _Identity(soliton_conformality_integral, {
         "manifold": "round_sphere_2", "X": _ROUND_CONFORMAL_X,
-        "phi": "0.1*cos(th)"}, ("X", "phi", "resolution"),
-        lambda r, tol: r["verdict"] == "conformal", takes_tol=True,
-        gates=(("gate", "conformal_gate"),)),
+        "phi": "0.1*cos(th)"}, ("X", "phi", "resolution")),
     "bochner": _Identity(bochner_identity, {
         "manifold": "conformal_sphere_bump",
-        "h": "0.5*cos(th) + 0.2*sin(th)*cos(ph)"}, ("h", "count"),
-        lambda r, tol: r["sup"] <= tol),
+        "h": "0.5*cos(th) + 0.2*sin(th)*cos(ph)"}, ("h", "count")),
     "lemma48": _Identity(surface_scalar_rigidity, {
-        "manifold": "round_sphere_2"}, ("resolution",),
-        lambda r, tol: r["passed"], takes_tol=True,
-        gates=(("c_tol", "rigidity_c_spread"), ("grad_tol", "rigidity_grad"),
-               ("slack_tol", "rigidity_slack"))),
+        "manifold": "round_sphere_2"}, ("resolution",)),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -419,8 +412,9 @@ def case_value(rep: Mapping) -> dict:
 
 
 def run_identity_case(identity_id: str, doc: Mapping | None = None,
-                      tol: float = _TOLS["identity"],
-                      gates: Mapping[str, float] = _TOLS) -> dict:
+                      tol: float = tolerances.DEFAULTS["identity"],
+                      gates: Mapping[str, float] = tolerances.DEFAULTS
+                      ) -> dict:
     """Run one identity check from a JSON-style case document.
 
     The document overrides fields of the identity's default case.  Each
@@ -428,10 +422,9 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
     and rejects any other: lemma35 ``X``, ``T``, ``count``; thm32 and thm38
     ``X``, ``phi``, ``resolution``; yano ``X``, ``count``; be ``X``, ``q``,
     ``resolution``; bochner ``h``, ``count``; lemma48 ``resolution``.
-    ``tol`` is the case's own gate; its other gates (the conformality
-    gate, the divergence condition, the rigidity hypothesis and bounds)
-    are read from ``gates``, a resolved tolerance table.  Returns the
-    identity's report with ``"identity"`` and ``"passed"``.
+    The identity runs on ``gates``, a resolved tolerance table, with its
+    ``identity`` gate set to ``tol``, and decides ``"passed"`` itself.
+    Returns the identity's report with ``"identity"`` added.
     """
     if identity_id not in _IDENTITIES:
         raise IdentityError(
@@ -456,11 +449,8 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
                                 f"got {merged[name]!r}")
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
-    if case.takes_tol:
-        kwargs["tol"] = tol
-    kwargs.update((kw, gates[key]) for kw, key in case.gates)
-    out = case.run(charts.resolve_manifold(merged["manifold"]), **kwargs)
-    out["passed"] = case.verdict(out, tol)
+    out = case.run(charts.resolve_manifold(merged["manifold"]),
+                   tols={**gates, "identity": tol}, **kwargs)
     out["identity"] = identity_id
     out.pop("points", None)
     out.pop("residuals", None)

@@ -7,10 +7,14 @@ assembles one deterministic report.  Each check's gate is read from the
 resolved tolerance table (the defaults merged with the run's overrides);
 the configuration (sample counts, resolved tolerances) is echoed into
 the report, and the same configuration gives the same report byte for
-byte.
+byte.  A check whose hypothesis does not hold (an identity's field is not
+conformal, a product factor's curvature is not constant) fails on its
+own, with its error in the record's detail, and the others still run.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -19,6 +23,36 @@ from . import tolerances
 from .curvature import BASE_ORDER, on_points, values
 
 __all__ = ["run_suite"]
+
+# a violated hypothesis: a typed error of the check's own module
+_HYPOTHESIS_ERRORS = (identities.IdentityError, products.ProductFormulaError,
+                      solitons.SolitonError)
+
+
+class _Records(list):
+    """Check records in order, each computed under `check`.
+
+    Unless ``strict``, a violated hypothesis fails its own check (value
+    null, the error in the detail) instead of ending the group.
+    """
+
+    def __init__(self, strict: bool):
+        super().__init__()
+        self.strict = strict
+
+    @contextlib.contextmanager
+    def check(self, check_id: str, tolerance):
+        """Yields ``record(value, passed, **fields)``, which appends the
+        check's record."""
+        try:
+            yield lambda value, passed, **fields: self.append(
+                report.check_record(check_id, value, tolerance, passed,
+                                    **fields))
+        except _HYPOTHESIS_ERRORS as err:
+            if self.strict:
+                raise
+            self.append(report.check_record(check_id, None, tolerance, False,
+                                            detail={"error": str(err)}))
 
 
 def _bach_property_checks(tols, count: int = 2) -> list[dict]:
@@ -51,106 +85,101 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     ]
 
 
-def _product_checks(tols) -> list[dict]:
+def _product_checks(tols, strict: bool = True) -> list[dict]:
     tol = tols["product_cross"]
     gate = tols["lambda_einstein_gate"]
-    checks = []
-    for cid, sup in (
-        ("products/line-cross/round-s3",
-         products.line_cross_check(charts.round_sphere(3))),
-        ("products/line-cross/berger-1.5",
-         products.line_cross_check(charts.berger_sphere(1.5))),
+    checks = _Records(strict)
+    for cid, cross in (
+        ("products/line-cross/round-s3", lambda: products.line_cross_check(
+            charts.round_sphere(3))),
+        ("products/line-cross/berger-1.5", lambda: products.line_cross_check(
+            charts.berger_sphere(1.5))),
         ("products/surface-cross/s2-x-t2",
-         products.surface_cross_check(charts.round_sphere(2),
-                                      charts.flat_torus())),
+         lambda: products.surface_cross_check(charts.round_sphere(2),
+                                              charts.flat_torus())),
         ("products/surface-cross/s2-x-h2",
-         products.surface_cross_check(charts.round_sphere(2),
-                                      charts.hyperbolic_2())),
+         lambda: products.surface_cross_check(charts.round_sphere(2),
+                                              charts.hyperbolic_2())),
     ):
-        sup = float(sup)
-        checks.append(report.check_record(cid, sup, tol, sup <= tol))
-    constancy = tols["factor_constancy"]
-    circle = products.product_lambda_report(charts.berger_sphere(1.2),
-                                            "circle", tol=constancy)
-    line = products.product_lambda_report(charts.berger_sphere(1.2), "line",
-                                          tol=constancy)
-    non_einstein = circle["einstein_residual_norm2"] > gate
-    checks.append(report.check_record(
-        "products/lambda-sign/circle", circle["lambda"], gate,
-        circle["lambda"] > 0 and non_einstein,
-        detail={"einstein_residual_norm2": circle["einstein_residual_norm2"]}))
-    checks.append(report.check_record(
-        "products/lambda-sign/line", line["lambda"], gate,
-        line["lambda"] < 0 and non_einstein,
-        detail={"trace_identity_residual": line["trace_identity_residual"]}))
-    c_round = products.surface_c_report(charts.round_sphere(2))
-    dev = report.sup(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
-    checks.append(report.check_record(
-        "products/surface-c/round-sphere", dev, tol, dev <= tol,
-        expected=4.0 / 3.0))
+        with checks.check(cid, tol) as record:
+            sup = float(cross())
+            record(sup, sup <= tol)
+    for family, sign, shown in (("circle", 1.0, "einstein_residual_norm2"),
+                                ("line", -1.0, "trace_identity_residual")):
+        with checks.check(f"products/lambda-sign/{family}", gate) as record:
+            rep = products.product_lambda_report(
+                charts.berger_sphere(1.2), family,
+                tol=tols["factor_constancy"])
+            record(rep["lambda"], sign * rep["lambda"] > 0
+                   and rep["einstein_residual_norm2"] > gate,
+                   detail={shown: rep[shown]})
+    with checks.check("products/surface-c/round-sphere", tol) as record:
+        c_round = products.surface_c_report(charts.round_sphere(2))
+        dev = report.sup(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
+        record(dev, dev <= tol, expected=4.0 / 3.0)
     return checks
 
 
-def _soliton_checks(tols, count: int) -> list[dict]:
-    checks = []
+def _soliton_checks(tols, count: int, strict: bool = True) -> list[dict]:
+    checks = _Records(strict)
     for name, gate in (("ho-r2s2", "soliton_gradient_product"),
                        ("ho-r2h2", "soliton_gradient_product"),
                        ("s4-trivial", "soliton"),
                        ("berger-line", "soliton")):
-        rep = solitons.named_example(name, count=count, tol=tols[gate])
-        checks.append(report.check_record(
-            f"soliton/{name}", rep.sup, rep.tol, rep.passed,
-            inputs={"example": name, "count": count}))
+        with checks.check(f"soliton/{name}", tols[gate]) as record:
+            rep = solitons.named_example(name, count=count, tol=tols[gate])
+            record(rep.sup, rep.passed,
+                   inputs={"example": name, "count": count})
 
-    root = solitons.solve_berger_soliton(
-        round_exclusion=tols["berger_round_exclusion"],
-        residual_tol=tols["berger_residual"],
-        constancy_tol=tols["factor_constancy"])
-    root_tol = tols["berger_root"]
-    root_ok = (root["outcome"] == "root" and bool(root["passed"])
-               and abs(root["a_star"] - solitons.BERGER_SOLITON_A)
-               <= root_tol
-               and abs(root["lambda_star"]
-                       - solitons.BERGER_SOLITON_LAMBDA) <= root_tol
-               and root["residual_sup"] <= tols["berger_residual"])
-    checks.append(report.check_record(
-        "soliton/berger-root",
-        {"a_star": root["a_star"], "lambda_star": root["lambda_star"],
-         "residual_sup": root["residual_sup"]},
-        tols["berger_residual"], root_ok,
-        expected={"a_star": solitons.BERGER_SOLITON_A,
-                  "lambda_star": solitons.BERGER_SOLITON_LAMBDA}))
+    with checks.check("soliton/berger-root",
+                      tols["berger_residual"]) as record:
+        root = solitons.solve_berger_soliton(
+            round_exclusion=tols["berger_round_exclusion"],
+            residual_tol=tols["berger_residual"],
+            constancy_tol=tols["factor_constancy"])
+        root_tol = tols["berger_root"]
+        root_ok = (root["outcome"] == "root" and bool(root["passed"])
+                   and abs(root["a_star"] - solitons.BERGER_SOLITON_A)
+                   <= root_tol
+                   and abs(root["lambda_star"]
+                           - solitons.BERGER_SOLITON_LAMBDA) <= root_tol
+                   and root["residual_sup"] <= tols["berger_residual"])
+        record({"a_star": root["a_star"], "lambda_star": root["lambda_star"],
+                "residual_sup": root["residual_sup"]}, root_ok,
+               expected={"a_star": solitons.BERGER_SOLITON_A,
+                         "lambda_star": solitons.BERGER_SOLITON_LAMBDA})
 
-    round_man = charts.product([charts.line(4.0), charts.berger_sphere(1.0)],
-                               name="line_x_round_berger")
-    pc = solitons.quadratic_profile_check(
-        round_man, 0.0, count=8, tol=tols["soliton"],
-        constancy_tol=tols["factor_constancy"])
-    checks.append(report.check_record(
-        "soliton/round-berger-lambda-zero", pc["residual"].sup,
-        pc["residual"].tol, bool(pc["passed"]), expected=0.0))
+    with checks.check("soliton/round-berger-lambda-zero",
+                      tols["soliton"]) as record:
+        round_man = charts.product(
+            [charts.line(4.0), charts.berger_sphere(1.0)],
+            name="line_x_round_berger")
+        pc = solitons.quadratic_profile_check(
+            round_man, 0.0, count=8, tol=tols["soliton"],
+            constancy_tol=tols["factor_constancy"])
+        record(pc["residual"].sup, bool(pc["passed"]), expected=0.0)
 
-    man = charts.get_example("r2_x_s2")
-    spec = solitons.SolitonSpec(manifold=man, potential="-(x^2 + y^2)/12",
-                                lam=-1.0 / 12.0)
-    cf = solitons.surface_conformal_field(man, spec, count=6)
-    cf_sup = report.sup(cf["identity_sup"], cf["extended_residual_sup"],
-                        cf["offblock_sup"], cf["tracefree_sup"])
-    checks.append(report.check_record(
-        "soliton/conformal-factor-field", cf_sup, tols["conformal_field"],
-        cf_sup <= tols["conformal_field"],
-        detail={"coefficient": cf["coefficient"]}))
+    with checks.check("soliton/conformal-factor-field",
+                      tols["conformal_field"]) as record:
+        man = charts.get_example("r2_x_s2")
+        spec = solitons.SolitonSpec(manifold=man,
+                                    potential="-(x^2 + y^2)/12",
+                                    lam=-1.0 / 12.0)
+        cf = solitons.surface_conformal_field(man, spec, count=6)
+        cf_sup = report.sup(cf["identity_sup"], cf["extended_residual_sup"],
+                            cf["offblock_sup"], cf["tracefree_sup"])
+        record(cf_sup, cf_sup <= tols["conformal_field"],
+               detail={"coefficient": cf["coefficient"]})
     return checks
 
 
-def _identity_checks(tols) -> list[dict]:
-    checks = []
+def _identity_checks(tols, strict: bool = True) -> list[dict]:
+    checks = _Records(strict)
     for iid in identities.IDENTITY_IDS:
-        rep = identities.run_identity_case(iid, tol=tols["identity"],
-                                           gates=tols)
-        checks.append(report.check_record(
-            f"identity/{iid}", identities.case_value(rep), tols["identity"],
-            bool(rep["passed"])))
+        with checks.check(f"identity/{iid}", tols["identity"]) as record:
+            rep = identities.run_identity_case(iid, tol=tols["identity"],
+                                               gates=tols)
+            record(identities.case_value(rep), bool(rep["passed"]))
     return checks
 
 
@@ -198,8 +227,8 @@ def run_suite(soliton_count: int = 80, scan_cells: int = 9,
               "tolerances": tols}
     checks = []
     checks.extend(_bach_property_checks(tols))
-    checks.extend(_product_checks(tols))
-    checks.extend(_soliton_checks(tols, soliton_count))
-    checks.extend(_identity_checks(tols))
+    checks.extend(_product_checks(tols, strict=False))
+    checks.extend(_soliton_checks(tols, soliton_count, strict=False))
+    checks.extend(_identity_checks(tols, strict=False))
     checks.extend(_ode_checks(tols, scan_cells))
     return report.build_report(config, checks)

@@ -276,6 +276,65 @@ def test_product_equal_parameters_merge():
     assert set(big.params) == {"r"}
 
 
+def test_nested_product_coordinates_take_the_next_free_suffix():
+    # the line's coordinate clashes three times in factor 2 of each level
+    inner = charts.product_chart([charts.line(), charts.line()])
+    middle = charts.product_chart([inner, charts.line()])
+    assert middle.coords == ("t", "t_2", "t_2b")
+    outer = charts.product_chart([middle, charts.line()])
+    assert outer.coords == ("t", "t_2", "t_2b", "t_2c")
+
+
+def _scaled_line(a: float) -> charts.Chart:
+    return charts.Chart(name=f"line_{a:g}", kind="custom", coords=("s",),
+                        metric_strs=(("a^2",),), params={"a": a},
+                        lo=(0.0,), hi=(1.0,), periodic=(False,),
+                        compact=False, resolution=(4,))
+
+
+def test_nested_product_parameters_never_replace_one_another():
+    inner = charts.product_chart([_scaled_line(1.0), _scaled_line(2.0)])
+    assert inner.params == {"a": 1.0, "a_2": 2.0}
+    outer = charts.product_chart([inner, _scaled_line(3.0)])
+    assert outer.coords == ("s", "s_2", "s_2b")
+    assert outer.params == {"a": 1.0, "a_2": 2.0, "a_2b": 3.0}
+    g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
+    assert np.array_equal(g, np.diag([1.0, 4.0, 9.0]))
+
+
+def _flat_torus_with_metric(metric_strs, params=None) -> charts.Chart:
+    return charts.Chart(name="custom_torus", kind="custom",
+                        coords=("x", "y"), metric_strs=metric_strs,
+                        params=params or {}, lo=(0.0, 0.0),
+                        hi=(TWO_PI, TWO_PI),
+                        periodic=(True, True), compact=True,
+                        resolution=(4, 4))
+
+
+def test_volume_needs_a_positive_definite_metric():
+    # det g = 1 > 0 at every node, but g is negative definite
+    negative = _flat_torus_with_metric((("-1", "0"), ("0", "-1")))
+    with pytest.raises(ChartError, match="at 16 node"):
+        charts.volume(negative)
+    with pytest.raises(ChartError, match="at 16 node"):
+        charts.positive_definite_check(negative,
+                                       charts.quadrature(negative).nodes)
+
+
+def test_volume_needs_an_exactly_symmetric_metric():
+    skew = _flat_torus_with_metric((("1", "0.1"),
+                                    ("0.1000000000000001", "1")))
+    with pytest.raises(ChartError, match="not symmetric positive definite"):
+        charts.volume(skew)
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan])
+def test_volume_needs_a_finite_metric(c):
+    unbounded = _flat_torus_with_metric((("c", "0"), ("0", "1")), {"c": c})
+    with pytest.raises(ChartError, match="at 16 node"):
+        charts.volume(unbounded)
+
+
 def test_product_dimension_cap():
     with pytest.raises(ChartError):
         charts.product_chart(

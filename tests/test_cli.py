@@ -501,6 +501,29 @@ def test_suite_soliton_gates_follow_tolerance_overrides(monkeypatch):
     assert recs["soliton/round-berger-lambda-zero"]["tolerance"] == 1e-30
 
 
+@pytest.mark.parametrize("key, failed", [
+    ("factor_constancy", {"products/lambda-sign/circle",
+                          "products/lambda-sign/line", "soliton/berger-root",
+                          "soliton/round-berger-lambda-zero"}),
+    ("conformal_gate", {"identity/yano", "identity/be", "identity/thm38"}),
+    ("rigidity_c_spread", {"identity/lemma48"}),
+])
+def test_suite_records_a_violated_hypothesis_as_a_failed_check(
+        tmp_path, capsys, key, failed):
+    out_path = tmp_path / "suite.json"
+    assert main(["suite", "all", "--tol", f"{key}=1e-300",
+                 "--out", str(out_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 29
+    assert lines[-1] == f"{28 - len(failed)}/28 checks passed"
+    assert {line.split()[1] for line in lines[:-1]
+            if line.startswith("FAIL")} == failed
+    for rec in json.loads(out_path.read_text())["checks"]:
+        if rec["check_id"] in failed:
+            assert rec["value"] is None and not rec["pass"]
+            assert rec["detail"]["error"]
+
+
 def test_suite_tol_override_validation(capsys):
     assert main(["suite", "all", "--tol", "nope"]) == 2
     assert main(["suite", "all", "--tol", "bogus=1e-3"]) == 2

@@ -417,6 +417,72 @@ def test_case_overrides_and_validation():
                                    "X": ("0.3*sin(ph)*sin(th)", "0")})
 
 
+class _ReadTable(dict):
+    """A tolerance table that records the keys read from it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _default_run(iid, tols):
+    case = identities._IDENTITIES[iid]
+    kwargs = {identities._KEYWORDS.get(f, f): case.default[f]
+              for f in case.fields if f in case.default}
+    return case.run(charts.resolve_manifold(case.default["manifold"]),
+                    tols=tols, **kwargs)
+
+
+# the gates each identity's default case reads from its tolerance table
+GATES_READ = {
+    "lemma35": {"identity"},
+    "thm32": {"identity"},
+    "yano": {"identity", "conformal_gate"},
+    "be": {"identity", "conformal_gate", "bianchi"},
+    "thm38": {"identity", "conformal_gate"},
+    "bochner": {"identity"},
+    "lemma48": {"identity", "rigidity_c_spread", "rigidity_grad",
+                "rigidity_slack"},
+}
+
+
+def test_identity_registry_has_no_verdicts_of_its_own():
+    assert identities._Identity._fields == ("run", "default", "fields")
+
+
+@pytest.mark.parametrize("iid", identities.IDENTITY_IDS)
+def test_identity_registry_entry_decides_from_the_table(iid):
+    case = identities._IDENTITIES[iid]
+    params = inspect.signature(case.run).parameters
+    assert "tols" in params
+    for field in case.fields:
+        assert identities._KEYWORDS.get(field, field) in params, field
+    tols = _ReadTable(tolerances.DEFAULTS)
+    assert type(_default_run(iid, tols)["passed"]) is bool
+    assert tols.read == GATES_READ[iid]
+
+
+@pytest.mark.parametrize("key", ["identity", "conformal_gate", "bianchi",
+                                 "rigidity_c_spread", "rigidity_grad"])
+def test_a_tightened_gate_fails_every_identity_that_reads_it(key):
+    # rigidity_slack is left out: lemma48's default slack is exactly 0.0
+    readers = [iid for iid in identities.IDENTITY_IDS
+               if key in GATES_READ[iid]]
+    assert readers
+    tight = ({"tol": 1e-300} if key == "identity"
+             else {"gates": tolerances.resolve({key: 1e-300})})
+    for iid in readers:
+        try:
+            passed = run_identity_case(iid, **tight)["passed"]
+        except IdentityError:
+            passed = False
+        assert passed is False, iid
+
+
 @pytest.mark.parametrize("iid, doc", [
     ("yano", {"resolution": [3, 3]}),
     ("thm32", {"count": 10}),
@@ -479,7 +545,6 @@ def test_identity_gates_live_in_the_tolerance_table():
             for default in fn.args.defaults + fn.args.kw_defaults:
                 assert not (isinstance(default, ast.Constant)
                             and type(default.value) is float), fn.name
-    assert identities.CONFORMAL_GATE == tolerances.DEFAULTS["conformal_gate"]
     assert {key: tolerances.DEFAULTS[key] for key in (
         "conformal_gate", "bianchi", "rigidity_c_spread", "rigidity_grad",
         "rigidity_slack")} == {
