@@ -484,14 +484,14 @@ class Manifold:
         return slice(off, off + self.factors[k].dim)
 
 
-def _fresh_name(name: str, k: int, used) -> str:
-    """``name`` if unused, else the first unused of ``{name}_{k}``,
-    ``{name}_{k}b``, ``{name}_{k}c``, ..."""
-    if name not in used:
-        return name
-    for suffix in ("", *"bcdefghijklmnopqrstuvwxyz"):
-        if f"{name}_{k}{suffix}" not in used:
-            return f"{name}_{k}{suffix}"
+def _fresh_name(name: str, k: int, taken: Callable[[str], bool]) -> str:
+    """The first of ``name``, ``{name}_{k}``, ``{name}_{k}b``,
+    ``{name}_{k}c``, ... that is not ``taken``."""
+    candidates = (name, *(f"{name}_{k}{suffix}"
+                          for suffix in ("", *"bcdefghijklmnopqrstuvwxyz")))
+    for candidate in candidates:
+        if not taken(candidate):
+            return candidate
     raise ChartError(f"no free name for {name!r} in factor {k}")
 
 
@@ -499,9 +499,11 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
     """Block-diagonal product; coordinate/parameter clashes get suffixes.
 
     A coordinate clashes with any coordinate of an earlier factor, a
-    parameter with an earlier parameter of another value (an equal one is
-    shared); a clashing name in factor k takes the first unused of
-    ``{name}_{k}``, ``{name}_{k}b``, ``{name}_{k}c``, ..."""
+    parameter with an earlier parameter of another value; a clashing name
+    in factor k takes the first of ``{name}_{k}``, ``{name}_{k}b``,
+    ``{name}_{k}c``, ... that does not clash.  So a parameter shares the
+    first of these names that already holds its value, and never replaces
+    one that holds another."""
     total = sum(c.dim for c in charts)
     if total > 4:
         raise ChartError(f"product dimension {total} exceeds the jet cap 4")
@@ -516,12 +518,14 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
     for k, c in enumerate(charts, start=1):
         cmap: dict[str, str] = {}
         for cname in c.coords:
-            cmap[cname] = _fresh_name(cname, k, new_coords)
+            cmap[cname] = _fresh_name(cname, k, new_coords.__contains__)
             new_coords.append(cmap[cname])
         for pname, pval in c.params.items():
-            if params.get(pname, pval) != pval:
-                cmap[pname] = _fresh_name(pname, k, params)
-            params[cmap.get(pname, pname)] = pval
+            newp = _fresh_name(pname, k,
+                               lambda p: params.get(p, pval) != pval)
+            if newp != pname:
+                cmap[pname] = newp
+            params[newp] = pval
         for i in range(c.dim):
             for j in range(c.dim):
                 text = c.metric_strs[i][j]

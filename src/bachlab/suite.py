@@ -29,30 +29,17 @@ _HYPOTHESIS_ERRORS = (identities.IdentityError, products.ProductFormulaError,
                       solitons.SolitonError)
 
 
-class _Records(list):
-    """Check records in order, each computed under `check`.
-
-    Unless ``strict``, a violated hypothesis fails its own check (value
-    null, the error in the detail) instead of ending the group.
-    """
-
-    def __init__(self, strict: bool):
-        super().__init__()
-        self.strict = strict
-
-    @contextlib.contextmanager
-    def check(self, check_id: str, tolerance):
-        """Yields ``record(value, passed, **fields)``, which appends the
-        check's record."""
-        try:
-            yield lambda value, passed, **fields: self.append(
-                report.check_record(check_id, value, tolerance, passed,
-                                    **fields))
-        except _HYPOTHESIS_ERRORS as err:
-            if self.strict:
-                raise
-            self.append(report.check_record(check_id, None, tolerance, False,
-                                            detail={"error": str(err)}))
+@contextlib.contextmanager
+def _check(checks: list, check_id: str, tolerance):
+    """Yields ``record(value, passed, **fields)``, which appends the
+    check's record to ``checks``; a violated hypothesis appends a failed
+    record instead (value null, the error in the detail)."""
+    try:
+        yield lambda value, passed, **fields: checks.append(
+            report.check_record(check_id, value, tolerance, passed, **fields))
+    except _HYPOTHESIS_ERRORS as err:
+        checks.append(report.check_record(check_id, None, tolerance, False,
+                                          detail={"error": str(err)}))
 
 
 def _bach_property_checks(tols, count: int = 2) -> list[dict]:
@@ -85,10 +72,10 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     ]
 
 
-def _product_checks(tols, strict: bool = True) -> list[dict]:
+def _product_checks(tols) -> list[dict]:
     tol = tols["product_cross"]
     gate = tols["lambda_einstein_gate"]
-    checks = _Records(strict)
+    checks = []
     for cid, cross in (
         ("products/line-cross/round-s3", lambda: products.line_cross_check(
             charts.round_sphere(3))),
@@ -101,38 +88,38 @@ def _product_checks(tols, strict: bool = True) -> list[dict]:
          lambda: products.surface_cross_check(charts.round_sphere(2),
                                               charts.hyperbolic_2())),
     ):
-        with checks.check(cid, tol) as record:
+        with _check(checks, cid, tol) as record:
             sup = float(cross())
             record(sup, sup <= tol)
     for family, sign, shown in (("circle", 1.0, "einstein_residual_norm2"),
                                 ("line", -1.0, "trace_identity_residual")):
-        with checks.check(f"products/lambda-sign/{family}", gate) as record:
+        with _check(checks, f"products/lambda-sign/{family}", gate) as record:
             rep = products.product_lambda_report(
                 charts.berger_sphere(1.2), family,
                 tol=tols["factor_constancy"])
             record(rep["lambda"], sign * rep["lambda"] > 0
                    and rep["einstein_residual_norm2"] > gate,
                    detail={shown: rep[shown]})
-    with checks.check("products/surface-c/round-sphere", tol) as record:
+    with _check(checks, "products/surface-c/round-sphere", tol) as record:
         c_round = products.surface_c_report(charts.round_sphere(2))
         dev = report.sup(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
         record(dev, dev <= tol, expected=4.0 / 3.0)
     return checks
 
 
-def _soliton_checks(tols, count: int, strict: bool = True) -> list[dict]:
-    checks = _Records(strict)
+def _soliton_checks(tols, count: int) -> list[dict]:
+    checks = []
     for name, gate in (("ho-r2s2", "soliton_gradient_product"),
                        ("ho-r2h2", "soliton_gradient_product"),
                        ("s4-trivial", "soliton"),
                        ("berger-line", "soliton")):
-        with checks.check(f"soliton/{name}", tols[gate]) as record:
+        with _check(checks, f"soliton/{name}", tols[gate]) as record:
             rep = solitons.named_example(name, count=count, tol=tols[gate])
             record(rep.sup, rep.passed,
                    inputs={"example": name, "count": count})
 
-    with checks.check("soliton/berger-root",
-                      tols["berger_residual"]) as record:
+    with _check(checks, "soliton/berger-root",
+                tols["berger_residual"]) as record:
         root = solitons.solve_berger_soliton(
             round_exclusion=tols["berger_round_exclusion"],
             residual_tol=tols["berger_residual"],
@@ -149,8 +136,8 @@ def _soliton_checks(tols, count: int, strict: bool = True) -> list[dict]:
                expected={"a_star": solitons.BERGER_SOLITON_A,
                          "lambda_star": solitons.BERGER_SOLITON_LAMBDA})
 
-    with checks.check("soliton/round-berger-lambda-zero",
-                      tols["soliton"]) as record:
+    with _check(checks, "soliton/round-berger-lambda-zero",
+                tols["soliton"]) as record:
         round_man = charts.product(
             [charts.line(4.0), charts.berger_sphere(1.0)],
             name="line_x_round_berger")
@@ -159,8 +146,8 @@ def _soliton_checks(tols, count: int, strict: bool = True) -> list[dict]:
             constancy_tol=tols["factor_constancy"])
         record(pc["residual"].sup, bool(pc["passed"]), expected=0.0)
 
-    with checks.check("soliton/conformal-factor-field",
-                      tols["conformal_field"]) as record:
+    with _check(checks, "soliton/conformal-factor-field",
+                tols["conformal_field"]) as record:
         man = charts.get_example("r2_x_s2")
         spec = solitons.SolitonSpec(manifold=man,
                                     potential="-(x^2 + y^2)/12",
@@ -173,10 +160,10 @@ def _soliton_checks(tols, count: int, strict: bool = True) -> list[dict]:
     return checks
 
 
-def _identity_checks(tols, strict: bool = True) -> list[dict]:
-    checks = _Records(strict)
+def _identity_checks(tols) -> list[dict]:
+    checks = []
     for iid in identities.IDENTITY_IDS:
-        with checks.check(f"identity/{iid}", tols["identity"]) as record:
+        with _check(checks, f"identity/{iid}", tols["identity"]) as record:
             rep = identities.run_identity_case(iid, tol=tols["identity"],
                                                gates=tols)
             record(identities.case_value(rep), bool(rep["passed"]))
@@ -227,8 +214,8 @@ def run_suite(soliton_count: int = 80, scan_cells: int = 9,
               "tolerances": tols}
     checks = []
     checks.extend(_bach_property_checks(tols))
-    checks.extend(_product_checks(tols, strict=False))
-    checks.extend(_soliton_checks(tols, soliton_count, strict=False))
-    checks.extend(_identity_checks(tols, strict=False))
+    checks.extend(_product_checks(tols))
+    checks.extend(_soliton_checks(tols, soliton_count))
+    checks.extend(_identity_checks(tols))
     checks.extend(_ode_checks(tols, scan_cells))
     return report.build_report(config, checks)

@@ -300,6 +300,12 @@ def test_nested_product_parameters_never_replace_one_another():
     assert outer.params == {"a": 1.0, "a_2": 2.0, "a_2b": 3.0}
     g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
     assert np.array_equal(g, np.diag([1.0, 4.0, 9.0]))
+    # an equal value already under a suffixed name is shared there
+    inner = charts.product_chart([_scaled_line(1.0), _scaled_line(3.0)])
+    outer = charts.product_chart([inner, _scaled_line(3.0)])
+    assert outer.params == {"a": 1.0, "a_2": 3.0}
+    g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
+    assert np.array_equal(g, np.diag([1.0, 9.0, 9.0]))
 
 
 def _flat_torus_with_metric(metric_strs, params=None) -> charts.Chart:

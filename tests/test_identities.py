@@ -593,11 +593,18 @@ def test_soliton_and_product_gate_defaults_read_the_table():
 
 def test_constancy_gate_comes_from_the_resolved_table():
     # the Berger spheres' S and |Ric|^2 spread by a few ulp, not zero
+    # the violated hypothesis fails its own checks, with the error's text
     tight = tolerances.resolve({"factor_constancy": 1e-30})
-    with pytest.raises(products.ProductFormulaError, match="constant"):
-        suite._product_checks(tight)
-    with pytest.raises(solitons.SolitonError, match="non-constant"):
-        suite._soliton_checks(tight, count=4)
+    recs = suite._product_checks(tight) + suite._soliton_checks(tight,
+                                                                count=4)
+    failed = {rec["check_id"]: rec for rec in recs if not rec["pass"]}
+    assert set(failed) == {"products/lambda-sign/circle",
+                           "products/lambda-sign/line", "soliton/berger-root",
+                           "soliton/round-berger-lambda-zero"}
+    for cid, rec in failed.items():
+        assert rec["value"] is None, cid
+        match = "non-constant" if cid.startswith("soliton/") else "constant"
+        assert match in rec["detail"]["error"], cid
 
 
 def test_case_gates_come_from_the_resolved_table():
