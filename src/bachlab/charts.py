@@ -7,7 +7,8 @@ tensor-product quadrature rule: Gauss–Legendre nodes on open (polar)
 directions — which never touch the endpoints, so coordinate
 singularities like sphere poles are excluded — and midpoint-uniform
 nodes on periodic directions (spectrally accurate for smooth periodic
-integrands).
+integrands).  Derived charts compose their metric texts (`conformal`,
+`product_chart`), so `catalog show` prints the texts as written, renamed.
 """
 
 from __future__ import annotations
@@ -445,16 +446,11 @@ def conformal_round_sphere(u: str = "0", r: float = 1.0) -> Chart:
 
 
 def conformal(chart: Chart, u: str, name: str | None = None) -> Chart:
-    """Generic conformal rescaling e^{2u} g of any chart."""
-    ue = exprs.parse(u, chart.coords, tuple(chart.params))
-    factor = exprs.Call("exp", exprs.Mul(exprs.Num(2.0), ue))
-    n = chart.dim
-    entries = tuple(
-        tuple(exprs.pretty(exprs.Mul(factor, chart.metric[i][j]))
-              if chart.metric_strs[i][j] != "0" else "0"
-              for j in range(n))
-        for i in range(n)
-    )
+    """Generic conformal rescaling e^{2u} g of any chart: each entry other
+    than "0" becomes the text ``exp(2*(u))*(entry)``."""
+    exprs.parse(u, chart.coords, tuple(chart.params))  # a bad u, at its offset
+    entries = tuple(tuple(e if e == "0" else f"exp(2*({u}))*({e})"
+                          for e in row) for row in chart.metric_strs)
     return Chart(
         name=name or f"conformal({chart.name})", kind="conformal",
         coords=chart.coords, metric_strs=entries,
@@ -496,14 +492,16 @@ def _fresh_name(name: str, k: int, taken: Callable[[str], bool]) -> str:
 
 
 def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
-    """Block-diagonal product; coordinate/parameter clashes get suffixes.
+    """Block-diagonal product; clashing names get suffixes.
 
-    A coordinate clashes with any coordinate of an earlier factor, a
-    parameter with an earlier parameter of another value; a clashing name
+    Coordinates and parameters share one namespace.  A coordinate clashes
+    with any earlier coordinate or parameter, a parameter with an earlier
+    coordinate or an earlier parameter of another value; a clashing name
     in factor k takes the first of ``{name}_{k}``, ``{name}_{k}b``,
     ``{name}_{k}c``, ... that does not clash.  So a parameter shares the
     first of these names that already holds its value, and never replaces
-    one that holds another."""
+    one that holds another.  Each factor's entries are its texts with the
+    names renamed (`exprs.rename_names`)."""
     total = sum(c.dim for c in charts)
     if total > 4:
         raise ChartError(f"product dimension {total} exceeds the jet cap 4")
@@ -518,21 +516,22 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
     for k, c in enumerate(charts, start=1):
         cmap: dict[str, str] = {}
         for cname in c.coords:
-            cmap[cname] = _fresh_name(cname, k, new_coords.__contains__)
-            new_coords.append(cmap[cname])
+            newc = _fresh_name(
+                cname, k, lambda n: n in new_coords or n in params)
+            if newc != cname:
+                cmap[cname] = newc
+            new_coords.append(newc)
         for pname, pval in c.params.items():
-            newp = _fresh_name(pname, k,
-                               lambda p: params.get(p, pval) != pval)
+            newp = _fresh_name(
+                pname, k,
+                lambda p: p in new_coords or params.get(p, pval) != pval)
             if newp != pname:
                 cmap[pname] = newp
             params[newp] = pval
-        for i in range(c.dim):
-            for j in range(c.dim):
-                text = c.metric_strs[i][j]
-                if text != "0" and cmap:
-                    e = exprs.parse(text, c.coords, tuple(c.params))
-                    text = exprs.pretty(exprs.substitute_names(e, cmap))
-                rows[offset + i][offset + j] = text
+        for i, row in enumerate(c.metric_strs):
+            rows[offset + i][offset:offset + c.dim] = (
+                [exprs.rename_names(text, cmap) for text in row] if cmap
+                else row)
         lo.extend(c.lo)
         hi.extend(c.hi)
         periodic.extend(c.periodic)

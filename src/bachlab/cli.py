@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,8 @@ def _parse_point(text: str, man) -> list[float]:
             given[name] = float(value)
         except ValueError:
             raise UsageError(f"bad number for {name!r}: {value!r}") from None
+        if not math.isfinite(given[name]):
+            raise UsageError(f"coordinate {name!r} must be finite: {value!r}")
     missing = [c for c in coords if c not in given]
     if missing:
         raise UsageError(f"point is missing {', '.join(missing)}")

@@ -11,9 +11,12 @@ Grammar (EBNF, whitespace insignificant):
 
 Binary operators are left-associative; "^" binds tighter than unary
 minus (so ``-x^2`` is ``-(x^2)``) and takes integer literal exponents
-only.  NAME is either a declared coordinate, a declared parameter, or
-one of the functions sin, cos, exp, sinh, cosh, sqrt, log.  Unknown
-identifiers are rejected at parse time with a byte offset.
+only.  A NAME followed by "(" calls one of the functions sin, cos, exp,
+sinh, cosh, sqrt, log; any other NAME is a declared coordinate or a
+declared parameter, so a coordinate may share a function's name
+(``exp(exp)``).  Unknown identifiers are rejected at parse time with a
+byte offset.  `rename_names` renames coordinates and parameters in a text
+by the same rule and keeps the rest as written.
 
 `parse` caches its trees (they are frozen), so a text is parsed once per
 set of declared names.  The same AST evaluates against several backends:
@@ -71,7 +74,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
-    axis: int
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,9 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
-        self.coords = {name: axis for axis, name in enumerate(coords)}
+        self.coords = set(coords)
         self.params = set(params)
-        clash = set(self.coords) & self.params
+        clash = self.coords & self.params
         if clash:
             raise DslNameError(f"names declared as both coordinate and "
                                f"parameter: {sorted(clash)}")
@@ -260,7 +262,7 @@ class _Parser:
                 self.expect_op(")")
                 return Call(tok.text, arg)
             if tok.text in self.coords:
-                return Var(tok.text, self.coords[tok.text])
+                return Var(tok.text)
             if tok.text in self.params:
                 return Par(tok.text)
             declared = sorted(self.coords) + sorted(self.params)
@@ -290,48 +292,18 @@ def _parse_cached(src: str, coords: tuple[str, ...],
     return _Parser(src, coords, params).parse()
 
 
-# ----------------------------------------------------------------------
-# pretty printer (canonical form; parse . pretty . parse is a fixed point)
-# ----------------------------------------------------------------------
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
-         Num: 5, Var: 5, Par: 5, Call: 5}
-
-
-def pretty(e: Expr) -> str:
-    return _emit(e, 0)
-
-
-def _paren(text: str, needed: bool) -> str:
-    return f"({text})" if needed else text
-
-
-def _emit(e: Expr, parent_prec: int) -> str:
-    prec = _PREC[type(e)]
-    if isinstance(e, Num):
-        # negative literals only arise programmatically; print via Neg form
-        if e.v < 0 or (e.v == 0 and math.copysign(1.0, e.v) < 0):
-            return _emit(Neg(Num(-e.v)), parent_prec)
-        return repr(e.v)
-    if isinstance(e, (Var, Par)):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({_emit(e.a, 0)})"
-    if isinstance(e, Neg):
-        return _paren(f"-{_emit(e.a, prec)}", parent_prec > prec)
-    if isinstance(e, Pow):
-        base = _emit(e.a, prec + 1)  # base must bind tighter than ^
-        return _paren(f"{base}^{e.k}", parent_prec > prec)
-    if isinstance(e, Add):
-        text = f"{_emit(e.a, prec)} + {_emit(e.b, prec + 1)}"
-    elif isinstance(e, Sub):
-        text = f"{_emit(e.a, prec)} - {_emit(e.b, prec + 1)}"
-    elif isinstance(e, Mul):
-        text = f"{_emit(e.a, prec)}*{_emit(e.b, prec + 1)}"
-    elif isinstance(e, Div):
-        text = f"{_emit(e.a, prec)}/{_emit(e.b, prec + 1)}"
-    else:  # pragma: no cover - exhaustive
-        raise TypeError(f"not an expression node: {e!r}")
-    return _paren(text, parent_prec > prec)
+def rename_names(src: str, mapping: Mapping[str, str]) -> str:
+    """`src` with each name in `mapping` replaced; a name followed by ``(``
+    is a function call and keeps its name, and all else, spacing and the
+    spelling of numbers included, stays as written."""
+    tokens = _tokenize(src)
+    out, last = [], 0
+    for tok, nxt in zip(tokens, tokens[1:]):
+        if tok.kind == "name" and tok.text in mapping \
+                and not (nxt.kind == "op" and nxt.text == "("):
+            out += [src[last:tok.pos], mapping[tok.text]]
+            last = tok.pos + len(tok.text)
+    return "".join(out) + src[last:]
 
 
 # ----------------------------------------------------------------------
@@ -506,29 +478,3 @@ class _JetEvaluation:
         if t is Mul:
             return a * b
         return a / b
-
-
-def substitute_names(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename coordinates/parameters (used when building product charts)."""
-    t = type(e)
-    if t is Num:
-        return e
-    if t is Var:
-        return Var(mapping.get(e.name, e.name), e.axis)
-    if t is Par:
-        return Par(mapping.get(e.name, e.name))
-    if t is Neg:
-        return Neg(substitute_names(e.a, mapping))
-    if t is Call:
-        return Call(e.fn, substitute_names(e.a, mapping))
-    if t is Pow:
-        return Pow(substitute_names(e.a, mapping), e.k)
-    if t is Add:
-        return Add(substitute_names(e.a, mapping), substitute_names(e.b, mapping))
-    if t is Sub:
-        return Sub(substitute_names(e.a, mapping), substitute_names(e.b, mapping))
-    if t is Mul:
-        return Mul(substitute_names(e.a, mapping), substitute_names(e.b, mapping))
-    if t is Div:
-        return Div(substitute_names(e.a, mapping), substitute_names(e.b, mapping))
-    raise TypeError(f"not an expression node: {e!r}")

@@ -317,11 +317,8 @@ class Jet:
         scalar jet with its coefficients.
         """
         base = self.coeffs[..., 0]
-        if self.ndim:
-            series = np.array([series_at(c) for c in base.ravel()]).T
-            series = series.reshape((self.order + 1,) + self.shape)
-        else:
-            series = series_at(base[()])
+        series = np.array([series_at(c) for c in base.ravel()]).T
+        series = series.reshape((self.order + 1,) + self.shape)
         u = self.coeffs.copy()
         u[..., 0] = 0.0
         nilpotent = self._like(u)

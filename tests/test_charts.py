@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from bachlab import charts
+from bachlab import charts, exprs
 from bachlab.charts import ChartError
 from bachlab.jets import Jet
 
@@ -221,6 +221,31 @@ def test_conformal_round_sphere_is_the_conformal_sphere(u):
     assert c.resolution == ref.resolution and c.volume is None
 
 
+@pytest.mark.parametrize("chart, u", [
+    (charts.round_sphere(2), "0.3*cos(th) - 0.1"),
+    (charts.berger_sphere(1.3), "0.2*sin(be)*cos(al)"),
+    (charts.conformal(charts.flat_torus(), "0.1*sin(t0)"), "-0.2*cos(t1)"),
+])
+def test_conformal_entries_are_the_factor_times_the_entry(chart, u):
+    c = charts.conformal(chart, u)
+    names = (chart.coords, tuple(chart.params))
+    factor = exprs.Call("exp", exprs.Mul(exprs.Num(2.0),
+                                         exprs.parse(u, *names)))
+    for row, ref_row in zip(c.metric_strs, chart.metric_strs):
+        for text, entry in zip(row, ref_row):
+            if entry == "0":
+                assert text == "0"
+            else:
+                assert exprs.parse(text, *names) == exprs.Mul(
+                    factor, exprs.parse(entry, *names))
+
+
+def test_conformal_reports_a_bad_factor_at_its_own_offset():
+    with pytest.raises(exprs.DslNameError) as err:
+        charts.conformal(charts.round_sphere(2), "0.3*cos(zz)")
+    assert err.value.pos == 8
+
+
 def test_hyperbolic_metric_values():
     h = charts.hyperbolic_2(r=2.0)
     g = h.metric_values(np.array([[0.3, 1.5]]))[0]
@@ -306,6 +331,33 @@ def test_nested_product_parameters_never_replace_one_another():
     assert outer.params == {"a": 1.0, "a_2": 3.0}
     g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
     assert np.array_equal(g, np.diag([1.0, 9.0, 9.0]))
+
+
+def _coordinate_named(name: str) -> charts.Chart:
+    return charts.Chart(name=f"line_{name}", kind="custom", coords=(name,),
+                        metric_strs=((f"1 + {name}^2",),), params={},
+                        lo=(0.0,), hi=(1.0,), periodic=(False,),
+                        compact=False, resolution=(4,))
+
+
+@pytest.mark.parametrize("reverse, coords, params", [
+    (False, ("s", "a_2"), {"a": 1.5}),
+    (True, ("a", "s"), {"a_2": 1.5}),
+])
+def test_product_coordinates_and_parameters_share_one_namespace(
+        reverse, coords, params):
+    # a parameter named a in one factor, a coordinate named a in the other
+    factors = [_scaled_line(1.5), _coordinate_named("a")]
+    factors = factors[::-1] if reverse else factors
+    m = charts.product(factors)
+    assert (m.chart.coords, m.chart.params) == (coords, params)
+    pt = np.array([[0.3, 0.6]])
+    g = m.chart.metric_values(pt)[0]
+    block = np.zeros_like(g)
+    for k, f in enumerate(factors):
+        sl = m.factor_slice(k)
+        block[sl, sl] = f.metric_values(pt[:, sl])[0]
+    assert np.array_equal(g, block)
 
 
 def _flat_torus_with_metric(metric_strs, params=None) -> charts.Chart:

@@ -111,6 +111,17 @@ def test_catalog_show(capsys):
     assert "volume_closed_form" in doc
 
 
+@pytest.mark.parametrize("name, i, j, text", [
+    ("r2_x_h2", 3, 3, "r^2/y_2^2"),
+    ("line_x_berger", 0, 0, "1"),
+    ("conformal_sphere_bump", 0, 0, "exp(2*(0.2*cos(th)))*(r^2)"),
+])
+def test_catalog_show_prints_composed_texts(capsys, name, i, j, text):
+    # derived charts print their factors' texts as written, renamed
+    assert main(["catalog", "show", name]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"][i][j] == text
+
+
 def test_catalog_show_unknown(capsys):
     assert main(["catalog", "show", "nonsense"]) == 2
     assert "unknown catalog manifold" in capsys.readouterr().err
@@ -123,6 +134,16 @@ def test_curvature_dump(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["point"] == [0.7, 0.3]
     assert abs(doc["quantities"]["scalar"] - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_curvature_point_must_be_finite(capsys, value):
+    code = main(["curvature", "--manifold", "round_sphere_2",
+                 "--point", f"th={value},ph=0.3"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'th' must be finite" in err
 
 
 def test_curvature_manifold_from_document(tmp_path, capsys):

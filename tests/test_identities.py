@@ -381,6 +381,19 @@ def test_rigidity_honours_the_case_tolerance():
     assert not rep["passed"]
 
 
+def test_rigidity_slack_gate_fails_a_planted_defect(monkeypatch):
+    # the default case's slack is exactly 0.0; lowering ||Hess S||^2 by
+    # 1e-6 (well inside the integral identity at tol 1.0) breaks the bound
+    norm2 = CurvatureFrame.norm2_sym2
+    monkeypatch.setattr(CurvatureFrame, "norm2_sym2",
+                        lambda self, T: norm2(self, T) - 1e-6)
+    rep = run_identity_case("lemma48", tol=1.0)
+    assert rep["cauchy_schwarz_slack"] == pytest.approx(-1e-6, rel=1e-9)
+    assert not rep["passed"]
+    loose = tolerances.resolve({"rigidity_slack": 1e-3})
+    assert run_identity_case("lemma48", tol=1.0, gates=loose)["passed"]
+
+
 def test_rigidity_rejects_nonconstant_invariant():
     with pytest.raises(IdentityError, match="hypothesis violated"):
         surface_scalar_rigidity(charts.get_example("conformal_sphere_bump"))
