@@ -51,6 +51,9 @@ class Chart:
         n = len(self.coords)
         if not (1 <= n <= 4):
             raise ChartError(f"chart dimension must be 1..4, got {n}")
+        dups = [c for k, c in enumerate(self.coords) if c in self.coords[:k]]
+        if dups:  # every evaluator would read the name from its last axis
+            raise ChartError(f"repeated coordinate name {dups[0]!r}")
         for seq in (self.lo, self.hi, self.periodic, self.resolution):
             if len(seq) != n:
                 raise ChartError("per-axis field lengths must equal dim")
@@ -464,19 +467,20 @@ def conformal(chart: Chart, u: str, name: str | None = None) -> Chart:
 # ----------------------------------------------------------------------
 @dataclass
 class Manifold:
-    """An ordered product of factor charts plus the combined chart."""
+    """An ordered product of factor charts plus the combined chart, whose
+    coordinates are the factors' coordinates in factor order."""
 
     name: str
     chart: Chart
     factors: tuple[Chart, ...]
-    offsets: tuple[int, ...]  # first coordinate index of each factor
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
     def factor_slice(self, k: int) -> slice:
-        off = self.offsets[k]
+        """The product coordinates of factor k."""
+        off = sum(f.dim for f in self.factors[:k])
         return slice(off, off + self.factors[k].dim)
 
 
@@ -552,18 +556,11 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
 
 def product(charts: Sequence[Chart], name: str | None = None) -> Manifold:
     chart = product_chart(charts, name=name)
-    offsets = []
-    off = 0
-    for c in charts:
-        offsets.append(off)
-        off += c.dim
-    return Manifold(name=chart.name, chart=chart, factors=tuple(charts),
-                    offsets=tuple(offsets))
+    return Manifold(name=chart.name, chart=chart, factors=tuple(charts))
 
 
 def single(chart: Chart) -> Manifold:
-    return Manifold(name=chart.name, chart=chart, factors=(chart,),
-                    offsets=(0,))
+    return Manifold(name=chart.name, chart=chart, factors=(chart,))
 
 
 # ----------------------------------------------------------------------

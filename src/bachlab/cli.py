@@ -201,12 +201,9 @@ def _cmd_ode_scan(args) -> int:
                 fh.write(profiles.table_to_csv(res["rows"]))
         else:
             report.write_report(res, args.out)
-    classes: dict[str, int] = {}
-    for row in res["rows"]:
-        classes[row["class"]] = classes.get(row["class"], 0) + 1
-    print(f"cells={len(res['rows'])} classes={classes} "
+    print(f"cells={len(res['rows'])} classes={res['classes']} "
           f"closed={res['closed_count']} corroborates={res['corroborates']}")
-    if classes.get("StepFailure"):
+    if profiles.STEP_FAILURE in res["classes"]:
         return EXIT_NUMERICAL
     return EXIT_PASS if res["corroborates"] else EXIT_CHECK_FAILED
 

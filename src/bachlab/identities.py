@@ -412,7 +412,7 @@ def case_value(rep: Mapping) -> dict:
 
 
 def run_identity_case(identity_id: str, doc: Mapping | None = None,
-                      tol: float = tolerances.DEFAULTS["identity"],
+                      tol: float | None = None,
                       gates: Mapping[str, float] = tolerances.DEFAULTS
                       ) -> dict:
     """Run one identity check from a JSON-style case document.
@@ -422,8 +422,8 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
     and rejects any other: lemma35 ``X``, ``T``, ``count``; thm32 and thm38
     ``X``, ``phi``, ``resolution``; yano ``X``, ``count``; be ``X``, ``q``,
     ``resolution``; bochner ``h``, ``count``; lemma48 ``resolution``.
-    The identity runs on ``gates``, a resolved tolerance table, with its
-    ``identity`` gate set to ``tol``, and decides ``"passed"`` itself.
+    The identity runs on ``gates``, a resolved tolerance table (``tol``,
+    if given, replaces its ``identity`` gate), and decides ``"passed"``.
     Returns the identity's report with ``"identity"`` added.
     """
     if identity_id not in _IDENTITIES:
@@ -449,8 +449,10 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
                                 f"got {merged[name]!r}")
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
-    out = case.run(charts.resolve_manifold(merged["manifold"]),
-                   tols={**gates, "identity": tol}, **kwargs)
+    if tol is not None:
+        gates = {**gates, "identity": tol}
+    out = case.run(charts.resolve_manifold(merged["manifold"]), tols=gates,
+                   **kwargs)
     out["identity"] = identity_id
     out.pop("points", None)
     out.pop("residuals", None)

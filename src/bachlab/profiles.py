@@ -39,7 +39,7 @@ from . import charts, roots
 from .tolerances import DEFAULTS, resolve
 
 __all__ = [
-    "ProfileError", "ProfileState", "ScanOutcome", "ProfileRun",
+    "ProfileError", "ScanOutcome", "ProfileRun",
     "CLOSED", "COMPLETE_OPEN", "CURVATURE_BLOWUP", "STEP_FAILURE",
     "rhs", "series_start", "integrate_profile", "scan",
     "scan_from_config", "table_to_csv", "DEFAULT_S0_GRID", "DEFAULT_C_GRID",
@@ -61,20 +61,6 @@ _CAP_TOL = 1e-4
 
 class ProfileError(ValueError):
     """Invalid profile state or malformed scan configuration."""
-
-
-@dataclass(frozen=True)
-class ProfileState:
-    """Profile data at one radius: (t, rho, rho', S, S')."""
-
-    t: float
-    rho: float
-    rho_p: float
-    s: float
-    s_p: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho, self.rho_p, self.s, self.s_p])
 
 
 @dataclass(frozen=True)
@@ -103,15 +89,10 @@ class ProfileRun:
     outcome: ScanOutcome
 
 
-def rhs(state: ProfileState | Sequence[float], c: float):
-    """Derivatives (rho', rho'', S', S'') of the profile system.
-
-    Accepts a :class:`ProfileState` or the plain vector (rho, rho', S, S').
-    """
-    if isinstance(state, ProfileState):
-        rho, rho_p, s, s_p = state.rho, state.rho_p, state.s, state.s_p
-    else:
-        rho, rho_p, s, s_p = (float(v) for v in state)
+def rhs(state: Sequence[float], c: float):
+    """Derivatives (rho', rho'', S', S'') of the profile system at a state
+    (rho, rho', S, S'), the form every state of this module takes."""
+    rho, rho_p, s, s_p = (float(v) for v in state)
     if rho <= 0.0:
         raise ProfileError(f"profile radius must be positive, got {rho!r}")
     return _rhs_raw(0.0, (rho, rho_p, s, s_p), c)
@@ -127,8 +108,9 @@ def _rhs_raw(t, y, c):
             c - s * s / 3.0 - (rho_p / rho) * s_p)
 
 
-def series_start(s0: float, c: float, eps: float = 1e-6) -> ProfileState:
-    """Smooth-pole initial data at t = eps.
+def series_start(s0: float, c: float, eps: float = 1e-6
+                 ) -> tuple[float, float, float, float]:
+    """Smooth-pole initial state (rho, rho', S, S') at t = eps.
 
     Substituting rho = t + a t^3 and S = S0 + s2 t^2 into the system forces
     a = -S0/12 and 4 s2 = c - S0^2/3 (smoothness forces S'(0) = 0):
@@ -139,13 +121,8 @@ def series_start(s0: float, c: float, eps: float = 1e-6) -> ProfileState:
     if eps <= 0.0:
         raise ProfileError("series start needs eps > 0")
     s2 = (c - s0 * s0 / 3.0) / 4.0
-    return ProfileState(
-        t=eps,
-        rho=eps - (s0 / 12.0) * eps ** 3,
-        rho_p=1.0 - (s0 / 4.0) * eps ** 2,
-        s=s0 + s2 * eps ** 2,
-        s_p=2.0 * s2 * eps,
-    )
+    return (eps - (s0 / 12.0) * eps ** 3, 1.0 - (s0 / 4.0) * eps ** 2,
+            s0 + s2 * eps ** 2, 2.0 * s2 * eps)
 
 
 def integrate_profile(s0: float, c: float, t_max: float = 40.0,
@@ -180,9 +157,8 @@ def integrate_profile(s0: float, c: float, t_max: float = 40.0,
     if not eps < t_max < math.inf:
         raise ProfileError(
             f"t_max must be finite and exceed eps, got {t_max!r}")
-    ts, ys, end = _dopri5(
-        _rhs_raw, c, eps, (start.rho, start.rho_p, start.s, start.s_p),
-        t_max, rtol, atol, delta, s_cap)
+    ts, ys, end = _dopri5(_rhs_raw, c, eps, start, t_max, rtol, atol, delta,
+                          s_cap)
     t_close = None
     classification = end
     if end == CLOSED:
@@ -407,13 +383,15 @@ def scan(s0_values: Sequence[float] | None = None,
          **controls) -> dict:
     """Classify every (S0, c) cell of a grid.
 
-    Returns ``{"rows": [...], "closed_count": int, "corroborates": bool,
-    "s_range_tol": float}`` where ``corroborates`` records that every
-    ``Closed`` cell has S-range at most ``s_range_tol`` — closed profiles
-    carry constant curvature (round caps).  The full table is exploratory
-    data about the open cells, never an assertion about completeness.  An
-    empty axis raises `ProfileError`: zero cells would corroborate
-    vacuously.
+    Returns ``{"rows": [...], "classes": {class: count},
+    "closed_count": int, "corroborates": bool, "s_range_tol": float}``.
+    ``classes`` tallies the rows' classes in the order they first appear,
+    and ``closed_count`` is its ``Closed`` count.  ``corroborates`` records
+    that every ``Closed`` cell has S-range at most ``s_range_tol`` — closed
+    profiles carry constant curvature (round caps).  The full table is
+    exploratory data about the open cells, never an assertion about
+    completeness.  An empty axis raises `ProfileError`: zero cells would
+    corroborate vacuously.
     """
     s0_grid = DEFAULT_S0_GRID if s0_values is None else tuple(
         float(v) for v in s0_values)
@@ -422,21 +400,23 @@ def scan(s0_values: Sequence[float] | None = None,
     if not (s0_grid and c_grid):
         raise ProfileError("a scan needs at least one S0 and one c value")
     rows = []
-    closed = 0
+    classes: dict[str, int] = {}
     corroborates = True
     for s0 in s0_grid:
         for c in c_grid:
             out = integrate_profile(s0, c, **controls).outcome
-            if out.classification == CLOSED:
-                closed += 1
-                if not out.s_range <= s_range_tol:  # NaN fails too
-                    corroborates = False
+            cls = out.classification
+            classes[cls] = classes.get(cls, 0) + 1
+            # a NaN S-range fails too
+            if cls == CLOSED and not out.s_range <= s_range_tol:
+                corroborates = False
             rows.append({
-                "S0": s0, "c": c, "class": out.classification,
+                "S0": s0, "c": c, "class": cls,
                 "t_close": out.t_close,
                 "S_min": out.s_min, "S_max": out.s_max,
             })
-    return {"rows": rows, "closed_count": closed,
+    return {"rows": rows, "classes": classes,
+            "closed_count": classes.get(CLOSED, 0),
             "corroborates": corroborates, "s_range_tol": s_range_tol}
 
 

@@ -573,6 +573,11 @@ def splitting_spotcheck(man: Manifold, split_f: str,
 # ----------------------------------------------------------------------
 # named examples
 # ----------------------------------------------------------------------
+def _gated(gate: str, **example) -> dict:
+    """The example with its tolerance key ``gate`` and that key's ``tol``."""
+    return {**example, "gate": gate, "tol": tolerances.DEFAULTS[gate]}
+
+
 def _flat_product_example(other: str, lam: float, scale: float) -> tuple:
     man = charts.get_example(other)
     f = f"({scale!r})*(x^2 + y^2)"
@@ -587,20 +592,19 @@ def _example_ho(kind: str, literal: bool) -> dict:
     lam, scale = (1.0 / 6.0, 1.0 / 6.0) if literal else (-1.0 / 12.0,
                                                          -1.0 / 12.0)
     man, f, lam = _flat_product_example(kind, lam, scale)
-    return {"manifold": man, "potential": f, "lam": lam,
-            "tol": tolerances.DEFAULTS["soliton_gradient_product"],
-            "note": ("opposite-normalization constants; expected to fail"
-                     if literal else "flat-factor gradient soliton")}
+    return _gated("soliton_gradient_product", manifold=man, potential=f,
+                  lam=lam,
+                  note=("opposite-normalization constants; expected to fail"
+                        if literal else "flat-factor gradient soliton"))
 
 
 def _example_s4() -> dict:
     # tolerance 1e-7: the compact-chart grid includes near-pole nodes
     # where the degenerating angular metric amplifies rounding in the
     # metric sup norm
-    return {"manifold": charts.get_example("round_sphere_4"),
-            "x_exprs": ("0", "0", "0", "0"), "lam": 0.0,
-            "tol": tolerances.DEFAULTS["soliton"],
-            "note": "Einstein, obstruction-flat, X = 0"}
+    return _gated("soliton", manifold=charts.get_example("round_sphere_4"),
+                  x_exprs=("0", "0", "0", "0"), lam=0.0,
+                  note="Einstein, obstruction-flat, X = 0")
 
 
 BERGER_SOLITON_A = 0.5          # frozen output of solve_berger_soliton
@@ -612,11 +616,10 @@ def _example_berger_line() -> dict:
         [charts.line(4.0), charts.berger_sphere(BERGER_SOLITON_A)],
         name="line_x_berger_soliton")
     t = man.chart.coords[0]
-    return {"manifold": man,
-            "potential": f"2*({BERGER_SOLITON_LAMBDA!r})*{t}^2",
-            "lam": BERGER_SOLITON_LAMBDA,
-            "tol": tolerances.DEFAULTS["soliton"],
-            "note": "squashed-sphere line product at the solved parameter"}
+    return _gated("soliton", manifold=man,
+                  potential=f"2*({BERGER_SOLITON_LAMBDA!r})*{t}^2",
+                  lam=BERGER_SOLITON_LAMBDA,
+                  note="squashed-sphere line product at the solved parameter")
 
 
 EXAMPLES: dict[str, Callable[[], dict]] = {

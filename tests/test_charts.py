@@ -286,6 +286,16 @@ def test_product_coordinate_renaming():
     assert np.abs(g[:2, 2:]).max() == 0.0
 
 
+def test_factor_slices_follow_from_the_factor_dims():
+    m = charts.product([charts.circle(), charts.circle(),
+                        charts.round_sphere(2)])
+    assert m.chart.coords == ("t", "t_2", "th", "ph")
+    assert [m.factor_slice(k) for k in range(3)] == [
+        slice(0, 1), slice(1, 2), slice(2, 4)]
+    assert charts.single(charts.round_sphere(3)).factor_slice(0) == slice(
+        0, 3)
+
+
 def test_product_parameter_renaming_on_clash():
     big = charts.product_chart(
         [charts.round_sphere(2, r=1.0), charts.round_sphere(2, r=2.0)])
@@ -367,6 +377,22 @@ def _flat_torus_with_metric(metric_strs, params=None) -> charts.Chart:
                         hi=(TWO_PI, TWO_PI),
                         periodic=(True, True), compact=True,
                         resolution=(4, 4))
+
+
+def test_chart_rejects_repeated_coordinate_names():
+    # every evaluator would read x from the last axis, and the first axis
+    # would be a dead coordinate: g_00 = 1 + 0.2^2 at (0.5, 0.2)
+    with pytest.raises(ChartError, match="repeated coordinate name 'x'"):
+        charts.Chart(name="twice_x", kind="custom", coords=("x", "x"),
+                     metric_strs=(("1+x^2", "0"), ("0", "1")), params={},
+                     lo=(0.0, 0.0), hi=(1.0, 1.0), periodic=(False, False),
+                     compact=False, resolution=(4, 4))
+    with pytest.raises(ChartError, match="repeated coordinate name 'y'"):
+        charts.Chart(name="twice_y", kind="custom", coords=("x", "y", "y"),
+                     metric_strs=(("1", "0", "0"), ("0", "1", "0"),
+                                  ("0", "0", "1")), params={},
+                     lo=(0.0,) * 3, hi=(1.0,) * 3, periodic=(False,) * 3,
+                     compact=False, resolution=(4,) * 3)
 
 
 def test_volume_needs_a_positive_definite_metric():

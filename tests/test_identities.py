@@ -9,6 +9,7 @@ import pytest
 
 from bachlab import (charts, curvature, homogeneous, identities, products,
                      solitons, suite, tolerances)
+from bachlab.cli import main
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
 from conftest import chunk_orders, count_frames
 from bachlab.identities import (IdentityError, bochner_identity,
@@ -379,6 +380,18 @@ def test_rigidity_honours_the_case_tolerance():
     rep = run_identity_case("lemma48", tol=1e-30)
     assert rep["scalar_spread"] > 1e-30
     assert not rep["passed"]
+
+
+def test_identity_gate_comes_from_the_table_unless_tol_is_given(capsys):
+    tight = tolerances.resolve({"identity": 1e-300})
+    assert run_identity_case("bochner")["passed"]
+    assert not run_identity_case("bochner", gates=tight)["passed"]
+    assert not run_identity_case("bochner", tol=1e-300)["passed"]
+    # an explicit tol replaces the table's identity gate either way
+    assert run_identity_case("bochner", tol=1e-7, gates=tight)["passed"]
+    assert main(["check", "identity", "--id", "bochner",
+                 "--tol", "1e-300"]) == 1
+    assert "FAIL identity/bochner" in capsys.readouterr().out
 
 
 def test_rigidity_slack_gate_fails_a_planted_defect(monkeypatch):

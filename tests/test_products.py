@@ -1,8 +1,16 @@
 """Closed-form product Bach components vs the general pipeline."""
 
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bachlab
 from bachlab import charts, products, suite, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame
 from bachlab.products import (FactorCurvature, ProductFormulaError,
@@ -309,3 +317,42 @@ def test_product_group_frame_budget(monkeypatch):
     suite._product_checks(tolerances.resolve())
     assert len(orders) == 13
     assert sum(n == 1 for _, n in orders) == 0
+
+
+# ----------------------------------------------------------------------
+# the coefficient-fit script
+# ----------------------------------------------------------------------
+# the rationals of the `products` docstring, block by block
+FITTED_COEFFS = {
+    "line x N3, tt block": {"lapS": "-1/12", "|Ric|^2": "-1/4",
+                            "S^2": "1/12"},
+    "line x N3, N block": {"lapRic": "1/2", "hessS": "-1/6", "Ric^2": "-2",
+                           "S*Ric": "7/6", "lapS*g": "-1/12",
+                           "|Ric|^2*g": "3/4", "S^2*g": "-5/12"},
+    "K2 x L2, K block": {"hessS_K": "-1/6", "lapS_K*g": "1/6",
+                         "lapS_L*g": "-1/12", "S_K^2*g": "1/24",
+                         "S_L^2*g": "-1/24", "S_KS_L*g": "0"},
+}
+
+
+def test_fit_script_rederives_the_frozen_coefficients():
+    src = str(Path(bachlab.__file__).parents[1])
+    script = Path(__file__).parents[1] / "scripts" / "fit_product_coeffs.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, str(script)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    blocks, resid = {}, {}
+    for line in out.splitlines():
+        head = re.match(r"--- (.+) \(.*\) max resid (\S+)$", line)
+        if head:
+            block = blocks.setdefault(head[1], {})
+            resid[head[1]] = float(head[2])
+            continue
+        label, _, fraction = re.match(r"\s+(\S+)\s+(\S+)\s+~ (\S+)$",
+                                      line).groups()
+        block[label] = Fraction(fraction)
+    assert blocks == {name: {label: Fraction(text)
+                             for label, text in coeffs.items()}
+                      for name, coeffs in FITTED_COEFFS.items()}
+    assert all(r < 1e-12 for r in resid.values()), resid

@@ -7,9 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bachlab import profiles
-from bachlab.profiles import (ProfileError, ProfileState, integrate_profile,
-                              rhs, scan, scan_from_config, series_start,
-                              table_to_csv)
+from bachlab.profiles import (ProfileError, integrate_profile, rhs, scan,
+                              scan_from_config, series_start, table_to_csv)
 
 
 # ----------------------------------------------------------------------
@@ -36,8 +35,7 @@ def test_rhs_round_spheres():
 
 
 def test_rhs_accepts_state_and_rejects_collapse():
-    state = ProfileState(t=1.0, rho=0.5, rho_p=0.8, s=1.0, s_p=0.2)
-    d = rhs(state, 0.7)
+    d = rhs((0.5, 0.8, 1.0, 0.2), 0.7)
     assert d[0] == 0.8
     assert abs(d[1] + 0.25) <= 1e-15
     assert abs(d[3] - (0.7 - 1.0 / 3.0 - 1.6 * 0.2)) <= 1e-15
@@ -49,13 +47,12 @@ def test_rhs_accepts_state_and_rejects_collapse():
 
 def test_series_start_formulas():
     s0, c, eps = 1.7, 0.4, 1e-4
-    st = series_start(s0, c, eps)
+    rho, rho_p, s, s_p = series_start(s0, c, eps)
     s2 = (c - s0 * s0 / 3.0) / 4.0
-    assert st.t == eps
-    assert st.rho == eps - (s0 / 12.0) * eps ** 3
-    assert st.rho_p == 1.0 - (s0 / 4.0) * eps ** 2
-    assert st.s == s0 + s2 * eps ** 2
-    assert st.s_p == 2.0 * s2 * eps
+    assert rho == eps - (s0 / 12.0) * eps ** 3
+    assert rho_p == 1.0 - (s0 / 4.0) * eps ** 2
+    assert s == s0 + s2 * eps ** 2
+    assert s_p == 2.0 * s2 * eps
     with pytest.raises(ProfileError, match="eps"):
         series_start(1.0, 1.0, 0.0)
 
@@ -162,7 +159,7 @@ def _scipy_reference(s0, c, t_max=40.0, rtol=1e-10, atol=1e-12, eps=1e-6,
     blowup.direction = 1.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = solve_ivp(profiles._rhs_raw, (eps, t_max), start.as_array(),
+        sol = solve_ivp(profiles._rhs_raw, (eps, t_max), start,
                         args=(c,), method="RK45", rtol=rtol, atol=atol,
                         events=(closure, blowup))
     t_close = None
@@ -277,6 +274,17 @@ def test_scan_small_grid_golden_classes():
     assert classes.count("CompleteOpen") == 1
     assert res["closed_count"] == 0
     assert res["corroborates"] is True
+
+
+def test_scan_tallies_its_classes_in_order_of_first_appearance():
+    for res in (scan(np.linspace(-4.0, 4.0, 5), np.linspace(-2.0, 2.0, 5)),
+                scan([2.0, 0.0], [-1.0, 4.0 / 3.0], t_max=8.0)):
+        tally = {}
+        for row in res["rows"]:
+            tally[row["class"]] = tally.get(row["class"], 0) + 1
+        assert list(res["classes"].items()) == list(tally.items())
+        assert res["closed_count"] == res["classes"].get("Closed", 0)
+    assert res["classes"] == {"CurvatureBlowUp": 3, "Closed": 1}
 
 
 def test_scan_grid_with_round_cell():

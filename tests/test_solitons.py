@@ -159,6 +159,20 @@ def test_named_example_gates_come_from_the_tolerance_table(monkeypatch):
                      "s4-trivial": 3e-7, "berger-line": 3e-7}
 
 
+def test_named_examples_name_their_gate():
+    assert len(solitons.EXAMPLES) == 6
+    for name, build in solitons.EXAMPLES.items():
+        ex = build()
+        assert ex["tol"] == tolerances.DEFAULTS[ex["gate"]], name
+    assert {name: build()["gate"]
+            for name, build in solitons.EXAMPLES.items()} == {
+        "ho-r2s2": "soliton_gradient_product",
+        "ho-r2h2": "soliton_gradient_product",
+        "ho-r2s2-literal": "soliton_gradient_product",
+        "ho-r2h2-literal": "soliton_gradient_product",
+        "s4-trivial": "soliton", "berger-line": "soliton"}
+
+
 def test_named_example_unknown():
     with pytest.raises(SolitonError, match="unknown soliton example"):
         named_example("ho-r2s3")
