@@ -209,8 +209,10 @@ class CurvatureFrame:
     def weyl_lo(self) -> Jet:
         """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
         P, g2 = self.schouten, self.g_at(self.order - 2)
-        half = (contract("li,jk->lijk", P, g2)
-                + contract("li,jk->lijk", g2, P))
+        # g_li P_jk is P_jk g_li rearranged: an outer product sums nothing
+        # and jet products commute exactly, so one product serves both
+        pg = contract("li,jk->lijk", P, g2)
+        half = pg + _index("jkli->lijk", pg)
         return self.riemann_lo - (half - _index("lijk->ljik", half))
 
     # -- covariant derivatives -------------------------------------------

@@ -26,11 +26,17 @@ the finite-difference oracle), and jets (for derivative propagation).
 such as a metric matrix, and returns one tensor `Jet` of that shape, at
 one point or at each of an array of points; it evaluates each distinct
 subtree once per call, and its functions are `jets.ELEMENTARY`.
+`eval_mp` also takes a sequence of expressions, such as a metric's
+entries, and returns their values in a list.  It compiles the trees once
+into a straight-line program with one instruction per distinct subtree,
+cached by the trees' identity, so each call only runs the instructions;
+the mpf operations and values are those of the recursive walk.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -364,9 +370,25 @@ def eval_numpy(e: Expr, env: Mapping[str, np.ndarray]):
     return _eval(e, env, NUMPY_FUNCS, float)
 
 
-def eval_mp(e: Expr, env: Mapping[str, mp.mpf]) -> mp.mpf:
-    """Evaluate in mpmath arbitrary precision (oracle backend)."""
-    return _eval(e, env, MP_FUNCS, mp.mpf)
+def eval_mp(e, env: Mapping[str, mp.mpf]):
+    """Evaluate in mpmath arbitrary precision (oracle backend).
+
+    `e` is an expression, or a list or tuple of them, whose values are then
+    returned in a list.  The trees are compiled once into a straight-line
+    program (`_MpProgram`) and cached by their identity, so a call runs only
+    the program: each distinct subtree once, with the recursive
+    evaluation's mpf operations and values at any working precision.
+    """
+    many = isinstance(e, (list, tuple))
+    trees = tuple(e) if many else (e,)
+    key = tuple(map(id, trees))
+    program = _MP_PROGRAMS.get(key)
+    if program is None:
+        if len(_MP_PROGRAMS) >= _MP_PROGRAMS_MAX:
+            del _MP_PROGRAMS[next(iter(_MP_PROGRAMS))]
+        program = _MP_PROGRAMS[key] = _MpProgram(trees)
+    vals = program.run(env)
+    return vals if many else vals[0]
 
 
 def eval_jet(e, point, coords: Sequence[str],
@@ -399,32 +421,16 @@ def eval_jet(e, point, coords: Sequence[str],
     return Jet(dim, order, out if out.flags.writeable else out.copy())
 
 
-class _JetEvaluation:
-    """The jets of one `eval_jet` call, one per distinct subtree.
+class _Numbering:
+    """Value numbering of expression trees: each distinct subtree gets one
+    number, in the order first met, so a node's children are numbered
+    before it.  A node's key holds its children's value numbers, so equal
+    subtrees share a number without hashing whole trees.  A subclass
+    evaluates or records each distinct node in `visit`."""
 
-    Value numbering: a node's key holds its children's value numbers, so
-    equal subtrees share one jet without hashing whole trees.
-    """
-
-    def __init__(self, env: Mapping[str, Jet], dim: int, order: int,
-                 batch: tuple[int, ...]):
-        self.env, self.dim, self.order = env, dim, order
-        self.full = batch + (tables(dim, order).size,)
+    def __init__(self):
         self.numbers: dict[int, int] = {}  # id(node) -> value number
         self.by_key: dict[tuple, int] = {}  # node key -> value number
-        self.vals: list[Jet] = []
-        self.trees: list = []  # parsed trees, alive while ids are keys
-
-    def coeffs(self, x, coords, params) -> np.ndarray:
-        """Coefficients of an expression, its text or a nested list."""
-        if isinstance(x, (list, tuple)):
-            return np.stack([self.coeffs(y, coords, params) for y in x])
-        if isinstance(x, str):
-            x = parse(x, coords, params)
-            self.trees.append(x)
-        c = self.vals[self.number(x)].coeffs
-        # an entry constant in the point broadcasts over the point axis
-        return c if c.shape == self.full else np.broadcast_to(c, self.full)
 
     def number(self, x) -> int:
         got = self.numbers.get(id(x))
@@ -447,10 +453,39 @@ class _JetEvaluation:
             raise DslError(f"not an expression node: {x!r}")
         got = self.by_key.get(key)
         if got is None:
-            got = self.by_key[key] = len(self.vals)
-            self.vals.append(self.jet(x, key))
+            got = self.by_key[key] = len(self.by_key)
+            self.visit(x, key)
         self.numbers[id(x)] = got
         return got
+
+    def visit(self, x, key: tuple) -> None:
+        raise NotImplementedError
+
+
+class _JetEvaluation(_Numbering):
+    """The jets of one `eval_jet` call, one per distinct subtree."""
+
+    def __init__(self, env: Mapping[str, Jet], dim: int, order: int,
+                 batch: tuple[int, ...]):
+        super().__init__()
+        self.env, self.dim, self.order = env, dim, order
+        self.full = batch + (tables(dim, order).size,)
+        self.vals: list[Jet] = []
+        self.trees: list = []  # parsed trees, alive while ids are keys
+
+    def coeffs(self, x, coords, params) -> np.ndarray:
+        """Coefficients of an expression, its text or a nested list."""
+        if isinstance(x, (list, tuple)):
+            return np.stack([self.coeffs(y, coords, params) for y in x])
+        if isinstance(x, str):
+            x = parse(x, coords, params)
+            self.trees.append(x)
+        c = self.vals[self.number(x)].coeffs
+        # an entry constant in the point broadcasts over the point axis
+        return c if c.shape == self.full else np.broadcast_to(c, self.full)
+
+    def visit(self, x, key: tuple) -> None:
+        self.vals.append(self.jet(x, key))
 
     def jet(self, x, key: tuple) -> Jet:
         """The jet of one node, given its children's by value number."""
@@ -478,3 +513,64 @@ class _JetEvaluation:
         if t is Mul:
             return a * b
         return a / b
+
+
+_MP_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv}
+_MP_PROGRAMS: dict[tuple[int, ...], _MpProgram] = {}  # by the trees' ids
+_MP_PROGRAMS_MAX = 256
+
+
+class _MpProgram(_Numbering):
+    """Expression trees as one straight-line program on mpf values.
+
+    Slot k holds value number k.  Coordinates and parameters are read from
+    the environment on each run; constants are converted by `mp.mpf` once
+    per working precision; every other distinct node is one instruction
+    (slot, op, a, b), op applied to the values in slots a and b (b is
+    None for a one-argument op).
+    """
+
+    def __init__(self, trees: tuple):
+        super().__init__()
+        self.trees = trees  # alive while their ids key `_MP_PROGRAMS`
+        self.loads: list[tuple[int, str]] = []
+        self.nums: list[tuple[int, float]] = []
+        self.code: list[tuple] = []
+        self.outs = [self.number(x) for x in trees]
+        self.prec, self.init = None, None
+
+    def visit(self, x, key: tuple) -> None:
+        slot, t = self.by_key[key], type(x)
+        if t is Num:
+            self.nums.append((slot, x.v))
+        elif t is Var or t is Par:
+            self.loads.append((slot, x.name))
+        elif t is Neg:
+            self.code.append((slot, operator.neg, key[1], None))
+        elif t is Pow:
+            self.code.append((slot, lambda a, k=x.k: a ** k, key[1], None))
+        elif t is Call:
+            # read from the table on each run, as `_eval` reads it, so a
+            # replaced entry takes effect in cached programs too
+            self.code.append((slot, lambda a, fn=x.fn: MP_FUNCS[fn](a),
+                              key[1], None))
+        else:
+            self.code.append((slot, _MP_BINARY[t], key[1], key[2]))
+
+    def run(self, env: Mapping[str, mp.mpf]) -> list:
+        if self.prec != mp.mp.prec:
+            init = [None] * len(self.by_key)
+            for slot, v in self.nums:
+                init[slot] = mp.mpf(v)
+            self.prec, self.init = mp.mp.prec, init
+        vals = self.init.copy()
+        try:
+            for slot, name in self.loads:
+                vals[slot] = env[name]
+        except KeyError as err:
+            raise DslNameError(
+                f"unbound name {err.args[0]!r} at evaluation") from None
+        for slot, op, a, b in self.code:
+            vals[slot] = op(vals[a]) if b is None else op(vals[a], vals[b])
+        return [vals[k] for k in self.outs]

@@ -57,19 +57,6 @@ def partial_mp(f: Callable, point: Sequence, alpha: Sequence[int],
     return f(point)
 
 
-def expr_partials(ex, coords: Sequence[str], point: Sequence[float],
-                  alphas: Sequence[Sequence[int]],
-                  params: dict | None = None) -> list[float]:
-    """All requested mixed partials of a DSL expression, via mpmath FD."""
-    with mp.workdps(DEFAULT_DPS):
-        consts = {k: mp.mpf(v) for k, v in (params or {}).items()}
-
-        def f(q):
-            return exprs.eval_mp(ex, {**dict(zip(coords, q)), **consts})
-
-        return [float(partial_mp(f, point, alpha)) for alpha in alphas]
-
-
 # ----------------------------------------------------------------------
 # curvature by nested differences
 # ----------------------------------------------------------------------
@@ -108,11 +95,11 @@ class FDGeometry:
     the one rule in `_cov`.  Each tensor is memoised per lattice node.
 
     The work at a node: gfun is called once (`geometry_from_chart`
-    evaluates each distinct entry tree once), and the metric must be
-    finite and exactly symmetric there (`OracleError` otherwise).  The
-    inverse is one LU elimination.  Gamma sums its bracket, built once per
-    (l, i, j), for i <= j and mirrors the rest; the metric and Gamma are
-    differenced over their i <= j entries only.  Ricci takes the l = i
+    evaluates each distinct subtree of the entries once), and the metric
+    must be finite and exactly symmetric there (`OracleError` otherwise).
+    The inverse is one LU elimination.  Gamma sums its bracket, built once
+    per (l, i, j), for i <= j and mirrors the rest; the metric and Gamma
+    are differenced over their i <= j entries only.  Ricci takes the l = i
     entries of the one Riemann entry rule, so only the base point builds
     all n^4 entries of R^l_ijk.
 
@@ -380,16 +367,19 @@ def _floats(t):
 
 
 def geometry_from_chart(chart, h=DEFAULT_H) -> FDGeometry:
-    """FDGeometry for a catalog chart (independent of the jet pipeline)."""
+    """FDGeometry for a catalog chart (independent of the jet pipeline).
+
+    Its gfun makes one `exprs.eval_mp` call per lattice node on all the
+    metric's entry trees, which evaluates each distinct subtree once there:
+    equal entries (g_ij and g_ji) and subexpressions shared between entries
+    share one value.
+    """
     params = {k: mp.mpf(repr(float(v))) for k, v in chart.params.items()}
-    # each distinct entry tree is evaluated once per point; equal trees
-    # (g_ij and g_ji of a symmetric chart) share the value
-    trees = list(dict.fromkeys(e for row in chart.metric for e in row))
-    slots = [[trees.index(e) for e in row] for row in chart.metric]
+    n, entries = chart.dim, tuple(e for row in chart.metric for e in row)
 
     def gfun(q):
         env = {**dict(zip(chart.coords, q)), **params}
-        vals = [exprs.eval_mp(e, env) for e in trees]
-        return [[vals[s] for s in row] for row in slots]
+        vals = exprs.eval_mp(entries, env)
+        return [vals[i * n:(i + 1) * n] for i in range(n)]
 
-    return FDGeometry(gfun, chart.dim, h=h)
+    return FDGeometry(gfun, n, h=h)

@@ -8,9 +8,9 @@ import pytest
 
 from bachlab import charts, fdcheck, suite
 from bachlab.curvature import (BASE_ORDER, CurvatureError, CurvatureFrame,
-                               bach_divergence, grad_lap_scalar, on_points,
-                               pipeline_pack, values)
-from bachlab.jets import Jet, JetOrderError
+                               _index, bach_divergence, grad_lap_scalar,
+                               on_points, pipeline_pack, values)
+from bachlab.jets import Jet, JetOrderError, contract
 from conftest import count_frames, frame_bound
 
 RNG_METRIC_3 = [
@@ -165,6 +165,18 @@ def test_weyl_traces_vanish(rand3_frame):
     gi = values(rand3_frame.ginv)
     # contraction over the (l, k) pair reproduces zero for every (i, j)
     assert np.abs(np.einsum("lk,lijk->ij", gi, w)).max() <= 1e-11
+
+
+def test_weyl_from_one_outer_product_equals_two_products_bitwise(rand3):
+    for chart in (rand3, charts.get_example("s2_x_s2").chart):
+        pts = charts.sample_points(chart, 3)
+        for where in (pts, pts[1]):
+            frame = CurvatureFrame(chart, where)
+            P, g2 = frame.schouten, frame.g_at(frame.order - 2)
+            half = (contract("li,jk->lijk", P, g2)
+                    + contract("li,jk->lijk", g2, P))
+            want = frame.riemann_lo - (half - _index("lijk->ljik", half))
+            assert frame.weyl_lo.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_inverse_metric_jets(rand3_frame):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from bachlab import charts, exprs, fdcheck, jets
 from bachlab.exprs import (Call, DslError, DslNameError, DslSyntaxError, Mul,
                            Neg, Par, Pow, Var, eval_float, eval_jet,
-                           eval_numpy, parse, rename_names)
+                           eval_mp, eval_numpy, parse, rename_names)
 from bachlab.jets import JetDomainError
 
 
@@ -259,6 +260,52 @@ def test_unbound_parameter_raises():
     e = parse("a + x", coords=["x"], params=["a"])
     with pytest.raises(DslNameError):
         eval_float(e, {"x": 1.0})
+    for arg in (e, [parse("x^2", ["x"]), e]):
+        with pytest.raises(DslNameError, match="'a'"):
+            eval_mp(arg, {"x": mp.mpf(1)})
+
+
+def _mp_cases():
+    """Each catalog chart's metric entries, with the parameters and two
+    sample points, one expression holding every kind of node, and a lone
+    constant, whose value is its rounding to the working precision."""
+    for name in charts.catalog_names():
+        chart = charts.get_example(name).chart
+        entries = [e for row in chart.metric for e in row]
+        for p in charts.sample_points(chart, 2):
+            yield entries, {**chart.params, **dict(zip(chart.coords, p))}
+    coords, params = ["x", "y"], ["a"]
+    every = parse("-(a*x)^3 / (sin(x) + cos(0.7*y) + exp(x/2.9) + sinh(y) "
+                  "+ cosh(x) + sqrt(2.2 + y) + log(0.3 + x*y)) - 1.1*x^-2",
+                  coords, params)
+    yield [every, parse("a*x^2", coords, params), parse("0.1", coords)], \
+        {"x": 0.31, "y": -0.42, "a": 1.7}
+
+
+def test_eval_mp_equals_the_recursive_evaluation_bitwise():
+    # the compiled program against the recursive tree walk, with constants
+    # rounded to each precision, also below float's and on a switch back
+    for dps in (15, 50, 5, 15):
+        with mp.workdps(dps):
+            for entries, values in _mp_cases():
+                env = {k: mp.mpf(v) for k, v in values.items()}
+                want = [exprs._eval(e, env, exprs.MP_FUNCS, mp.mpf)._mpf_
+                        for e in entries]
+                assert [v._mpf_ for v in eval_mp(entries, env)] == want
+                assert [eval_mp(e, env)._mpf_ for e in entries] == want
+
+
+def test_eval_mp_compiles_a_sequence_of_trees_once(monkeypatch):
+    built = []
+    init = exprs._MpProgram.__init__
+    monkeypatch.setattr(exprs._MpProgram, "__init__",
+                        lambda prog, trees: built.append(trees)
+                        or init(prog, trees))
+    e = parse("x*y + 0.125*sin(x*y) - 7", ["x", "y"])
+    env = {"x": mp.mpf("0.3"), "y": mp.mpf("0.1")}
+    first = eval_mp((e, e), env)
+    assert eval_mp([e, e], env) == first and first[0] is first[1]
+    assert built == [(e, e)]
 
 
 @pytest.mark.parametrize("text", [
@@ -273,7 +320,10 @@ def test_eval_jet_partials_match_fd_oracle(text):
     e = parse(text, coords=coords)
     j = eval_jet(e, point, coords=coords, order=4)
     alphas = list(j.tab.mons)
-    want = fdcheck.expr_partials(e, coords, point, alphas)
+    with mp.workdps(fdcheck.DEFAULT_DPS):
+        want = [float(fdcheck.partial_mp(
+            lambda q: eval_mp(e, dict(zip(coords, q))), point, alpha))
+            for alpha in alphas]
     for alpha, w in zip(alphas, want):
         assert abs(j.partial(alpha) - w) <= 1e-6 * max(1.0, abs(w)), alpha
 

@@ -2,8 +2,8 @@
 
 `fdcheck` fails closed on a metric it cannot difference (not finite, not
 exactly symmetric, or singular at a lattice node), evaluates each lattice
-node and each distinct metric entry there once, and reproduces the
-frozen goldens bit for bit.
+node once and each distinct subtree of the metric entries there once, and
+reproduces the frozen goldens bit for bit.
 """
 
 import json
@@ -57,8 +57,9 @@ def test_oracle_rejects_a_metric_that_is_not_finite():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def oracle_counts(monkeypatch):
-    """Count gfun calls (as the benchmark tracer does) and eval_mp calls."""
-    counts = {"gfun": 0, "eval_mp": 0}
+    """Count gfun calls (as the benchmark tracer does), eval_mp calls and
+    calls of the mp functions (sin, cos, ...)."""
+    counts = {"gfun": 0, "eval_mp": 0, "funcs": 0}
     init, eval_mp = fdcheck.FDGeometry.__init__, exprs.eval_mp
 
     def counted_init(geo, gfun, *args, **kwargs):
@@ -71,20 +72,30 @@ def oracle_counts(monkeypatch):
         counts["eval_mp"] += 1
         return eval_mp(*args)
 
+    def counted_func(fn):
+        def counted(x):
+            counts["funcs"] += 1
+            return fn(x)
+        return counted
+
     monkeypatch.setattr(fdcheck.FDGeometry, "__init__", counted_init)
     monkeypatch.setattr(exprs, "eval_mp", counted_eval)
+    for name, fn in list(exprs.MP_FUNCS.items()):
+        monkeypatch.setitem(exprs.MP_FUNCS, name, counted_func(fn))
     return counts
 
 
-@pytest.mark.parametrize("name, nodes, entries", [
-    ("hyperbolic_2", 129, 2), ("berger_sphere", 593, 6),
-    ("r2_x_s2", 1921, 4)])
+# the Berger entries spell 11 sin/cos calls of 4 distinct ones
+@pytest.mark.parametrize("name, nodes, funcs", [
+    ("hyperbolic_2", 129, 0), ("berger_sphere", 593, 4),
+    ("r2_x_s2", 1921, 1)])
 def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
-        oracle_counts, name, nodes, entries):
+        oracle_counts, name, nodes, funcs):
     chart = charts.get_example(name).chart
     fdcheck.geometry_from_chart(chart).pack(
         charts.sample_points(chart, 2)[1], deep=True)
-    assert oracle_counts == {"gfun": nodes, "eval_mp": nodes * entries}
+    assert oracle_counts == {"gfun": nodes, "eval_mp": nodes,
+                             "funcs": nodes * funcs}
 
 
 def test_symmetric_entries_share_one_evaluation(oracle_counts):
@@ -96,7 +107,7 @@ def test_symmetric_entries_share_one_evaluation(oracle_counts):
     with mp.workdps(fdcheck.DEFAULT_DPS):
         geo.metric((mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf("0.3"),
                     mp.mpf("0.4")))
-    assert oracle_counts == {"gfun": 1, "eval_mp": 10}
+    assert oracle_counts == {"gfun": 1, "eval_mp": 1, "funcs": 10}
 
 
 # ----------------------------------------------------------------------
