@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the frozen curvature goldens under src/bachlab/data/.
 
-Evaluates the independent finite-difference oracle (mpmath, 50 working
-digits, nested 4th-order stencils) on a fixed catalog corpus and freezes
-every deep curvature quantity into ``curvature_goldens.json``.  The
-regression suite then compares the fast jet pipeline against these
-values without paying the oracle cost on every run.  Rerun only when
+Evaluates the independent finite-difference oracle (the metric in mpmath
+at 50 digits, the algebra in the standard library's `decimal` at 52,
+nested 4th-order stencils) on a fixed catalog corpus and freezes every
+deep curvature quantity into ``curvature_goldens.json``.  The regression
+suite then compares the fast jet pipeline against these values without
+paying the oracle cost on every run.  Rerun only when
 the corpus or the storage format changes; the frozen values themselves
 are oracle output, never pipeline output.
 """
@@ -23,7 +24,7 @@ CORPUS = ("hyperbolic_2", "round_sphere_2", "berger_sphere",
           "r2_x_s2", "s2_x_t2")
 
 # a tighter step than the test-time default: frozen values should sit
-# well below the 1e-9 comparison gate, and the arbitrary-precision
+# well below the 1e-9 comparison gate, and the high-precision
 # arithmetic keeps roundoff irrelevant at this h
 GOLDEN_H = "3e-4"
 

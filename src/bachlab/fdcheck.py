@@ -1,16 +1,21 @@
-"""Independent derivative oracle: nested finite differences in mpmath.
+"""Independent derivative oracle: nested finite differences in high precision.
 
 This module deliberately shares no differentiation machinery with the jet
-pipeline.  Scalar quantities are evaluated pointwise in arbitrary
-precision and every derivative is a 4th-order central difference
-(stencil [1, -8, 0, 8, -1]/12h), nested for higher and mixed
-derivatives.  With 50 working digits roundoff is negligible; the
-truncation error shrinks as h^4 and grows with every nesting level and
-with the size of the metric's higher derivatives.  At the default
-h = 1e-3 it is below 1e-9 relative on the smooth metrics of the
-cross-checks, but near a sphere chart's pole it reaches 2.0e-5: the
-derivative of the Bach tensor of a bumpy S^2 x T^2 at theta = 0.25 is off
-by that much, and by 1.6e-7 at h = 3e-4.
+pipeline.  The metric is evaluated pointwise by mpmath at DEFAULT_DPS = 50
+digits; all the algebra on it (differences, inverse, curvature) runs in
+the standard library's C-backed `decimal` at DEFAULT_DPS + 2 = 52 digits,
+at least the 169 bits mpmath works with at 50 digits.  Every derivative
+is a 4th-order central difference (stencil [1, -8, 0, 8, -1]/12h), nested
+for higher and mixed derivatives.  The step and the lattice are exact
+decimals, so p + h - h is p and each lattice node is one memo key.
+
+With these digits roundoff is negligible: a pack at 20 more digits agrees
+to 1e-25 relative.  The truncation error shrinks as h^4 and grows with
+every nesting level and with the size of the metric's higher
+derivatives.  At the default h = 1e-3 it is below 1e-9 relative on the
+smooth metrics of the cross-checks, but near a sphere chart's pole it
+reaches 2.0e-5: the derivative of the Bach tensor of a bumpy S^2 x T^2 at
+theta = 0.25 is off by that much, and by 1.6e-7 at h = 3e-4.
 
 Used by the oracle regression tests and by `scripts/regen_goldens.py`,
 which freezes the expensive deep-curvature values into data/.
@@ -18,8 +23,11 @@ which freezes the expensive deep-curvature values into data/.
 
 from __future__ import annotations
 
+import contextlib
+import decimal
 import functools
-from typing import Callable, Sequence
+from decimal import Decimal
+from typing import Callable, Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -30,8 +38,33 @@ DEFAULT_H = "1e-3"
 DEFAULT_DPS = 50
 
 
+@contextlib.contextmanager
+def _oracle_point(point: Sequence[float]) -> Iterator[tuple]:
+    """Open the oracle's precision and yield `point` as exact decimals.
+
+    The algebra runs in a local decimal context of DEFAULT_DPS + 2 digits
+    with the default traps on, so an invalid operation, a division by
+    zero or an overflow raises; the metric is evaluated by mpmath at
+    DEFAULT_DPS.  Each float coordinate becomes the exact decimal of its
+    shortest repr."""
+    ctx = decimal.Context(prec=DEFAULT_DPS + 2, traps=[
+        decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
+    with decimal.localcontext(ctx), mp.workdps(DEFAULT_DPS):
+        yield tuple(Decimal(repr(float(x))) for x in point)
+
+
+def _decimal(x) -> Decimal:
+    """An mpf (or int) (-1)^sign * man * 2^exp, rounded once to the decimal
+    context."""
+    sign, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    man = -man if sign else man
+    if exp >= 0:
+        return Decimal(man << exp).scaleb(0)
+    return Decimal(man * 5 ** -exp).scaleb(exp)
+
+
 def _central(f: Callable, point: tuple, axis: int, h):
-    """4th-order central difference of f (an mpf or an array of them)."""
+    """4th-order central difference of f (a number or an array of them)."""
     def at(s):
         q = list(point)
         q[axis] = q[axis] + s * h
@@ -66,13 +99,13 @@ class OracleError(ValueError):
 
 
 def _where(p: tuple) -> str:
-    return "(" + ", ".join(mp.nstr(x, 12) for x in p) + ")"
+    return "(" + ", ".join(f"{float(x):.12g}" for x in p) + ")"
 
 
 def _pivot_weight(row: list, j: int):
     """|row[j]| scaled by the row's absolute sum from column j on."""
     a = abs(row[j])
-    return a and 1 / mp.fsum(abs(x) for x in row[j:]) * a
+    return a and 1 / sum(abs(x) for x in row[j:]) * a
 
 
 def _per_point(build: Callable) -> Callable:
@@ -90,13 +123,17 @@ class FDGeometry:
     """Curvature of a metric by nested finite differences (the oracle).
 
     gfun maps a point (tuple of mpf) to the n x n metric matrix as nested
-    lists of mpf.  Tensors are object arrays of mpf, each built entry by
-    entry from its textbook formula; every covariant derivative comes from
-    the one rule in `_cov`.  Each tensor is memoised per lattice node.
+    lists of mpf.  Everything after it is `decimal` arithmetic in the
+    context `pack` opens: lattice points are tuples of exact decimals,
+    and tensors are object arrays of Decimal, each built entry by entry
+    from its textbook formula; every covariant derivative comes from the
+    one rule in `_cov`.  Each tensor is memoised per lattice node.
 
-    The work at a node: gfun is called once (`geometry_from_chart`
-    evaluates each distinct subtree of the entries once), and the metric
-    must be finite and exactly symmetric there (`OracleError` otherwise).
+    The work at a node: its coordinates are converted to mpf once, gfun
+    is called once (`geometry_from_chart` evaluates each distinct subtree
+    of the entries once), the metric must be finite and exactly symmetric
+    there (`OracleError` otherwise), and each entry is rounded once to a
+    Decimal.
     The inverse is one LU elimination.  Gamma sums its bracket, built once
     per (l, i, j), for i <= j and mirrors the rest; the metric and Gamma
     are differenced over their i <= j entries only.  Ricci takes the l = i
@@ -111,7 +148,7 @@ class FDGeometry:
     def __init__(self, gfun: Callable, n: int, h=DEFAULT_H):
         self.gfun = gfun
         self.n = n
-        self.h = mp.mpf(h)
+        self.h = Decimal(str(h))
         self._cache: dict = {}
 
     # -- plumbing ------------------------------------------------------
@@ -158,21 +195,23 @@ class FDGeometry:
     @_per_point
     def metric(self, p):
         """g at p; every entry finite and g exactly symmetric."""
-        g = np.array(self.gfun(p), dtype=object)
-        if not all(mp.isfinite(x) for x in g.flat):
+        g = self.gfun(tuple(mp.mpf(str(x)) for x in p))
+        if not all(mp.isfinite(x) for row in g for x in row):
             raise OracleError(f"metric is not finite at {_where(p)}")
-        if any(g[i, j] != g[j, i] for i in range(self.n) for j in range(i)):
+        if any(g[i][j] != g[j][i] for i in range(self.n) for j in range(i)):
             raise OracleError(f"metric is not symmetric at {_where(p)}")
-        return g
+        return np.array([[_decimal(x) for x in row] for row in g],
+                        dtype=object)
 
     @_per_point
     def metric_inv(self, p):
-        """g^-1 with 10 guard bits: LU elimination with row-scaled partial
+        """g^-1 with 3 guard digits: LU elimination with row-scaled partial
         pivoting, then one forward and back substitution per unit column
         (the arithmetic of mpmath's `inverse`, on plain lists)."""
         n, R = self.n, range(self.n)
         lu, perm = self.metric(p).tolist(), []
-        with mp.extraprec(10):
+        with decimal.localcontext() as ctx:
+            ctx.prec += 3
             for j in R:
                 if j < n - 1:
                     weight = [_pivot_weight(row, j) for row in lu[j:]]
@@ -180,7 +219,7 @@ class FDGeometry:
                     lu[j], lu[k] = lu[k], lu[j]
                     perm.append(k)
                 pivot = lu[j][j]
-                if not pivot or not mp.isfinite(pivot):
+                if not pivot:
                     raise OracleError(f"metric is singular at {_where(p)}")
                 for i in range(j + 1, n):
                     lu[i][j] /= pivot
@@ -188,7 +227,7 @@ class FDGeometry:
                         lu[i][k] -= lu[i][j] * lu[j][k]
             cols = []
             for c in R:
-                x = [mp.mpf(int(i == c)) for i in R]
+                x = [Decimal(int(i == c)) for i in R]
                 for j, k in enumerate(perm):
                     x[j], x[k] = x[k], x[j]
                 for i in R:
@@ -354,13 +393,12 @@ class FDGeometry:
                          cov_ricci=self.cov_ricci, lap_ricci=self.lap_ricci)
             if self.n == 4:
                 parts["bach"] = self.bach
-        with mp.workdps(DEFAULT_DPS):
-            p = tuple(mp.mpf(repr(float(x))) for x in point)
+        with _oracle_point(point) as p:
             return {key: _floats(fun(p)) for key, fun in parts.items()}
 
 
 def _floats(t):
-    """An mpf tensor or scalar as float64."""
+    """A Decimal tensor or scalar as float64."""
     if isinstance(t, np.ndarray):
         return t.astype(np.float64)
     return np.float64(float(t))

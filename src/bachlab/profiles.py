@@ -41,7 +41,7 @@ from .tolerances import DEFAULTS, resolve
 __all__ = [
     "ProfileError", "ScanOutcome", "ProfileRun",
     "CLOSED", "COMPLETE_OPEN", "CURVATURE_BLOWUP", "STEP_FAILURE",
-    "rhs", "series_start", "integrate_profile", "scan",
+    "series_start", "integrate_profile", "scan",
     "scan_from_config", "table_to_csv", "DEFAULT_S0_GRID", "DEFAULT_C_GRID",
 ]
 
@@ -89,16 +89,9 @@ class ProfileRun:
     outcome: ScanOutcome
 
 
-def rhs(state: Sequence[float], c: float):
-    """Derivatives (rho', rho'', S', S'') of the profile system at a state
-    (rho, rho', S, S'), the form every state of this module takes."""
-    rho, rho_p, s, s_p = (float(v) for v in state)
-    if rho <= 0.0:
-        raise ProfileError(f"profile radius must be positive, got {rho!r}")
-    return _rhs_raw(0.0, (rho, rho_p, s, s_p), c)
-
-
 def _rhs_raw(t, y, c):
+    """Derivatives (rho', rho'', S', S'') of the profile system at a state
+    y = (rho, rho', S, S'), the form every state of this module takes."""
     # event location steps transiently past rho = 0; keep the vector field
     # finite there and let the error estimator reject the bad stages
     rho, rho_p, s, s_p = y

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -366,8 +365,7 @@ def test_bach_gradient_matches_oracle_stencil():
     pt = charts.sample_points(chart, 2)[1]
     mine = CurvatureFrame(chart, pt, order=5).bach.grad().value
     geo = fdcheck.geometry_from_chart(chart)
-    with mp.workdps(fdcheck.DEFAULT_DPS):
-        p = tuple(mp.mpf(repr(float(x))) for x in pt)
+    with fdcheck._oracle_point(pt) as p:
         ref = np.array([geo._dtensor(geo.bach, p, a) for a in range(4)],
                        dtype=float)
     assert np.abs(mine - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
@@ -380,8 +378,7 @@ def test_grad_lap_scalar_stencil_matches_oracle():
     pt = np.array([0.45, -0.3])
     mine = grad_lap_scalar(chart, pt)
     geo = fdcheck.geometry_from_chart(chart)
-    with mp.workdps(fdcheck.DEFAULT_DPS):
-        p = tuple(mp.mpf(repr(float(x))) for x in pt)
+    with fdcheck._oracle_point(pt) as p:
         ref = np.array([geo._dtensor(geo.lap_scalar, p, a)
                         for a in range(2)], dtype=float)
     assert np.abs(mine - ref).max() <= 1e-11

@@ -2,10 +2,12 @@
 
 `fdcheck` fails closed on a metric it cannot difference (not finite, not
 exactly symmetric, or singular at a lattice node), evaluates each lattice
-node once and each distinct subtree of the metric entries there once, and
-reproduces the frozen goldens bit for bit.
+node once and each distinct subtree of the metric entries there once,
+keeps its round-off below 1e-25 relative, and reproduces the frozen
+goldens bit for bit.
 """
 
+import decimal
 import json
 from importlib import resources
 
@@ -85,36 +87,67 @@ def oracle_counts(monkeypatch):
     return counts
 
 
+# a dim-4 metric with 10 distinct sin/cos calls
+_COORDS4 = ("x", "y", "z", "w")
+_BUMPY4 = [[f"{2 + i} + 0.1*sin({_COORDS4[i]})" if i == j else
+            f"0.05*cos({_COORDS4[min(i, j)]} + 2*{_COORDS4[max(i, j)]})"
+            for j in range(4)] for i in range(4)]
+
+# catalog examples at their second sample point, and bumpy_4 at a point
+# where two stencil paths to one node met a few binary ulps apart when
+# the lattice was not exact (1,949 metric evaluations for 1,921 nodes)
+_CASES = {"bumpy_4": (_chart(_BUMPY4, _COORDS4),
+                      [-0.06011916013067742, -0.3999648202725865,
+                       -0.22872648373487525, -0.1625445535250732])}
+
+
 # the Berger entries spell 11 sin/cos calls of 4 distinct ones
 @pytest.mark.parametrize("name, nodes, funcs", [
     ("hyperbolic_2", 129, 0), ("berger_sphere", 593, 4),
-    ("r2_x_s2", 1921, 1)])
+    ("r2_x_s2", 1921, 1), ("bumpy_4", 1921, 10)])
 def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
         oracle_counts, name, nodes, funcs):
-    chart = charts.get_example(name).chart
-    fdcheck.geometry_from_chart(chart).pack(
-        charts.sample_points(chart, 2)[1], deep=True)
+    if name in _CASES:
+        chart, point = _CASES[name]
+    else:
+        chart = charts.get_example(name).chart
+        point = charts.sample_points(chart, 2)[1]
+    fdcheck.geometry_from_chart(chart).pack(point, deep=True)
     assert oracle_counts == {"gfun": nodes, "eval_mp": nodes,
                              "funcs": nodes * funcs}
 
 
 def test_symmetric_entries_share_one_evaluation(oracle_counts):
-    coords = ("x", "y", "z", "w")
-    entries = [[f"{2 + i} + 0.1*sin({coords[i]})" if i == j else
-                f"0.05*cos({coords[min(i, j)]} + 2*{coords[max(i, j)]})"
-                for j in range(4)] for i in range(4)]
-    geo = fdcheck.geometry_from_chart(_chart(entries, coords))
-    with mp.workdps(fdcheck.DEFAULT_DPS):
-        geo.metric((mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf("0.3"),
-                    mp.mpf("0.4")))
+    geo = fdcheck.geometry_from_chart(_chart(_BUMPY4, _COORDS4))
+    with fdcheck._oracle_point([0.1, 0.2, 0.3, 0.4]) as p:
+        geo.metric(p)
     assert oracle_counts == {"gfun": 1, "eval_mp": 1, "funcs": 10}
 
 
 # ----------------------------------------------------------------------
-# the oracle's values: the frozen goldens, bit for bit
+# the oracle's values: round-off far below its gates, the frozen goldens
 # ----------------------------------------------------------------------
+def test_round_off_is_irrelevant_and_the_caller_context_untouched(
+        monkeypatch):
+    chart = charts.get_example("r2_x_s2").chart
+    point = charts.sample_points(chart, 2)[1]
+    with decimal.localcontext() as caller:
+        caller.prec = 5  # the oracle opens its own context
+        before = caller.copy()
+        pack = fdcheck.geometry_from_chart(chart).pack(point, deep=True)
+        after = decimal.getcontext()
+        assert after is caller
+        assert (after.prec, after.traps) == (before.prec, before.traps)
+    monkeypatch.setattr(fdcheck, "DEFAULT_DPS", fdcheck.DEFAULT_DPS + 20)
+    finer = fdcheck.geometry_from_chart(chart).pack(point, deep=True)
+    assert set(pack) == set(finer) and "bach" in pack
+    for key, val in pack.items():
+        scale = max(1.0, np.abs(finer[key]).max())
+        assert np.abs(val - finer[key]).max() <= 1e-25 * scale, key
+
+
 @pytest.mark.parametrize("name", ["hyperbolic_2", "round_sphere_2",
-                                  "berger_sphere"])
+                                  "berger_sphere", "r2_x_s2", "s2_x_t2"])
 def test_oracle_reproduces_the_frozen_goldens_bitwise(name):
     path = resources.files("bachlab").joinpath("data/curvature_goldens.json")
     doc = json.loads(path.read_text(encoding="ascii"))

@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bachlab import profiles
-from bachlab.profiles import (ProfileError, integrate_profile, rhs, scan,
-                              scan_from_config, series_start, table_to_csv)
+from bachlab.profiles import (ProfileError, _rhs_raw, integrate_profile,
+                              scan, scan_from_config, series_start,
+                              table_to_csv)
 
 
 # ----------------------------------------------------------------------
@@ -17,32 +18,32 @@ from bachlab.profiles import (ProfileError, integrate_profile, rhs, scan,
 def test_rhs_flat_solution():
     # rho = t, S = 0, c = 0 solves the system exactly
     for t in (0.3, 1.0, 2.5):
-        d = rhs((t, 1.0, 0.0, 0.0), 0.0)
+        d = _rhs_raw(0.0, (t, 1.0, 0.0, 0.0), 0.0)
         assert d == (1.0, -0.0, 0.0, 0.0)
 
 
 def test_rhs_round_spheres():
     # r = 1: rho = sin t, S = 2, c = 4/3
     for t in (0.4, 1.1, 2.0):
-        d = rhs((np.sin(t), np.cos(t), 2.0, 0.0), 4.0 / 3.0)
+        d = _rhs_raw(0.0, (np.sin(t), np.cos(t), 2.0, 0.0), 4.0 / 3.0)
         assert abs(d[1] + np.sin(t)) <= 1e-15
         assert d[3] == 0.0
     # r = 2: rho = 2 sin(t/2), S = 1/2, c = 1/12
     for t in (0.6, 2.0):
-        d = rhs((2.0 * np.sin(t / 2), np.cos(t / 2), 0.5, 0.0), 1.0 / 12.0)
+        d = _rhs_raw(0.0, (2.0 * np.sin(t / 2), np.cos(t / 2), 0.5, 0.0),
+                     1.0 / 12.0)
         assert abs(d[1] + 0.5 * np.sin(t / 2)) <= 1e-15
         assert abs(d[3]) <= 1e-16
 
 
-def test_rhs_accepts_state_and_rejects_collapse():
-    d = rhs((0.5, 0.8, 1.0, 0.2), 0.7)
+def test_rhs_accepts_state_and_stays_finite_at_collapse():
+    d = _rhs_raw(0.0, (0.5, 0.8, 1.0, 0.2), 0.7)
     assert d[0] == 0.8
     assert abs(d[1] + 0.25) <= 1e-15
     assert abs(d[3] - (0.7 - 1.0 / 3.0 - 1.6 * 0.2)) <= 1e-15
-    with pytest.raises(ProfileError, match="positive"):
-        rhs((0.0, 1.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ProfileError, match="positive"):
-        rhs((-0.2, 1.0, 0.0, 0.0), 0.0)
+    # event location steps onto rho = 0; the field stays finite there
+    for state in ((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.2)):
+        assert all(math.isfinite(v) for v in _rhs_raw(0.0, state, 0.3))
 
 
 def test_series_start_formulas():
