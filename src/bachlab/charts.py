@@ -83,27 +83,18 @@ class Chart:
                               order)
 
     def metric_values(self, points: np.ndarray) -> np.ndarray:
-        """Metric matrices at many points: (N, dim) -> (N, n, n)."""
+        """Metric matrices at many points: (N, dim) -> (N, n, n), from one
+        evaluation of all the entries, which shares their subtrees."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = self.dim
         env = {name: points[:, a] for a, name in enumerate(self.coords)}
         env.update(self.params)
+        entries = exprs.eval_numpy([e for row in self.metric for e in row],
+                                   env)
         out = np.empty((points.shape[0], n, n))
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = exprs.eval_numpy(self.metric[i][j], env)
+        for k, value in enumerate(entries):
+            out[:, k // n, k % n] = value
         return out
-
-    def scalar_values(self, expr_text_or_ast, points: np.ndarray) -> np.ndarray:
-        """Evaluate a scalar DSL field at many points."""
-        e = (exprs.parse(expr_text_or_ast, self.coords, tuple(self.params))
-             if isinstance(expr_text_or_ast, str) else expr_text_or_ast)
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = {name: points[:, a] for a, name in enumerate(self.coords)}
-        env.update(self.params)
-        vals = exprs.eval_numpy(e, env)
-        return np.broadcast_to(np.asarray(vals, dtype=float),
-                               (points.shape[0],)).copy()
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +188,6 @@ def _checked_metric(chart: Chart, points: np.ndarray) -> np.ndarray:
 def volume_density(chart: Chart, points: np.ndarray) -> np.ndarray:
     """sqrt(det g) at the given points."""
     return np.sqrt(np.linalg.det(_checked_metric(chart, points)))
-
-
-def positive_definite_check(chart: Chart, points: np.ndarray) -> None:
-    _checked_metric(chart, points)
 
 
 def integrate(chart: Chart, values: np.ndarray | Callable,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed; 1 a check ran and failed its gate;
 2 usage or input-document error; 3 numerical failure (no root bracketed,
-a failed root search, integrator step failure).  Reports are canonical
-JSON and byte-identical for identical configuration: every sample set and
+a failed root search, integrator step failure, an overflow, a curvature
+quantity that is not finite).  Reports are canonical JSON and
+byte-identical for identical configuration: every sample set and
 quadrature grid is fixed by the command's arguments.
 """
 
@@ -15,8 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import (__version__, charts, identities, profiles, report, roots,
-               solitons)
+import numpy as np
+
+from . import __version__, charts, identities, profiles, report, solitons
 from . import suite as suite_mod
 from . import tolerances
 from .curvature import CurvatureFrame, pipeline_pack
@@ -132,7 +134,13 @@ def _cmd_catalog(args) -> int:
 def _cmd_curvature(args) -> int:
     man = _load_manifold(args.manifold)
     point = _parse_point(args.point, man)
-    pack = pipeline_pack(CurvatureFrame(man.chart, point))
+    # a non-finite quantity fails below, by name, and not as a warning
+    with np.errstate(all="ignore"):
+        pack = pipeline_pack(CurvatureFrame(man.chart, point))
+    for name, value in pack.items():
+        if not np.all(np.isfinite(value)):
+            raise FloatingPointError(f"curvature quantity {name!r} is not "
+                                     f"finite at the point")
     doc = {"manifold": man.name, "point": point,
            "quantities": report.jsonable(pack)}
     _emit(doc, args.out)
@@ -305,8 +313,8 @@ def main(argv=None) -> int:
                        else _cmd_check_soliton)
             return handler(args)
         return _HANDLERS[args.command](args)
-    except roots.RootError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except ArithmeticError as err:  # a root search, an overflow, a NaN
+        print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -190,11 +190,6 @@ class CurvatureFrame:
         return contract("ij,ji->", self.ricci_mixed, self.ricci_mixed)
 
     @cached_property
-    def einstein_residual(self) -> Jet:
-        """Trace-free Ricci: Ric - (S/n) g, order 2."""
-        return self.trace_free(self.ricci)
-
-    @cached_property
     def schouten(self) -> Jet:
         """P = (Ric - S g / (2(n-1))) / (n-2), order 2; needs n >= 3."""
         n = self.n

@@ -22,15 +22,18 @@ by the same rule and keeps the rest as written.
 set of declared names.  The same AST evaluates against several backends:
 python floats, NumPy arrays (vectorized over node grids), mpmath (for
 the finite-difference oracle), and jets (for derivative propagation).
-`eval_jet` also takes a text, or a nested list of expressions and texts
-such as a metric matrix, and returns one tensor `Jet` of that shape, at
-one point or at each of an array of points; it evaluates each distinct
-subtree once per call, and its functions are `jets.ELEMENTARY`.
-`eval_mp` also takes a sequence of expressions, such as a metric's
-entries, and returns their values in a list.  It compiles the trees once
-into a straight-line program with one instruction per distinct subtree,
-cached by the trees' identity, so each call only runs the instructions;
-the mpf operations and values are those of the recursive walk.
+Every backend runs one mechanism: the trees of a call are compiled once
+into a straight-line program with one instruction per distinct subtree
+(`_Program`), cached by the trees' identity, and each call runs its
+instructions with the backend's function table (`FLOAT_FUNCS`,
+`NUMPY_FUNCS`, `MP_FUNCS`, `JET_FUNCS`) and constant conversion.  So each
+distinct subtree is evaluated once per call, with the operations of a
+recursive walk of the tree and the same values.  `eval_float`,
+`eval_numpy` and `eval_mp` also take a sequence of expressions, such as a
+metric's entries, and return their values in a list.  `eval_jet` also
+takes a text, or a nested list of expressions and texts such as a metric
+matrix, and returns one tensor `Jet` of that shape, at one point or at
+each of an array of points.
 """
 
 from __future__ import annotations
@@ -255,7 +258,11 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise DslSyntaxError(
+                    f"number {tok.text!r} overflows a float", tok.pos)
+            return Num(value)
         if tok.kind == "name":
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
@@ -333,61 +340,30 @@ MP_FUNCS: dict[str, Callable] = {
 JET_FUNCS = ELEMENTARY
 
 
-def _eval(e: Expr, env: Mapping[str, object], funcs: Mapping[str, Callable],
-          const: Callable):
-    t = type(e)
-    if t is Num:
-        return const(e.v)
-    if t is Var or t is Par:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise DslNameError(f"unbound name {e.name!r} at evaluation") from None
-    if t is Neg:
-        return -_eval(e.a, env, funcs, const)
-    if t is Add:
-        return _eval(e.a, env, funcs, const) + _eval(e.b, env, funcs, const)
-    if t is Sub:
-        return _eval(e.a, env, funcs, const) - _eval(e.b, env, funcs, const)
-    if t is Mul:
-        return _eval(e.a, env, funcs, const) * _eval(e.b, env, funcs, const)
-    if t is Div:
-        return _eval(e.a, env, funcs, const) / _eval(e.b, env, funcs, const)
-    if t is Pow:
-        return _eval(e.a, env, funcs, const) ** e.k
-    if t is Call:
-        return funcs[e.fn](_eval(e.a, env, funcs, const))
-    raise DslError(f"not an expression node: {e!r}")
+def eval_float(e, env: Mapping[str, float]):
+    """Evaluate with python floats; a list or tuple of expressions gives a
+    list of their values."""
+    return _run(e, env, FLOAT_FUNCS, float, float)
 
 
-def eval_float(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate with python floats."""
-    return _eval(e, env, FLOAT_FUNCS, float)
-
-
-def eval_numpy(e: Expr, env: Mapping[str, np.ndarray]):
-    """Evaluate vectorized over NumPy arrays (broadcasting applies)."""
-    return _eval(e, env, NUMPY_FUNCS, float)
+def eval_numpy(e, env: Mapping[str, np.ndarray]):
+    """Evaluate vectorized over NumPy arrays (broadcasting applies); a list
+    or tuple of expressions gives a list of their values."""
+    return _run(e, env, NUMPY_FUNCS, float, float)
 
 
 def eval_mp(e, env: Mapping[str, mp.mpf]):
-    """Evaluate in mpmath arbitrary precision (oracle backend).
+    """Evaluate in mpmath arbitrary precision (oracle backend); a list or
+    tuple of expressions gives a list of their values.  Constants are
+    rounded to the working precision once per precision and program."""
+    return _run(e, env, MP_FUNCS, mp.mpf, mp.mp.prec)
 
-    `e` is an expression, or a list or tuple of them, whose values are then
-    returned in a list.  The trees are compiled once into a straight-line
-    program (`_MpProgram`) and cached by their identity, so a call runs only
-    the program: each distinct subtree once, with the recursive
-    evaluation's mpf operations and values at any working precision.
-    """
+
+def _run(e, env, funcs, const, memo):
+    """The value of one tree, or the list of values of a sequence of them,
+    from their program run with a backend's table and constants."""
     many = isinstance(e, (list, tuple))
-    trees = tuple(e) if many else (e,)
-    key = tuple(map(id, trees))
-    program = _MP_PROGRAMS.get(key)
-    if program is None:
-        if len(_MP_PROGRAMS) >= _MP_PROGRAMS_MAX:
-            del _MP_PROGRAMS[next(iter(_MP_PROGRAMS))]
-        program = _MP_PROGRAMS[key] = _MpProgram(trees)
-    vals = program.run(env)
+    vals = _program(tuple(e) if many else (e,)).run(env, funcs, const, memo)
     return vals if many else vals[0]
 
 
@@ -408,7 +384,6 @@ def eval_jet(e, point, coords: Sequence[str],
     if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
         raise DslError(f"point has shape {pts.shape}, expected ({dim},) "
                        f"or (N, {dim})")
-    batch = pts.shape[:-1]
     params = params or {}
     env: dict[str, Jet] = {
         name: Jet.variable(axis, pts[..., axis], dim, order)
@@ -416,155 +391,120 @@ def eval_jet(e, point, coords: Sequence[str],
     }
     for name, value in params.items():
         env[name] = Jet.constant(float(value), dim, order)
-    out = _JetEvaluation(env, dim, order, batch).coeffs(
-        e, coords, tuple(params))
-    return Jet(dim, order, out if out.flags.writeable else out.copy())
+    trees: list = []
+    shape = _gather(e, trees, coords, tuple(params))
+    vals = _program(tuple(trees)).run(
+        env, JET_FUNCS, lambda v: Jet.constant(v, dim, order))
+    # an entry constant in the point broadcasts over the point axis
+    out = np.empty(shape + pts.shape[:-1] + (tables(dim, order).size,))
+    for entry, val in zip(out.reshape(-1, *out.shape[len(shape):]), vals):
+        entry[...] = val.coeffs
+    return Jet(dim, order, out)
 
 
-class _Numbering:
-    """Value numbering of expression trees: each distinct subtree gets one
-    number, in the order first met, so a node's children are numbered
-    before it.  A node's key holds its children's value numbers, so equal
-    subtrees share a number without hashing whole trees.  A subclass
-    evaluates or records each distinct node in `visit`."""
-
-    def __init__(self):
-        self.numbers: dict[int, int] = {}  # id(node) -> value number
-        self.by_key: dict[tuple, int] = {}  # node key -> value number
-
-    def number(self, x) -> int:
-        got = self.numbers.get(id(x))
-        if got is not None:
-            return got
-        t = type(x)
-        if t is Num:
-            key = (t, x.v, math.copysign(1.0, x.v))
-        elif t is Var or t is Par:
-            key = (Var, x.name)
-        elif t is Neg:
-            key = (t, self.number(x.a))
-        elif t is Pow:
-            key = (t, self.number(x.a), x.k)
-        elif t is Call:
-            key = (t, self.number(x.a), x.fn)
-        elif t in (Add, Sub, Mul, Div):
-            key = (t, self.number(x.a), self.number(x.b))
-        else:
-            raise DslError(f"not an expression node: {x!r}")
-        got = self.by_key.get(key)
-        if got is None:
-            got = self.by_key[key] = len(self.by_key)
-            self.visit(x, key)
-        self.numbers[id(x)] = got
-        return got
-
-    def visit(self, x, key: tuple) -> None:
-        raise NotImplementedError
+def _gather(x, trees: list, coords, params) -> tuple[int, ...]:
+    """Append the trees of an expression, its text or a nested list of
+    them to `trees` in row-major order; return the nesting's shape."""
+    if isinstance(x, (list, tuple)):
+        shapes = {_gather(y, trees, coords, params) for y in x}
+        if len(shapes) != 1:
+            raise DslError("a nested list of expressions must be a "
+                           "non-empty rectangular array")
+        return (len(x),) + shapes.pop()
+    trees.append(parse(x, coords, params) if isinstance(x, str) else x)
+    return ()
 
 
-class _JetEvaluation(_Numbering):
-    """The jets of one `eval_jet` call, one per distinct subtree."""
-
-    def __init__(self, env: Mapping[str, Jet], dim: int, order: int,
-                 batch: tuple[int, ...]):
-        super().__init__()
-        self.env, self.dim, self.order = env, dim, order
-        self.full = batch + (tables(dim, order).size,)
-        self.vals: list[Jet] = []
-        self.trees: list = []  # parsed trees, alive while ids are keys
-
-    def coeffs(self, x, coords, params) -> np.ndarray:
-        """Coefficients of an expression, its text or a nested list."""
-        if isinstance(x, (list, tuple)):
-            return np.stack([self.coeffs(y, coords, params) for y in x])
-        if isinstance(x, str):
-            x = parse(x, coords, params)
-            self.trees.append(x)
-        c = self.vals[self.number(x)].coeffs
-        # an entry constant in the point broadcasts over the point axis
-        return c if c.shape == self.full else np.broadcast_to(c, self.full)
-
-    def visit(self, x, key: tuple) -> None:
-        self.vals.append(self.jet(x, key))
-
-    def jet(self, x, key: tuple) -> Jet:
-        """The jet of one node, given its children's by value number."""
-        t = type(x)
-        if t is Num:
-            return Jet.constant(x.v, self.dim, self.order)
-        if t is Var or t is Par:
-            try:
-                return self.env[x.name]
-            except KeyError:
-                raise DslNameError(
-                    f"unbound name {x.name!r} at evaluation") from None
-        a = self.vals[key[1]]
-        if t is Neg:
-            return -a
-        if t is Pow:
-            return a ** x.k
-        if t is Call:
-            return JET_FUNCS[x.fn](a)
-        b = self.vals[key[2]]
-        if t is Add:
-            return a + b
-        if t is Sub:
-            return a - b
-        if t is Mul:
-            return a * b
-        return a / b
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: operator.truediv}
+_PROGRAMS: dict[tuple[int, ...], _Program] = {}  # by the trees' ids
+_PROGRAMS_MAX = 256
 
 
-_MP_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv}
-_MP_PROGRAMS: dict[tuple[int, ...], _MpProgram] = {}  # by the trees' ids
-_MP_PROGRAMS_MAX = 256
+def _program(trees: tuple) -> _Program:
+    key = tuple(map(id, trees))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        if len(_PROGRAMS) >= _PROGRAMS_MAX:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        program = _PROGRAMS[key] = _Program(trees)
+    return program
 
 
-class _MpProgram(_Numbering):
-    """Expression trees as one straight-line program on mpf values.
+class _Program:
+    """Expression trees as one straight-line program for every backend.
 
-    Slot k holds value number k.  Coordinates and parameters are read from
-    the environment on each run; constants are converted by `mp.mpf` once
-    per working precision; every other distinct node is one instruction
-    (slot, op, a, b), op applied to the values in slots a and b (b is
-    None for a one-argument op).
+    Value numbering gives each distinct subtree one slot, children before
+    parents.  A node's key holds its children's slots, so equal subtrees
+    share a slot without hashing whole trees, and the key of an operation
+    is its instruction (op, a, b): ``op(vals[a], vals[b])``, or when op is
+    None, ``-vals[a]`` if b is None and else the backend's function named
+    b applied to ``vals[a]``.  An integer exponent has a slot of its own,
+    so a power is a binary operation.  A run reads coordinates and
+    parameters from the environment, converts constants with the backend's
+    `const`, and reads operators and function tables as it goes, so an
+    overload or a replaced table entry takes effect in cached programs too.
     """
 
     def __init__(self, trees: tuple):
-        super().__init__()
-        self.trees = trees  # alive while their ids key `_MP_PROGRAMS`
-        self.loads: list[tuple[int, str]] = []
+        self.trees = trees  # alive while their ids key `_PROGRAMS`
+        self.template: list = []  # integer exponents, None elsewhere
         self.nums: list[tuple[int, float]] = []
+        self.loads: list[tuple[int, str]] = []
         self.code: list[tuple] = []
-        self.outs = [self.number(x) for x in trees]
-        self.prec, self.init = None, None
+        self.inits: dict = {}  # converted constants by memo key
+        slots: dict[int, int] = {}  # id(node) -> slot
+        by_key: dict[tuple, int] = {}  # node key -> slot
 
-    def visit(self, x, key: tuple) -> None:
-        slot, t = self.by_key[key], type(x)
-        if t is Num:
-            self.nums.append((slot, x.v))
-        elif t is Var or t is Par:
-            self.loads.append((slot, x.name))
-        elif t is Neg:
-            self.code.append((slot, operator.neg, key[1], None))
-        elif t is Pow:
-            self.code.append((slot, lambda a, k=x.k: a ** k, key[1], None))
-        elif t is Call:
-            # read from the table on each run, as `_eval` reads it, so a
-            # replaced entry takes effect in cached programs too
-            self.code.append((slot, lambda a, fn=x.fn: MP_FUNCS[fn](a),
-                              key[1], None))
-        else:
-            self.code.append((slot, _MP_BINARY[t], key[1], key[2]))
+        def intern(key: tuple) -> int:
+            slot = by_key.get(key)
+            if slot is None:
+                slot = by_key[key] = len(self.template)
+                kind = key[0]
+                self.template.append(key[1] if kind is int else None)
+                if kind is Num:
+                    self.nums.append((slot, key[1]))
+                elif kind is Var:
+                    self.loads.append((slot, key[1]))
+                elif kind is not int:
+                    self.code.append((slot, *key))
+            return slot
 
-    def run(self, env: Mapping[str, mp.mpf]) -> list:
-        if self.prec != mp.mp.prec:
-            init = [None] * len(self.by_key)
+        def number(x) -> int:
+            slot = slots.get(id(x))
+            if slot is None:
+                t = type(x)
+                if t is Num:
+                    key = (Num, x.v, math.copysign(1.0, x.v))
+                elif t is Var or t is Par:
+                    key = (Var, x.name)
+                elif t is Neg:
+                    key = (None, number(x.a), None)
+                elif t is Call:
+                    key = (None, number(x.a), x.fn)
+                elif t is Pow:
+                    key = (operator.pow, number(x.a), intern((int, x.k)))
+                elif t in _BINARY:
+                    key = (_BINARY[t], number(x.a), number(x.b))
+                else:
+                    raise DslError(f"not an expression node: {x!r}")
+                slot = slots[id(x)] = intern(key)
+            return slot
+
+        self.outs = [number(x) for x in trees]
+
+    def run(self, env: Mapping[str, object], funcs: Mapping[str, Callable],
+            const: Callable, memo=None) -> list:
+        """The trees' values.  Constants converted under a `memo` key are
+        kept for the next run with that key; None keeps nothing."""
+        vals = self.inits.get(memo)
+        if vals is None:
+            vals = self.template.copy()
             for slot, v in self.nums:
-                init[slot] = mp.mpf(v)
-            self.prec, self.init = mp.mp.prec, init
-        vals = self.init.copy()
+                vals[slot] = const(v)
+            if memo is not None:
+                self.inits[memo] = vals
+        vals = vals.copy()
         try:
             for slot, name in self.loads:
                 vals[slot] = env[name]
@@ -572,5 +512,10 @@ class _MpProgram(_Numbering):
             raise DslNameError(
                 f"unbound name {err.args[0]!r} at evaluation") from None
         for slot, op, a, b in self.code:
-            vals[slot] = op(vals[a]) if b is None else op(vals[a], vals[b])
+            if op is not None:
+                vals[slot] = op(vals[a], vals[b])
+            elif b is None:
+                vals[slot] = -vals[a]
+            else:
+                vals[slot] = funcs[b](vals[a])
         return [vals[k] for k in self.outs]

@@ -91,14 +91,14 @@ def test_quadrature_takes_one_count_for_every_axis():
 def test_sphere_first_moment_vanishes():
     s2 = charts.round_sphere(2)
     q = charts.quadrature(s2)
-    val = charts.integrate(s2, s2.scalar_values("cos(th)", q.nodes), quad=q)
+    val = charts.integrate(s2, lambda pts: np.cos(pts[:, 0]), quad=q)
     assert abs(val) <= 1e-12
 
 
 def test_sphere_second_moment():
     s2 = charts.round_sphere(2)
     q = charts.quadrature(s2)
-    val = charts.integrate(s2, s2.scalar_values("cos(th)^2", q.nodes), quad=q)
+    val = charts.integrate(s2, lambda pts: np.cos(pts[:, 0]) ** 2, quad=q)
     assert abs(val - 4 * math.pi / 3) <= 1e-9
 
 
@@ -111,7 +111,8 @@ def test_integrate_accepts_callable():
 def test_integrate_columns_form_the_measure_once(monkeypatch):
     b = charts.berger_sphere(1.4)
     q = charts.quadrature(b, 6)
-    cols = [b.scalar_values("cos(be)^2 + sin(al)", q.nodes), 2.5,
+    al, be = q.nodes[:, 0], q.nodes[:, 1]
+    cols = [np.cos(be) ** 2 + np.sin(al), 2.5,
             lambda pts: np.sin(pts[:, 0])]
     singles = [charts.integrate(b, c, quad=q) for c in cols]
     density = charts.volume_density
@@ -129,11 +130,14 @@ def test_berger_character_integral_matches_round_value():
     # The normalized Haar integral of |tr U|^2 over SU(2) equals 1 for the
     # fundamental character tr U = 2 cos(be/2) cos((al+ga)/2), and squashing
     # rescales the volume but not the normalized Haar measure.
+    def character_squared(pts):
+        al, be, ga = pts.T
+        return (2 * np.cos(be / 2) * np.cos((al + ga) / 2)) ** 2
+
     for a in (1.0, 1.5):
         b = charts.berger_sphere(a)
         q = charts.quadrature(b)
-        f = b.scalar_values("(2*cos(be/2)*cos((al+ga)/2))^2", q.nodes)
-        val = charts.integrate(b, f, quad=q)
+        val = charts.integrate(b, character_squared, quad=q)
         assert abs(val - charts.volume(b)) <= 1e-9
 
 
@@ -183,7 +187,7 @@ def test_positive_definite_everywhere_on_catalog():
             pts = charts.quadrature(c).nodes
         else:
             pts = charts.sample_points(c, 64)
-        charts.positive_definite_check(c, pts)
+        assert np.all(charts.volume_density(c, pts) > 0)
 
 
 def test_metric_jets_shape_and_value():
@@ -251,6 +255,19 @@ def test_hyperbolic_metric_values():
     g = h.metric_values(np.array([[0.3, 1.5]]))[0]
     assert abs(g[0, 0] - 4.0 / 1.5 ** 2) <= 1e-15
     assert abs(g[0, 1]) == 0.0
+
+
+@pytest.mark.parametrize("name", charts.catalog_names())
+def test_metric_values_equal_per_entry_values_bitwise(name):
+    # one evaluation of all entries shares subtrees, with the same bits
+    chart = charts.get_example(name).chart
+    pts = charts.sample_points(chart, 5)
+    env = {**chart.params, **dict(zip(chart.coords, pts.T))}
+    want = np.empty((len(pts), chart.dim, chart.dim))
+    for i, row in enumerate(chart.metric):
+        for j, e in enumerate(row):
+            want[:, i, j] = exprs.eval_numpy(e, env)
+    assert chart.metric_values(pts).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +418,7 @@ def test_volume_needs_a_positive_definite_metric():
     with pytest.raises(ChartError, match="at 16 node"):
         charts.volume(negative)
     with pytest.raises(ChartError, match="at 16 node"):
-        charts.positive_definite_check(negative,
-                                       charts.quadrature(negative).nodes)
+        charts.volume_density(negative, charts.quadrature(negative).nodes)
 
 
 def test_volume_needs_an_exactly_symmetric_metric():

@@ -157,6 +157,38 @@ def test_curvature_manifold_from_document(tmp_path, capsys):
     assert abs(doc["quantities"]["scalar"] - 0.5) <= 1e-12
 
 
+def _conformal_sphere(tmp_path, u: str) -> str:
+    path = tmp_path / "man.json"
+    path.write_text(json.dumps({"factors": [
+        {"kind": "conformal_round_sphere", "params": {"u": u}}]}))
+    return str(path)
+
+
+def test_curvature_rejects_a_literal_that_overflows(tmp_path, capsys):
+    path = _conformal_sphere(tmp_path, "1e999*0 + 0.1*cos(th)")
+    assert main(["curvature", "--manifold", path,
+                 "--point", "th=1.0,ph=0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: number '1e999' overflows a float "
+                                 "(at offset 0)\n")
+
+
+@pytest.mark.parametrize("u, message", [
+    # inf * 0 is NaN in every coefficient of the conformal factor
+    ("1e300*1e300*0 + 0.1*cos(th)", "curvature quantity 'gamma' is not "
+                                    "finite at the point"),
+    # exp(2u) overflows in the jet series
+    ("1000", "math range error"),
+])
+def test_curvature_fails_closed_on_a_numerical_failure(tmp_path, capsys, u,
+                                                       message):
+    path = _conformal_sphere(tmp_path, u)
+    assert main(["curvature", "--manifold", path,
+                 "--point", "th=1.0,ph=0.5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: numerical failure: {message}\n"
+
+
 def test_curvature_point_validation(capsys):
     bad = ["th=0.7", "th=0.7,zz=1.0", "th=x,ph=1", "0.7,0.3"]
     for text in bad:

@@ -100,6 +100,13 @@ def test_unexpected_character_reported():
     assert err.value.pos == 5
 
 
+def test_a_literal_that_overflows_a_float_is_rejected():
+    with pytest.raises(DslSyntaxError, match="'1e999' overflows") as err:
+        parse("2*x + 1e999*x", ["x"])
+    assert err.value.pos == 6
+    assert parse("1.7e308", []) == exprs.Num(1.7e308)
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(DslSyntaxError):
         parse("1 + 2 )", [])
@@ -265,21 +272,54 @@ def test_unbound_parameter_raises():
             eval_mp(arg, {"x": mp.mpf(1)})
 
 
-def _mp_cases():
-    """Each catalog chart's metric entries, with the parameters and two
-    sample points, one expression holding every kind of node, and a lone
-    constant, whose value is its rounding to the working precision."""
+def _walk(e, env, funcs, const):
+    """The reference evaluator: a recursive walk of the tree, which
+    evaluates a shared subtree again wherever it occurs."""
+    t = type(e)
+    if t is exprs.Num:
+        return const(e.v)
+    if t is Var or t is Par:
+        return env[e.name]
+    if t is Neg:
+        return -_walk(e.a, env, funcs, const)
+    if t is Pow:
+        return _walk(e.a, env, funcs, const) ** e.k
+    if t is Call:
+        return funcs[e.fn](_walk(e.a, env, funcs, const))
+    a, b = _walk(e.a, env, funcs, const), _walk(e.b, env, funcs, const)
+    if t is exprs.Add:
+        return a + b
+    if t is exprs.Sub:
+        return a - b
+    if t is Mul:
+        return a * b
+    return a / b
+
+
+def _cases():
+    """Each catalog chart's metric entries with its coordinates and
+    parameters at two sample points, and one expression holding every kind
+    of node, with a lone constant, whose value is its rounding to the
+    working precision.  Yields (entries, params, {coord: values})."""
     for name in charts.catalog_names():
         chart = charts.get_example(name).chart
         entries = [e for row in chart.metric for e in row]
-        for p in charts.sample_points(chart, 2):
-            yield entries, {**chart.params, **dict(zip(chart.coords, p))}
+        pts = charts.sample_points(chart, 2)
+        yield entries, chart.params, dict(zip(chart.coords, pts.T))
     coords, params = ["x", "y"], ["a"]
     every = parse("-(a*x)^3 / (sin(x) + cos(0.7*y) + exp(x/2.9) + sinh(y) "
                   "+ cosh(x) + sqrt(2.2 + y) + log(0.3 + x*y)) - 1.1*x^-2",
                   coords, params)
     yield [every, parse("a*x^2", coords, params), parse("0.1", coords)], \
-        {"x": 0.31, "y": -0.42, "a": 1.7}
+        {"a": 1.7}, {"x": np.array([0.31, 0.2]), "y": np.array([-0.42, 0.5])}
+
+
+def _point_envs(params, columns, number):
+    """One environment per point, each value converted by `number`."""
+    count = len(next(iter(columns.values())))
+    for k in range(count):
+        yield {**{p: number(v) for p, v in params.items()},
+               **{c: number(float(v[k])) for c, v in columns.items()}}
 
 
 def test_eval_mp_equals_the_recursive_evaluation_bitwise():
@@ -287,25 +327,82 @@ def test_eval_mp_equals_the_recursive_evaluation_bitwise():
     # rounded to each precision, also below float's and on a switch back
     for dps in (15, 50, 5, 15):
         with mp.workdps(dps):
-            for entries, values in _mp_cases():
-                env = {k: mp.mpf(v) for k, v in values.items()}
-                want = [exprs._eval(e, env, exprs.MP_FUNCS, mp.mpf)._mpf_
-                        for e in entries]
-                assert [v._mpf_ for v in eval_mp(entries, env)] == want
-                assert [eval_mp(e, env)._mpf_ for e in entries] == want
+            for entries, params, columns in _cases():
+                for env in _point_envs(params, columns, mp.mpf):
+                    want = [_walk(e, env, exprs.MP_FUNCS, mp.mpf)._mpf_
+                            for e in entries]
+                    assert [v._mpf_ for v in eval_mp(entries, env)] == want
+                    assert [eval_mp(e, env)._mpf_ for e in entries] == want
 
 
-def test_eval_mp_compiles_a_sequence_of_trees_once(monkeypatch):
+def _value_bits(value) -> tuple:
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def test_eval_float_and_numpy_equal_the_recursive_evaluation_bitwise():
+    for entries, params, columns in _cases():
+        for env in _point_envs(params, columns, float):
+            want = [_value_bits(_walk(e, env, exprs.FLOAT_FUNCS, float))
+                    for e in entries]
+            assert list(map(_value_bits, eval_float(entries, env))) == want
+            assert [_value_bits(eval_float(e, env)) for e in entries] == want
+        # NumPy over the point array at once
+        env = {**params, **columns}
+        want = [_value_bits(_walk(e, env, exprs.NUMPY_FUNCS, float))
+                for e in entries]
+        assert list(map(_value_bits, eval_numpy(entries, env))) == want
+        assert [_value_bits(eval_numpy(e, env)) for e in entries] == want
+
+
+def test_program_compiles_a_sequence_of_trees_once(monkeypatch):
     built = []
-    init = exprs._MpProgram.__init__
-    monkeypatch.setattr(exprs._MpProgram, "__init__",
+    init = exprs._Program.__init__
+    monkeypatch.setattr(exprs._Program, "__init__",
                         lambda prog, trees: built.append(trees)
                         or init(prog, trees))
     e = parse("x*y + 0.125*sin(x*y) - 7", ["x", "y"])
     env = {"x": mp.mpf("0.3"), "y": mp.mpf("0.1")}
     first = eval_mp((e, e), env)
     assert eval_mp([e, e], env) == first and first[0] is first[1]
+    # another backend runs the same program
+    assert eval_float([e, e], {"x": 0.3, "y": 0.1}) == [float(first[0])] * 2
     assert built == [(e, e)]
+    # a chart's metric is compiled on its first jets only
+    chart = charts.get_example("berger_sphere").chart
+    chart.metric_jets(chart.center())
+    built.clear()
+    chart.metric_jets(chart.center())
+    chart.metric_jets(charts.sample_points(chart, 3))
+    assert built == []
+
+
+def test_a_replaced_table_entry_takes_effect_in_a_compiled_program(
+        monkeypatch):
+    e = parse("cos(x)*sin(x)", ["x"])
+    runs = {
+        "float": lambda: eval_float(e, {"x": 0.5}),
+        "numpy": lambda: tuple(eval_numpy(e, {"x": np.array([0.5, 0.6])})),
+        "mp": lambda: eval_mp(e, {"x": mp.mpf("0.5")})._mpf_,
+        "jet": lambda: tuple(eval_jet(e, [0.5], ["x"], order=2).coeffs),
+    }
+    tables = {"float": exprs.FLOAT_FUNCS, "numpy": exprs.NUMPY_FUNCS,
+              "mp": exprs.MP_FUNCS, "jet": exprs.JET_FUNCS}
+    for backend, run in runs.items():
+        before = run()  # compiles the program, or reuses it
+        calls = []
+        sin = tables[backend]["sin"]
+        monkeypatch.setitem(tables[backend], "sin",
+                            lambda a, sin=sin: calls.append(a) or sin(a))
+        assert run() == before and len(calls) == 1, backend
+    # an overloaded operator is read on each run too
+    calls = []
+    mul = jets.Jet.__mul__
+    monkeypatch.setattr(jets.Jet, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    runs["jet"]()
+    # the series of cos and sin multiply too; the program's product is last
+    assert calls[-1].value == math.sin(0.5)
 
 
 @pytest.mark.parametrize("text", [
