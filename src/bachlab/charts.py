@@ -9,12 +9,16 @@ singularities like sphere poles are excluded — and midpoint-uniform
 nodes on periodic directions (spectrally accurate for smooth periodic
 integrands).  Derived charts compose their metric texts (`conformal`,
 `product_chart`), so `catalog show` prints the texts as written, renamed.
+Every input document is read by the rules here: `read_document`,
+`is_number`, `is_count` and `read_expressions`, whose errors name the
+field's path (``factors[0].params.u``, ``X[1]``).
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -126,31 +130,72 @@ def is_count(value) -> bool:
             and not isinstance(value, bool) and value >= 1)
 
 
-def is_expr(value) -> bool:
-    """The one rule for an expression read from a document: an expression
-    text or a number, and not a boolean."""
-    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+def is_number(value) -> bool:
+    """The one rule for a number read from a document: an int or a float,
+    not a bool, within the float range (so not NaN nor an infinity)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def is_expr_list(value, depth: int = 1) -> bool:
-    """The rule for a list of expressions read from a document: `is_expr`
-    entries nested ``depth`` deep (2 for a matrix of rows, 0 for one
-    expression).  A string is not a list of its characters."""
-    if depth == 0:
-        return is_expr(value)
-    return isinstance(value, (list, tuple)) \
-        and all(is_expr_list(e, depth - 1) for e in value)
+def read_document(doc, fields: Sequence[str], what: str, error,
+                  path: str = "") -> Mapping:
+    """The one rule for an object read from a document at `path`: a
+    mapping whose keys are among `fields`, else `error`.  `what` names it,
+    as in "a factor must be an object" and "unknown factor fields"."""
+    where = f"{path}: " if path else ""
+    if not isinstance(doc, Mapping):
+        raise error(f"{where}{what} must be an object, got {doc!r}")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        noun = what.removeprefix("an ").removeprefix("a ")
+        raise error(f"{where}unknown {noun} fields {sorted(unknown)}; its "
+                    f"fields: {', '.join(fields)}")
+    return doc
 
 
-def _axis_counts(chart: Chart, resolution: int | Sequence[int]
-                 ) -> tuple[int, ...]:
+# the fields that hold expressions, by nesting depth (a vector 1, a tensor 2)
+EXPR_FIELDS = {"X": 1, "T": 2, "custom_q": 2, "f": 0, "phi": 0, "h": 0}
+_EXPR_SHAPES = ("one expression", "a list of expressions",
+                "a list of rows of expressions")
+
+
+def read_expressions(doc: Mapping, chart: Chart, error) -> dict:
+    """The `EXPR_FIELDS` of a document as text, a number as its repr;
+    once every field has its shape, each entry is parsed on the chart."""
+    entries = []  # (path, text) of every entry
+
+    def read(value, depth: int, name: str, path: str):
+        if depth:
+            if isinstance(value, (list, tuple)):
+                return tuple(read(v, depth - 1, name, f"{path}[{k}]")
+                             for k, v in enumerate(value))
+        elif isinstance(value, str) or is_number(value):
+            entries.append((path, value if isinstance(value, str)
+                            else repr(value)))
+            return entries[-1][1]
+        raise error(f"{name} must be {_EXPR_SHAPES[EXPR_FIELDS[name]]}; "
+                    f"{path} is {value!r}")
+
+    out = {name: read(doc[name], depth, name, name)
+           for name, depth in EXPR_FIELDS.items()
+           if doc.get(name) is not None}
+    for path, text in entries:
+        try:
+            exprs.parse(text, chart.coords, tuple(chart.params))
+        except exprs.DslError as err:
+            raise error(f"{path}: {err}") from None
+    return out
+
+
+def _axis_counts(chart: Chart, resolution: int | Sequence[int],
+                 path: str = "resolution") -> tuple[int, ...]:
     """Per-axis node counts from one count for every axis or a list."""
     res = (resolution if isinstance(resolution, (list, tuple))
            else (resolution,) * chart.dim)
     if len(res) != chart.dim:
-        raise ChartError(f"resolution needs {chart.dim} axis counts")
+        raise ChartError(f"{path} needs {chart.dim} axis counts")
     if not all(map(is_count, res)):
-        raise ChartError(f"resolution needs whole numbers, at least one "
+        raise ChartError(f"{path} needs whole numbers, at least one "
                          f"node per axis; got {resolution!r}")
     return tuple(int(r) for r in res)
 
@@ -567,61 +612,60 @@ _KIND_BUILDERS: dict[str, Callable[..., Chart]] = {
 
 def _fits(default, value) -> bool:
     """Whether a document value fits a builder parameter with this default:
-    a list of finite numbers for a sequence, a finite number for a float,
+    a list of numbers (`is_number`) for a sequence, a number for a float,
     else a value of the default's type.  A boolean fits none of them."""
-    if isinstance(value, bool):
-        return False
     if isinstance(default, (list, tuple)):
-        return isinstance(value, (list, tuple)) \
-            and all(_fits(0.0, v) for v in value)
+        return isinstance(value, (list, tuple)) and all(map(is_number, value))
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, type(default))
+        return is_number(value)
+    return isinstance(value, type(default)) and not isinstance(value, bool)
 
 
-def build_factor(doc: Mapping) -> Chart:
-    """Build one factor chart from a spec document entry."""
-    if not isinstance(doc, Mapping):
-        raise ChartError(f"a factor must be an object, got {doc!r}")
-    unknown = set(doc) - {"kind", "params", "resolution"}
-    if unknown:
-        raise ChartError(f"unknown factor fields: {sorted(unknown)}")
+def build_factor(doc: Mapping, path: str) -> Chart:
+    """Build one factor chart from the spec document entry at `path`."""
+    read_document(doc, ("kind", "params", "resolution"), "a factor",
+                  ChartError, path)
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_BUILDERS:
         raise ChartError(
-            f"unknown factor kind {kind!r}; known: "
+            f"{path}: unknown factor kind {kind!r}; known: "
             f"{', '.join(sorted(_KIND_BUILDERS))}")
-    params = {} if doc.get("params") is None else doc["params"]
-    if not isinstance(params, Mapping):
-        raise ChartError(f"params of {kind!r} must be an object: {params!r}")
     # the params a document may give a kind: its builder's, by default
     allowed = {name: p.default for name, p in
                inspect.signature(_KIND_BUILDERS[kind]).parameters.items()}
+    params = read_document({} if doc.get("params") is None
+                           else doc["params"], tuple(allowed), "params",
+                           ChartError, f"{path}.params")
     for name, value in params.items():
-        if name not in allowed:
-            raise ChartError(f"unknown params for kind {kind!r}: {name!r}; "
-                             f"allowed: {sorted(allowed)}")
         if not _fits(allowed[name], value):
-            raise ChartError(f"param {name!r} of kind {kind!r} must be like "
-                             f"{allowed[name]!r}, got {value!r}")
-    chart = _KIND_BUILDERS[kind](**params)
+            raise ChartError(f"{path}.params: param {name!r} of kind "
+                             f"{kind!r} must be like {allowed[name]!r}, got "
+                             f"{value!r}")
+    try:
+        chart = _KIND_BUILDERS[kind](**params)
+    except exprs.DslError as err:  # from the kind's one text param
+        text = next(k for k, v in params.items() if isinstance(v, str))
+        raise ChartError(f"{path}.params.{text}: {err}") from None
     if doc.get("resolution") is not None:
-        chart.resolution = _axis_counts(chart, doc["resolution"])
+        chart.resolution = _axis_counts(chart, doc["resolution"],
+                                        f"{path}.resolution")
     return chart
 
 
-def manifold_from_spec(doc: Mapping) -> Manifold:
-    """Build a manifold from a {"name", "factors": [...]} document."""
-    unknown = set(doc) - {"name", "factors"}
-    if unknown:
-        raise ChartError(f"unknown manifold fields: {sorted(unknown)}")
+def manifold_from_spec(doc: Mapping, path: str = "") -> Manifold:
+    """Build a manifold from a {"name", "factors": [...]} document at
+    `path` (a field of an enclosing document, or "")."""
+    read_document(doc, ("name", "factors"), "a manifold", ChartError, path)
     factors = doc.get("factors")
     if not isinstance(factors, (list, tuple)) or not factors:
-        raise ChartError("manifold spec needs a non-empty 'factors' list")
+        raise ChartError(f"{path or 'manifold'} needs a non-empty 'factors' "
+                         f"list")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
-        raise ChartError(f"a manifold name must be text, got {name!r}")
-    charts = [build_factor(f) for f in factors]
+        raise ChartError(f"{path or 'manifold'} name must be text, got "
+                         f"{name!r}")
+    where = f"{path}.factors" if path else "factors"
+    charts = [build_factor(f, f"{where}[{k}]") for k, f in enumerate(factors)]
     if len(charts) == 1:
         m = single(charts[0])
         if name:
@@ -678,14 +722,14 @@ def catalog_names() -> list[str]:
     return sorted(NAMED_EXAMPLES)
 
 
-def resolve_manifold(ref) -> Manifold:
-    """A manifold from a catalog name or a manifold document."""
+def resolve_manifold(ref, path: str = "") -> Manifold:
+    """A manifold from a catalog name or a manifold document at `path`."""
     if isinstance(ref, str):
         return get_example(ref)
     if isinstance(ref, Mapping):
-        return manifold_from_spec(ref)
-    raise ChartError(f"manifold must be a catalog name or a manifold "
-                     f"document, got {ref!r}")
+        return manifold_from_spec(ref, path)
+    raise ChartError(f"{path or 'manifold'} must be a catalog name or a "
+                     f"manifold document, got {ref!r}")
 
 
 def get_example(name: str) -> Manifold:

@@ -52,6 +52,17 @@ def _load_manifold(spec: str):
     return charts.resolve_manifold(spec)
 
 
+def _finite_float(text: str, what: str) -> float:
+    """A finite number from a flag's text; `what` names it in errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"bad number for {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be finite: {text!r}")
+    return value
+
+
 def _parse_point(text: str, man) -> list[float]:
     coords = man.chart.coords
     given: dict[str, float] = {}
@@ -64,12 +75,7 @@ def _parse_point(text: str, man) -> list[float]:
         if name not in coords:
             raise UsageError(f"unknown coordinate {name!r}; chart has "
                              f"{', '.join(coords)}")
-        try:
-            given[name] = float(value)
-        except ValueError:
-            raise UsageError(f"bad number for {name!r}: {value!r}") from None
-        if not math.isfinite(given[name]):
-            raise UsageError(f"coordinate {name!r} must be finite: {value!r}")
+        given[name] = _finite_float(value, f"coordinate {name!r}")
     missing = [c for c in coords if c not in given]
     if missing:
         raise UsageError(f"point is missing {', '.join(missing)}")
@@ -79,11 +85,9 @@ def _parse_point(text: str, man) -> list[float]:
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError("interval looks like lo,hi")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"bad interval {text!r}") from None
+        raise UsageError("--interval looks like lo,hi")
+    return (_finite_float(parts[0], "--interval lo"),
+            _finite_float(parts[1], "--interval hi"))
 
 
 def _parse_tol_overrides(pairs) -> dict[str, float]:
@@ -147,10 +151,23 @@ def _cmd_curvature(args) -> int:
     return EXIT_PASS
 
 
+def _finish_check(config: dict, rec: dict, out_path: str | None) -> int:
+    """Write a one-check report and give the command's exit code: a value
+    that holds a NaN or an infinity is a numerical failure, named."""
+    _emit(report.build_report(config, [rec]), out_path, pretty=False)
+    if not report.is_finite(rec["value"]):
+        raise FloatingPointError(f"check {rec['check_id']} gave a value "
+                                 f"that is not finite: {rec['value']!r}")
+    _print_check(rec)
+    return EXIT_PASS if rec["pass"] else EXIT_CHECK_FAILED
+
+
 def _cmd_check_identity(args) -> int:
     tol = _tol("identity", args.tol)
     doc = _load_json(args.case) if args.case else None
-    rep = identities.run_identity_case(args.id, doc, tol=tol)
+    # a non-finite value fails below, by name, and not as a warning
+    with np.errstate(all="ignore"):
+        rep = identities.run_identity_case(args.id, doc, tol=tol)
     rec = report.check_record(f"identity/{args.id}",
                               identities.case_value(rep), tol,
                               bool(rep["passed"]),
@@ -158,34 +175,31 @@ def _cmd_check_identity(args) -> int:
                               detail=rep)
     config = {"subcommand": "check identity", "id": args.id, "case": doc,
               "tol": tol}
-    _emit(report.build_report(config, [rec]), args.out, pretty=False)
-    _print_check(rec)
-    return EXIT_PASS if rec["pass"] else EXIT_CHECK_FAILED
+    return _finish_check(config, rec, args.out)
 
 
 def _cmd_check_soliton(args) -> int:
     config = {"subcommand": "check soliton", "count": args.count}
-    if args.example:
-        # without --tol, each example keeps its own gate
-        tol = None if args.tol is None else _tol("soliton", args.tol)
-        rep = solitons.named_example(args.example, count=args.count,
-                                     tol=tol)
-        config["example"] = args.example
-        check_id = f"soliton/{args.example}"
-    else:
-        doc = _load_json(args.case)
-        spec = solitons.SolitonSpec.from_doc(doc)
-        tol = _tol("soliton", args.tol)
-        rep = solitons.extended_q_residual(
-            spec.manifold, spec, count=args.count, tol=tol,
-            label=Path(args.case).stem)
-        config["case"] = doc
-        check_id = f"soliton/{rep.label}"
+    with np.errstate(all="ignore"):
+        if args.example:
+            # without --tol, each example keeps its own gate
+            tol = None if args.tol is None else _tol("soliton", args.tol)
+            rep = solitons.named_example(args.example, count=args.count,
+                                         tol=tol)
+            config["example"] = args.example
+            check_id = f"soliton/{args.example}"
+        else:
+            doc = _load_json(args.case)
+            spec = solitons.SolitonSpec.from_doc(doc)
+            tol = _tol("soliton", args.tol)
+            rep = solitons.extended_q_residual(
+                spec.manifold, spec, count=args.count, tol=tol,
+                label=Path(args.case).stem)
+            config["case"] = doc
+            check_id = f"soliton/{rep.label}"
     rec = report.check_record(check_id, rep.sup, rep.tol, rep.passed,
                               detail={"points": rep.points})
-    _emit(report.build_report(config, [rec]), args.out, pretty=False)
-    _print_check(rec)
-    return EXIT_PASS if rec["pass"] else EXIT_CHECK_FAILED
+    return _finish_check(config, rec, args.out)
 
 
 def _cmd_solve_berger(args) -> int:

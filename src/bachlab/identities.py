@@ -369,11 +369,6 @@ class _Identity(NamedTuple):
 _KEYWORDS = {"X": "x_exprs", "T": "t_exprs", "phi": "phi_expr",
              "h": "h_expr", "q": "q_mode"}
 
-# case fields that hold expressions: their nesting depth and its name
-_EXPR_FIELDS = {"X": (1, "a list of expressions"),
-                "T": (2, "a list of rows of expressions"),
-                "phi": (0, "one expression"), "h": (0, "one expression")}
-
 # conformal gradient field and a generic tensor on the round 2-sphere
 _ROUND_CONFORMAL_X = ("-sin(th)", "0")
 _GENERIC_T = (("1 + 0.3*cos(th)", "0.2*sin(th)*sin(ph)"),
@@ -431,28 +426,20 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
             f"unknown identity id {identity_id!r}; known: "
             f"{', '.join(sorted(IDENTITY_IDS))}")
     case = _IDENTITIES[identity_id]
-    if doc is not None and not isinstance(doc, Mapping):
-        raise IdentityError("identity case must be an object")
-    merged = {**case.default, **(doc or {})}
     fields = ("manifold",) + case.fields
-    bad = set(merged) - set(fields)
-    if bad:
-        raise IdentityError(
-            f"unknown case fields {sorted(bad)} for {identity_id}; its "
-            f"fields: {', '.join(fields)}")
+    charts.read_document({} if doc is None else doc, fields, "a case",
+                         IdentityError, identity_id)
+    merged = {**case.default, **(doc or {})}
     if not charts.is_count(merged.get("count", 1)):
         raise IdentityError(f"count needs a whole number, at least one "
                             f"point; got {merged['count']!r}")
-    for name, (depth, what) in _EXPR_FIELDS.items():
-        if name in merged and not charts.is_expr_list(merged[name], depth):
-            raise IdentityError(f"{name} must be {what}; "
-                                f"got {merged[name]!r}")
+    man = charts.resolve_manifold(merged["manifold"], "manifold")
+    merged.update(charts.read_expressions(merged, man.chart, IdentityError))
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
     if tol is not None:
         gates = {**gates, "identity": tol}
-    out = case.run(charts.resolve_manifold(merged["manifold"]), tols=gates,
-                   **kwargs)
+    out = case.run(man, tols=gates, **kwargs)
     out["identity"] = identity_id
     out.pop("points", None)
     out.pop("residuals", None)

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import charts, roots
-from .tolerances import DEFAULTS, resolve
+from .tolerances import DEFAULTS
 
 __all__ = [
     "ProfileError", "ScanOutcome", "ProfileRun",
@@ -413,46 +413,43 @@ def scan(s0_values: Sequence[float] | None = None,
             "corroborates": corroborates, "s_range_tol": s_range_tol}
 
 
-_CONFIG_FIELDS = {"s0", "c", "t_max", "rtol", "atol", "eps", "delta",
-                  "s_cap", "s_range_tol"}
-_CONTROL_FIELDS = ("t_max", "rtol", "atol", "eps", "delta", "s_cap")
+_CONTROL_FIELDS = ("t_max", "rtol", "atol", "eps", "delta", "s_cap",
+                   "s_range_tol")
+
+
+def _config_number(value, path: str) -> float:
+    if not charts.is_number(value):
+        raise ProfileError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _config_axis(value, name: str) -> tuple[float, ...] | None:
     if value is None:
         return None
-    if isinstance(value, Mapping):
-        bad = set(value) - {"lo", "hi", "count"}
-        if bad:
-            raise ProfileError(
-                f"unknown {name} grid fields {sorted(bad)}; "
-                "allowed: ['count', 'hi', 'lo']")
-        try:
-            lo, hi = float(value["lo"]), float(value["hi"])
-            count = value["count"]
-        except KeyError as missing:
-            raise ProfileError(
-                f"{name} grid needs lo, hi and count") from missing
-        if not charts.is_count(count):
-            raise ProfileError(f"{name} grid count must be a whole number "
-                               f">= 1, got {count!r}")
-        return tuple(np.linspace(lo, hi, count))
-    return tuple(float(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_config_number(v, f"{name}[{k}]")
+                     for k, v in enumerate(value))
+    charts.read_document(value, ("lo", "hi", "count"), f"{name} grid",
+                         ProfileError)
+    if not {"lo", "hi", "count"} <= set(value):
+        raise ProfileError(f"{name} grid needs lo, hi and count")
+    if not charts.is_count(value["count"]):
+        raise ProfileError(f"{name} grid count must be a whole number "
+                           f">= 1, got {value['count']!r}")
+    return tuple(np.linspace(_config_number(value["lo"], f"{name}.lo"),
+                             _config_number(value["hi"], f"{name}.hi"),
+                             value["count"]))
 
 
 def _config_control(value, name: str) -> float:
-    """An integrator control of a scan document: a finite positive number,
-    and below 1 for rtol.  Out of range, it would reclassify cells."""
+    """A control of a scan document: a finite positive number, and below 1
+    for rtol.  Out of range, it would reclassify cells or pass any."""
     top = 1.0 if name == "rtol" else math.inf
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not 0.0 < x < top:  # NaN fails too
+    if not (charts.is_number(value) and 0.0 < value < top):
         raise ProfileError(
             f"scan field {name!r} must be finite and positive"
             f"{' and below 1' if name == 'rtol' else ''}, got {value!r}")
-    return x
+    return float(value)
 
 
 def scan_from_config(doc: Mapping) -> dict:
@@ -460,22 +457,15 @@ def scan_from_config(doc: Mapping) -> dict:
 
     Schema: ``{"s0": [values...] | {"lo", "hi", "count"}, "c": same,
     "t_max": num, "rtol": num, "atol": num, "eps": num, "delta": num,
-    "s_cap": num, "s_range_tol": num}``; every field optional, unknown
-    fields rejected.
+    "s_cap": num, "s_range_tol": num}``; every field optional, read by the
+    `charts` document rules, and an error names its field (``s0.lo``).
     """
-    if not isinstance(doc, Mapping):
-        raise ProfileError("scan configuration must be an object")
-    bad = set(doc) - _CONFIG_FIELDS
-    if bad:
-        raise ProfileError(f"unknown scan fields {sorted(bad)}; "
-                           f"allowed: {sorted(_CONFIG_FIELDS)}")
+    charts.read_document(doc, ("s0", "c") + _CONTROL_FIELDS, "a scan",
+                         ProfileError)
     controls = {k: _config_control(doc[k], k) for k in _CONTROL_FIELDS
                 if k in doc}
-    gate = ({"scan_s_range": doc["s_range_tol"]} if "s_range_tol" in doc
-            else None)
     return scan(_config_axis(doc.get("s0"), "s0"),
-                _config_axis(doc.get("c"), "c"),
-                s_range_tol=resolve(gate)["scan_s_range"], **controls)
+                _config_axis(doc.get("c"), "c"), **controls)
 
 
 def table_to_csv(rows: Sequence[Mapping]) -> str:

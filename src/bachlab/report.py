@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["sup", "jsonable", "canonical_json", "digest", "check_record",
-           "build_report", "write_report"]
+__all__ = ["sup", "is_finite", "jsonable", "canonical_json", "digest",
+           "check_record", "build_report", "write_report"]
 
 
 def sup(*values) -> float:
@@ -38,14 +38,14 @@ def sup(*values) -> float:
     return float(flat.max()) if flat.size else 0.0
 
 
-def _finite(obj) -> bool:
+def is_finite(obj) -> bool:
     """Whether every number in a JSON-ready value is finite."""
     if isinstance(obj, float):
         return math.isfinite(obj)
     if isinstance(obj, dict):
-        return all(_finite(v) for v in obj.values())
+        return all(is_finite(v) for v in obj.values())
     if isinstance(obj, list):
-        return all(_finite(v) for v in obj)
+        return all(is_finite(v) for v in obj)
     return True
 
 
@@ -94,7 +94,7 @@ def check_record(check_id: str, value, tolerance, passed: bool,
     value = jsonable(value)
     rec = {"check_id": check_id, "value": value,
            "tolerance": jsonable(tolerance),
-           "pass": bool(passed) and _finite(value)}
+           "pass": bool(passed) and is_finite(value)}
     if expected is not None:
         rec["expected"] = jsonable(expected)
     if inputs is not None:

@@ -50,13 +50,6 @@ Q_SELECTORS = ("bach_flow", "bach", "constructed", "zero", "custom")
 
 _TOLS = tolerances.DEFAULTS
 
-_SOLITON_DOC_FIELDS = {"manifold", "X", "f", "phi", "lambda", "q", "custom_q"}
-
-# document fields that hold expressions: their nesting depth and its name
-_EXPR_FIELDS = {"X": (1, "a list of expressions"),
-                "custom_q": (2, "a list of rows of expressions"),
-                "f": (0, "one expression"), "phi": (0, "one expression")}
-
 
 class SolitonError(ValueError):
     """Malformed soliton data or violated structural precondition."""
@@ -113,36 +106,21 @@ class SolitonSpec:
 
         Schema: ``{"manifold": name-or-document, "X": [expr, ...] | "f":
         expr, "phi": expr | "lambda": number, "q": selector, "custom_q":
-        [[expr, ...], ...]}``; unknown fields are rejected.
+        [[expr, ...], ...]}``, read by the `charts` document rules: an
+        expression may be a number, and an error names its field.
         """
-        if not isinstance(doc, Mapping):
-            raise SolitonError("soliton document must be an object")
-        bad = set(doc) - _SOLITON_DOC_FIELDS
-        if bad:
-            raise SolitonError(
-                f"unknown soliton fields {sorted(bad)}; "
-                f"allowed: {sorted(_SOLITON_DOC_FIELDS)}")
-        for name, (depth, what) in _EXPR_FIELDS.items():
-            if doc.get(name) is not None \
-                    and not charts.is_expr_list(doc[name], depth):
-                raise SolitonError(f"{name} must be {what}; "
-                                   f"got {doc[name]!r}")
-        x = doc.get("X")
+        charts.read_document(doc, ("manifold", "X", "f", "phi", "lambda",
+                                   "q", "custom_q"), "a soliton", SolitonError)
+        man = charts.resolve_manifold(doc.get("manifold"), "manifold")
+        texts = charts.read_expressions(doc, man.chart, SolitonError)
         lam = doc.get("lambda")
-        if lam is not None and (isinstance(lam, bool)
-                                or not isinstance(lam, (int, float))
-                                or not np.isfinite(lam)):
+        if lam is not None and not charts.is_number(lam):
             raise SolitonError(f"lambda must be a number, and finite; got "
                                f"{lam!r}")
         return cls(
-            manifold=charts.resolve_manifold(doc.get("manifold")),
-            x_exprs=None if x is None else tuple(str(e) for e in x),
-            potential=doc.get("f"),
-            phi=doc.get("phi"),
-            lam=None if lam is None else float(lam),
-            q=doc.get("q", "bach_flow"),
-            custom_q=None if doc.get("custom_q") is None else tuple(
-                tuple(str(e) for e in row) for row in doc["custom_q"]))
+            manifold=man, x_exprs=texts.get("X"), potential=texts.get("f"),
+            phi=texts.get("phi"), lam=None if lam is None else float(lam),
+            q=doc.get("q", "bach_flow"), custom_q=texts.get("custom_q"))
 
 
 @dataclass

@@ -9,10 +9,11 @@ under a key stated once, where the check lives: a named soliton example
 carries its ``gate`` key, and an identity case reads its own gates from
 the table.  The configuration (sample counts, resolved tolerances) is
 echoed into the report, and the same configuration gives the same report
-byte for byte.  A check whose hypothesis does not hold (an identity's
-field is not conformal, a product factor's curvature is not constant)
-fails on its own, with its error in the record's detail, and the others
-still run.
+byte for byte.  Every record goes through one path, `_check`, whose
+verdict is ``value <= gate`` unless the check states its own.  A check
+whose hypothesis does not hold (an identity's field is not conformal, a
+product factor's curvature is not constant) fails on its own, with its
+error in the record's detail, and the others still run.
 """
 
 from __future__ import annotations
@@ -34,12 +35,18 @@ _HYPOTHESIS_ERRORS = (identities.IdentityError, products.ProductFormulaError,
 
 @contextlib.contextmanager
 def _check(checks: list, check_id: str, tolerance):
-    """Yields ``record(value, passed, **fields)``, which appends the
-    check's record to ``checks``; a violated hypothesis appends a failed
+    """Yields ``record(value, passed=None, **fields)``, which appends the
+    check's record to ``checks``; ``passed`` defaults to ``value <=
+    tolerance`` (a NaN compares false, and `report.check_record` fails any
+    value that is not finite).  A violated hypothesis appends a failed
     record instead (value null, the error in the detail)."""
+    def record(value, passed=None, **fields):
+        if passed is None:
+            passed = value <= tolerance
+        checks.append(report.check_record(check_id, value, tolerance, passed,
+                                          **fields))
     try:
-        yield lambda value, passed, **fields: checks.append(
-            report.check_record(check_id, value, tolerance, passed, **fields))
+        yield record
     except _HYPOTHESIS_ERRORS as err:
         checks.append(report.check_record(check_id, None, tolerance, False,
                                           detail={"error": str(err)}))
@@ -57,22 +64,14 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
         values(frame.divergence_sym2(frame.bach)), values(frame.bach),
         np.exp(-2.0 * values(frame.scalar_jet(u)))), BASE_ORDER + 1)
     b_conf = on_points(conf, pts, lambda frame: values(frame.bach))
-    tr_sup = report.sup(np.abs(tr_b))
-    div_sup = report.sup(np.abs(div_b))
-    cf_sup = report.sup(np.abs(b_conf - scale * b))
     inputs = {"chart": base.name, "points": count, "u": u}
-    return [
-        report.check_record("curvature/bach-trace", tr_sup,
-                            tols["bach_trace"], tr_sup <= tols["bach_trace"],
-                            inputs=inputs),
-        report.check_record("curvature/bach-divergence", div_sup,
-                            tols["bach_divergence"],
-                            div_sup <= tols["bach_divergence"],
-                            inputs=inputs),
-        report.check_record("curvature/bach-conformal", cf_sup,
-                            tols["bach_conformal"],
-                            cf_sup <= tols["bach_conformal"], inputs=inputs),
-    ]
+    checks = []
+    for name, deviation in (("trace", tr_b), ("divergence", div_b),
+                            ("conformal", b_conf - scale * b)):
+        with _check(checks, f"curvature/bach-{name}",
+                    tols[f"bach_{name}"]) as record:
+            record(report.sup(np.abs(deviation)), inputs=inputs)
+    return checks
 
 
 def _product_checks(tols) -> list[dict]:
@@ -92,8 +91,7 @@ def _product_checks(tols) -> list[dict]:
                                               charts.hyperbolic_2())),
     ):
         with _check(checks, cid, tol) as record:
-            sup = float(cross())
-            record(sup, sup <= tol)
+            record(float(cross()))
     for family, sign, shown in (("circle", 1.0, "einstein_residual_norm2"),
                                 ("line", -1.0, "trace_identity_residual")):
         with _check(checks, f"products/lambda-sign/{family}", gate) as record:
@@ -106,7 +104,7 @@ def _product_checks(tols) -> list[dict]:
     with _check(checks, "products/surface-c/round-sphere", tol) as record:
         c_round = products.surface_c_report(charts.round_sphere(2))
         dev = report.sup(abs(c_round["mean"] - 4.0 / 3.0), c_round["spread"])
-        record(dev, dev <= tol, expected=4.0 / 3.0)
+        record(dev, expected=4.0 / 3.0)
     return checks
 
 
@@ -155,8 +153,7 @@ def _soliton_checks(tols, count: int) -> list[dict]:
         cf = solitons.surface_conformal_field(man, spec, count=6)
         cf_sup = report.sup(cf["identity_sup"], cf["extended_residual_sup"],
                             cf["offblock_sup"], cf["tracefree_sup"])
-        record(cf_sup, cf_sup <= tols["conformal_field"],
-               detail={"coefficient": cf["coefficient"]})
+        record(cf_sup, detail={"coefficient": cf["coefficient"]})
     return checks
 
 
@@ -176,29 +173,27 @@ def _ode_checks(tols, scan_cells: int) -> list[dict]:
         ("ode/round-closure", 2.0, 4.0 / 3.0, np.pi),
         ("ode/radius-two-closure", 0.5, 1.0 / 12.0, 2.0 * np.pi),
     ):
-        out = profiles.integrate_profile(s0, c).outcome
-        err = (abs(out.t_close - t_ref) if out.t_close is not None
-               else float("inf"))
-        checks.append(report.check_record(
-            cid, err, closure_tol,
-            out.classification == "Closed" and err <= closure_tol,
-            expected=float(t_ref)))
+        with _check(checks, cid, closure_tol) as record:
+            out = profiles.integrate_profile(s0, c).outcome
+            err = (abs(out.t_close - t_ref) if out.t_close is not None
+                   else float("inf"))
+            record(err, out.classification == "Closed" and err <= closure_tol,
+                   expected=float(t_ref))
 
-    t1 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=1e-10).outcome
-    t2 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=5e-11).outcome
-    halving = abs(t1.t_close - t2.t_close)
-    checks.append(report.check_record(
-        "ode/tolerance-halving", halving, tols["ode_halving"],
-        halving <= tols["ode_halving"]))
+    with _check(checks, "ode/tolerance-halving",
+                tols["ode_halving"]) as record:
+        t1 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=1e-10).outcome
+        t2 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=5e-11).outcome
+        record(abs(t1.t_close - t2.t_close))
 
-    res = profiles.scan(np.linspace(-4.0, 4.0, scan_cells),
-                        np.linspace(-2.0, 2.0, scan_cells),
-                        s_range_tol=tols["scan_s_range"])
-    checks.append(report.check_record(
-        "ode/scan-corroborates",
-        {"closed_count": res["closed_count"], "classes": res["classes"]},
-        tols["scan_s_range"], bool(res["corroborates"]),
-        inputs={"cells": scan_cells}))
+    with _check(checks, "ode/scan-corroborates",
+                tols["scan_s_range"]) as record:
+        res = profiles.scan(np.linspace(-4.0, 4.0, scan_cells),
+                            np.linspace(-2.0, 2.0, scan_cells),
+                            s_range_tol=tols["scan_s_range"])
+        record({"closed_count": res["closed_count"],
+                "classes": res["classes"]}, bool(res["corroborates"]),
+               inputs={"cells": scan_cells})
     return checks
 
 

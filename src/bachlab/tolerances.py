@@ -6,8 +6,9 @@ overridable per run; check code never hard-codes its own gate.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
+
+from . import charts
 
 __all__ = ["DEFAULTS", "ToleranceError", "resolve"]
 
@@ -65,19 +66,16 @@ class ToleranceError(ValueError):
 
 
 def resolve(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
-    """The defaults table merged with per-run overrides."""
+    """The defaults table merged with per-run overrides, read by the
+    `charts` document rules: known keys, each a positive number."""
     merged = dict(DEFAULTS)
     if overrides:
-        bad = set(overrides) - set(DEFAULTS)
-        if bad:
-            raise ToleranceError(
-                f"unknown tolerance keys {sorted(bad)}; "
-                f"known: {sorted(DEFAULTS)}")
+        charts.read_document(overrides, tuple(DEFAULTS), "a tolerance",
+                             ToleranceError)
         for key, value in overrides.items():
-            value = float(value)
-            if not 0.0 < value < math.inf:  # NaN fails too
+            if not (charts.is_number(value) and value > 0.0):
                 raise ToleranceError(
                     f"tolerance {key!r} must be finite and positive, "
                     f"got {value!r}")
-            merged[key] = value
+            merged[key] = float(value)
     return merged

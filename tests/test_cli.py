@@ -34,7 +34,7 @@ def test_resolve_applies_overrides():
 def test_resolve_validation():
     with pytest.raises(tolerances.ToleranceError, match="unknown"):
         tolerances.resolve({"bogus": 1e-3})
-    for bad in (0.0, -1e-3, math.inf, -math.inf, math.nan):
+    for bad in (0.0, -1e-3, math.inf, -math.inf, math.nan, True, "1e-3"):
         with pytest.raises(tolerances.ToleranceError,
                            match="finite and positive"):
             tolerances.resolve({"identity": bad})
@@ -169,8 +169,9 @@ def test_curvature_rejects_a_literal_that_overflows(tmp_path, capsys):
     assert main(["curvature", "--manifold", path,
                  "--point", "th=1.0,ph=0.5"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == ("error: number '1e999' overflows a float "
-                                 "(at offset 0)\n")
+    # the error names the field that holds the text
+    assert out == "" and err == ("error: factors[0].params.u: number '1e999' "
+                                 "overflows a float (at offset 0)\n")
 
 
 @pytest.mark.parametrize("u, message", [
@@ -284,22 +285,6 @@ def test_check_identity_rejects_fields_that_would_do_nothing(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, doc", [
-    ("soliton", {"manifold": "r2_x_s2", "f": 0, "lambda": 0.0}),
-    ("soliton", {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"],
-                 "phi": 0.5}),
-    ("identity", {"X": [0, 0]}),
-])
-def test_check_expression_fields_that_are_not_text(tmp_path, capsys, kind,
-                                                   doc):
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps(doc))
-    args = ["check", kind, "--case", str(path)]
-    args += ["--id", "yano"] if kind == "identity" else ["--count", "2"]
-    assert main(args) == 2
-    assert "not an expression node" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("iid, doc, message", [
     ("yano", {"manifold": "flat_torus_2", "X": "00"},
      "X must be a list of expressions"),
@@ -393,6 +378,31 @@ def test_case_manifold_errors_are_one_rule(tmp_path, capsys):
         in from_soliton
 
 
+@pytest.mark.parametrize("kind, doc", [
+    ("identity", {"manifold": "s2_x_t2", "X": ["0", "0", "1", "0"],
+                  "phi": "1e300*1e300*0 + cos(th)",
+                  "resolution": [6, 6, 4, 4]}),
+    ("soliton", {"manifold": "r2_x_s2", "f": "0",
+                 "phi": "1e300*1e300*0 + x"}),
+])
+def test_check_fails_closed_on_a_value_that_is_not_finite(tmp_path, capsys,
+                                                          kind, doc):
+    # inf * 0 is NaN: a numerical failure, named, and no NumPy warning
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "rep.json"
+    args = (["check", "identity", "--id", "thm32"] if kind == "identity"
+            else ["check", "soliton", "--count", "2"])
+    assert main(args + ["--case", str(path), "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    check_id = "identity/thm32" if kind == "identity" else "soliton/case"
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: numerical failure: check {check_id} "
+                          f"gave a value that is not finite")
+    rec = json.loads(out_path.read_text())["checks"][0]
+    assert rec["check_id"] == check_id and rec["pass"] is False
+
+
 def test_check_identity_rejected_hypothesis(tmp_path, capsys):
     path = tmp_path / "case.json"
     path.write_text(json.dumps({"manifold": "round_sphere_2",
@@ -461,6 +471,18 @@ def test_solve_berger_bad_interval(capsys):
     assert main(["solve", "berger", "--interval", "1,2,3"]) == 2
     assert main(["solve", "berger", "--interval=-1.0,2.0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("interval, message", [
+    ("0.1,inf", "--interval hi must be finite: 'inf'"),
+    ("nan,2", "--interval lo must be finite: 'nan'"),
+    ("0.1,x", "bad number for --interval hi: 'x'"),
+])
+def test_solve_berger_interval_must_be_finite(capsys, interval, message):
+    # an infinite bound once reached the bracket scan as NaN brackets
+    assert main(["solve", "berger", f"--interval={interval}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_ode_scan_cli(tmp_path, capsys):
@@ -533,6 +555,20 @@ def test_suite_all_cli(tmp_path, capsys):
     assert rep["summary"] == {"checks": 28, "passed": 28, "failed": 0}
     assert rep["config"]["soliton_count"] == 6
     assert rep["config"]["tolerances"]["identity"] == 1e-7
+
+
+def test_every_suite_record_goes_through_check(monkeypatch):
+    calls = []
+    check = suite._check
+
+    def counted(checks, check_id, tolerance):
+        calls.append(check_id)
+        return check(checks, check_id, tolerance)
+
+    monkeypatch.setattr(suite, "_check", counted)
+    rep = suite.run_suite(soliton_count=2, scan_cells=2)
+    assert calls == [rec["check_id"] for rec in rep["checks"]]
+    assert len(calls) == 28
 
 
 def test_suite_soliton_gates_follow_tolerance_overrides(monkeypatch):
