@@ -459,10 +459,12 @@ def berger_sphere(a: float = 1.5) -> Chart:
 def surface_of_revolution(rho: str = "sin(t)", t_min: float = 0.0,
                           t_max: float = math.pi) -> Chart:
     """Profile surface dt^2 + rho(t)^2 dth^2 (closed iff rho -> 0 at ends)."""
-    e = exprs.parse(rho, ("t",))
-    rho_lo = exprs.eval_float(e, {"t": t_min})
-    rho_hi = exprs.eval_float(e, {"t": t_max})
-    closed = abs(rho_lo) <= 1e-9 and abs(rho_hi) <= 1e-9
+    with np.errstate(all="ignore"):  # a non-finite end fails below
+        ends = np.abs(exprs.eval_numpy(exprs.parse(rho, ("t",)),
+                                       {"t": np.array([t_min, t_max])}))
+    if not np.all(np.isfinite(ends)):
+        raise ChartError(f"rho = {rho!r} is not finite at both ends")
+    closed = bool(np.all(ends <= 1e-9))
     return Chart(
         name="surface_of_revolution", kind="surface_of_revolution",
         coords=("t", "th"),

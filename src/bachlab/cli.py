@@ -75,6 +75,8 @@ def _parse_point(text: str, man) -> list[float]:
         if name not in coords:
             raise UsageError(f"unknown coordinate {name!r}; chart has "
                              f"{', '.join(coords)}")
+        if name in given:
+            raise UsageError(f"coordinate {name!r} is given twice")
         given[name] = _finite_float(value, f"coordinate {name!r}")
     missing = [c for c in coords if c not in given]
     if missing:
@@ -96,6 +98,8 @@ def _parse_tol_overrides(pairs) -> dict[str, float]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise UsageError("tolerance overrides look like key=value")
+        if key in out:
+            raise UsageError(f"tolerance {key!r} is given twice")
         try:
             out[key] = float(value)
         except ValueError:
@@ -113,7 +117,7 @@ def _emit(doc, out_path: str | None, pretty: bool = True) -> None:
     if out_path:
         report.write_report(doc, out_path)
     if pretty:
-        print(json.dumps(report.jsonable(doc), sort_keys=True, indent=2))
+        print(report.dumps(doc, sort_keys=True, indent=2))
 
 
 def _print_check(rec: dict) -> None:

@@ -64,8 +64,7 @@ class CurvatureError(ValueError):
     """Requested quantity is undefined for this dimension or order."""
 
 
-def values(t: Jet):
-    """Zeroth-order values: a float for a scalar jet, else an array."""
+def values(t: Jet):  # for perfbench/workloads.py; the package reads t.value
     return t.value
 
 
@@ -197,13 +196,13 @@ class CurvatureFrame:
             raise CurvatureError(
                 "the Schouten tensor is undefined for n < 3")
         s_term = self.scalar * (1.0 / (2 * (n - 1)))
-        return (self.ricci - s_term * self.g_at(self.order - 2)) \
+        return (self.ricci - s_term * self.g.truncated(self.order - 2)) \
             * (1.0 / (n - 2))
 
     @cached_property
     def weyl_lo(self) -> Jet:
         """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
-        P, g2 = self.schouten, self.g_at(self.order - 2)
+        P, g2 = self.schouten, self.g.truncated(self.order - 2)
         # g_li P_jk is P_jk g_li rearranged: an outer product sums nothing
         # and jet products commute exactly, so one product serves both
         pg = contract("li,jk->lijk", P, g2)
@@ -309,10 +308,6 @@ class CurvatureFrame:
     def laplacian(self, h: Jet) -> Jet:
         return contract("ij,ij->", self.ginv, self.hessian(h))
 
-    def g_at(self, order: int) -> Jet:
-        """The metric component jets truncated to the given order."""
-        return self.g.truncated(order)
-
     def lie_metric(self, X: Jet) -> Jet:
         """(L_X g)_ij for an upper vector field X, one order below X."""
         m = X.order - 1
@@ -329,10 +324,6 @@ class CurvatureFrame:
         return (_index("ii->", X.grad())
                 + contract("iim,m->", self.gamma, X.truncated(X.order - 1)))
 
-    def divergence_oneform(self, al: Jet) -> Jet:
-        """div of a lower-index field: g^{ij} cov_i al_j."""
-        return contract("ij,ij->", self.ginv, self.cov_deriv(al))
-
     def divergence_sym2(self, T: Jet) -> Jet:
         """(div T)_j = g^{ik} cov_i T_kj, one order below T."""
         return contract("ik,ikj->j", self.ginv, self.cov_deriv(T))
@@ -344,7 +335,7 @@ class CurvatureFrame:
     def trace_free(self, T: Jet) -> Jet:
         """T - (tr T / n) g at the order of T."""
         tr_over_n = self.trace(T) * (1.0 / self.n)
-        return T - tr_over_n * self.g_at(T.order)
+        return T - tr_over_n * self.g.truncated(T.order)
 
     def mixed(self, T: Jet) -> Jet:
         """Raise the first index: T^i_j = g^{ia} T_aj."""
@@ -356,14 +347,6 @@ class CurvatureFrame:
 
     def norm2_sym2(self, T: Jet) -> Jet:
         return self.inner_sym2(T, T)
-
-    def contract_vector_sym2(self, X: Jet, T: Jet) -> Jet:
-        """(i_X T)_j = X^i T_ij at the common order."""
-        return contract("i,ij->j", X, T)
-
-    def pair_oneform_vector(self, al: Jet, X: Jet) -> Jet:
-        """al_j X^j at the common order."""
-        return contract("j,j->", al, X)
 
 
 # A frame keeps every stage it computes for each of its points; its
@@ -399,25 +382,25 @@ def pipeline_pack(frame: CurvatureFrame, deep: bool = True
                   ) -> dict[str, np.ndarray | float]:
     """Pipeline values keyed like `fdcheck.FDGeometry.pack` for comparison."""
     out = {
-        "gamma": values(frame.gamma),
-        "riemann_lo": values(frame.riemann_lo),
-        "ricci": values(frame.ricci),
+        "gamma": frame.gamma.value,
+        "riemann_lo": frame.riemann_lo.value,
+        "ricci": frame.ricci.value,
         "scalar": frame.scalar.value,
-        "ric2": values(frame.ricci_sq),
+        "ric2": frame.ricci_sq.value,
         "ric_norm2": frame.ricci_norm2.value,
     }
     if frame.n >= 3:
-        out["schouten"] = values(frame.schouten)
-        out["cotton"] = values(frame.cotton)
-        out["weyl"] = values(frame.weyl_lo)
+        out["schouten"] = frame.schouten.value
+        out["cotton"] = frame.cotton.value
+        out["weyl"] = frame.weyl_lo.value
     if deep:
-        out["grad_scalar_lo"] = values(frame.grad_scalar_lo)
-        out["hess_scalar"] = values(frame.hess_scalar)
+        out["grad_scalar_lo"] = frame.grad_scalar_lo.value
+        out["hess_scalar"] = frame.hess_scalar.value
         out["lap_scalar"] = frame.lap_scalar.value
-        out["cov_ricci"] = values(frame.cov_ricci)
-        out["lap_ricci"] = values(frame.lap_ricci)
+        out["cov_ricci"] = frame.cov_ricci.value
+        out["lap_ricci"] = frame.lap_ricci.value
         if frame.n == 4:
-            out["bach"] = values(frame.bach)
+            out["bach"] = frame.bach.value
     return out
 
 

@@ -19,21 +19,20 @@ byte offset.  `rename_names` renames coordinates and parameters in a text
 by the same rule and keeps the rest as written.
 
 `parse` caches its trees (they are frozen), so a text is parsed once per
-set of declared names.  The same AST evaluates against several backends:
-python floats, NumPy arrays (vectorized over node grids), mpmath (for
-the finite-difference oracle), and jets (for derivative propagation).
+set of declared names.  The same AST evaluates against three backends:
+NumPy (vectorized over node grids, and on plain floats), mpmath (for the
+finite-difference oracle), and jets (for derivative propagation).
 Every backend runs one mechanism: the trees of a call are compiled once
 into a straight-line program with one instruction per distinct subtree
 (`_Program`), cached by the trees' identity, and each call runs its
-instructions with the backend's function table (`FLOAT_FUNCS`,
-`NUMPY_FUNCS`, `MP_FUNCS`, `JET_FUNCS`) and constant conversion.  So each
-distinct subtree is evaluated once per call, with the operations of a
-recursive walk of the tree and the same values.  `eval_float`,
-`eval_numpy` and `eval_mp` also take a sequence of expressions, such as a
-metric's entries, and return their values in a list.  `eval_jet` also
-takes a text, or a nested list of expressions and texts such as a metric
-matrix, and returns one tensor `Jet` of that shape, at one point or at
-each of an array of points.
+instructions with the backend's function table (`NUMPY_FUNCS`,
+`MP_FUNCS`, `JET_FUNCS`) and constant conversion.  So each distinct
+subtree is evaluated once per call, with the operations of a recursive
+walk of the tree and the same values.  `eval_numpy` and `eval_mp` also
+take a sequence of expressions, such as a metric's entries, and return
+their values in a list.  `eval_jet` also takes a text, or a nested list
+of expressions and texts such as a metric matrix, and returns one tensor
+`Jet` of that shape, at one point or at each of an array of points.
 """
 
 from __future__ import annotations
@@ -322,11 +321,6 @@ def rename_names(src: str, mapping: Mapping[str, str]) -> str:
 # ----------------------------------------------------------------------
 # evaluation backends
 # ----------------------------------------------------------------------
-FLOAT_FUNCS: dict[str, Callable] = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt,
-    "log": math.log,
-}
 NUMPY_FUNCS: dict[str, Callable] = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp,
     "sinh": np.sinh, "cosh": np.cosh, "sqrt": np.sqrt,
@@ -338,12 +332,6 @@ MP_FUNCS: dict[str, Callable] = {
     "log": mp.log,
 }
 JET_FUNCS = ELEMENTARY
-
-
-def eval_float(e, env: Mapping[str, float]):
-    """Evaluate with python floats; a list or tuple of expressions gives a
-    list of their values."""
-    return _run(e, env, FLOAT_FUNCS, float, float)
 
 
 def eval_numpy(e, env: Mapping[str, np.ndarray]):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import charts, tolerances
 from .charts import Manifold
-from .curvature import BASE_ORDER, CurvatureFrame, on_points, values
+from .curvature import BASE_ORDER, CurvatureFrame, on_points
 from .jets import contract
 from .report import sup
 
@@ -46,7 +46,7 @@ class IdentityError(ValueError):
 def conformality_gap(frame: CurvatureFrame, x_jets) -> np.ndarray:
     """|trace-free part of L_X g| at the frame's points; its sup is the
     field's conformality gap."""
-    return np.abs(values(frame.trace_free(frame.lie_metric(x_jets))))
+    return np.abs(frame.trace_free(frame.lie_metric(x_jets)).value)
 
 
 def _check_conformal(gap: float, tols: Mapping) -> None:
@@ -63,7 +63,7 @@ def _constructed_flow(frame: CurvatureFrame, x_exprs: Sequence[str],
     x = frame.vector_jets(x_exprs, order=3)
     lie = frame.lie_metric(x)
     phi = frame.scalar_jet(phi_expr, order=lie.order)
-    q = lie - 2.0 * phi * frame.g_at(lie.order)
+    q = lie - 2.0 * phi * frame.g.truncated(lie.order)
     return x, lie, phi, q
 
 
@@ -92,11 +92,11 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
     def residual(frame):
         x = frame.vector_jets(x_exprs)
         t = frame.scalar_jet(t_exprs)
-        lhs = values(frame.inner_sym2(frame.lie_metric(x), t))
+        lhs = frame.inner_sym2(frame.lie_metric(x), t).value
         alpha = contract("ij,j->i", t, x)
         div_t = frame.divergence_sym2(t)
-        rhs = 2.0 * values(frame.divergence_oneform(alpha)) \
-            - 2.0 * values(frame.pair_oneform_vector(div_t, x))
+        rhs = 2.0 * frame.trace(frame.cov_deriv(alpha)).value \
+            - 2.0 * contract("j,j->", div_t, x).value
         return np.abs(lhs - rhs)
 
     return _pointwise(man, count, residual, tols)
@@ -110,9 +110,9 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
 
     def residual(frame):
         x, lie, _, q = _constructed_flow(frame, x_exprs, phi_expr)
-        lhs = values(frame.divergence_sym2(lie))
-        d_div = values(frame.divergence_vector(x).grad())
-        rhs = values(frame.divergence_sym2(frame.trace_free(q))) \
+        lhs = frame.divergence_sym2(lie).value
+        d_div = frame.divergence_vector(x).grad().value
+        rhs = frame.divergence_sym2(frame.trace_free(q)).value \
             + (2.0 / n) * d_div
         return np.abs(lhs - rhs).max(axis=0)
 
@@ -128,9 +128,9 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
     def residual(frame):
         x = frame.vector_jets(x_exprs)
         sigma = frame.divergence_vector(x) * (1.0 / n)
-        lhs = values(frame.pair_oneform_vector(frame.grad_scalar_lo, x))
-        rhs = -2.0 * values(sigma) * values(frame.scalar) \
-            - 2.0 * (n - 1) * values(frame.laplacian(sigma))
+        lhs = contract("j,j->", frame.grad_scalar_lo, x).value
+        rhs = -2.0 * sigma.value * frame.scalar.value \
+            - 2.0 * (n - 1) * frame.laplacian(sigma).value
         return np.abs(lhs - rhs), conformality_gap(frame, x)
 
     res, tf_lie = on_points(man, points, residual)
@@ -146,10 +146,10 @@ def bochner_identity(man: Manifold, h_expr: str, count: int = 50,
 
     def residual(frame):
         h = frame.scalar_jet(h_expr)
-        lhs = values(frame.divergence_sym2(frame.hessian(h)))
-        ric_grad = values(frame.contract_vector_sym2(
-            frame.gradient_vector(h), frame.ricci))
-        d_lap = values(frame.laplacian(h).grad())
+        lhs = frame.divergence_sym2(frame.hessian(h)).value
+        ric_grad = contract("i,ij->j", frame.gradient_vector(h),
+                            frame.ricci).value
+        d_lap = frame.laplacian(h).grad().value
         return np.abs(lhs - ric_grad - d_lap).max(axis=0)
 
     return _pointwise(man, count, residual, tols)
@@ -182,16 +182,15 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
 
     def columns(frame):
         x, lie, phi, q = _constructed_flow(frame, x_exprs, phi_expr)
-        tr_q = values(frame.trace(q))
+        tr_q = frame.trace(q).value
         q_bar = frame.trace_free(q)
         return (
-            values(phi) * tr_q,
+            phi.value * tr_q,
             tr_q ** 2 / (2.0 * n),
-            values(frame.pair_oneform_vector(frame.divergence_sym2(q), x)),
-            -0.5 * values(frame.norm2_sym2(q_bar)),
-            values(frame.pair_oneform_vector(frame.divergence_sym2(q_bar),
-                                             x)),
-            -0.5 * values(frame.norm2_sym2(frame.trace_free(lie))),
+            contract("j,j->", frame.divergence_sym2(q), x).value,
+            -0.5 * frame.norm2_sym2(q_bar).value,
+            contract("j,j->", frame.divergence_sym2(q_bar), x).value,
+            -0.5 * frame.norm2_sym2(frame.trace_free(lie)).value,
         )
 
     t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = charts.integrate_columns(
@@ -229,13 +228,13 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
     def columns(frame):
         x = frame.vector_jets(x_exprs)
         q = (frame.ricci if q_mode == "ricci"
-             else frame.scalar * frame.g_at(frame.scalar.order))
+             else frame.scalar * frame.g.truncated(frame.scalar.order))
         tr_q = frame.trace(q)
         d_tr = tr_q.grad()
         return (conformality_gap(frame, x),
-                np.abs(values(frame.divergence_sym2(q)) - 0.5 * values(d_tr)),
-                values(frame.pair_oneform_vector(d_tr, x)),
-                np.abs(values(tr_q)))
+                np.abs(frame.divergence_sym2(q).value - 0.5 * d_tr.value),
+                contract("j,j->", d_tr, x).value,
+                np.abs(tr_q.value))
 
     tf_lie, div_res, vals, abs_tr = on_points(man, quad.nodes, columns)
     gap, bianchi = sup(tf_lie), sup(div_res)
@@ -267,10 +266,10 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     def columns(frame):
         x, lie, _, q = _constructed_flow(frame, x_exprs, phi_expr)
         d_tr = frame.trace(q).grad()
-        return (values(frame.norm2_sym2(frame.trace_free(q))),
-                values(frame.pair_oneform_vector(d_tr, x)),
-                np.abs(values(frame.divergence_sym2(q)) - 0.5 * values(d_tr)),
-                np.abs(values(frame.trace_free(lie))))
+        return (frame.norm2_sym2(frame.trace_free(q)).value,
+                contract("j,j->", d_tr, x).value,
+                np.abs(frame.divergence_sym2(q).value - 0.5 * d_tr.value),
+                np.abs(frame.trace_free(lie).value))
 
     qbar, lie_tr, div_res, tf_lie = on_points(man, quad.nodes, columns,
                                               order=3)
@@ -314,11 +313,11 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     quad = _compact_quadrature(man, resolution)
 
     def pointwise(frame):
-        s = values(frame.scalar)
-        grad_s2 = 2.0 * s * values(frame.grad_scalar_lo)
-        return (s, values(frame.lap_scalar),
-                values(frame.norm2_sym2(frame.hess_scalar)),
-                np.abs(grad_s2 + 3.0 * values(frame.lap_scalar.grad())))
+        s = frame.scalar.value
+        grad_s2 = 2.0 * s * frame.grad_scalar_lo.value
+        return (s, frame.lap_scalar.value,
+                frame.norm2_sym2(frame.hess_scalar).value,
+                np.abs(grad_s2 + 3.0 * frame.lap_scalar.grad().value))
 
     # pointwise checks run on interior sample points: quadrature nodes next
     # to chart degeneracies (sphere poles) amplify harmless rounding in
@@ -334,8 +333,8 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
     hess2_int, lap2_int = charts.integrate_columns(chart, on_points(
-        chart, quad.nodes, lambda fr: (values(fr.norm2_sym2(fr.hess_scalar)),
-                                       values(fr.lap_scalar) ** 2)), quad=quad)
+        chart, quad.nodes, lambda fr: (fr.norm2_sym2(fr.hess_scalar).value,
+                                       fr.lap_scalar.value ** 2)), quad=quad)
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
     s_spread = float(np.ptp(s))
     lap_sup = float(np.abs(lap).max())

@@ -146,17 +146,8 @@ class Jet:
         an array of them for a tensor."""
         return self._entrywise(self.coeffs[..., 0].copy())
 
-    def coeff(self, alpha: Sequence[int]):
-        """Taylor coefficient d^alpha f / alpha!."""
-        return self._entrywise(self.coeffs[..., self._slot(alpha)].copy())
-
     def partial(self, alpha: Sequence[int]):
         """Partial derivative value d^alpha f at the base point."""
-        slot = self._slot(alpha)
-        return self._entrywise(self.coeffs[..., slot]
-                               * self.tab.factorials[slot])
-
-    def _slot(self, alpha: Sequence[int]) -> int:
         key = tuple(int(a) for a in alpha)
         if len(key) != self.dim:
             raise JetError(f"multi-index {key} has wrong length for dim {self.dim}")
@@ -166,7 +157,9 @@ class Jet:
             raise JetOrderError(
                 f"multi-index {key} exceeds jet order {self.order}"
             )
-        return self.tab.index[key]
+        slot = self.tab.index[key]
+        return self._entrywise(self.coeffs[..., slot]
+                               * self.tab.factorials[slot])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = f"shape={self.shape}, " if self.ndim else ""

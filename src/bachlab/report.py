@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["sup", "is_finite", "jsonable", "canonical_json", "digest",
-           "check_record", "build_report", "write_report"]
+__all__ = ["sup", "is_finite", "jsonable", "dumps", "canonical_json",
+           "digest", "check_record", "build_report", "write_report"]
 
 
 def sup(*values) -> float:
@@ -51,9 +51,7 @@ def is_finite(obj) -> bool:
 
 def jsonable(obj):
     """Recursively convert to plain JSON-serializable Python values."""
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -74,10 +72,25 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(obj, **options) -> str:
+    """Strict JSON text of a value: each NaN or infinity is written as the
+    string "NaN", "Infinity" or "-Infinity", which every parser reads."""
+    def text(x):
+        if isinstance(x, dict):
+            return {k: text(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return list(map(text, x))
+        return x if is_finite(x) else _JSON_NAMES[repr(float(x))]
+    return json.dumps(text(jsonable(obj)), allow_nan=False, **options)
+
+
 def canonical_json(obj) -> str:
     """Canonical JSON text: sorted keys, compact separators."""
-    return json.dumps(jsonable(obj), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=True)
+    return dumps(obj, sort_keys=True, separators=(",", ":"),
+                 ensure_ascii=True)
 
 
 def digest(obj) -> str:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import charts, homogeneous, products, roots, tolerances
 from .charts import Chart, Manifold
-from .curvature import CurvatureFrame, on_points, values
+from .curvature import CurvatureFrame, on_points
 from .jets import contract
 from .report import sup
 
@@ -91,14 +91,6 @@ class SolitonSpec:
                 len(self.custom_q) != n
                 or any(len(row) != n for row in self.custom_q)):
             raise SolitonError(f"custom_q must be {n} x {n}")
-
-    @property
-    def gradient(self) -> bool:
-        return self.potential is not None
-
-    @property
-    def extended(self) -> bool:
-        return self.phi is not None
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "SolitonSpec":
@@ -164,15 +156,15 @@ def _phi_value(frame: CurvatureFrame, spec: SolitonSpec):
         return float(spec.lam)
     if callable(spec.phi):
         return np.asarray(spec.phi(frame), dtype=float)
-    return values(frame.scalar_jet(spec.phi, order=0))
+    return frame.scalar_jet(spec.phi, order=0).value
 
 
 def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
              phi, g: np.ndarray) -> np.ndarray:
     if spec.q == "bach_flow":
-        return values(frame.bach) + values(frame.lap_scalar) / 12.0 * g
+        return frame.bach.value + frame.lap_scalar.value / 12.0 * g
     if spec.q == "bach":
-        return values(frame.bach)
+        return frame.bach.value
     if spec.q == "constructed":
         return lie - 2.0 * phi * g
     if spec.q == "zero":
@@ -183,8 +175,8 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
 def _residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets):
     """g, phi and R = (1/2) L_X g - (1/2) q - phi g at the frame's points
     (the point axis last)."""
-    g = values(frame.g)
-    lie = values(frame.lie_metric(x_jets))
+    g = frame.g.value
+    lie = frame.lie_metric(x_jets).value
     phi = _phi_value(frame, spec)
     q = _q_value(frame, spec, lie, phi, g)
     return g, phi, 0.5 * lie - 0.5 * q - phi * g
@@ -297,8 +289,8 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
     def deviations(frame):
         f_jet = frame.scalar_jet(f_text)
         x_jets = frame.gradient_vector(f_jet)
-        div_x = values(frame.divergence_vector(x_jets))
-        lap_s = values(frame.lap_scalar)
+        div_x = frame.divergence_vector(x_jets).value
+        lap_s = frame.lap_scalar.value
         # d^2 f / dt^2 from the jet itself
         f2 = f_jet.partial((2,) + (0,) * (man.dim - 1))
         return (*_residual_norms(frame, spec, x_jets),
@@ -480,10 +472,10 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
         c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
-        half_lie = 0.5 * values(frame.lie_metric(c_jets))
-        s_vals = np.array([values(s) for s in s_blocks])
+        half_lie = 0.5 * frame.lie_metric(c_jets).value
+        s_vals = np.array([s.value for s in s_blocks])
         s2 = s_vals * s_vals
-        lap_s = np.array([values(frame.laplacian(s)) for s in s_blocks])
+        lap_s = np.array([frame.laplacian(s).value for s in s_blocks])
         # the largest entry of each sup's array at each point (a NaN stays);
         # E first, as the model below may be a view of it
         worst = [np.abs(e_tensor).max(axis=(0, 1))]
@@ -500,7 +492,7 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
         worst += [np.abs(lies[:, sl_k, sl_l]).max(axis=(1, 2)),
                   np.maximum(*tracefree).max(axis=(1, 2)),
                   np.abs(lies - model).max(axis=(1, 2))]
-        return (values(c_jets), np.array(fit), formula, -lap_s / 8.0 - ds,
+        return (c_jets.value, np.array(fit), formula, -lap_s / 8.0 - ds,
                 np.array(worst))
 
     c_vals, rho_fit, rho_formula, phi_perp, worst = on_points(man, points,
@@ -541,7 +533,7 @@ def splitting_spotcheck(man: Manifold, split_f: str,
     mixed = factor[:, None] < factor[None, :]
     texts = [split_f] + ([] if control_f is None else [control_f])
     blocks = on_points(man, points, lambda frame: np.array(
-        [np.abs(values(frame.hessian(frame.scalar_jet(text)))[mixed])
+        [np.abs(frame.hessian(frame.scalar_jet(text)).value[mixed])
          for text in texts]))
     worst = [sup(b) for b in blocks]
     return {"split_mixed_sup": worst[0],
@@ -556,22 +548,15 @@ def _gated(gate: str, **example) -> dict:
     return {**example, "gate": gate, "tol": tolerances.DEFAULTS[gate]}
 
 
-def _flat_product_example(other: str, lam: float, scale: float) -> tuple:
-    man = charts.get_example(other)
-    f = f"({scale!r})*(x^2 + y^2)"
-    return man, f, lam
-
-
 def _example_ho(kind: str, literal: bool) -> dict:
     # flat-factor gradient solitons on R^2 x S^2(1) and R^2 x H^2(-1);
     # the "literal" variants carry the opposite-normalization constants
     # and are kept to document that they fail under this engine's
-    # conventions.
-    lam, scale = (1.0 / 6.0, 1.0 / 6.0) if literal else (-1.0 / 12.0,
-                                                         -1.0 / 12.0)
-    man, f, lam = _flat_product_example(kind, lam, scale)
-    return _gated("soliton_gradient_product", manifold=man, potential=f,
-                  lam=lam,
+    # conventions.  lambda is also the scale of the potential.
+    lam = 1.0 / 6.0 if literal else -1.0 / 12.0
+    return _gated("soliton_gradient_product",
+                  manifold=charts.get_example(kind),
+                  potential=f"({lam!r})*(x^2 + y^2)", lam=lam,
                   note=("opposite-normalization constants; expected to fail"
                         if literal else "flat-factor gradient soliton"))
 

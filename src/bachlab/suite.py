@@ -24,7 +24,7 @@ import numpy as np
 
 from . import charts, identities, products, profiles, report, solitons
 from . import tolerances
-from .curvature import BASE_ORDER, on_points, values
+from .curvature import BASE_ORDER, on_points
 
 __all__ = ["run_suite"]
 
@@ -60,10 +60,10 @@ def _bach_property_checks(tols, count: int = 2) -> list[dict]:
     pts = charts.sample_points(base, count)
     # order 5, so that div B comes from the same frame as B and tr B
     tr_b, div_b, b, scale = on_points(base, pts, lambda frame: (
-        values(frame.trace(frame.bach)),
-        values(frame.divergence_sym2(frame.bach)), values(frame.bach),
-        np.exp(-2.0 * values(frame.scalar_jet(u)))), BASE_ORDER + 1)
-    b_conf = on_points(conf, pts, lambda frame: values(frame.bach))
+        frame.trace(frame.bach).value,
+        frame.divergence_sym2(frame.bach).value, frame.bach.value,
+        np.exp(-2.0 * frame.scalar_jet(u).value)), BASE_ORDER + 1)
+    b_conf = on_points(conf, pts, lambda frame: frame.bach.value)
     inputs = {"chart": base.name, "points": count, "u": u}
     checks = []
     for name, deviation in (("trace", tr_b), ("divergence", div_b),

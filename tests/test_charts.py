@@ -58,6 +58,12 @@ def test_surface_of_revolution_open_profile_not_compact():
         charts.volume(srf)
 
 
+def test_surface_of_revolution_needs_a_finite_profile_at_both_ends():
+    for rho in ("log(t)", "1/sin(t)", "sqrt(t - 1)"):
+        with pytest.raises(ChartError, match="not finite at both ends"):
+            charts.surface_of_revolution(rho)
+
+
 def test_volume_stable_under_resolution_doubling():
     cases = [
         charts.round_sphere(2),

@@ -71,6 +71,27 @@ def test_canonical_json_is_sorted_and_compact():
     assert dig == report.digest({"a": [1.0, 2.5], "b": 1})
 
 
+def _strict_loads(text: str):
+    """JSON as a strict parser reads it: a bare NaN or Infinity raises."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_values_are_written_as_strings():
+    value = {"a": np.float64(math.nan), "b": [1.5, math.inf, -math.inf]}
+    rec = report.check_record("x", value, 1e-9, True)
+    assert rec["value"]["b"][1] == math.inf and not rec["pass"]
+    text = report.canonical_json(rec)
+    assert _strict_loads(text)["value"] == {
+        "a": "NaN", "b": [1.5, "Infinity", "-Infinity"]}
+    assert report.dumps(value, indent=2) == json.dumps(
+        {"a": "NaN", "b": [1.5, "Infinity", "-Infinity"]}, indent=2)
+    # a finite report's text is unchanged
+    assert report.canonical_json({"b": 1, "a": [1.0, 2.5]}) == \
+        '{"a":[1.0,2.5],"b":1}'
+
+
 def test_check_record_optional_fields():
     rec = report.check_record("x/y", 0.1, 1e-6, False)
     assert set(rec) == {"check_id", "value", "tolerance", "pass"}
@@ -191,11 +212,15 @@ def test_curvature_fails_closed_on_a_numerical_failure(tmp_path, capsys, u,
 
 
 def test_curvature_point_validation(capsys):
-    bad = ["th=0.7", "th=0.7,zz=1.0", "th=x,ph=1", "0.7,0.3"]
-    for text in bad:
+    bad = {"th=0.7": "point is missing ph",
+           "th=0.7,zz=1.0": "unknown coordinate 'zz'",
+           "th=x,ph=1": "bad number for coordinate 'th'",
+           "0.7,0.3": "point entries look like coord=value",
+           "th=0.5,th=0.7,ph=0.1": "coordinate 'th' is given twice"}
+    for text, message in bad.items():
         assert main(["curvature", "--manifold", "round_sphere_2",
                      "--point", text]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -399,8 +424,12 @@ def test_check_fails_closed_on_a_value_that_is_not_finite(tmp_path, capsys,
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: numerical failure: check {check_id} "
                           f"gave a value that is not finite")
-    rec = json.loads(out_path.read_text())["checks"][0]
+    # the report is strict JSON: its NaN is the string "NaN", which
+    # report.sup turns into an infinity in the soliton's sup
+    rec = _strict_loads(out_path.read_text())["checks"][0]
     assert rec["check_id"] == check_id and rec["pass"] is False
+    assert rec["value"] == ({"imbalance1": "NaN", "imbalance2": "NaN"}
+                            if kind == "identity" else "Infinity")
 
 
 def test_check_identity_rejected_hypothesis(tmp_path, capsys):
@@ -618,6 +647,10 @@ def test_suite_tol_override_validation(capsys):
     assert main(["suite", "all", "--tol", "bogus=1e-3"]) == 2
     assert main(["suite", "all", "--tol", "soliton=inf"]) == 2
     capsys.readouterr()
+    assert main(["suite", "all", "--tol", "soliton=1e-7",
+                 "--tol", "soliton=1e-300"]) == 2
+    assert capsys.readouterr().err == \
+        "error: tolerance 'soliton' is given twice\n"
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,8 @@
 """Curvature pipeline: closed forms, tensor symmetries, oracle agreement."""
 
+import ast
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -171,7 +173,7 @@ def test_weyl_from_one_outer_product_equals_two_products_bitwise(rand3):
         pts = charts.sample_points(chart, 3)
         for where in (pts, pts[1]):
             frame = CurvatureFrame(chart, where)
-            P, g2 = frame.schouten, frame.g_at(frame.order - 2)
+            P, g2 = frame.schouten, frame.g.truncated(frame.order - 2)
             half = (contract("li,jk->lijk", P, g2)
                     + contract("li,jk->lijk", g2, P))
             want = frame.riemann_lo - (half - _index("lijk->ljik", half))
@@ -231,7 +233,7 @@ def test_divergence_vector_matches_oneform_route(rand3_frame):
             acc = acc + g3[i, j] * X[i]
         al.append(acc)
     al = Jet(n, X.order, np.stack([a.coeffs for a in al]))
-    div_f = fr.divergence_oneform(al).value
+    div_f = fr.trace(fr.cov_deriv(al)).value
     assert abs(div_v - div_f) <= 1e-12
 
 
@@ -504,3 +506,33 @@ def test_suite_builds_no_frame_over_the_bound(monkeypatch):
     suite.run_suite()
     assert all(n <= frame_bound(dim, order) for dim, order, n in sizes)
     assert (4, BASE_ORDER, 8) in sizes
+
+
+def test_no_module_reads_a_stage_through_curvature_values():
+    # `t.value` is the one way to read a stage's values in the package;
+    # `curvature.values`, its old alias, stays only for outside callers
+    for source in resources.files("bachlab").iterdir():
+        if not source.name.endswith(".py"):
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        modules = set()  # local names of the curvature module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("bachlab")
+                names = {a.name for a in node.names}
+                if module.lstrip(".") == "curvature":
+                    assert "values" not in names, \
+                        f"{source.name}: {ast.unparse(node)}"
+                elif module.lstrip(".") == "" and "curvature" in names:
+                    modules.update(a.asname or a.name for a in node.names
+                                   if a.name == "curvature")
+        calls = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and (
+                     isinstance(node.func, ast.Name)
+                     and node.func.id == "values"
+                     and source.name == "curvature.py"
+                     or isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "values"
+                     and isinstance(node.func.value, ast.Name)
+                     and node.func.value.id in modules)]
+        assert not calls, f"{source.name}: {calls}"

@@ -35,7 +35,7 @@ def test_spec_validation_errors():
     with pytest.raises(SolitonError, match="components"):
         SolitonSpec(manifold=man, x_exprs=("0", "0"), lam=0.0)
     spec = SolitonSpec(manifold=man, potential="x", lam=0.0)
-    assert spec.gradient and not spec.extended
+    assert spec.potential is not None and spec.phi is None
 
 
 def test_spec_from_doc():
@@ -43,13 +43,13 @@ def test_spec_from_doc():
            "lambda": -1.0 / 12.0}
     spec = SolitonSpec.from_doc(doc)
     assert spec.manifold.name == "r2_x_s2"
-    assert spec.q == "bach_flow" and spec.gradient
+    assert spec.q == "bach_flow" and spec.potential is not None
     inline = {"manifold": {"name": "m", "factors": [
         {"kind": "round_sphere", "params": {"n": 2}},
         {"kind": "flat_torus", "params": {"lengths": [6.0, 7.0]}}]},
         "X": ["0", "0", "0", "0"], "phi": "0"}
     spec2 = SolitonSpec.from_doc(inline)
-    assert spec2.extended and spec2.manifold.dim == 4
+    assert spec2.phi is not None and spec2.manifold.dim == 4
     with pytest.raises(SolitonError, match="unknown soliton fields"):
         SolitonSpec.from_doc({**doc, "extra": 1})
     with pytest.raises(SolitonError, match="lambda must be a number"):
