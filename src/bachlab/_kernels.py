@@ -3,7 +3,8 @@
 A jet holds its Taylor coefficients in the graded layout of `_jettables`;
 a tensor of jets is one float64 array of shape ``(*tensor_shape, size)``.
 Every product -- one scalar jet times another, an elementwise product of
-tensors, or a contraction over tensor indices -- runs the same steps:
+tensors, or a contraction over tensor indices -- is one call of `product`,
+the one entry point, which runs these steps:
 
 1. gather the operand coefficients of the table's slot pairs: strict pairs
    i < j contribute the symmetric term ``a_i b_j + a_j b_i`` (so products
@@ -19,9 +20,12 @@ tensors, or a contraction over tensor indices -- runs the same steps:
 
 Every contracted sum runs in one order whatever the batch axes, so the
 jets of a point set are bitwise those of its points taken one at a time.
+`mul_into` is the reference scalar product (and the name perfbench wraps).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,10 +43,9 @@ def _terms(a, b, pi, pj, di, mul=np.multiply):
 
 
 def mul_into(a, b, out, pi, pj, pk, di, dk, all_k):
-    """Accumulate the truncated product of two scalar jets into out.
-
-    out must be zero-initialized; the index arrays come from
-    `_jettables.JetTables` (``pk`` and ``dk`` are carried in ``all_k``).
+    """Reference for `product`: the truncated product of two scalar jets,
+    added to a zero-initialized out (index arrays from `JetTables`;
+    ``pk`` and ``dk`` are carried in ``all_k``).  It gives the same bits.
     """
     out += np.bincount(all_k, weights=_terms(a, b, pi, pj, di),
                        minlength=out.shape[0])
@@ -69,7 +72,7 @@ def _scatter_index(tab: JetTables, rows: int) -> np.ndarray:
 def _scatter(terms: np.ndarray, tab: JetTables) -> np.ndarray:
     """Sum each row of terms into its destination slots by ``all_k``."""
     lead = terms.shape[:-1]
-    rows = int(np.prod(lead))
+    rows = math.prod(lead)
     flat = terms.reshape(rows, -1)
     if rows > _SCATTER_ROWS:
         out = np.concatenate([_scatter(flat[r:r + _SCATTER_ROWS], tab)

@@ -648,6 +648,8 @@ def build_factor(doc: Mapping, path: str) -> Chart:
     except exprs.DslError as err:  # from the kind's one text param
         text = next(k for k, v in params.items() if isinstance(v, str))
         raise ChartError(f"{path}.params.{text}: {err}") from None
+    except ChartError as err:  # the kind's own checks of its params
+        raise ChartError(f"{path}.params: {err}") from None
     if doc.get("resolution") is not None:
         chart.resolution = _axis_counts(chart, doc["resolution"],
                                         f"{path}.resolution")

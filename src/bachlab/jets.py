@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._jettables import JetTables, tables
-from ._kernels import mul_into, product
+from ._kernels import mul_into, product  # mul_into: for perfbench/tracing.py
 
 
 class JetError(ValueError):
@@ -245,14 +245,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_match(other)
-            tab = self.tab
-            if self.ndim or other.ndim:
-                return self._like(product(self.coeffs, other.coeffs, tab))
-            out = np.zeros(tab.size)
-            mul_into(self.coeffs, other.coeffs, out,
-                     tab.pair_i, tab.pair_j, tab.pair_k,
-                     tab.diag_i, tab.diag_k, tab.all_k)
-            return self._like(out)
+            return self._like(product(self.coeffs, other.coeffs, self.tab))
         if isinstance(other, (int, float)):
             return self._like(self.coeffs * other)
         return NotImplemented
@@ -285,7 +278,7 @@ class Jet:
         if exponent < 0:
             return self.reciprocal().powi(-exponent)
         if exponent == 0:
-            return Jet.constant(1.0, self.dim, self.order)
+            return Jet.constant(np.ones(self.shape), self.dim, self.order)
         result = None
         base = self
         k = exponent

@@ -136,6 +136,20 @@ BAD_DOCUMENTS = [
      "s0[0] must be a finite number, got True"),
     ("scan", {"s0": [0.0], "c": [0.0, "0.5"]},
      "c[1] must be a finite number, got '0.5'"),
+    # params a kind's builder rejects: the line names the factor's params
+    ("manifold", {"factors": [{"kind": "surface_of_revolution",
+                               "params": {"rho": "log(t)"}}]},
+     "factors[0].params: rho = 'log(t)' is not finite at both ends"),
+    ("manifold", {"factors": [{"kind": "euclidean", "params": {"n": 7}}]},
+     "factors[0].params: euclidean factor needs n in 1..4"),
+    ("manifold", _sphere(n=5),
+     "factors[0].params: round_sphere supports n in {2, 3, 4}"),
+    ("manifold", {"factors": [{"kind": "flat_torus",
+                               "params": {"lengths": [6.0] * 5}}]},
+     "factors[0].params: flat torus needs 1..4 lengths"),
+    ("manifold", {"factors": [{"kind": "surface_of_revolution",
+                               "params": {"t_min": 2.0, "t_max": 1.0}}]},
+     "factors[0].params: coordinate box is empty"),
 ]
 
 

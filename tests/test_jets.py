@@ -185,6 +185,19 @@ def test_powi_spends_no_product_on_the_constant_one():
     assert np.array_equal(z.powi(3).coeffs, (z * (z * z)).coeffs)
 
 
+def test_power_zero_keeps_the_tensor_shape():
+    x, y = variables([0.37, -1.21], order=3)
+    scalar = (x * y).sin()
+    tensor = Jet(2, 3, np.random.default_rng(2).standard_normal(
+        (2, 3, scalar.tab.size)))
+    points = Jet.variable(0, np.array([1.0, 2.0, -1.0]), 2, 3)
+    for t in (scalar, tensor, points):
+        one = t ** 0
+        assert one.shape == t.shape
+        assert np.array_equal(one.coeffs[..., 0], np.ones(t.shape))
+        assert not one.coeffs[..., 1:].any()
+
+
 # ----------------------------------------------------------------------
 # elementary-function composition
 # ----------------------------------------------------------------------

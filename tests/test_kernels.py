@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,14 @@ from hypothesis import strategies as st
 from bachlab import _kernels
 from bachlab._jettables import tables
 from bachlab.jets import Jet, contract
+
+
+def _reference(a, b, tab):
+    """The truncated product of two scalar jets by the reference kernel."""
+    out = np.zeros(tab.size)
+    _kernels.mul_into(a, b, out, tab.pair_i, tab.pair_j, tab.pair_k,
+                      tab.diag_i, tab.diag_k, tab.all_k)
+    return out
 
 
 def test_kernel_is_a_correct_convolution():
@@ -23,10 +34,7 @@ def test_kernel_is_a_correct_convolution():
     b[0] = b[iy] = 1.0
     want = np.zeros(tab.size)
     want[0] = want[ix] = want[iy] = want[tab.index[(1, 1)]] = 1.0
-    out = np.zeros(tab.size)
-    _kernels.mul_into(a, b, out, tab.pair_i, tab.pair_j, tab.pair_k,
-                      tab.diag_i, tab.diag_k, tab.all_k)
-    assert np.array_equal(out, want)
+    assert np.array_equal(_reference(a, b, tab), want)
     # the tensor entry point computes the same product on every entry
     both = _kernels.product(np.stack([a, b]), np.stack([b, a]), tab)
     assert np.array_equal(both, np.stack([want, want]))
@@ -40,8 +48,40 @@ def test_elementwise_tensor_product_matches_scalar_products_bitwise():
     prod = (Jet(3, 4, a) * Jet(3, 4, b)).coeffs
     for i in range(2):
         for j in range(3):
-            want = (Jet(3, 4, a[i, j]) * Jet(3, 4, b[j])).coeffs
-            assert np.array_equal(prod[i, j], want)
+            assert np.array_equal(prod[i, j], _reference(a[i, j], b[j], tab))
+
+
+@st.composite
+def scalar_jet_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 5))
+    size = tables(dim, order).size
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = (rng.standard_normal(size)
+            * 10.0 ** draw(st.floats(-8.0, 8.0)) for _ in range(2))
+    return dim, order, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_jet_pairs())
+def test_scalar_product_equals_the_reference_kernel_bitwise(pair):
+    dim, order, a, b = pair
+    got = (Jet(dim, order, a) * Jet(dim, order, b)).coeffs
+    want = _reference(a, b, tables(dim, order))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_no_module_but_the_kernel_calls_the_reference_product():
+    # every jet product in the package runs through `_kernels.product`
+    for source in resources.files("bachlab").iterdir():
+        if not source.name.endswith(".py") or source.name == "_kernels.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        calls = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and "mul_into" in (
+                     getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))]
+        assert not calls, f"{source.name}: {calls}"
 
 
 @st.composite
