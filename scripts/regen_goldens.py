@@ -32,9 +32,9 @@ GOLDEN_H = "3e-4"
 def main() -> int:
     entries = []
     for name in CORPUS:
-        man = charts.get_example(name)
-        point = charts.sample_points(man.chart, 2)[1]
-        pack = fdcheck.geometry_from_chart(man.chart, h=GOLDEN_H).pack(
+        chart = charts.get_example(name)
+        point = charts.sample_points(chart, 2)[1]
+        pack = fdcheck.geometry_from_chart(chart, h=GOLDEN_H).pack(
             point, deep=True)
         entries.append({
             "manifold": name,

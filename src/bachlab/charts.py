@@ -1,14 +1,15 @@
 """Charts, the manifold catalog, products, quadrature and sample sets.
 
 A `Chart` is a coordinate box with periodicity flags and metric entries
-as DSL expressions; a `Manifold` is an ordered product of factor charts
-together with the combined product chart.  Compact charts carry a
-tensor-product quadrature rule: Gauss–Legendre nodes on open (polar)
-directions — which never touch the endpoints, so coordinate
+as DSL expressions, and every manifold, from the catalog or a document,
+is one.  A product chart (`product`) also keeps its ordered factor
+charts, whose coordinates it lists in factor order.  Compact charts
+carry a tensor-product quadrature rule: Gauss–Legendre nodes on open
+(polar) directions — which never touch the endpoints, so coordinate
 singularities like sphere poles are excluded — and midpoint-uniform
 nodes on periodic directions (spectrally accurate for smooth periodic
 integrands).  Derived charts compose their metric texts (`conformal`,
-`product_chart`), so `catalog show` prints the texts as written, renamed.
+`product`), so `catalog show` prints the texts as written, renamed.
 Every input document is read by the rules here: `read_document`,
 `is_number`, `is_count` and `read_expressions`, whose errors name the
 field's path (``factors[0].params.u``, ``X[1]``).
@@ -36,7 +37,8 @@ class ChartError(ValueError):
 
 @dataclass
 class Chart:
-    """A coordinate box with metric entries given as DSL expressions."""
+    """A coordinate box with metric entries given as DSL expressions; a
+    product's `factors` are its factor charts, and empty otherwise."""
 
     name: str
     kind: str
@@ -49,6 +51,7 @@ class Chart:
     compact: bool
     resolution: tuple[int, ...]
     volume: float | None = None  # closed-form volume where known
+    factors: tuple["Chart", ...] = ()
     metric: tuple[tuple[object, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +78,17 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @property
+    def chart(self) -> "Chart":  # for perfbench/; src/ reads the chart itself
+        return self
+
+    def factor_slice(self, k: int) -> slice:
+        """The coordinates of factor k; a chart that is no product is its
+        own factor 0."""
+        factors = self.factors or (self,)
+        off = sum(f.dim for f in factors[:k])
+        return slice(off, off + factors[k].dim)
 
     def center(self) -> np.ndarray:
         """A safe interior point (box midpoint)."""
@@ -313,16 +327,16 @@ def sample_points(chart: Chart, count: int, margin: float = 0.08
     return lo + m + unit * (span - 2 * m)
 
 
-def residual_sample_points(man: Manifold, count: int = 200,
+def residual_sample_points(man: Chart, count: int = 200,
                            grid_cap: int = 81) -> np.ndarray:
     """Halton interior points, plus a coarse quadrature grid when compact.
 
     The grid has about `grid_cap` nodes, the same count on every axis.
     """
-    pts = sample_points(man.chart, count)
-    if man.chart.compact:
+    pts = sample_points(man, count)
+    if man.compact:
         per_axis = max(2, int(round(grid_cap ** (1.0 / man.dim))))
-        pts = np.vstack([pts, quadrature(man.chart, per_axis).nodes])
+        pts = np.vstack([pts, quadrature(man, per_axis).nodes])
     return pts
 
 
@@ -499,25 +513,6 @@ def conformal(chart: Chart, u: str, name: str | None = None) -> Chart:
 # ----------------------------------------------------------------------
 # products
 # ----------------------------------------------------------------------
-@dataclass
-class Manifold:
-    """An ordered product of factor charts plus the combined chart, whose
-    coordinates are the factors' coordinates in factor order."""
-
-    name: str
-    chart: Chart
-    factors: tuple[Chart, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
-    def factor_slice(self, k: int) -> slice:
-        """The product coordinates of factor k."""
-        off = sum(f.dim for f in self.factors[:k])
-        return slice(off, off + self.factors[k].dim)
-
-
 def _fresh_name(name: str, k: int, taken: Callable[[str], bool]) -> str:
     """The first of ``name``, ``{name}_{k}``, ``{name}_{k}b``,
     ``{name}_{k}c``, ... that is not ``taken``."""
@@ -529,8 +524,9 @@ def _fresh_name(name: str, k: int, taken: Callable[[str], bool]) -> str:
     raise ChartError(f"no free name for {name!r} in factor {k}")
 
 
-def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
-    """Block-diagonal product; clashing names get suffixes.
+def product(charts: Sequence[Chart], name: str | None = None) -> Chart:
+    """Block-diagonal product of the factor charts, which it keeps as its
+    `factors`; clashing names get suffixes.
 
     Coordinates and parameters share one namespace.  A coordinate clashes
     with any earlier coordinate or parameter, a parameter with an earlier
@@ -585,16 +581,7 @@ def product_chart(charts: Sequence[Chart], name: str | None = None) -> Chart:
         metric_strs=tuple(tuple(r) for r in rows),
         params=params, lo=tuple(lo), hi=tuple(hi),
         periodic=tuple(periodic), compact=compact,
-        resolution=tuple(resolution), volume=vol)
-
-
-def product(charts: Sequence[Chart], name: str | None = None) -> Manifold:
-    chart = product_chart(charts, name=name)
-    return Manifold(name=chart.name, chart=chart, factors=tuple(charts))
-
-
-def single(chart: Chart) -> Manifold:
-    return Manifold(name=chart.name, chart=chart, factors=(chart,))
+        resolution=tuple(resolution), volume=vol, factors=tuple(charts))
 
 
 # ----------------------------------------------------------------------
@@ -656,9 +643,10 @@ def build_factor(doc: Mapping, path: str) -> Chart:
     return chart
 
 
-def manifold_from_spec(doc: Mapping, path: str = "") -> Manifold:
-    """Build a manifold from a {"name", "factors": [...]} document at
-    `path` (a field of an enclosing document, or "")."""
+def manifold_from_spec(doc: Mapping, path: str = "") -> Chart:
+    """Build a manifold's chart from a {"name", "factors": [...]} document
+    at `path` (a field of an enclosing document, or ""): one factor's own
+    chart, under the document's name if it gives one, or their product."""
     read_document(doc, ("name", "factors"), "a manifold", ChartError, path)
     factors = doc.get("factors")
     if not isinstance(factors, (list, tuple)) or not factors:
@@ -671,10 +659,9 @@ def manifold_from_spec(doc: Mapping, path: str = "") -> Manifold:
     where = f"{path}.factors" if path else "factors"
     charts = [build_factor(f, f"{where}[{k}]") for k, f in enumerate(factors)]
     if len(charts) == 1:
-        m = single(charts[0])
         if name:
-            m.name = name
-        return m
+            charts[0].name = name
+        return charts[0]
     return product(charts, name=name)
 
 
@@ -726,7 +713,7 @@ def catalog_names() -> list[str]:
     return sorted(NAMED_EXAMPLES)
 
 
-def resolve_manifold(ref, path: str = "") -> Manifold:
+def resolve_manifold(ref, path: str = "") -> Chart:
     """A manifold from a catalog name or a manifold document at `path`."""
     if isinstance(ref, str):
         return get_example(ref)
@@ -736,7 +723,7 @@ def resolve_manifold(ref, path: str = "") -> Manifold:
                      f"manifold document, got {ref!r}")
 
 
-def get_example(name: str) -> Manifold:
+def get_example(name: str) -> Chart:
     try:
         doc = NAMED_EXAMPLES[name]
     except KeyError:
@@ -746,19 +733,20 @@ def get_example(name: str) -> Manifold:
     return manifold_from_spec(doc)
 
 
-def describe(m: Manifold) -> dict:
-    """Serializable summary (used by `catalog show`)."""
+def describe(m: Chart) -> dict:
+    """Serializable summary (used by `catalog show`); a chart that is no
+    product lists itself as its one factor."""
     return {
         "name": m.name,
         "dim": m.dim,
-        "compact": m.chart.compact,
-        "volume_closed_form": m.chart.volume,
-        "coords": list(m.chart.coords),
-        "params": dict(m.chart.params),
-        "periodic": list(m.chart.periodic),
-        "box": [[l, h] for l, h in zip(m.chart.lo, m.chart.hi)],
-        "resolution": list(m.chart.resolution),
+        "compact": m.compact,
+        "volume_closed_form": m.volume,
+        "coords": list(m.coords),
+        "params": dict(m.params),
+        "periodic": list(m.periodic),
+        "box": [[l, h] for l, h in zip(m.lo, m.hi)],
+        "resolution": list(m.resolution),
         "factors": [{"kind": f.kind, "dim": f.dim,
-                     "params": dict(f.params)} for f in m.factors],
-        "metric": [list(row) for row in m.chart.metric_strs],
+                     "params": dict(f.params)} for f in m.factors or (m,)],
+        "metric": [list(row) for row in m.metric_strs],
     }

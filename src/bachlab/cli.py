@@ -64,7 +64,7 @@ def _finite_float(text: str, what: str) -> float:
 
 
 def _parse_point(text: str, man) -> list[float]:
-    coords = man.chart.coords
+    coords = man.coords
     given: dict[str, float] = {}
     for item in text.split(","):
         name, sep, value = item.partition("=")
@@ -144,7 +144,7 @@ def _cmd_curvature(args) -> int:
     point = _parse_point(args.point, man)
     # a non-finite quantity fails below, by name, and not as a warning
     with np.errstate(all="ignore"):
-        pack = pipeline_pack(CurvatureFrame(man.chart, point))
+        pack = pipeline_pack(CurvatureFrame(man, point))
     for name, value in pack.items():
         if not np.all(np.isfinite(value)):
             raise FloatingPointError(f"curvature quantity {name!r} is not "

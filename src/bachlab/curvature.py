@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exprs
-from .charts import Chart, Manifold
+from .charts import Chart
 from ._jettables import tables
 from .jets import Jet, contract
 
@@ -165,18 +165,14 @@ class CurvatureFrame:
         return _index("iijk->jk", self.riemann_up)
 
     @cached_property
-    def ginv2(self) -> Jet:
-        return self.ginv.truncated(self.order - 2)
-
-    @cached_property
     def scalar(self) -> Jet:
         """Scalar curvature, order 2."""
-        return contract("jk,jk->", self.ginv2, self.ricci)
+        return contract("jk,jk->", self.ginv, self.ricci)
 
     @cached_property
     def ricci_mixed(self) -> Jet:
         """ricci_mixed[i, j] = g^{ia} Ric_aj, order 2."""
-        return contract("ia,aj->ij", self.ginv2, self.ricci)
+        return contract("ia,aj->ij", self.ginv, self.ricci)
 
     @cached_property
     def ricci_sq(self) -> Jet:
@@ -202,10 +198,9 @@ class CurvatureFrame:
     @cached_property
     def weyl_lo(self) -> Jet:
         """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
-        P, g2 = self.schouten, self.g.truncated(self.order - 2)
         # g_li P_jk is P_jk g_li rearranged: an outer product sums nothing
         # and jet products commute exactly, so one product serves both
-        pg = contract("li,jk->lijk", P, g2)
+        pg = contract("li,jk->lijk", self.schouten, self.g)
         half = pg + _index("jkli->lijk", pg)
         return self.riemann_lo - (half - _index("lijk->ljik", half))
 
@@ -356,7 +351,7 @@ class CurvatureFrame:
 _FRAME_COEFFS = 8 * 4**4 * 70
 
 
-def on_points(obj: Chart | Manifold, points, fn, order: int = BASE_ORDER):
+def on_points(chart: Chart, points, fn, order: int = BASE_ORDER):
     """``fn(frame)`` on frames over consecutive chunks of an (N, dim) point
     set, each holding at most ``_FRAME_COEFFS`` coefficients per stage.
 
@@ -364,7 +359,6 @@ def on_points(obj: Chart | Manifold, points, fn, order: int = BASE_ORDER):
     last; the chunks' results are joined along it, so entry k belongs to
     ``points[k]`` and is bitwise what a frame at that point alone gives.
     """
-    chart = obj.chart if isinstance(obj, Manifold) else obj
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise CurvatureError(f"a point set is an (N, dim) array with N >= 1, "

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import charts, tolerances
-from .charts import Manifold
+from .charts import Chart
 from .curvature import BASE_ORDER, CurvatureFrame, on_points
 from .jets import contract
 from .report import sup
@@ -70,7 +70,7 @@ def _constructed_flow(frame: CurvatureFrame, x_exprs: Sequence[str],
 # ----------------------------------------------------------------------
 # pointwise identities
 # ----------------------------------------------------------------------
-def _pointwise(man: Manifold, count: int, residual, tols: Mapping,
+def _pointwise(man: Chart, count: int, residual, tols: Mapping,
                order: int = BASE_ORDER) -> dict:
     """``residual(frame)`` over ``count`` sample points, its sup, and
     whether the sup is within the identity gate."""
@@ -81,7 +81,7 @@ def _pointwise(man: Manifold, count: int, residual, tols: Mapping,
             "passed": worst <= tols["identity"]}
 
 
-def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
+def lie_pairing_identity(man: Chart, x_exprs: Sequence[str],
                          t_exprs: Sequence[Sequence[str]], count: int = 50,
                          tols: Mapping = tolerances.DEFAULTS) -> dict:
     """<L_X g, T> = 2 div(i_X T) - 2 (div T)(X) for any X and symmetric T."""
@@ -102,7 +102,7 @@ def lie_pairing_identity(man: Manifold, x_exprs: Sequence[str],
     return _pointwise(man, count, residual, tols)
 
 
-def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
+def lie_divergence_identity(man: Chart, x_exprs: Sequence[str],
                             phi_expr: str = "0", count: int = 50,
                             tols: Mapping = tolerances.DEFAULTS) -> dict:
     """div(L_X g) = div of the trace-free constructed q plus (2/n) d(div X)."""
@@ -119,7 +119,7 @@ def lie_divergence_identity(man: Manifold, x_exprs: Sequence[str],
     return _pointwise(man, count, residual, tols, order=3)
 
 
-def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
+def yano_identity(man: Chart, x_exprs: Sequence[str], count: int = 50,
                   tols: Mapping = tolerances.DEFAULTS) -> dict:
     """L_X S = -2 sigma S - 2(n-1) Lap(sigma), sigma = div(X)/n, X conformal."""
     points = charts.residual_sample_points(man, count)
@@ -140,7 +140,7 @@ def yano_identity(man: Manifold, x_exprs: Sequence[str], count: int = 50,
             "conformality_gap": gap, "passed": worst <= tols["identity"]}
 
 
-def bochner_identity(man: Manifold, h_expr: str, count: int = 50,
+def bochner_identity(man: Chart, h_expr: str, count: int = 50,
                      tols: Mapping = tolerances.DEFAULTS) -> dict:
     """div(Hess h) = Ric(grad h) + d(Lap h) as 1-forms."""
 
@@ -158,16 +158,15 @@ def bochner_identity(man: Manifold, h_expr: str, count: int = 50,
 # ----------------------------------------------------------------------
 # integral identities
 # ----------------------------------------------------------------------
-def _compact_quadrature(man: Manifold, resolution):
-    chart = man.chart
-    if not chart.compact:
+def _compact_quadrature(man: Chart, resolution):
+    if not man.compact:
         raise IdentityError(
-            f"integral identities need a compact chart; {chart.name!r} "
+            f"integral identities need a compact chart; {man.name!r} "
             "is an open patch")
-    return charts.quadrature(chart, resolution)
+    return charts.quadrature(man, resolution)
 
 
-def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
+def soliton_integral_identities(man: Chart, x_exprs: Sequence[str],
                                 phi_expr: str = "0", resolution=None,
                                 tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Both integral identities for constructed flow data q = L_X g - 2 phi g.
@@ -194,7 +193,7 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
         )
 
     t_phi, t_tr, t_div, rhs1, lhs2, rhs2 = charts.integrate_columns(
-        man.chart, on_points(man, quad.nodes, columns, order=3), quad=quad)
+        man, on_points(man, quad.nodes, columns, order=3), quad=quad)
     lhs1 = t_phi + t_tr + t_div
     scale1 = max(abs(t_phi), abs(t_tr), abs(t_div), abs(rhs1))
     scale2 = max(abs(lhs2), abs(rhs2))
@@ -209,7 +208,7 @@ def soliton_integral_identities(man: Manifold, x_exprs: Sequence[str],
     }
 
 
-def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
+def bourguignon_ezin_integral(man: Chart, x_exprs: Sequence[str],
                               q_mode: str = "ricci", resolution=None,
                               tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Integral of L_X tr(q) vanishes for conformal X when div q = (1/2) d tr q.
@@ -242,7 +241,7 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
     if bianchi > tols["bianchi"]:
         raise IdentityError(
             f"q does not satisfy div q = (1/2) d tr q: residual {bianchi:.3e}")
-    integral, scale = charts.integrate_columns(man.chart, (vals, abs_tr),
+    integral, scale = charts.integrate_columns(man, (vals, abs_tr),
                                                quad=quad)
     return {"integral": integral, "scale": scale,
             "conformality_gap": gap, "bianchi_residual": bianchi,
@@ -250,7 +249,7 @@ def bourguignon_ezin_integral(man: Manifold, x_exprs: Sequence[str],
             "passed": abs(integral) <= tols["identity"] * max(scale, 1.0)}
 
 
-def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
+def soliton_conformality_integral(man: Chart, x_exprs: Sequence[str],
                                   phi_expr: str = "0", resolution=None,
                                   tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Integral of ||tracefree q||^2 + ((n-2)/n) L_X tr q for constructed q.
@@ -274,7 +273,7 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
     qbar, lie_tr, div_res, tf_lie = on_points(man, quad.nodes, columns,
                                               order=3)
     qbar_int, lie_tr_int = charts.integrate_columns(
-        man.chart, (qbar, lie_tr), quad=quad)
+        man, (qbar, lie_tr), quad=quad)
     bianchi, conf = sup(div_res), sup(tf_lie)
     total = qbar_int + (n - 2.0) / n * lie_tr_int
     scale = max(qbar_int, abs((n - 2.0) / n * lie_tr_int), 1.0)
@@ -294,7 +293,7 @@ def soliton_conformality_integral(man: Manifold, x_exprs: Sequence[str],
 # ----------------------------------------------------------------------
 # compact-surface scalar rigidity
 # ----------------------------------------------------------------------
-def surface_scalar_rigidity(man: Manifold, resolution=None,
+def surface_scalar_rigidity(man: Chart, resolution=None,
                             tols: Mapping = tolerances.DEFAULTS) -> dict:
     """Rigidity machinery on a compact surface with Lap(S) + S^2/3 constant.
 
@@ -307,8 +306,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     ||Hess S||^2 >= (Lap S)^2 / 2, to ``rigidity_slack`` below zero; and
     the conclusion that S is constant within ``identity``.
     """
-    chart = man.chart
-    if chart.dim != 2:
+    if man.dim != 2:
         raise IdentityError("scalar rigidity applies to surfaces")
     quad = _compact_quadrature(man, resolution)
 
@@ -323,7 +321,7 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
     # to chart degeneracies (sphere poles) amplify harmless rounding in
     # Lap(S) through the inverse metric and would mask the real question
     s, lap, hess2, grad_abs = on_points(
-        chart, charts.sample_points(chart, 24), pointwise, BASE_ORDER + 1)
+        man, charts.sample_points(man, 24), pointwise, BASE_ORDER + 1)
     grad_res = sup(grad_abs)
     cs_slack = float(np.min(hess2 - lap * lap / 2.0))  # NaN fails below
     c_spread = float(np.ptp(lap + s * s / 3.0))
@@ -332,8 +330,8 @@ def surface_scalar_rigidity(man: Manifold, resolution=None,
         raise IdentityError(
             f"hypothesis violated: c = Lap(S) + S^2/3 has spread "
             f"{c_spread:.3e} over the chart (tolerance {c_tol:.1e})")
-    hess2_int, lap2_int = charts.integrate_columns(chart, on_points(
-        chart, quad.nodes, lambda fr: (fr.norm2_sym2(fr.hess_scalar).value,
+    hess2_int, lap2_int = charts.integrate_columns(man, on_points(
+        man, quad.nodes, lambda fr: (fr.norm2_sym2(fr.hess_scalar).value,
                                        fr.lap_scalar.value ** 2)), quad=quad)
     int_scale = max(hess2_int, lap2_int / 4.0, 1.0)
     s_spread = float(np.ptp(s))
@@ -433,7 +431,7 @@ def run_identity_case(identity_id: str, doc: Mapping | None = None,
         raise IdentityError(f"count needs a whole number, at least one "
                             f"point; got {merged['count']!r}")
     man = charts.resolve_manifold(merged["manifold"], "manifold")
-    merged.update(charts.read_expressions(merged, man.chart, IdentityError))
+    merged.update(charts.read_expressions(merged, man, IdentityError))
     kwargs = {_KEYWORDS.get(f, f): merged[f]
               for f in case.fields if f in merged}
     if tol is not None:

@@ -133,16 +133,6 @@ def line_product_lambda(fc: FactorCurvature) -> float | np.ndarray:
     return -(fc.ricci_norm2 - fc.scalar * fc.scalar / 3.0) / 24.0
 
 
-def line_product_trace_residual(fc: FactorCurvature) -> float | np.ndarray:
-    """Residual of the traced identity (1/8)|Ric|^2 - (1/24)S^2 + 3 lambda.
-
-    With the line-product lambda substituted this vanishes identically;
-    it is exposed so soliton reports can display the consistency check.
-    """
-    lam = line_product_lambda(fc)
-    return fc.ricci_norm2 / 8.0 - fc.scalar * fc.scalar / 24.0 + 3.0 * lam
-
-
 def einstein_residual_norm2(fc: FactorCurvature) -> float | np.ndarray:
     """|Ric - (S/n) g|^2 (metric norm)."""
     g, tf = fc.g, fc.ricci - (fc.scalar / fc.dim) * fc.g
@@ -191,8 +181,7 @@ def product_lambda_report(
     """lambda for the S^1 x N^3 or R x N^3 family with constancy checks.
 
     lambda is the mean of its values at the constancy spread's points,
-    the Einstein residual the least of them and the trace identity's
-    residual the largest magnitude."""
+    and the Einstein residual the least of them."""
     if family not in ("circle", "line"):
         raise ProductFormulaError("family must be 'circle' or 'line'")
     spread, fc = constancy_spread(chart, count)
@@ -205,8 +194,6 @@ def product_lambda_report(
     return {
         "family": family, "lambda": float(np.mean(lam)),
         "einstein_residual_norm2": float(np.min(einstein_residual_norm2(fc))),
-        "trace_identity_residual": (sup(np.abs(line_product_trace_residual(
-            fc))) if family == "line" else 0.0),
         **spread,
     }
 
@@ -227,7 +214,7 @@ def line_cross_check(n_chart: Chart, count: int = 5) -> float:
     man = product([line(), n_chart])
     pts = sample_points(n_chart, count, margin=0.15)
     comp = bach_line_cross_3(FactorCurvature.at(n_chart, pts))
-    t = np.full((len(pts), 1), man.chart.center()[0])
+    t = np.full((len(pts), 1), man.center()[0])
     b = on_points(man, np.hstack([t, pts]), lambda fr: fr.bach.value)
     return sup(np.abs(b[0, 1:]), np.abs(comp["B_tt"] - b[0, 0]),
                np.abs(comp["B_YZ"] - b[1:, 1:]))

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import charts, homogeneous, products, roots, tolerances
-from .charts import Chart, Manifold
+from .charts import Chart
 from .curvature import CurvatureFrame, on_points
 from .jets import contract
 from .report import sup
@@ -66,7 +66,7 @@ class SolitonSpec:
     returns a float or one value per point (``frame.batch`` long).
     """
 
-    manifold: Manifold
+    manifold: Chart
     x_exprs: tuple[str, ...] | None = None
     potential: str | None = None
     phi: str | Callable[[CurvatureFrame], float | np.ndarray] | None = None
@@ -104,7 +104,7 @@ class SolitonSpec:
         charts.read_document(doc, ("manifold", "X", "f", "phi", "lambda",
                                    "q", "custom_q"), "a soliton", SolitonError)
         man = charts.resolve_manifold(doc.get("manifold"), "manifold")
-        texts = charts.read_expressions(doc, man.chart, SolitonError)
+        texts = charts.read_expressions(doc, man, SolitonError)
         lam = doc.get("lambda")
         if lam is not None and not charts.is_number(lam):
             raise SolitonError(f"lambda must be a number, and finite; got "
@@ -182,7 +182,7 @@ def _residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets):
     return g, phi, 0.5 * lie - 0.5 * q - phi * g
 
 
-def _point_set(man: Manifold, points, count: int) -> np.ndarray:
+def _point_set(man: Chart, points, count: int) -> np.ndarray:
     if points is None:
         return charts.residual_sample_points(man, count)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -211,7 +211,7 @@ def _residual_norms(frame: CurvatureFrame, spec: SolitonSpec, x_jets
     return r, metric_norm(_per_point(g), _per_point(r))
 
 
-def extended_q_residual(man: Manifold, spec: SolitonSpec,
+def extended_q_residual(man: Chart, spec: SolitonSpec,
                         points: np.ndarray | None = None, count: int = 200,
                         tol: float = _TOLS["soliton"],
                         label: str = "extended-q") -> ResidualReport:
@@ -224,7 +224,7 @@ def extended_q_residual(man: Manifold, spec: SolitonSpec,
                           tol=tol)
 
 
-def bach_soliton_residual(man: Manifold, lam: float,
+def bach_soliton_residual(man: Chart, lam: float,
                           potential: str | None = None,
                           x_exprs: Sequence[str] | None = None,
                           points: np.ndarray | None = None, count: int = 200,
@@ -244,7 +244,7 @@ def bach_soliton_residual(man: Manifold, lam: float,
 # ----------------------------------------------------------------------
 # line x N^3 quadratic profiles
 # ----------------------------------------------------------------------
-def _line_cross_structure(man: Manifold) -> tuple[Chart, Chart]:
+def _line_cross_structure(man: Chart) -> tuple[Chart, Chart]:
     if len(man.factors) != 2 or man.factors[0].dim != 1 \
             or man.factors[1].dim != 3:
         raise SolitonError("need a line x N^3 product manifold")
@@ -254,7 +254,7 @@ def _line_cross_structure(man: Manifold) -> tuple[Chart, Chart]:
     return man.factors[0], man.factors[1]
 
 
-def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
+def quadratic_profile_check(man: Chart, lam: float, a: float = 0.0,
                             b: float = 0.0, count: int = 24,
                             tol: float = _TOLS["soliton"],
                             constancy_tol: float = _TOLS["factor_constancy"]
@@ -281,7 +281,7 @@ def quadratic_profile_check(man: Manifold, lam: float, a: float = 0.0,
 
     # float(): the repr of a NumPy scalar is no number in the potential
     lam, a, b = float(lam), float(a), float(b)
-    t = man.chart.coords[0]
+    t = man.coords[0]
     f_text = f"2*({lam!r})*{t}^2 + ({a!r})*{t} + ({b!r})"
     spec = SolitonSpec(manifold=man, potential=f_text, lam=lam)
     pts = charts.residual_sample_points(man, count)
@@ -428,7 +428,7 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
 # ----------------------------------------------------------------------
 # surface x surface conformal correction field
 # ----------------------------------------------------------------------
-def _two_surface_slices(man: Manifold) -> tuple[slice, slice]:
+def _two_surface_slices(man: Chart) -> tuple[slice, slice]:
     if len(man.factors) != 2 or any(f.dim != 2 for f in man.factors):
         raise SolitonError("need a product of two surfaces")
     return man.factor_slice(0), man.factor_slice(1)
@@ -436,10 +436,10 @@ def _two_surface_slices(man: Manifold) -> tuple[slice, slice]:
 
 def _block_scalar_jet(frame: CurvatureFrame, sl: slice):
     """Factor scalar curvature as a jet, from the ambient block trace."""
-    return contract("ij,ij->", frame.ginv2[sl, sl], frame.ricci[sl, sl])
+    return contract("ij,ij->", frame.ginv[sl, sl], frame.ricci[sl, sl])
 
 
-def surface_conformal_field(man: Manifold, spec: SolitonSpec,
+def surface_conformal_field(man: Chart, spec: SolitonSpec,
                             points: np.ndarray | None = None,
                             count: int = 40,
                             coefficient: float = 1.0 / 12.0) -> dict:
@@ -515,7 +515,7 @@ def surface_conformal_field(man: Manifold, spec: SolitonSpec,
 # ----------------------------------------------------------------------
 # mixed-Hessian splitting spot-check
 # ----------------------------------------------------------------------
-def splitting_spotcheck(man: Manifold, split_f: str,
+def splitting_spotcheck(man: Chart, split_f: str,
                         control_f: str | None = None, count: int = 24
                         ) -> dict:
     """Sup of the mixed factor blocks of Hess f over a sample set.
@@ -578,7 +578,7 @@ def _example_berger_line() -> dict:
     man = charts.product(
         [charts.line(4.0), charts.berger_sphere(BERGER_SOLITON_A)],
         name="line_x_berger_soliton")
-    t = man.chart.coords[0]
+    t = man.coords[0]
     return _gated("soliton", manifold=man,
                   potential=f"2*({BERGER_SOLITON_LAMBDA!r})*{t}^2",
                   lam=BERGER_SOLITON_LAMBDA,

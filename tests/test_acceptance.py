@@ -273,8 +273,8 @@ def test_conformal_flux_identities_on_rescaled_spheres():
     ]
     worst_point = worst_flux = 0.0
     for u, x in family:
-        man = charts.single(charts.conformal(
-            charts.round_sphere(2), u, name="rescaled_sphere"))
+        man = charts.conformal(
+            charts.round_sphere(2), u, name="rescaled_sphere")
         worst_point = sup(worst_point,
                           yano_identity(man, x, count=40)["sup"])
         flux = bourguignon_ezin_integral(man, x, resolution=(16, 20))
@@ -290,18 +290,18 @@ def test_conformal_flux_identities_on_rescaled_spheres():
 
 def test_surface_scalar_rigidity_machinery():
     pointwise_corpus = [
-        (charts.single(charts.conformal_round_sphere("0.2*cos(th)")),
+        (charts.conformal_round_sphere("0.2*cos(th)"),
          "0.4*cos(th) + 0.2*sin(th)*cos(ph)"),
-        (charts.single(charts.hyperbolic_2(1.3)), "0.3*x + 0.2*x*y"),
-        (charts.single(charts.berger_sphere(1.4)),
+        (charts.hyperbolic_2(1.3), "0.3*x + 0.2*x*y"),
+        (charts.berger_sphere(1.4),
          "0.3*cos(be) + 0.2*sin(al)"),
     ]
     worst_bochner = sup(*(bochner_identity(man, h, count=30)["sup"]
                           for man, h in pointwise_corpus))
     rigidity_family = (
         charts.get_example("round_sphere_2"),
-        charts.single(charts.round_sphere(2, 1.7)),
-        charts.single(charts.flat_torus((5.0, 7.0))),
+        charts.round_sphere(2, 1.7),
+        charts.flat_torus((5.0, 7.0)),
     )
     all_passed = True
     worst_gap = 0.0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bachlab import exprs, identities, jets, profiles
+from bachlab import charts, exprs, identities, jets, profiles
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -77,3 +77,9 @@ def test_harness_reads_only_names_bachlab_has(harness):
                     and home.split(".")[0] == "bachlab":
                 assert hasattr(owner, node.attr), \
                     f"{mod.__name__} reads {node.value.id}.{node.attr}"
+
+
+def test_a_chart_is_its_own_chart():
+    # the harness reads `.chart` on what get_example and product return
+    chart = charts.get_example("r2_x_s2")
+    assert chart.chart is chart

@@ -1,6 +1,8 @@
 """Catalog charts, quadrature, products, sampling and spec validation."""
 
+import ast
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -187,8 +189,7 @@ def test_berger_round_limit_is_round_sphere_volume():
 
 def test_positive_definite_everywhere_on_catalog():
     for name in charts.catalog_names():
-        m = charts.get_example(name)
-        c = m.chart
+        c = charts.get_example(name)
         if c.compact:
             pts = charts.quadrature(c).nodes
         else:
@@ -266,7 +267,7 @@ def test_hyperbolic_metric_values():
 @pytest.mark.parametrize("name", charts.catalog_names())
 def test_metric_values_equal_per_entry_values_bitwise(name):
     # one evaluation of all entries shares subtrees, with the same bits
-    chart = charts.get_example(name).chart
+    chart = charts.get_example(name)
     pts = charts.sample_points(chart, 5)
     env = {**chart.params, **dict(zip(chart.coords, pts.T))}
     want = np.empty((len(pts), chart.dim, chart.dim))
@@ -281,30 +282,30 @@ def test_metric_values_equal_per_entry_values_bitwise(name):
 # ----------------------------------------------------------------------
 def test_product_volume_multiplies():
     m = charts.get_example("s2_x_s2")
-    v = charts.volume(m.chart)
+    v = charts.volume(m)
     assert abs(v - (4 * math.pi) ** 2) <= 1e-9 * (4 * math.pi) ** 2
     mt = charts.get_example("s2_x_t2")
-    vt = charts.volume(mt.chart)
+    vt = charts.volume(mt)
     ref = 4 * math.pi * TWO_PI ** 2
     assert abs(vt - ref) <= 1e-9 * ref
     sb = charts.get_example("circle_x_berger")
-    vb = charts.volume(sb.chart)
+    vb = charts.volume(sb)
     ref = TWO_PI * 2 * math.pi ** 2 * 1.5
     assert abs(vb - ref) <= 1e-9 * ref
 
 
 def test_product_closed_form_volume_field():
     m = charts.get_example("s2_x_t2")
-    assert m.chart.volume is not None
-    assert abs(m.chart.volume - 4 * math.pi * TWO_PI ** 2) <= 1e-9
+    assert m.volume is not None
+    assert abs(m.volume - 4 * math.pi * TWO_PI ** 2) <= 1e-9
 
 
 def test_product_coordinate_renaming():
     m = charts.get_example("s2_x_s2")
-    assert m.chart.coords == ("th", "ph", "th_2", "ph_2")
+    assert m.coords == ("th", "ph", "th_2", "ph_2")
     assert m.factor_slice(0) == slice(0, 2)
     assert m.factor_slice(1) == slice(2, 4)
-    g = m.chart.metric_values(np.array([[0.5, 0.1, 1.3, 2.0]]))[0]
+    g = m.metric_values(np.array([[0.5, 0.1, 1.3, 2.0]]))[0]
     assert abs(g[3, 3] - math.sin(1.3) ** 2) <= 1e-15
     assert np.abs(g[:2, 2:]).max() == 0.0
 
@@ -312,15 +313,14 @@ def test_product_coordinate_renaming():
 def test_factor_slices_follow_from_the_factor_dims():
     m = charts.product([charts.circle(), charts.circle(),
                         charts.round_sphere(2)])
-    assert m.chart.coords == ("t", "t_2", "th", "ph")
+    assert m.coords == ("t", "t_2", "th", "ph")
     assert [m.factor_slice(k) for k in range(3)] == [
         slice(0, 1), slice(1, 2), slice(2, 4)]
-    assert charts.single(charts.round_sphere(3)).factor_slice(0) == slice(
-        0, 3)
+    assert charts.round_sphere(3).factor_slice(0) == slice(0, 3)
 
 
 def test_product_parameter_renaming_on_clash():
-    big = charts.product_chart(
+    big = charts.product(
         [charts.round_sphere(2, r=1.0), charts.round_sphere(2, r=2.0)])
     assert set(big.params) == {"r", "r_2"}
     g = big.metric_values(np.array([[0.5, 0.1, 0.5, 0.1]]))[0]
@@ -329,17 +329,17 @@ def test_product_parameter_renaming_on_clash():
 
 
 def test_product_equal_parameters_merge():
-    big = charts.product_chart(
+    big = charts.product(
         [charts.round_sphere(2, r=1.0), charts.round_sphere(2, r=1.0)])
     assert set(big.params) == {"r"}
 
 
 def test_nested_product_coordinates_take_the_next_free_suffix():
     # the line's coordinate clashes three times in factor 2 of each level
-    inner = charts.product_chart([charts.line(), charts.line()])
-    middle = charts.product_chart([inner, charts.line()])
+    inner = charts.product([charts.line(), charts.line()])
+    middle = charts.product([inner, charts.line()])
     assert middle.coords == ("t", "t_2", "t_2b")
-    outer = charts.product_chart([middle, charts.line()])
+    outer = charts.product([middle, charts.line()])
     assert outer.coords == ("t", "t_2", "t_2b", "t_2c")
 
 
@@ -351,16 +351,16 @@ def _scaled_line(a: float) -> charts.Chart:
 
 
 def test_nested_product_parameters_never_replace_one_another():
-    inner = charts.product_chart([_scaled_line(1.0), _scaled_line(2.0)])
+    inner = charts.product([_scaled_line(1.0), _scaled_line(2.0)])
     assert inner.params == {"a": 1.0, "a_2": 2.0}
-    outer = charts.product_chart([inner, _scaled_line(3.0)])
+    outer = charts.product([inner, _scaled_line(3.0)])
     assert outer.coords == ("s", "s_2", "s_2b")
     assert outer.params == {"a": 1.0, "a_2": 2.0, "a_2b": 3.0}
     g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
     assert np.array_equal(g, np.diag([1.0, 4.0, 9.0]))
     # an equal value already under a suffixed name is shared there
-    inner = charts.product_chart([_scaled_line(1.0), _scaled_line(3.0)])
-    outer = charts.product_chart([inner, _scaled_line(3.0)])
+    inner = charts.product([_scaled_line(1.0), _scaled_line(3.0)])
+    outer = charts.product([inner, _scaled_line(3.0)])
     assert outer.params == {"a": 1.0, "a_2": 3.0}
     g = outer.metric_values(np.array([[0.5, 0.5, 0.5]]))[0]
     assert np.array_equal(g, np.diag([1.0, 9.0, 9.0]))
@@ -383,9 +383,9 @@ def test_product_coordinates_and_parameters_share_one_namespace(
     factors = [_scaled_line(1.5), _coordinate_named("a")]
     factors = factors[::-1] if reverse else factors
     m = charts.product(factors)
-    assert (m.chart.coords, m.chart.params) == (coords, params)
+    assert (m.coords, m.params) == (coords, params)
     pt = np.array([[0.3, 0.6]])
-    g = m.chart.metric_values(pt)[0]
+    g = m.metric_values(pt)[0]
     block = np.zeros_like(g)
     for k, f in enumerate(factors):
         sl = m.factor_slice(k)
@@ -443,8 +443,20 @@ def test_volume_needs_a_finite_metric(c):
 
 def test_product_dimension_cap():
     with pytest.raises(ChartError):
-        charts.product_chart(
-            [charts.euclidean(3), charts.round_sphere(2)])
+        charts.product([charts.euclidean(3), charts.round_sphere(2)])
+
+
+def test_no_module_but_curvature_reads_a_chart_attribute():
+    # a manifold is its chart, so the package reads no `.chart` on it;
+    # `Chart.chart` stays only for outside callers.  A curvature frame
+    # holds its chart as `frame.chart`.
+    for source in resources.files("bachlab").iterdir():
+        if not source.name.endswith(".py") or source.name == "curvature.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        reads = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "chart"]
+        assert not reads, f"{source.name}: {reads}"
 
 
 def test_line_x_berger_blocks():
@@ -452,11 +464,11 @@ def test_line_x_berger_blocks():
     assert m.dim == 4
     assert m.factors[0].kind == "line"
     assert m.factors[1].kind == "berger_sphere"
-    pt = m.chart.center()
-    g = m.chart.metric_values(np.array([pt]))[0]
+    pt = m.center()
+    g = m.metric_values(np.array([pt]))[0]
     assert g[0, 0] == 1.0
     assert np.abs(g[0, 1:]).max() == 0.0
-    assert not m.chart.compact  # line factor is a patch
+    assert not m.compact  # line factor is a patch
 
 
 # ----------------------------------------------------------------------
@@ -554,18 +566,18 @@ def test_manifold_spec_takes_numbers_of_either_kind():
     m = charts.manifold_from_spec({"factors": [
         {"kind": "round_sphere", "params": {"n": 2, "r": 2}},
         {"kind": "flat_torus", "params": {"lengths": [6, 7.5]}}]})
-    assert m.chart.params["r"] == 2.0
-    assert m.chart.hi[2:] == (6.0, 7.5)
+    assert m.params["r"] == 2.0
+    assert m.hi[2:] == (6.0, 7.5)
 
 
 def test_manifold_spec_resolution_override():
     m = charts.manifold_from_spec({"name": "s", "factors": [
         {"kind": "round_sphere", "params": {"n": 2}, "resolution": 10}]})
-    assert m.chart.resolution == (10, 10)
+    assert m.resolution == (10, 10)
     m2 = charts.manifold_from_spec({"name": "s", "factors": [
         {"kind": "round_sphere", "params": {"n": 2},
          "resolution": [10, 14]}]})
-    assert m2.chart.resolution == (10, 14)
+    assert m2.resolution == (10, 14)
     with pytest.raises(ChartError, match="resolution"):
         charts.manifold_from_spec({"name": "s", "factors": [
             {"kind": "round_sphere", "params": {"n": 2},
@@ -601,7 +613,7 @@ def test_sphere_chart_excludes_poles():
 
 def test_center_is_interior():
     for name in charts.catalog_names():
-        c = charts.get_example(name).chart
+        c = charts.get_example(name)
         mid = c.center()
         assert np.all(mid > np.asarray(c.lo))
         assert np.all(mid < np.asarray(c.hi))

@@ -388,6 +388,20 @@ def test_check_tol_must_be_finite_and_positive(tmp_path, capsys):
             assert "finite and positive" in capsys.readouterr().err
 
 
+def test_errors_name_the_manifold_the_document_names(tmp_path, capsys):
+    # a one-factor document's name is its chart's name, in errors too
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "manifold": {"name": "my_patch",
+                     "factors": [{"kind": "hyperbolic_2"}]},
+        "X": ["0", "0"], "phi": "0"}))
+    assert main(["check", "identity", "--id", "thm32",
+                 "--case", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: integral identities need a compact chart; 'my_patch' is an "
+        "open patch\n")
+
+
 def test_case_manifold_errors_are_one_rule(tmp_path, capsys):
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps({"manifold": 3}))

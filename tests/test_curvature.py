@@ -169,7 +169,7 @@ def test_weyl_traces_vanish(rand3_frame):
 
 
 def test_weyl_from_one_outer_product_equals_two_products_bitwise(rand3):
-    for chart in (rand3, charts.get_example("s2_x_s2").chart):
+    for chart in (rand3, charts.get_example("s2_x_s2")):
         pts = charts.sample_points(chart, 3)
         for where in (pts, pts[1]):
             frame = CurvatureFrame(chart, where)
@@ -286,7 +286,7 @@ def test_pipeline_matches_fd_oracle_2d():
 def test_bach_product_hand_value():
     # R^2 x S^2(1): B = -(1/6) g on the flat block, +(1/6) g on the sphere
     m = charts.get_example("r2_x_s2")
-    fr = CurvatureFrame(m.chart, [0.1, -0.2, 1.2, 0.7])
+    fr = CurvatureFrame(m, [0.1, -0.2, 1.2, 0.7])
     b = values(fr.bach)
     g = values(fr.g)
     ref = np.zeros((4, 4))
@@ -299,14 +299,14 @@ def test_bach_vanishes_on_conformally_einstein_products():
     # S^2(1) x S^2(1) and S^2(1) x H^2(-1) are Bach-flat
     for name in ("s2_x_s2", "r2_x_h2"):
         m = charts.get_example(name)
-        pt = m.chart.center() + 0.1
-        fr = CurvatureFrame(m.chart, pt)
+        pt = m.center() + 0.1
+        fr = CurvatureFrame(m, pt)
         b = values(fr.bach)
         if name == "s2_x_s2":
             assert np.abs(b).max() <= 1e-11
     m = charts.product([charts.round_sphere(2, 1.0),
                         charts.hyperbolic_2(1.0)])
-    fr = CurvatureFrame(m.chart, [1.1, 0.4, 0.2, 1.3])
+    fr = CurvatureFrame(m, [1.1, 0.4, 0.2, 1.3])
     assert np.abs(values(fr.bach)).max() <= 1e-11
 
 
@@ -338,19 +338,19 @@ def test_bach_trace_free_and_conformal_generic():
 
 def test_bach_divergence_free_exactly():
     m = charts.get_example("r2_x_s2")
-    db = bach_divergence(m.chart, [0.1, -0.2, 1.2, 0.7])
+    db = bach_divergence(m, [0.1, -0.2, 1.2, 0.7])
     assert np.abs(db).max() <= 1e-12
 
 
 def _bumpy_s2_x_t2():
-    return charts.conformal(charts.get_example("s2_x_t2").chart,
+    return charts.conformal(charts.get_example("s2_x_t2"),
                             "0.1*cos(th)*cos(t0)", name="bumpy_s2_x_t2")
 
 
 def test_order5_frame_reproduces_order4_pack_bitwise():
     for chart in (_bumpy_s2_x_t2(), charts.berger_sphere(1.5),
                   charts.round_sphere(2),
-                  charts.get_example("r2_x_s2").chart):
+                  charts.get_example("r2_x_s2")):
         pt = charts.sample_points(chart, 2)[1]
         four = pipeline_pack(CurvatureFrame(chart, pt), deep=True)
         five = pipeline_pack(CurvatureFrame(chart, pt, order=5), deep=True)
@@ -414,7 +414,7 @@ def test_point_dimension_guard(rand3):
 def test_catalog_frames_all_run():
     for name in charts.catalog_names():
         m = charts.get_example(name)
-        fr = CurvatureFrame(m.chart, m.chart.center())
+        fr = CurvatureFrame(m, m.center())
         assert np.isfinite(fr.scalar.value)
 
 
@@ -424,7 +424,7 @@ def test_catalog_frames_all_run():
 @pytest.mark.parametrize("order", [4, 5])
 def test_point_set_frame_equals_its_points_bitwise(order):
     for name in charts.catalog_names():
-        chart = charts.get_example(name).chart
+        chart = charts.get_example(name)
         pts = charts.sample_points(chart, 3)
         batch = pipeline_pack(CurvatureFrame(chart, pts, order=order))
         for k, p in enumerate(pts):
@@ -475,14 +475,14 @@ def test_frames_are_bounded_by_their_largest_stage(monkeypatch, dim, order,
 
 def test_on_points_joins_each_array_along_the_point_axis(monkeypatch):
     man = charts.get_example("s2_x_t2")
-    pts = charts.sample_points(man.chart, 11)
+    pts = charts.sample_points(man, 11)
     orders = count_frames(monkeypatch)
     s, ric = on_points(man, pts, lambda fr: (fr.scalar.value,
                                              fr.ricci.value))
     assert orders == [(BASE_ORDER, 8), (BASE_ORDER, 3)]
     assert s.shape == (11,) and ric.shape == (4, 4, 11)
     for k, p in enumerate(pts):
-        one = CurvatureFrame(man.chart, p)
+        one = CurvatureFrame(man, p)
         assert s[k] == one.scalar.value
         assert np.array_equal(ric[..., k], one.ricci.value)
 

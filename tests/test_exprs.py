@@ -303,7 +303,7 @@ def _cases():
     of node, with a lone constant, whose value is its rounding to the
     working precision.  Yields (entries, params, {coord: values})."""
     for name in charts.catalog_names():
-        chart = charts.get_example(name).chart
+        chart = charts.get_example(name)
         entries = [e for row in chart.metric for e in row]
         pts = charts.sample_points(chart, 2)
         yield entries, chart.params, dict(zip(chart.coords, pts.T))
@@ -371,7 +371,7 @@ def test_program_compiles_a_sequence_of_trees_once(monkeypatch):
     assert eval_numpy([e, e], {"x": 0.3, "y": 0.1}) == [float(first[0])] * 2
     assert built == [(e, e)]
     # a chart's metric is compiled on its first jets only
-    chart = charts.get_example("berger_sphere").chart
+    chart = charts.get_example("berger_sphere")
     chart.metric_jets(chart.center())
     built.clear()
     chart.metric_jets(chart.center())
@@ -476,7 +476,7 @@ def _digest(arrays) -> str:
 
 @pytest.mark.parametrize("name", sorted(METRIC_JET_DIGESTS))
 def test_catalog_metric_jets_match_frozen_digests(name):
-    chart = charts.get_example(name).chart
+    chart = charts.get_example(name)
     pts = charts.sample_points(chart, 2)
     one_by_one = [chart.metric_jets(p, order=4).coeffs for p in pts]
     batch = chart.metric_jets(pts, order=4).coeffs
@@ -488,7 +488,7 @@ def test_catalog_metric_jets_match_frozen_digests(name):
 
 def test_eval_jet_shares_equal_subtrees(monkeypatch):
     # the Berger metric spells out 15 sin/cos calls of 4 distinct ones
-    chart = charts.get_example("berger_sphere").chart
+    chart = charts.get_example("berger_sphere")
     text = " ".join(e for row in chart.metric_strs for e in row)
     assert text.count("sin(") + text.count("cos(") == 15
     calls = []

@@ -32,7 +32,7 @@ def test_goldens_cover_all_dimensions():
 def test_pipeline_matches_frozen_goldens():
     for entry in _goldens()["entries"]:
         man = charts.get_example(entry["manifold"])
-        pack = pipeline_pack(CurvatureFrame(man.chart, entry["point"]),
+        pack = pipeline_pack(CurvatureFrame(man, entry["point"]),
                              deep=True)
         gold = entry["oracle"]
         assert set(pack) == set(gold), entry["manifold"]

@@ -99,7 +99,7 @@ def lie_group_cases():
         yield (f"round_sphere_3[{r}]", charts.round_sphere(3, r),
                structure_constants((2.0 / r,) * 3))
     for name, n in (("flat_torus_2", 2), ("flat_torus_3", 3)):
-        yield name, charts.get_example(name).chart, np.zeros((n, n, n))
+        yield name, charts.get_example(name), np.zeros((n, n, n))
 
 
 @pytest.mark.parametrize("chart, c", [case[1:] for case in lie_group_cases()],

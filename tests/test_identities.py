@@ -21,16 +21,16 @@ from bachlab.identities import (IdentityError, bochner_identity,
                                 surface_scalar_rigidity, yano_identity)
 
 CORPUS = (
-    lambda: charts.single(charts.conformal_round_sphere("0.2*cos(th)")),
-    lambda: charts.single(charts.hyperbolic_2(1.3)),
-    lambda: charts.single(charts.berger_sphere(1.4)),
+    lambda: charts.conformal_round_sphere("0.2*cos(th)"),
+    lambda: charts.hyperbolic_2(1.3),
+    lambda: charts.berger_sphere(1.4),
 )
 
 def generic_fields(man):
     """A generic vector field and symmetric 2-tensor for a chart."""
-    coords = man.chart.coords
+    coords = man.coords
     x = tuple(f"0.3*cos({coords[(i + 1) % len(coords)]}) + 0.1*{coords[i]}"
-              if not man.chart.periodic[i] else
+              if not man.periodic[i] else
               f"0.3*cos({coords[(i + 1) % len(coords)]})"
               for i in range(len(coords)))
     t = tuple(tuple(
@@ -48,17 +48,17 @@ def test_lie_pairing_on_corpus():
         man = build()
         x, t = generic_fields(man)
         out = lie_pairing_identity(man, x, t, count=50)
-        assert out["sup"] <= 1e-7, man.chart.name
+        assert out["sup"] <= 1e-7, man.name
         assert len(out["residuals"]) >= 50
 
 
 def test_lie_pairing_with_metric_tensor_gives_twice_divergence():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     x = ("0.4*sin(ph)*sin(th)", "0.7")
-    out = lie_pairing_identity(man, x, man.chart.metric_strs, count=10)
+    out = lie_pairing_identity(man, x, man.metric_strs, count=10)
     assert out["sup"] <= 1e-12
     p = out["points"][3]
-    frame = CurvatureFrame(man.chart, p)
+    frame = CurvatureFrame(man, p)
     xj = frame.vector_jets(x)
     lie = frame.lie_metric(xj)
     lhs = values(frame.inner_sym2(lie, frame.g.truncated(lie[0, 0].order)))
@@ -66,7 +66,7 @@ def test_lie_pairing_with_metric_tensor_gives_twice_divergence():
 
 
 def test_lie_pairing_killing_both_sides_vanish():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     _, t = generic_fields(man)
     out = lie_pairing_identity(man, ("0", "1"), t, count=10)
     assert out["sup"] <= 1e-13
@@ -75,7 +75,7 @@ def test_lie_pairing_killing_both_sides_vanish():
 @pytest.mark.parametrize("t", [[["1", "0"]], [["1", "0"], ["0"]],
                                [["1", "0", "0"], ["0", "1", "0"]]])
 def test_lie_pairing_rejects_a_tensor_of_the_wrong_shape(t):
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     with pytest.raises(IdentityError, match="2 x 2"):
         lie_pairing_identity(man, ("0", "1"), t, count=2)
 
@@ -84,7 +84,7 @@ def test_lie_pairing_rejects_a_tensor_of_the_wrong_shape(t):
 # integral identities on constructed data
 # ----------------------------------------------------------------------
 def test_integral_identities_sphere_exact_fixture():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = soliton_integral_identities(man, ("-sin(th)", "0"), "0.3*cos(th)")
     # q = -2.6 cos(th) g: the trace-free part vanishes identically
     assert abs(out["rhs1"]) <= 1e-14
@@ -97,14 +97,14 @@ def test_integral_identities_sphere_exact_fixture():
 
 
 def test_integral_identities_zero_data():
-    man = charts.single(charts.flat_torus((5.0, 6.0)))
+    man = charts.flat_torus((5.0, 6.0))
     out = soliton_integral_identities(man, ("0", "0"), "0")
     for key in ("lhs1", "rhs1", "lhs2", "rhs2"):
         assert out[key] == 0.0
 
 
 def test_integral_identities_random_fields_balance():
-    man = charts.single(charts.flat_torus())
+    man = charts.flat_torus()
     out = soliton_integral_identities(
         man, ("exp(0.3*sin(t0))", "0.4*cos(t0 + 2*t1)"),
         "0.2*exp(0.2*cos(t1))")
@@ -115,7 +115,7 @@ def test_integral_identities_random_fields_balance():
 def test_integral_imbalance_shrinks_under_doubling():
     # globally smooth sphere data: grad(exp(0.2 z)) plus z times the
     # rotation field (a theta component must vanish at the poles)
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     x = ("-0.2*sin(th)*exp(0.2*cos(th))", "0.4 + 0.1*cos(th)")
     phi = "0.1*exp(0.3*cos(th))"
     coarse = soliton_integral_identities(man, x, phi, resolution=(8, 10))
@@ -124,7 +124,7 @@ def test_integral_imbalance_shrinks_under_doubling():
     assert fine["imbalance1"] <= coarse["imbalance1"] / 10.0
     assert fine["imbalance2"] <= max(coarse["imbalance2"] / 10.0, 1e-14)
 
-    torus = charts.single(charts.flat_torus())
+    torus = charts.flat_torus()
     x = ("exp(0.8*sin(t0)) - 1", "0.5*cos(t0 + t1)")
     phi = "0.3*exp(0.5*cos(t1))"
     coarse = soliton_integral_identities(torus, x, phi, resolution=(6, 6))
@@ -143,7 +143,7 @@ def test_integral_identities_need_compact_chart():
 def test_constructed_data_consistency_loop():
     # the constructed q closes the generalized soliton relation exactly,
     # and the integral identities then balance on the same data
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     x = ("-0.3*sin(th)*exp(0.2*cos(th))", "0.5 + 0.2*cos(th)")
     phi = "0.4*cos(th)"
     spec = solitons.SolitonSpec(manifold=man, x_exprs=x, phi=phi,
@@ -163,12 +163,12 @@ def test_lie_divergence_identity_on_corpus():
         man = build()
         x, _ = generic_fields(man)
         out = lie_divergence_identity(man, x, "0.2*cos(" +
-                                      man.chart.coords[0] + ")", count=50)
+                                      man.coords[0] + ")", count=50)
         assert out["sup"] <= 1e-7, man.name
 
 
 def test_lie_divergence_killing_all_terms_vanish():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = lie_divergence_identity(man, ("0", "1"), "0", count=8)
     assert out["sup"] <= 1e-13
 
@@ -177,14 +177,14 @@ def test_lie_divergence_killing_all_terms_vanish():
 # conformal-field scalar identity
 # ----------------------------------------------------------------------
 def test_yano_round_sphere_gradient_field():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = yano_identity(man, ("-sin(th)", "0"), count=30)
     assert out["sup"] <= 1e-11
     assert out["conformality_gap"] <= 1e-12
 
 
 def test_yano_killing_field():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = yano_identity(man, ("0", "1"), count=10)
     assert out["sup"] <= 1e-12
 
@@ -193,7 +193,7 @@ def test_yano_survives_conformal_rescaling():
     # the same coordinate field stays conformal for every metric in the
     # conformal class; the identity must hold with the rescaled geometry
     for u in ("0.2*cos(th)", "0.15*sin(th)*cos(ph)"):
-        man = charts.single(charts.conformal_round_sphere(u))
+        man = charts.conformal_round_sphere(u)
         out = yano_identity(man, ("-sin(th)", "0"), count=40)
         assert out["sup"] <= 1e-7, u
         out2 = yano_identity(man, ("0", "1"), count=20)
@@ -208,7 +208,7 @@ def test_yano_builds_one_frame_per_point_set(monkeypatch):
 
 
 def test_yano_rejects_non_conformal_field():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     with pytest.raises(IdentityError, match="not conformal"):
         yano_identity(man, ("0.3*sin(ph)*sin(th)", "0"), count=6)
 
@@ -227,7 +227,7 @@ def test_bourguignon_ezin_on_bumpy_sphere():
 
 
 def test_bourguignon_ezin_constant_curvature_trivial():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = bourguignon_ezin_integral(man, ("-sin(th)", "0"), "ricci")
     assert abs(out["integral"]) <= 1e-13
 
@@ -246,7 +246,7 @@ def test_bourguignon_ezin_guards():
     with pytest.raises(IdentityError, match="unknown q_mode"):
         bourguignon_ezin_integral(man, ("-sin(th)", "0"), "weyl")
     with pytest.raises(IdentityError, match="dimension 2"):
-        bourguignon_ezin_integral(charts.single(charts.round_sphere(3)),
+        bourguignon_ezin_integral(charts.round_sphere(3),
                                   ("0", "0", "1"), "scalar_metric")
     with pytest.raises(IdentityError, match="not conformal"):
         bourguignon_ezin_integral(man, ("0.3*sin(ph)*sin(th)", "0"),
@@ -257,7 +257,7 @@ def test_bourguignon_ezin_guards():
 # conformality from the vanishing integral
 # ----------------------------------------------------------------------
 def test_conformality_integral_conformal_data():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = soliton_conformality_integral(man, ("-sin(th)", "0"),
                                         "0.1*cos(th)")
     assert out["verdict"] == "conformal"
@@ -267,7 +267,7 @@ def test_conformality_integral_conformal_data():
 
 def test_conformality_integral_dim2_needs_no_trace_term():
     # in dimension 2 the L_X term carries weight (n-2)/n = 0
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = soliton_conformality_integral(man, ("-sin(th)", "0"), "0")
     assert out["integral"] == pytest.approx(out["qbar_integral"], abs=1e-15)
     assert out["verdict"] == "conformal"
@@ -282,7 +282,7 @@ def test_conformality_integral_killing_dim4():
 
 
 def test_conformality_integral_nonconformal_control():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     out = soliton_conformality_integral(man, ("0.3*sin(ph)*sin(th)", "0"),
                                         "0")
     assert out["verdict"] == "nonzero"
@@ -295,15 +295,15 @@ def test_conformality_integral_nonconformal_control():
 def test_bochner_on_corpus():
     for build in CORPUS:
         man = build()
-        h = f"0.5*cos({man.chart.coords[0]}) + 0.2*{man.chart.coords[1]}" \
-            if not man.chart.periodic[1] else \
-            f"0.5*cos({man.chart.coords[0]}) + 0.2*sin({man.chart.coords[1]})"
+        h = f"0.5*cos({man.coords[0]}) + 0.2*{man.coords[1]}" \
+            if not man.periodic[1] else \
+            f"0.5*cos({man.coords[0]}) + 0.2*sin({man.coords[1]})"
         out = bochner_identity(man, h, count=50)
         assert out["sup"] <= 1e-7, man.name
 
 
 def test_bochner_constant_and_closed_form():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     assert bochner_identity(man, "4.2", count=6)["sup"] == 0.0
     # h = cos(th): Hess h = -cos(th) g, div(Hess h) = -d cos(th),
     # Ric(grad h) = d h shifted by the curvature; identity at 1e-13
@@ -314,19 +314,19 @@ def test_bochner_constant_and_closed_form():
 # compact-surface scalar rigidity
 # ----------------------------------------------------------------------
 def test_rigidity_round_sphere_and_torus():
-    out = surface_scalar_rigidity(charts.single(charts.round_sphere(2)))
+    out = surface_scalar_rigidity(charts.round_sphere(2))
     assert out["passed"] and out["scalar_constant"]
     assert out["grad_identity_sup"] <= 1e-6
     assert out["cauchy_schwarz_slack"] >= -1e-10
     out2 = surface_scalar_rigidity(
-        charts.single(charts.flat_torus((5.0, 7.0))))
+        charts.flat_torus((5.0, 7.0)))
     assert out2["passed"]
     assert out2["hess_sq_integral"] == 0.0
 
 
 def test_rigidity_builds_one_frame_per_point_set(monkeypatch):
     orders = count_frames(monkeypatch)
-    out = surface_scalar_rigidity(charts.single(charts.round_sphere(2)),
+    out = surface_scalar_rigidity(charts.round_sphere(2),
                                   resolution=(6, 5))
     assert out["passed"]
     assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30)]
@@ -414,7 +414,7 @@ def test_rigidity_rejects_nonconstant_invariant():
 
 def test_rigidity_needs_surface():
     with pytest.raises(IdentityError, match="surfaces"):
-        surface_scalar_rigidity(charts.single(charts.round_sphere(3)))
+        surface_scalar_rigidity(charts.round_sphere(3))
 
 
 # ----------------------------------------------------------------------

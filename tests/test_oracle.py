@@ -110,7 +110,7 @@ def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
     if name in _CASES:
         chart, point = _CASES[name]
     else:
-        chart = charts.get_example(name).chart
+        chart = charts.get_example(name)
         point = charts.sample_points(chart, 2)[1]
     fdcheck.geometry_from_chart(chart).pack(point, deep=True)
     assert oracle_counts == {"gfun": nodes, "eval_mp": nodes,
@@ -129,7 +129,7 @@ def test_symmetric_entries_share_one_evaluation(oracle_counts):
 # ----------------------------------------------------------------------
 def test_round_off_is_irrelevant_and_the_caller_context_untouched(
         monkeypatch):
-    chart = charts.get_example("r2_x_s2").chart
+    chart = charts.get_example("r2_x_s2")
     point = charts.sample_points(chart, 2)[1]
     with decimal.localcontext() as caller:
         caller.prec = 5  # the oracle opens its own context
@@ -153,7 +153,7 @@ def test_oracle_reproduces_the_frozen_goldens_bitwise(name):
     doc = json.loads(path.read_text(encoding="ascii"))
     assert doc["oracle"]["dps"] == fdcheck.DEFAULT_DPS
     entry, = (e for e in doc["entries"] if e["manifold"] == name)
-    chart = charts.get_example(name).chart
+    chart = charts.get_example(name)
     pack = fdcheck.geometry_from_chart(chart, h=doc["oracle"]["h"]).pack(
         entry["point"], deep=True)
     assert set(pack) == set(entry["oracle"])

@@ -16,9 +16,8 @@ from bachlab.curvature import BASE_ORDER, CurvatureFrame
 from bachlab.products import (FactorCurvature, ProductFormulaError,
                               bach_line_cross_3, bach_surface_product,
                               circle_product_lambda, einstein_residual_norm2,
-                              line_product_lambda,
-                              line_product_trace_residual,
-                              line_soliton_obstruction, surface_c_invariant)
+                              line_product_lambda, line_soliton_obstruction,
+                              surface_c_invariant)
 from conftest import count_frames
 from test_solitons import same_bits
 
@@ -169,11 +168,6 @@ def test_lambda_signs_on_berger_family():
             assert einstein_residual_norm2(fc) > 1e-3
 
 
-def test_trace_identity_residual_is_algebraically_zero():
-    fc = fc_at(charts.berger_sphere(1.7), [0.7, 1.1, 0.4])
-    assert abs(line_product_trace_residual(fc)) <= 1e-12
-
-
 def test_product_lambda_report_and_constancy_gate():
     rep = products.product_lambda_report(charts.berger_sphere(1.5), "circle")
     assert rep["lambda"] > 0
@@ -295,7 +289,7 @@ def test_n3_closed_forms_on_a_set_equal_each_point():
         fcs, each = factor_data(chart)
         for form in (bach_line_cross_3, circle_product_lambda,
                      einstein_residual_norm2, line_product_lambda,
-                     line_product_trace_residual, line_soliton_obstruction):
+                     line_soliton_obstruction):
             assert_set_holds_each(form(fcs), [form(fc) for fc in each])
 
 

@@ -75,7 +75,7 @@ def test_spec_from_doc():
 # extended residual: structural zero cases
 # ----------------------------------------------------------------------
 def test_killing_field_zero_q_zero_phi():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, x_exprs=("0", "1"), lam=0.0, q="zero")
     rep = extended_q_residual(man, spec, count=10)
     assert rep.sup <= 1e-13 and rep.passed
@@ -92,7 +92,7 @@ def test_constructed_q_is_identically_zero():
 
 
 def test_conformal_field_case_on_round_sphere():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, potential="cos(th)", phi="-cos(th)",
                        q="zero")
     rep = extended_q_residual(man, spec, count=10)
@@ -112,7 +112,7 @@ def test_custom_q_matches_zero_selector():
 
 
 def test_report_summary_fields():
-    man = charts.single(charts.round_sphere(2))
+    man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, x_exprs=("0", "1"), lam=0.0, q="zero")
     rep = extended_q_residual(man, spec, count=4, label="killing")
     s = rep.summary()
@@ -181,9 +181,8 @@ def test_named_example_unknown():
 def test_lambda_form_equals_extended_form():
     # (1/2)L_X g = (1/2)(B + (1/12)Lap(S) g) + lam g  is the same equation
     # as the extended form with q = B and phi = lam + (1/24)Lap(S)
-    chart = charts.conformal(charts.get_example("s2_x_s2").chart,
-                             "0.2*cos(th) + 0.1*sin(th_2)")
-    man = charts.single(chart)
+    man = charts.conformal(charts.get_example("s2_x_s2"),
+                           "0.2*cos(th) + 0.1*sin(th_2)")
     lam = 0.3
     pts = charts.residual_sample_points(man, 4, grid_cap=16)[:6]
     a = bach_soliton_residual(man, lam, potential="0.2*cos(th)*cos(ph)",
@@ -197,7 +196,7 @@ def test_lambda_form_equals_extended_form():
 
 
 def test_bach_soliton_needs_dim_4():
-    man = charts.single(charts.round_sphere(3))
+    man = charts.round_sphere(3)
     with pytest.raises(SolitonError, match="n = 4"):
         bach_soliton_residual(man, 0.0, x_exprs=("0", "0", "0"))
 
@@ -418,7 +417,7 @@ def test_c_field_residual_is_the_extended_residual():
     man = charts.get_example("s2_x_s2")
     spec = SolitonSpec(manifold=man, x_exprs=("0.1*sin(th)", "1", "0", "0"),
                        phi="0.02*cos(th_2)")
-    pts = charts.sample_points(man.chart, 3)
+    pts = charts.sample_points(man, 3)
     out = surface_conformal_field(man, spec, points=pts)
     rep = extended_q_residual(man, spec, points=pts)
     assert out["extended_residual_sup"] == np.abs(rep.residuals).max() > 0
@@ -466,7 +465,7 @@ def test_splitting_spotcheck():
     assert const["split_mixed_sup"] == 0.0
     assert const["control_mixed_sup"] is None
     with pytest.raises(SolitonError, match="at least two factors"):
-        splitting_spotcheck(charts.single(charts.round_sphere(2)), "th")
+        splitting_spotcheck(charts.round_sphere(2), "th")
 
 
 def test_residual_sample_points():
@@ -484,8 +483,8 @@ def test_residual_sample_points():
 # point chunks: one frame per chunk, values bitwise per point
 # ----------------------------------------------------------------------
 def bumpy_s2_x_s2():
-    return charts.single(charts.conformal(
-        charts.get_example("s2_x_s2").chart, "0.2*cos(th) + 0.1*sin(th_2)"))
+    return charts.conformal(charts.get_example("s2_x_s2"),
+                            "0.2*cos(th) + 0.1*sin(th_2)")
 
 
 def same_bits(a, b):
@@ -520,7 +519,7 @@ def test_residual_equals_the_per_point_path(spec_kw):
                        **spec_kw)
     rep = extended_q_residual(man, spec, points=pts)
     for i, p in enumerate(pts):
-        frame = CurvatureFrame(man.chart, p)
+        frame = CurvatureFrame(man, p)
         g, _, r = solitons._residual(frame, spec,
                                      solitons._field_jets(frame, spec))
         assert same_bits(rep.residuals[i], r), i
