@@ -36,14 +36,15 @@ def main() -> int:
         point = charts.sample_points(chart, 2)[1]
         pack = fdcheck.geometry_from_chart(chart, h=GOLDEN_H).pack(
             point, deep=True)
+        point = [float(c) for c in point]
         entries.append({
             "manifold": name,
-            "point": [float(c) for c in point],
+            "point": point,
             "oracle": report.jsonable(pack),
         })
-        print(f"  {name}: {len(pack)} quantities at {list(point)}")
+        print(f"  {name}: {len(pack)} quantities at {point}")
     doc = {
-        "format": 1,
+        "format": 2,
         "generator": "scripts/regen_goldens.py",
         "oracle": {"h": GOLDEN_H, "dps": fdcheck.DEFAULT_DPS},
         "entries": entries,

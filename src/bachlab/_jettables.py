@@ -45,7 +45,6 @@ class JetTables:
     order: int
     mons: tuple[tuple[int, ...], ...]
     index: dict
-    size_upto: tuple[int, ...]  # size_upto[k] = #monomials of degree <= k
     pair_i: np.ndarray  # strict pairs: left slot (i < j)
     pair_j: np.ndarray  # strict pairs: right slot
     pair_k: np.ndarray  # strict pairs: destination slot
@@ -62,9 +61,6 @@ def _build(dim: int, order: int) -> JetTables:
     mons = monomials(dim, order)
     index = {alpha: i for i, alpha in enumerate(mons)}
     degrees = [sum(alpha) for alpha in mons]
-    size_upto = tuple(
-        sum(1 for d in degrees if d <= k) for k in range(order + 1)
-    )
 
     pi, pj, pk, di, dk = [], [], [], [], []
     for i, alpha in enumerate(mons):
@@ -78,7 +74,7 @@ def _build(dim: int, order: int) -> JetTables:
                 pj.append(j)
                 pk.append(index[gamma])
 
-    n_lower = size_upto[order - 1] if order > 0 else 0
+    n_lower = sum(1 for d in degrees if d < order)
     dsrc, dmul = [], []
     for axis in range(dim):
         src = np.empty(n_lower, dtype=np.int32)
@@ -105,7 +101,6 @@ def _build(dim: int, order: int) -> JetTables:
         order=order,
         mons=mons,
         index=index,
-        size_upto=size_upto,
         pair_i=np.asarray(pi, dtype=np.int32),
         pair_j=np.asarray(pj, dtype=np.int32),
         pair_k=pair_k,

@@ -122,7 +122,6 @@ class Chart:
 class Quadrature:
     nodes: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,) coordinate-measure weights (no density)
-    shape: tuple[int, ...]
 
 
 def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
@@ -175,12 +174,17 @@ _EXPR_SHAPES = ("one expression", "a list of expressions",
 
 def read_expressions(doc: Mapping, chart: Chart, error) -> dict:
     """The `EXPR_FIELDS` of a document as text, a number as its repr;
-    once every field has its shape, each entry is parsed on the chart."""
+    once every field has its shape, one row and one entry per coordinate,
+    each entry is parsed on the chart."""
     entries = []  # (path, text) of every entry
 
     def read(value, depth: int, name: str, path: str):
         if depth:
             if isinstance(value, (list, tuple)):
+                if len(value) != chart.dim:
+                    noun = "rows" if depth == 2 else "entries"
+                    raise error(f"{path} needs {chart.dim} {noun}, one per "
+                                f"coordinate; got {len(value)}")
                 return tuple(read(v, depth - 1, name, f"{path}[{k}]")
                              for k, v in enumerate(value))
         elif isinstance(value, str) or is_number(value):
@@ -227,7 +231,7 @@ def quadrature(chart: Chart, resolution: int | Sequence[int] | None = None
     weights = np.ones(nodes.shape[0])
     for w in wgrids:
         weights = weights * w.reshape(-1)
-    return Quadrature(nodes=nodes, weights=weights, shape=res)
+    return Quadrature(nodes=nodes, weights=weights)
 
 
 def _checked_metric(chart: Chart, points: np.ndarray) -> np.ndarray:

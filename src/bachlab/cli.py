@@ -197,8 +197,7 @@ def _cmd_check_soliton(args) -> int:
             spec = solitons.SolitonSpec.from_doc(doc)
             tol = _tol("soliton", args.tol)
             rep = solitons.extended_q_residual(
-                spec.manifold, spec, count=args.count, tol=tol,
-                label=Path(args.case).stem)
+                spec, count=args.count, tol=tol, label=Path(args.case).stem)
             config["case"] = doc
             check_id = f"soliton/{rep.label}"
     rec = report.check_record(check_id, rep.sup, rep.tol, rep.passed,

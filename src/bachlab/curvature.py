@@ -48,6 +48,7 @@ one frame at order BASE_ORDER + 1 = 5; see `bach_divergence` and
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -372,30 +373,25 @@ def on_points(chart: Chart, points, fn, order: int = BASE_ORDER):
     return np.concatenate(parts, axis=-1)
 
 
+# The stages a pack holds, in order: (stage name, dims it is defined in,
+# deep: a third or fourth derivative of g).  `fdcheck.PACK` lists the same.
+_ANY, _DIM3_UP = range(1, sys.maxsize), range(3, sys.maxsize)
+PACK = (("gamma", _ANY, False), ("riemann_lo", _ANY, False),
+        ("ricci", _ANY, False), ("scalar", _ANY, False),
+        ("ricci_sq", _ANY, False), ("ricci_norm2", _ANY, False),
+        ("schouten", _DIM3_UP, False), ("cotton", _DIM3_UP, False),
+        ("weyl_lo", _DIM3_UP, False), ("grad_scalar_lo", _ANY, True),
+        ("hess_scalar", _ANY, True), ("lap_scalar", _ANY, True),
+        ("cov_ricci", _ANY, True), ("lap_ricci", _ANY, True),
+        ("bach", (4,), True))
+
+
 def pipeline_pack(frame: CurvatureFrame, deep: bool = True
                   ) -> dict[str, np.ndarray | float]:
-    """Pipeline values keyed like `fdcheck.FDGeometry.pack` for comparison."""
-    out = {
-        "gamma": frame.gamma.value,
-        "riemann_lo": frame.riemann_lo.value,
-        "ricci": frame.ricci.value,
-        "scalar": frame.scalar.value,
-        "ric2": frame.ricci_sq.value,
-        "ric_norm2": frame.ricci_norm2.value,
-    }
-    if frame.n >= 3:
-        out["schouten"] = frame.schouten.value
-        out["cotton"] = frame.cotton.value
-        out["weyl"] = frame.weyl_lo.value
-    if deep:
-        out["grad_scalar_lo"] = frame.grad_scalar_lo.value
-        out["hess_scalar"] = frame.hess_scalar.value
-        out["lap_scalar"] = frame.lap_scalar.value
-        out["cov_ricci"] = frame.cov_ricci.value
-        out["lap_ricci"] = frame.lap_ricci.value
-        if frame.n == 4:
-            out["bach"] = frame.bach.value
-    return out
+    """The frame's stage values by stage name, as `fdcheck.FDGeometry.pack`
+    gives the oracle's, for comparison."""
+    return {name: getattr(frame, name).value for name, dims, deeper in PACK
+            if frame.n in dims and (deep or not deeper)}
 
 
 def bach_divergence(chart: Chart, point) -> np.ndarray:

@@ -81,12 +81,7 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Par:
-    name: str
+    name: str  # a coordinate or a parameter
 
 
 @dataclass(frozen=True)
@@ -273,10 +268,8 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(tok.text, arg)
-            if tok.text in self.coords:
+            if tok.text in self.coords or tok.text in self.params:
                 return Var(tok.text)
-            if tok.text in self.params:
-                return Par(tok.text)
             declared = sorted(self.coords) + sorted(self.params)
             raise DslNameError(
                 f"unknown identifier {tok.text!r}; declared names: "
@@ -464,7 +457,7 @@ class _Program:
                 t = type(x)
                 if t is Num:
                     key = (Num, x.v, math.copysign(1.0, x.v))
-                elif t is Var or t is Par:
+                elif t is Var:
                     key = (Var, x.name)
                 elif t is Neg:
                     key = (None, number(x.a), None)

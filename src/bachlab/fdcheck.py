@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import functools
+import sys
 from decimal import Decimal
 from typing import Callable, Iterator, Sequence
 
@@ -181,7 +182,7 @@ class FDGeometry:
     def _cov(self, fun: Callable, q: tuple) -> np.ndarray:
         """nabla_m T_{i..} = d_m T_{i..} - sum_s Gamma^a_{m i_s} T_{..a..},
         the derivative index m first, for an all-lower tensor T = fun."""
-        dT, T, gam = self._grad(fun, q), fun(q), self.christoffel(q)
+        dT, T, gam = self._grad(fun, q), fun(q), self.gamma(q)
 
         def entry(m, *idx):
             acc = dT[(m,) + idx]
@@ -193,7 +194,7 @@ class FDGeometry:
 
     # -- metric level ---------------------------------------------------
     @_per_point
-    def metric(self, p):
+    def g(self, p):
         """g at p; every entry finite and g exactly symmetric."""
         g = self.gfun(tuple(mp.mpf(str(x)) for x in p))
         if not all(mp.isfinite(x) for row in g for x in row):
@@ -204,12 +205,12 @@ class FDGeometry:
                         dtype=object)
 
     @_per_point
-    def metric_inv(self, p):
+    def ginv(self, p):
         """g^-1 with 3 guard digits: LU elimination with row-scaled partial
         pivoting, then one forward and back substitution per unit column
         (the arithmetic of mpmath's `inverse`, on plain lists)."""
         n, R = self.n, range(self.n)
-        lu, perm = self.metric(p).tolist(), []
+        lu, perm = self.g(p).tolist(), []
         with decimal.localcontext() as ctx:
             ctx.prec += 3
             for j in R:
@@ -241,13 +242,13 @@ class FDGeometry:
         return np.array(cols, dtype=object).T
 
     @_per_point
-    def christoffel(self, p):
+    def gamma(self, p):
         """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2.
 
         The bracket is built once per (l, i, j); entries with i <= j are
         summed and mirrored, as the metric is symmetric."""
         R = range(self.n)
-        dg, gi = self._grad_sym(self.metric, p), self.metric_inv(p)
+        dg, gi = self._grad_sym(self.g, p), self.ginv(p)
         bracket = {(l, i, j): dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
                    for l in R for i in R for j in R if i <= j}
         gam = np.empty((self.n,) * 3, dtype=object)
@@ -262,7 +263,7 @@ class FDGeometry:
     def _riemann_rule(self, p) -> Callable:
         """The entry rule (l, i, j, k) -> R^l_ijk at p."""
         R = range(self.n)
-        dgam, gam = self._grad_sym(self.christoffel, p), self.christoffel(p)
+        dgam, gam = self._grad_sym(self.gamma, p), self.gamma(p)
         return lambda l, i, j, k: sum(
             (gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k]
              for m in R), dgam[i, l, j, k] - dgam[j, l, i, k])
@@ -274,7 +275,7 @@ class FDGeometry:
     @_per_point
     def riemann_lo(self, p):
         R = range(self.n)
-        up, g = self.riemann_up(p), self.metric(p)
+        up, g = self.riemann_up(p), self.g(p)
         return self._box(4, lambda l, i, j, k: sum(
             g[l, m] * up[m, i, j, k] for m in R))
 
@@ -288,21 +289,21 @@ class FDGeometry:
     @_per_point
     def scalar(self, p):
         R = range(self.n)
-        ric, gi = self.ricci(p), self.metric_inv(p)
+        ric, gi = self.ricci(p), self.ginv(p)
         return sum(gi[j, k] * ric[j, k] for j in R for k in R)
 
     @_per_point
-    def ric2(self, p):
+    def ricci_sq(self, p):
         """Composition square (Ric^2)_ij = Ric_ik g^kl Ric_lj."""
         R = range(self.n)
-        ric, gi = self.ricci(p), self.metric_inv(p)
+        ric, gi = self.ricci(p), self.ginv(p)
         return self._box(2, lambda i, j: sum(
             ric[i, k] * gi[k, l] * ric[l, j] for k in R for l in R))
 
     @_per_point
-    def ric_norm2(self, p):
+    def ricci_norm2(self, p):
         R = range(self.n)
-        ric, gi = self.ricci(p), self.metric_inv(p)
+        ric, gi = self.ricci(p), self.ginv(p)
         return sum(gi[i, k] * gi[j, l] * ric[i, j] * ric[k, l]
                    for i in R for j in R for k in R for l in R)
 
@@ -319,7 +320,7 @@ class FDGeometry:
     @_per_point
     def lap_scalar(self, p):
         R = range(self.n)
-        hess, gi = self.hess_scalar(p), self.metric_inv(p)
+        hess, gi = self.hess_scalar(p), self.ginv(p)
         return sum(gi[i, j] * hess[i, j] for i in R for j in R)
 
     # -- Ricci derivatives -------------------------------------------------
@@ -331,7 +332,7 @@ class FDGeometry:
     @_per_point
     def lap_ricci(self, p):
         R = range(self.n)
-        nn, gi = self._cov(self.cov_ricci, p), self.metric_inv(p)
+        nn, gi = self._cov(self.cov_ricci, p), self.ginv(p)
         return self._box(2, lambda i, j: sum(
             gi[a, b] * nn[a, b, i, j] for a in R for b in R))
 
@@ -341,7 +342,7 @@ class FDGeometry:
         n = self.n
         if n < 3:
             raise ValueError("Schouten tensor needs dim >= 3")
-        ric, S, g = self.ricci(p), self.scalar(p), self.metric(p)
+        ric, S, g = self.ricci(p), self.scalar(p), self.g(p)
         return self._box(2, lambda i, j: (
             ric[i, j] - S * g[i, j] / (2 * (n - 1))) / (n - 2))
 
@@ -357,7 +358,7 @@ class FDGeometry:
 
     @_per_point
     def weyl_lo(self, p):
-        lo, P, g = self.riemann_lo(p), self.schouten(p), self.metric(p)
+        lo, P, g = self.riemann_lo(p), self.schouten(p), self.g(p)
         return self._box(4, lambda l, i, j, k: lo[l, i, j, k] - (
             P[l, i] * g[j, k] - P[l, j] * g[i, k]
             + g[l, i] * P[j, k] - g[l, j] * P[i, k]))
@@ -368,7 +369,7 @@ class FDGeometry:
         if self.n != 4:
             raise ValueError("Bach tensor is implemented for dim 4 only")
         R = range(self.n)
-        dC, gi = self._cov(self.cotton, p), self.metric_inv(p)
+        dC, gi = self._cov(self.cotton, p), self.ginv(p)
         P, W = self.schouten(p), self.weyl_lo(p)
         P_up = self._box(2, lambda a, b: sum(
             gi[a, c] * gi[b, d] * P[c, d] for c in R for d in R))
@@ -380,21 +381,23 @@ class FDGeometry:
     def pack(self, point: Sequence[float], deep: bool = True
              ) -> dict[str, np.ndarray]:
         """Full curvature pack at a point, as plain float arrays."""
-        parts = {"gamma": self.christoffel, "riemann_lo": self.riemann_lo,
-                 "ricci": self.ricci, "scalar": self.scalar,
-                 "ric2": self.ric2, "ric_norm2": self.ric_norm2}
-        if self.n >= 3:
-            parts.update(schouten=self.schouten, cotton=self.cotton,
-                         weyl=self.weyl_lo)
-        if deep:
-            parts.update(grad_scalar_lo=self.grad_scalar_lo,
-                         hess_scalar=self.hess_scalar,
-                         lap_scalar=self.lap_scalar,
-                         cov_ricci=self.cov_ricci, lap_ricci=self.lap_ricci)
-            if self.n == 4:
-                parts["bach"] = self.bach
         with _oracle_point(point) as p:
-            return {key: _floats(fun(p)) for key, fun in parts.items()}
+            return {name: _floats(getattr(self, name)(p))
+                    for name, dims, deeper in PACK
+                    if self.n in dims and (deep or not deeper)}
+
+
+# The stages a pack holds, as `curvature.PACK` lists them; a copy, because
+# this module imports nothing of the pipeline.
+_ANY, _DIM3_UP = range(1, sys.maxsize), range(3, sys.maxsize)
+PACK = (("gamma", _ANY, False), ("riemann_lo", _ANY, False),
+        ("ricci", _ANY, False), ("scalar", _ANY, False),
+        ("ricci_sq", _ANY, False), ("ricci_norm2", _ANY, False),
+        ("schouten", _DIM3_UP, False), ("cotton", _DIM3_UP, False),
+        ("weyl_lo", _DIM3_UP, False), ("grad_scalar_lo", _ANY, True),
+        ("hess_scalar", _ANY, True), ("lap_scalar", _ANY, True),
+        ("cov_ricci", _ANY, True), ("lap_ricci", _ANY, True),
+        ("bach", (4,), True))
 
 
 def _floats(t):

@@ -211,11 +211,13 @@ def _residual_norms(frame: CurvatureFrame, spec: SolitonSpec, x_jets
     return r, metric_norm(_per_point(g), _per_point(r))
 
 
-def extended_q_residual(man: Chart, spec: SolitonSpec,
+def extended_q_residual(spec: SolitonSpec,
                         points: np.ndarray | None = None, count: int = 200,
                         tol: float = _TOLS["soliton"],
                         label: str = "extended-q") -> ResidualReport:
-    """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set."""
+    """Evaluate R = (1/2) L_X g - (1/2) q - phi g over a sample set of
+    ``spec.manifold``."""
+    man = spec.manifold
     points = _point_set(man, points, count)
     residuals, norms = on_points(man, points, lambda frame: _residual_norms(
         frame, spec, _field_jets(frame, spec)))
@@ -237,8 +239,8 @@ def bach_soliton_residual(man: Chart, lam: float,
         manifold=man, potential=potential,
         x_exprs=None if x_exprs is None else tuple(x_exprs),
         lam=float(lam), q="bach_flow")
-    return extended_q_residual(man, spec, points=points, count=count,
-                               tol=tol, label=label)
+    return extended_q_residual(spec, points=points, count=count, tol=tol,
+                               label=label)
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +460,9 @@ def surface_conformal_field(man: Chart, spec: SolitonSpec,
     (1/2) L_C g, the sup of the displayed identity, and the phi formulas
     forced when C has no K (resp. no L) component.
     """
+    if spec.manifold != man:
+        raise SolitonError(f"the spec is on {spec.manifold.name!r}, not on "
+                           f"{man.name!r}")
     sl_k, sl_l = _two_surface_slices(man)
     if spec.q != "bach_flow":
         raise SolitonError(

@@ -86,7 +86,7 @@ def test_quadrature_takes_one_count_for_every_axis():
         for k in (1, 5):
             one = charts.quadrature(chart, k)
             per_axis = charts.quadrature(chart, (k,) * chart.dim)
-            assert one.shape == per_axis.shape == (k,) * chart.dim
+            assert one.nodes.shape == (k ** chart.dim, chart.dim)
             assert np.array_equal(one.nodes, per_axis.nodes)
             assert np.array_equal(one.weights, per_axis.weights)
     with pytest.raises(ChartError, match="needs 2 axis counts"):

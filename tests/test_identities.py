@@ -148,7 +148,7 @@ def test_constructed_data_consistency_loop():
     phi = "0.4*cos(th)"
     spec = solitons.SolitonSpec(manifold=man, x_exprs=x, phi=phi,
                                 q="constructed")
-    rep = solitons.extended_q_residual(man, spec, count=12)
+    rep = solitons.extended_q_residual(spec, count=12)
     assert rep.sup <= 1e-14
     out = soliton_integral_identities(man, x, phi)
     assert out["imbalance1"] <= 1e-9 * max(out["scale1"], 1.0)

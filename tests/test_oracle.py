@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from bachlab import charts, exprs, fdcheck
+from bachlab.curvature import CurvatureFrame, pipeline_pack
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
 def test_symmetric_entries_share_one_evaluation(oracle_counts):
     geo = fdcheck.geometry_from_chart(_chart(_BUMPY4, _COORDS4))
     with fdcheck._oracle_point([0.1, 0.2, 0.3, 0.4]) as p:
-        geo.metric(p)
+        geo.g(p)
     assert oracle_counts == {"gfun": 1, "eval_mp": 1, "funcs": 10}
 
 
@@ -144,6 +145,18 @@ def test_round_off_is_irrelevant_and_the_caller_context_untouched(
     for key, val in pack.items():
         scale = max(1.0, np.abs(finer[key]).max())
         assert np.abs(val - finer[key]).max() <= 1e-25 * scale, key
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_2", "berger_sphere", "r2_x_s2"])
+def test_pipeline_and_oracle_packs_name_the_same_frame_stages(name):
+    # a comparison looks the oracle's values up by the pipeline's keys, so
+    # a key only the oracle has would go unchecked
+    chart = charts.get_example(name)
+    point = charts.sample_points(chart, 2)[1]
+    mine = pipeline_pack(CurvatureFrame(chart, point))
+    ref = fdcheck.geometry_from_chart(chart).pack(point)
+    assert set(mine) == set(ref)
+    assert all(hasattr(CurvatureFrame, key) for key in mine), sorted(mine)
 
 
 @pytest.mark.parametrize("name", ["hyperbolic_2", "round_sphere_2",

@@ -77,7 +77,7 @@ def test_spec_from_doc():
 def test_killing_field_zero_q_zero_phi():
     man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, x_exprs=("0", "1"), lam=0.0, q="zero")
-    rep = extended_q_residual(man, spec, count=10)
+    rep = extended_q_residual(spec, count=10)
     assert rep.sup <= 1e-13 and rep.passed
 
 
@@ -87,7 +87,7 @@ def test_constructed_q_is_identically_zero():
         manifold=man, q="constructed",
         x_exprs=("0.3*cos(th)", "0.2*sin(ph)", "0.1*cos(t0)", "0.4"),
         phi="0.7*sin(th)*cos(t1)")
-    rep = extended_q_residual(man, spec, count=5)
+    rep = extended_q_residual(spec, count=5)
     assert rep.sup <= 1e-15
 
 
@@ -95,7 +95,7 @@ def test_conformal_field_case_on_round_sphere():
     man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, potential="cos(th)", phi="-cos(th)",
                        q="zero")
-    rep = extended_q_residual(man, spec, count=10)
+    rep = extended_q_residual(spec, count=10)
     assert rep.sup <= 1e-12
 
 
@@ -103,10 +103,10 @@ def test_custom_q_matches_zero_selector():
     man = charts.get_example("r2_x_s2")
     zeros = tuple(tuple("0" for _ in range(4)) for _ in range(4))
     a = extended_q_residual(
-        man, SolitonSpec(manifold=man, potential="x*y", lam=0.1, q="custom",
+        SolitonSpec(manifold=man, potential="x*y", lam=0.1, q="custom",
                          custom_q=zeros), count=3)
     b = extended_q_residual(
-        man, SolitonSpec(manifold=man, potential="x*y", lam=0.1, q="zero"),
+        SolitonSpec(manifold=man, potential="x*y", lam=0.1, q="zero"),
         count=3)
     assert np.array_equal(a.residuals, b.residuals)
 
@@ -114,10 +114,23 @@ def test_custom_q_matches_zero_selector():
 def test_report_summary_fields():
     man = charts.round_sphere(2)
     spec = SolitonSpec(manifold=man, x_exprs=("0", "1"), lam=0.0, q="zero")
-    rep = extended_q_residual(man, spec, count=4, label="killing")
+    rep = extended_q_residual(spec, count=4, label="killing")
     s = rep.summary()
     assert s["label"] == "killing" and s["passed"] is True
     assert s["points"] == len(rep.norms) and s["sup"] == rep.sup
+
+
+def test_residual_is_taken_on_the_spec_manifold():
+    # the round sphere's conformal Killing data, on a bumped sphere with
+    # the same coordinate names: it fails there, and only there is it
+    # checked
+    bump = charts.get_example("conformal_sphere_bump")
+    kw = {"x_exprs": ("-sin(th)", "0"), "phi": "-cos(th)", "q": "zero"}
+    rep = extended_q_residual(SolitonSpec(manifold=bump, **kw), count=4)
+    assert rep.sup > 0.1 and not rep.passed
+    rep = extended_q_residual(
+        SolitonSpec(manifold=charts.round_sphere(2), **kw), count=4)
+    assert rep.sup <= 1e-13 and rep.passed
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +203,7 @@ def test_lambda_form_equals_extended_form():
     spec = SolitonSpec(
         manifold=man, potential="0.2*cos(th)*cos(ph)", q="bach",
         phi=lambda fr: lam + values(fr.lap_scalar) / 24.0)
-    b = extended_q_residual(man, spec, points=pts)
+    b = extended_q_residual(spec, points=pts)
     assert np.allclose(a.residuals, b.residuals, atol=1e-13)
     assert a.sup > 1e-3  # the data is not a soliton; agreement is the point
 
@@ -419,7 +432,7 @@ def test_c_field_residual_is_the_extended_residual():
                        phi="0.02*cos(th_2)")
     pts = charts.sample_points(man, 3)
     out = surface_conformal_field(man, spec, points=pts)
-    rep = extended_q_residual(man, spec, points=pts)
+    rep = extended_q_residual(spec, points=pts)
     assert out["extended_residual_sup"] == np.abs(rep.residuals).max() > 0
 
 
@@ -441,6 +454,16 @@ def test_c_field_structure_error():
     spec = SolitonSpec(manifold=man, potential="t", lam=0.0)
     with pytest.raises(SolitonError, match="two surfaces"):
         surface_conformal_field(man, spec)
+
+
+def test_c_field_rejects_a_spec_on_another_manifold():
+    man = charts.get_example("s2_x_s2")
+    bumped = charts.conformal(man, "0.2*cos(th)")
+    assert bumped.coords == man.coords
+    spec = SolitonSpec(manifold=bumped, x_exprs=("0", "1", "0", "0"),
+                       lam=0.0)
+    with pytest.raises(SolitonError, match="not on 's2_x_s2'"):
+        surface_conformal_field(man, spec, count=1)
 
 
 def test_c_field_rejects_other_flow_tensors():
@@ -517,7 +540,7 @@ def test_residual_equals_the_per_point_path(spec_kw):
     assert len(chunk_orders(len(pts))) == 5
     spec = SolitonSpec(manifold=man, potential="0.2*cos(th)*cos(ph)",
                        **spec_kw)
-    rep = extended_q_residual(man, spec, points=pts)
+    rep = extended_q_residual(spec, points=pts)
     for i, p in enumerate(pts):
         frame = CurvatureFrame(man, p)
         g, _, r = solitons._residual(frame, spec,
