@@ -29,6 +29,7 @@ from . import exprs
 from .jets import Jet
 
 TWO_PI = 2.0 * math.pi
+_RESIDUAL_GRID_NODES = 81  # about, on a compact chart: 9^2, 4^3 or 3^4
 
 
 class ChartError(ValueError):
@@ -331,15 +332,14 @@ def sample_points(chart: Chart, count: int, margin: float = 0.08
     return lo + m + unit * (span - 2 * m)
 
 
-def residual_sample_points(man: Chart, count: int = 200,
-                           grid_cap: int = 81) -> np.ndarray:
+def residual_sample_points(man: Chart, count: int = 200) -> np.ndarray:
     """Halton interior points, plus a coarse quadrature grid when compact.
 
-    The grid has about `grid_cap` nodes, the same count on every axis.
+    The grid has about 81 nodes, the same count on every axis.
     """
     pts = sample_points(man, count)
     if man.compact:
-        per_axis = max(2, int(round(grid_cap ** (1.0 / man.dim))))
+        per_axis = max(2, int(round(_RESIDUAL_GRID_NODES ** (1.0 / man.dim))))
         pts = np.vstack([pts, quadrature(man, per_axis).nodes])
     return pts
 

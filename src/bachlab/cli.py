@@ -1,9 +1,9 @@
 """Command-line orchestration: build manifolds, run checks, emit reports.
 
 Exit codes: 0 all checks passed; 1 a check ran and failed its gate;
-2 usage or input-document error; 3 numerical failure (no root bracketed,
-a failed root search, integrator step failure, an overflow, a curvature
-quantity that is not finite).  Reports are canonical JSON and
+2 usage, input-document or unwritable --out error; 3 numerical failure
+(no root bracketed, a failed root search, integrator step failure, an
+overflow, a curvature quantity that is not finite).  Reports are canonical JSON and
 byte-identical for identical configuration: every sample set and
 quadrature grid is fixed by the command's arguments.
 """
@@ -335,6 +335,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:  # reading is a UsageError: this is an --out
+        print(f"error: cannot write {err.filename}: {err.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,12 +11,14 @@ Grammar (EBNF, whitespace insignificant):
 
 Binary operators are left-associative; "^" binds tighter than unary
 minus (so ``-x^2`` is ``-(x^2)``) and takes integer literal exponents
-only.  A NAME followed by "(" calls one of the functions sin, cos, exp,
-sinh, cosh, sqrt, log; any other NAME is a declared coordinate or a
-declared parameter, so a coordinate may share a function's name
-(``exp(exp)``).  Unknown identifiers are rejected at parse time with a
-byte offset.  `rename_names` renames coordinates and parameters in a text
-by the same rule and keeps the rest as written.
+only.  Parentheses and calls nest at most `MAX_NESTING` deep, inside the
+recursion limit; a sum, a product or a run of signs may be any length.
+A NAME followed by "(" calls one of the functions sin, cos, exp, sinh,
+cosh, sqrt, log; any other NAME is a declared coordinate or a declared
+parameter, so a coordinate may share a function's name (``exp(exp)``).
+Unknown identifiers are rejected at parse time with a byte offset.
+`rename_names` renames coordinates and parameters in a text by the same
+rule and keeps the rest as written.
 
 `parse` caches its trees (they are frozen), so a text is parsed once per
 set of declared names.  The same AST evaluates against three backends:
@@ -51,6 +53,7 @@ from ._jettables import tables
 from .jets import ELEMENTARY, Jet
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "log")
+MAX_NESTING = 100  # the parser spends 6 stack frames per level
 
 
 class DslError(ValueError):
@@ -170,9 +173,9 @@ def _tokenize(src: str) -> list[_Token]:
 # ----------------------------------------------------------------------
 class _Parser:
     def __init__(self, src: str, coords: Sequence[str], params: Sequence[str]):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0  # open parentheses and calls
         self.coords = set(coords)
         self.params = set(params)
         clash = self.coords & self.params
@@ -186,13 +189,6 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                                 tok.pos)
         return tok
 
     def parse(self) -> Expr:
@@ -219,11 +215,13 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
+        signs = []
+        while self.peek().kind == "op" and self.peek().text == "-":
+            signs.append(self.next())
+        e = self.power()
+        for _ in signs:
+            e = Neg(e)
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -264,10 +262,7 @@ class _Parser:
                     raise DslNameError(
                         f"unknown function {tok.text!r}; "
                         f"available: {', '.join(FUNCTIONS)}", tok.pos)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, self.nested(self.next()))
             if tok.text in self.coords or tok.text in self.params:
                 return Var(tok.text)
             declared = sorted(self.coords) + sorted(self.params)
@@ -275,11 +270,22 @@ class _Parser:
                 f"unknown identifier {tok.text!r}; declared names: "
                 f"{', '.join(declared) if declared else '(none)'}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(tok)
         raise DslSyntaxError(
             f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+
+    def nested(self, paren: _Token) -> Expr:
+        """The expression after an opening parenthesis, and its ")"."""
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(f"expression nests deeper than "
+                                 f"{MAX_NESTING} levels", paren.pos)
+        self.depth += 1
+        e, tok = self.expr(), self.next()
+        if tok.kind != "op" or tok.text != ")":
+            raise DslSyntaxError(f"expected ')', found "
+                                 f"{tok.text or 'end of input'!r}", tok.pos)
+        self.depth -= 1
+        return e
 
 
 def parse(src: str, coords: Sequence[str], params: Sequence[str] = ()) -> Expr:
@@ -451,28 +457,34 @@ class _Program:
                     self.code.append((slot, *key))
             return slot
 
-        def number(x) -> int:
-            slot = slots.get(id(x))
-            if slot is None:
+        # children first, without recursion: a reversed preorder, b first
+        for root in trees:
+            todo, order = [root], []
+            while todo:
+                x = todo.pop()
+                if id(x) not in slots:
+                    order.append(x)
+                    todo += [getattr(x, f) for f in "ab" if hasattr(x, f)]
+            for x in reversed(order):
+                if id(x) in slots:
+                    continue
                 t = type(x)
                 if t is Num:
                     key = (Num, x.v, math.copysign(1.0, x.v))
                 elif t is Var:
                     key = (Var, x.name)
                 elif t is Neg:
-                    key = (None, number(x.a), None)
+                    key = (None, slots[id(x.a)], None)
                 elif t is Call:
-                    key = (None, number(x.a), x.fn)
+                    key = (None, slots[id(x.a)], x.fn)
                 elif t is Pow:
-                    key = (operator.pow, number(x.a), intern((int, x.k)))
+                    key = (operator.pow, slots[id(x.a)], intern((int, x.k)))
                 elif t in _BINARY:
-                    key = (_BINARY[t], number(x.a), number(x.b))
+                    key = (_BINARY[t], slots[id(x.a)], slots[id(x.b)])
                 else:
                     raise DslError(f"not an expression node: {x!r}")
-                slot = slots[id(x)] = intern(key)
-            return slot
-
-        self.outs = [number(x) for x in trees]
+                slots[id(x)] = intern(key)
+        self.outs = [slots[id(x)] for x in trees]
 
     def run(self, env: Mapping[str, object], funcs: Mapping[str, Callable],
             const: Callable, memo=None) -> list:

@@ -166,17 +166,24 @@ def surface_c_invariant(fc: FactorCurvature) -> float | np.ndarray:
 # ----------------------------------------------------------------------
 # chart-level wrappers (constancy checks over sample sets)
 # ----------------------------------------------------------------------
-def constancy_spread(chart: Chart, count: int = 24
+def constancy_spread(chart: Chart, count: int = 24,
+                     tol: float = tolerances.DEFAULTS["factor_constancy"]
                      ) -> tuple[dict[str, float], FactorCurvature]:
     """Max-minus-min of S and |Ric|^2 over a deterministic sample set, and
-    the factor's curvature at those points that they are taken from."""
+    the factor's curvature at those points that they are taken from; the
+    lambda formulas need both constant, so a spread over ``tol`` raises."""
     fc = FactorCurvature.at(chart, sample_points(chart, count, margin=0.12))
-    return {"scalar_spread": float(np.ptp(fc.scalar)),
-            "ricci_norm2_spread": float(np.ptp(fc.ricci_norm2))}, fc
+    spread = {"scalar_spread": float(np.ptp(fc.scalar)),
+              "ricci_norm2_spread": float(np.ptp(fc.ricci_norm2))}
+    if sup(*spread.values()) > tol:
+        raise ProductFormulaError(
+            f"S and |Ric|^2 must be constant on N (spread {spread}) for "
+            "the product lambda formulas")
+    return spread, fc
 
 
 def product_lambda_report(
-        chart: Chart, family: str, count: int = 24,
+        chart: Chart, family: str,
         tol: float = tolerances.DEFAULTS["factor_constancy"]) -> dict:
     """lambda for the S^1 x N^3 or R x N^3 family with constancy checks.
 
@@ -184,11 +191,7 @@ def product_lambda_report(
     and the Einstein residual the least of them."""
     if family not in ("circle", "line"):
         raise ProductFormulaError("family must be 'circle' or 'line'")
-    spread, fc = constancy_spread(chart, count)
-    if sup(*spread.values()) > tol:
-        raise ProductFormulaError(
-            f"S and |Ric|^2 must be constant on N (spread {spread}) for "
-            "the product lambda formulas")
+    spread, fc = constancy_spread(chart, tol=tol)
     lam = (circle_product_lambda(fc) if family == "circle"
            else line_product_lambda(fc))
     return {
@@ -198,9 +201,9 @@ def product_lambda_report(
     }
 
 
-def surface_c_report(chart: Chart, count: int = 32) -> dict:
-    """c = Lap S + S^2/3 over a sample set, with its constancy spread."""
-    pts = sample_points(chart, count, margin=0.12)
+def surface_c_report(chart: Chart) -> dict:
+    """c = Lap S + S^2/3 at 32 sample points, with its spread."""
+    pts = sample_points(chart, 32, margin=0.12)
     vals = surface_c_invariant(FactorCurvature.at(chart, pts))
     return {"values": vals.tolist(), "mean": float(np.mean(vals)),
             "spread": float(np.ptp(vals))}

@@ -7,7 +7,7 @@ The central object is the pointwise tensor residual of the soliton relation
 where ``q`` selects the flow tensor (the four-dimensional obstruction flow
 ``B + (1/12) Lap(S) g``, the plain obstruction tensor ``B``, a user-supplied
 symmetric tensor, the constructed ``L_X g - 2 phi g``, or zero) and ``phi``
-is either a function or a constant ``lambda``.  Residuals are evaluated on
+is an expression or a constant ``lambda``.  Residuals are evaluated on
 deterministic low-discrepancy point sets, plus a coarse quadrature grid when
 the chart is compact, and reported in the metric sup norm.  Every check
 takes its points in bounded frames through `curvature.on_points`, not one
@@ -49,6 +49,7 @@ __all__ = [
 Q_SELECTORS = ("bach_flow", "bach", "constructed", "zero", "custom")
 
 _TOLS = tolerances.DEFAULTS
+C_COEFFICIENT = 1.0 / 12.0  # of grad S_K + grad S_L in the conformal field
 
 
 class SolitonError(ValueError):
@@ -61,15 +62,13 @@ class SolitonSpec:
 
     Exactly one of ``x_exprs`` (component expressions) and ``potential``
     (a scalar ``f`` with ``X = grad f``) must be given, and exactly one of
-    ``phi`` and ``lam`` (constant).  ``phi`` is an expression string or a
-    callable that takes a curvature frame over a chunk of points and
-    returns a float or one value per point (``frame.batch`` long).
+    ``phi`` (an expression) and ``lam`` (constant).
     """
 
     manifold: Chart
     x_exprs: tuple[str, ...] | None = None
     potential: str | None = None
-    phi: str | Callable[[CurvatureFrame], float | np.ndarray] | None = None
+    phi: str | None = None
     lam: float | None = None
     q: str = "bach_flow"
     custom_q: tuple[tuple[str, ...], ...] | None = None
@@ -150,15 +149,6 @@ def _field_jets(frame: CurvatureFrame, spec: SolitonSpec):
     return frame.vector_jets(spec.x_exprs)
 
 
-def _phi_value(frame: CurvatureFrame, spec: SolitonSpec):
-    """phi at the frame's points: a float, or one value per point."""
-    if spec.phi is None:
-        return float(spec.lam)
-    if callable(spec.phi):
-        return np.asarray(spec.phi(frame), dtype=float)
-    return frame.scalar_jet(spec.phi, order=0).value
-
-
 def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
              phi, g: np.ndarray) -> np.ndarray:
     if spec.q == "bach_flow":
@@ -174,10 +164,11 @@ def _q_value(frame: CurvatureFrame, spec: SolitonSpec, lie: np.ndarray,
 
 def _residual(frame: CurvatureFrame, spec: SolitonSpec, x_jets):
     """g, phi and R = (1/2) L_X g - (1/2) q - phi g at the frame's points
-    (the point axis last)."""
+    (the point axis last); phi is lambda, or its expression's values."""
     g = frame.g.value
     lie = frame.lie_metric(x_jets).value
-    phi = _phi_value(frame, spec)
+    phi = (float(spec.lam) if spec.phi is None
+           else frame.scalar_jet(spec.phi, order=0).value)
     q = _q_value(frame, spec, lie, phi, g)
     return g, phi, 0.5 * lie - 0.5 * q - phi * g
 
@@ -269,15 +260,13 @@ def quadratic_profile_check(man: Chart, lam: float, a: float = 0.0,
     gives div X = (1/6) Lap(S) + 4 lambda.  All three are verified, plus
     the full residual of the flow equation, at every sample point and
     from the same frames; the lambda formula at each point of N's
-    constancy spread, whose pass gives it.  ``lambda_formula`` is its
+    constancy spread (`products.constancy_spread`, within
+    ``constancy_tol``), whose pass gives it.  ``lambda_formula`` is its
     mean there.
     """
     line_chart, n_chart = _line_cross_structure(man)
-    spread, fc = products.constancy_spread(n_chart, count=max(8, count // 2))
-    if sup(*spread.values()) > constancy_tol:
-        raise SolitonError(
-            f"N^3 invariants are non-constant: {spread} "
-            f"(tolerance {constancy_tol})")
+    spread, fc = products.constancy_spread(n_chart, max(8, count // 2),
+                                           constancy_tol)
     # lambda at each of the spread's points: the formula is checked at all
     lam_formulas = products.line_product_lambda(fc)
 
@@ -322,12 +311,6 @@ def quadratic_profile_check(man: Chart, lam: float, a: float = 0.0,
 # ----------------------------------------------------------------------
 # squashed-sphere parameter solve
 # ----------------------------------------------------------------------
-# Roots closer than this are one root found twice (Brent's method refines
-# each bracket to a few ulp).  It only merges duplicates; no verdict
-# depends on it, so it is not a gate.
-_ROOT_MERGE = 1e-8
-
-
 def _berger_curvature(a: float) -> products.FactorCurvature:
     """The squashed sphere's curvature in the orthonormal Milnor frame of
     `charts.berger_sphere`, whose brackets are [e_2, e_3] = 2a e_1 and
@@ -387,19 +370,17 @@ def solve_berger_soliton(interval: tuple[float, float] = (0.1, 3.0),
 
     grid = np.linspace(lo, hi, int(scan) + 1)
     vals = np.array([condition(x) for x in grid])
+    # a grid zero bounds no bracket, so no root is found twice
     found = [float(x) for x, v in zip(grid, vals) if v == 0.0]
     for k in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         found.append(roots.brent(condition, grid[k], grid[k + 1]))
-    uniq: list[float] = []
-    for r in sorted(found):
-        if not uniq or abs(r - uniq[-1]) > _ROOT_MERGE:
-            uniq.append(r)
-    non_round = [r for r in uniq if abs(r - 1.0) > round_exclusion]
+    found.sort()
+    non_round = [r for r in found if abs(r - 1.0) > round_exclusion]
     out: dict = {
         "interval": [lo, hi],
-        "roots": uniq,
+        "roots": found,
         "round_root_included": any(abs(r - 1.0) <= round_exclusion
-                                   for r in uniq),
+                                   for r in found),
         "outcome": "no bracket",
         "a_star": None,
         "lambda_star": None,
@@ -443,9 +424,8 @@ def _block_scalar_jet(frame: CurvatureFrame, sl: slice):
 
 def surface_conformal_field(man: Chart, spec: SolitonSpec,
                             points: np.ndarray | None = None,
-                            count: int = 40,
-                            coefficient: float = 1.0 / 12.0) -> dict:
-    """Extract C = X + coefficient * (grad S_K + grad S_L) and its blocks.
+                            count: int = 40) -> dict:
+    """Extract C = X + (1/12)(grad S_K + grad S_L) and its blocks.
 
     For extended flow data (X, phi) on K^2 x L^2 the field C satisfies
 
@@ -476,7 +456,7 @@ def surface_conformal_field(man: Chart, spec: SolitonSpec,
         s_blocks = [_block_scalar_jet(frame, sl) for sl in (sl_k, sl_l)]
         grad_sum = (frame.gradient_vector(s_blocks[0])
                     + frame.gradient_vector(s_blocks[1]))
-        c_jets = x_jets.truncated(grad_sum.order) + coefficient * grad_sum
+        c_jets = x_jets.truncated(grad_sum.order) + C_COEFFICIENT * grad_sum
         half_lie = 0.5 * frame.lie_metric(c_jets).value
         s_vals = np.array([s.value for s in s_blocks])
         s2 = s_vals * s_vals
@@ -506,7 +486,7 @@ def surface_conformal_field(man: Chart, spec: SolitonSpec,
     return {
         "points": points,
         "c_field": _per_point(c_vals),
-        "coefficient": float(coefficient),
+        "coefficient": C_COEFFICIENT,
         "rho_fit": _per_point(rho_fit),
         "rho_formula": _per_point(rho_formula),
         "phi_if_c_perp": _per_point(phi_perp),

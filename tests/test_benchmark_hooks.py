@@ -2,8 +2,9 @@
 
 ``perfbench/`` is kept frozen between benchmark changes: its tracer wraps
 bachlab functions by name, and its workloads call them through their
-modules.  Installing and removing a tracer, and resolving every
-``module.name`` the harness reads, catches a rename that would break the
+modules.  Installing and removing a tracer, resolving every
+``module.name`` the harness reads, and matching every keyword it passes
+with the callee's signature catch a change that would break the
 benchmark without running it (``python3 -m pytest perfbench`` does that).
 """
 
@@ -77,6 +78,43 @@ def test_harness_reads_only_names_bachlab_has(harness):
                     and home.split(".")[0] == "bachlab":
                 assert hasattr(owner, node.attr), \
                     f"{mod.__name__} reads {node.value.id}.{node.attr}"
+
+
+def _bachlab_callable(mod, func):
+    """What a call's ``name`` or ``name.attr...`` is in a harness module,
+    when that is a bachlab function or class; None otherwise."""
+    attrs = []
+    while isinstance(func, ast.Attribute):
+        attrs.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    target = vars(mod).get(func.id)
+    for attr in reversed(attrs):
+        target = getattr(target, attr, None)
+    home = getattr(target, "__module__", None) or ""
+    return target if callable(target) and home.split(".")[0] == "bachlab" \
+        else None
+
+
+def test_harness_passes_only_keywords_bachlab_takes(harness):
+    checked = 0
+    for mod in harness:
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _bachlab_callable(mod, node.func)
+            if target is None:
+                continue
+            params = inspect.signature(target).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    assert kw.arg in params, \
+                        f"{mod.__name__}:{node.lineno} passes {kw.arg}="
+                    checked += 1
+    assert checked >= 20  # points=, scan=, residual_tol=, deep=, ...
 
 
 def test_a_chart_is_its_own_chart():

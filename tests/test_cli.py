@@ -487,6 +487,27 @@ def test_suite_all_cli(tmp_path, capsys):
     assert rep["config"]["tolerances"]["identity"] == 1e-7
 
 
+@pytest.mark.parametrize("args", [
+    ["catalog", "show", "r2_x_s2"],
+    ["curvature", "--manifold", "round_sphere_2", "--point", "th=1,ph=1"],
+    ["check", "identity", "--id", "yano"],
+    ["check", "soliton", "--example", "ho-r2s2", "--count", "2"],
+    ["solve", "berger", "--interval", "0.2,1.6"],
+    ["ode", "scan", "--config", "{config}"],
+    ["suite", "all", "--count", "2", "--cells", "1"],
+], ids=lambda args: " ".join(args[:2]))
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, args):
+    # exit 1 is a failed gate; a report with nowhere to go is a usage error
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({"s0": [2.0], "c": [4.0 / 3.0],
+                                  "t_max": 8.0}))
+    out = tmp_path / "missing" / "report.json"
+    args = [a.format(config=config) for a in args]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_every_suite_record_goes_through_check(monkeypatch):
     calls = []
     check = suite._check

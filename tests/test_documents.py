@@ -248,6 +248,16 @@ BAD_DOCUMENTS = [
     ("soliton", {**SOLITON, "lambda": 0, "q": "custom",
                  "custom_q": [["0"] * 4] * 3},
      "custom_q needs 4 rows, one per coordinate; got 3"),
+    # expression syntax: a missing ")", an exponent that is no integer, and
+    # nesting past the parser's limit (once a RecursionError, exit 1)
+    ("soliton", {**SOLITON, "lambda": 0, "f": "x^y"},
+     "f: exponent must be an integer literal (at offset 2)"),
+    ("soliton", {**SOLITON, "phi": "0.1*sin(x"},
+     "phi: expected ')', found 'end of input' (at offset 9)"),
+    ("manifold", {"factors": [{"kind": "conformal_round_sphere", "params": {
+        "u": "(" * 101 + "0.1*cos(th)" + ")" * 101}}]},
+     "factors[0].params.u: expression nests deeper than 100 levels (at "
+     "offset 100)"),
 ]
 
 

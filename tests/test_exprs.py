@@ -51,6 +51,9 @@ def test_negative_integer_exponent():
 def test_parameter_and_coordinate_atoms():
     e = parse("a*sinh(x0)", coords=["x0"], params=["a"])
     assert e == Mul(Var("a"), Call("sinh", Var("x0")))
+    with pytest.raises(DslNameError,
+                       match=r"both coordinate and parameter: \['a'\]"):
+        parse("a", coords=["x0", "a"], params=["a"])
 
 
 def test_parentheses_override():
@@ -105,6 +108,31 @@ def test_a_literal_that_overflows_a_float_is_rejected():
         parse("2*x + 1e999*x", ["x"])
     assert err.value.pos == 6
     assert parse("1.7e308", []) == exprs.Num(1.7e308)
+
+
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_nesting_past_the_limit_is_a_syntax_error(opening):
+    # the recursive descent stays inside the interpreter's recursion limit
+    n = exprs.MAX_NESTING
+    text = opening * n + "x" + ")" * n
+    assert eval_numpy(parse(text, ["x"]), {"x": 0.0}) == 0.0
+    with pytest.raises(DslSyntaxError, match="nests deeper than 100 levels"
+                       ) as err:
+        parse(opening + text + ")", ["x"])
+    assert err.value.pos == len(opening) * (n + 1) - 1  # the last "("
+
+
+def test_a_long_expression_evaluates_on_every_backend():
+    # 5,000 terms, factors and minus signs, each past the recursion limit
+    # if it were taken recursively: at x = 1, n + 1 + 1, and d/dx 2n + 1
+    n = 5000
+    text = " + ".join(["x"] * n) + " + " + "*".join(["x"] * n) + " + " \
+        + "-" * n + "x"
+    e = parse(text, ["x"])
+    assert eval_numpy(e, {"x": 1.0}) == n + 2
+    assert eval_mp(e, {"x": mp.mpf(1)}) == n + 2
+    assert eval_jet(e, [1.0], ["x"], order=1).coeffs.tolist() \
+        == [n + 2, 2 * n + 1]
 
 
 def test_trailing_garbage_rejected():
@@ -441,6 +469,8 @@ def test_nested_eval_jet_equals_per_entry_scalar_jets_bitwise():
             assert np.array_equal(t[i, j].coeffs, one.coeffs)
     # a text leaf on its own is a scalar jet
     assert eval_jet("x*y", point, coords, order=2).shape == ()
+    with pytest.raises(DslError, match="non-empty rectangular array"):
+        eval_jet([["x", "y"], ["x"]], point, coords)
 
 
 # sha256 (first 16 hex digits) of the order-4 metric jets of each catalog

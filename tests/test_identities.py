@@ -579,8 +579,7 @@ def test_identity_gates_live_in_the_tolerance_table():
 
 
 @pytest.mark.parametrize("module, allowed", [
-    # the root-merge distance of the Berger solve decides no verdict
-    (solitons, ("_ROOT_MERGE",)),
+    (solitons, ()),
     (products, ()),
     (homogeneous, ()),
 ])
@@ -613,6 +612,7 @@ def test_soliton_and_product_gate_defaults_read_the_table():
         == table["berger_round_exclusion"] == 1e-3
     for fn, name in ((solitons.quadratic_profile_check, "constancy_tol"),
                      (solitons.solve_berger_soliton, "constancy_tol"),
+                     (products.constancy_spread, "tol"),
                      (products.product_lambda_report, "tol")):
         assert default(fn, name) == table["factor_constancy"] == 1e-8
 
@@ -629,8 +629,7 @@ def test_constancy_gate_comes_from_the_resolved_table():
                            "soliton/round-berger-lambda-zero"}
     for cid, rec in failed.items():
         assert rec["value"] is None, cid
-        match = "non-constant" if cid.startswith("soliton/") else "constant"
-        assert match in rec["detail"]["error"], cid
+        assert "must be constant on N" in rec["detail"]["error"], cid
 
 
 def test_case_gates_come_from_the_resolved_table():

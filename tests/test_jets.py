@@ -365,6 +365,9 @@ def test_ring_laws_exact_on_integer_jets(jets3):
     assert np.array_equal(((a + b) + c).coeffs, (a + (b + c)).coeffs)
     assert np.array_equal(((a * b) * c).coeffs, (a * (b * c)).coeffs)
     assert np.array_equal((a * (b + c)).coeffs, (a * b + a * c).coeffs)
+    # a number on the left of -, and a jet over a number: exact on integers
+    assert np.array_equal((3 - a).coeffs, (-(a - 3)).coeffs)
+    assert np.array_equal((a / 2.0).coeffs, (a * 0.5).coeffs)
 
 
 @settings(max_examples=40, deadline=None)

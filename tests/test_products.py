@@ -185,7 +185,8 @@ def test_constancy_spread_equals_the_per_point_path(monkeypatch):
     s = [CurvatureFrame(chart, p).scalar.value for p in pts]
     r = [CurvatureFrame(chart, p).ricci_norm2.value for p in pts]
     orders = count_frames(monkeypatch)
-    spread, fc = products.constancy_spread(chart, count=40)
+    # the gate off: the spread of a non-constant chart is measured
+    spread, fc = products.constancy_spread(chart, count=40, tol=np.inf)
     assert spread == {"scalar_spread": float(np.ptp(s)),
                       "ricci_norm2_spread": float(np.ptp(r))}
     assert same_bits(fc.scalar, np.array(s))
@@ -228,7 +229,7 @@ def test_c_invariant_conformal_sphere_spread_golden():
     rep = products.surface_c_report(
         charts.conformal_round_sphere("0.2*cos(th)"))
     assert abs(rep["spread"] - 1.0518446276695) <= 1e-8
-    rep_round = products.surface_c_report(charts.round_sphere(2), count=8)
+    rep_round = products.surface_c_report(charts.round_sphere(2))
     assert rep_round["spread"] <= 1e-11
 
 

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 
 from bachlab import charts, curvature, solitons, suite, tolerances
-from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
-from bachlab.products import FactorCurvature, line_soliton_obstruction
+from bachlab.curvature import BASE_ORDER, CurvatureFrame
+from bachlab.products import (FactorCurvature, ProductFormulaError,
+                              line_soliton_obstruction)
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
@@ -34,6 +35,10 @@ def test_spec_validation_errors():
         SolitonSpec(manifold=man, potential="x", lam=0.0, q="custom")
     with pytest.raises(SolitonError, match="components"):
         SolitonSpec(manifold=man, x_exprs=("0", "0"), lam=0.0)
+    # from code, a mis-shaped q would broadcast into the residual
+    with pytest.raises(SolitonError, match="custom_q must be 4 x 4"):
+        SolitonSpec(manifold=man, potential="x", lam=0.0, q="custom",
+                    custom_q=(("0",) * 4,) * 3 + (("0",) * 3,))
     spec = SolitonSpec(manifold=man, potential="x", lam=0.0)
     assert spec.potential is not None and spec.phi is None
 
@@ -193,18 +198,22 @@ def test_named_example_unknown():
 
 def test_lambda_form_equals_extended_form():
     # (1/2)L_X g = (1/2)(B + (1/12)Lap(S) g) + lam g  is the same equation
-    # as the extended form with q = B and phi = lam + (1/24)Lap(S)
+    # as the extended form with q = B and phi = lam + (1/24)Lap(S): its
+    # residual is that of q = B and phi = lam, less (1/24)Lap(S) g
     man = charts.conformal(charts.get_example("s2_x_s2"),
                            "0.2*cos(th) + 0.1*sin(th_2)")
     lam = 0.3
-    pts = charts.residual_sample_points(man, 4, grid_cap=16)[:6]
+    pts = sample_and_grid(man, 4)[:6]
     a = bach_soliton_residual(man, lam, potential="0.2*cos(th)*cos(ph)",
                               points=pts)
-    spec = SolitonSpec(
-        manifold=man, potential="0.2*cos(th)*cos(ph)", q="bach",
-        phi=lambda fr: lam + values(fr.lap_scalar) / 24.0)
+    spec = SolitonSpec(manifold=man, potential="0.2*cos(th)*cos(ph)",
+                       q="bach", lam=lam)
     b = extended_q_residual(spec, points=pts)
-    assert np.allclose(a.residuals, b.residuals, atol=1e-13)
+    lap_s, g = curvature.on_points(man, pts, lambda fr: (
+        fr.lap_scalar.value, fr.g.value))
+    assert np.allclose(a.residuals - b.residuals,
+                       -lap_s[:, None, None] / 24.0 * np.moveaxis(g, -1, 0),
+                       atol=1e-13)
     assert a.sup > 1e-3  # the data is not a soliton; agreement is the point
 
 
@@ -271,7 +280,7 @@ def test_profile_structure_errors():
         [charts.line(4.0),
          charts.conformal(charts.round_sphere(3), "0.2*cos(ch)")],
         name="line_x_bumpy")
-    with pytest.raises(SolitonError, match="non-constant"):
+    with pytest.raises(ProductFormulaError, match="must be constant on N"):
         quadratic_profile_check(bumpy, 0.0, count=4)
 
 
@@ -408,7 +417,7 @@ def test_c_field_killing_on_round_product():
     assert np.abs(out["rho_fit"]).max() <= 1e-12
 
 
-def test_c_field_identity_holds_off_soliton():
+def test_c_field_identity_holds_off_soliton(monkeypatch):
     # the block decomposition of (1/2) L_C g equals the closed-form rho's
     # plus the extended residual for arbitrary (X, phi) data; this pins the
     # 1/12 correction coefficient on curvature-varying factors
@@ -421,8 +430,8 @@ def test_c_field_identity_holds_off_soliton():
     out = surface_conformal_field(man, spec, count=5)
     assert out["identity_sup"] <= 1e-12
     assert out["extended_residual_sup"] > 0.1  # data is far from a soliton
-    literal = surface_conformal_field(man, spec, count=5,
-                                      coefficient=-1.0 / 3.0)
+    monkeypatch.setattr(solitons, "C_COEFFICIENT", -1.0 / 3.0)
+    literal = surface_conformal_field(man, spec, count=5)
     assert literal["identity_sup"] > 1e-2
 
 
@@ -496,10 +505,10 @@ def test_residual_sample_points():
     pts = charts.residual_sample_points(open_man, 20)
     assert pts.shape == (20, 4)
     compact = charts.get_example("s2_x_s2")
-    pts2 = charts.residual_sample_points(compact, 20, grid_cap=81)
+    pts2 = charts.residual_sample_points(compact, 20)
     assert len(pts2) == 20 + 81
-    assert np.array_equal(pts2, charts.residual_sample_points(
-        compact, 20, grid_cap=81))
+    assert np.array_equal(pts2[20:], charts.quadrature(compact, 3).nodes)
+    assert np.array_equal(pts2, charts.residual_sample_points(compact, 20))
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +517,12 @@ def test_residual_sample_points():
 def bumpy_s2_x_s2():
     return charts.conformal(charts.get_example("s2_x_s2"),
                             "0.2*cos(th) + 0.1*sin(th_2)")
+
+
+def sample_and_grid(man, count):
+    """Halton points and 2 quadrature nodes per axis: 16 at dim 4."""
+    return np.vstack([charts.sample_points(man, count),
+                      charts.quadrature(man, 2).nodes])
 
 
 def same_bits(a, b):
@@ -525,7 +540,7 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("spec_kw", [
     {"q": "bach", "phi": "0.3 + 0.1*cos(th)"},
-    {"q": "bach", "phi": lambda fr: 0.3 + values(fr.lap_scalar) / 24.0},
+    {"q": "bach_flow", "phi": "0.2*cos(th)*sin(th_2) - 0.1"},
     {"q": "bach_flow", "lam": 0.2},
     {"q": "constructed", "phi": "0.1*sin(th_2)"},
     {"q": "zero", "lam": -0.1},
@@ -536,7 +551,7 @@ def same_bits(a, b):
 def test_residual_equals_the_per_point_path(spec_kw):
     # 20 Halton points and the 16 grid nodes of a compact chart: 5 frames
     man = bumpy_s2_x_s2()
-    pts = charts.residual_sample_points(man, 20, grid_cap=16)
+    pts = sample_and_grid(man, 20)
     assert len(chunk_orders(len(pts))) == 5
     spec = SolitonSpec(manifold=man, potential="0.2*cos(th)*cos(ph)",
                        **spec_kw)
@@ -552,7 +567,7 @@ def test_residual_equals_the_per_point_path(spec_kw):
 def test_residual_builds_one_frame_per_chunk(monkeypatch):
     orders = count_frames(monkeypatch)
     man = bumpy_s2_x_s2()
-    pts = charts.residual_sample_points(man, 20, grid_cap=16)
+    pts = sample_and_grid(man, 20)
     rep = bach_soliton_residual(man, 0.1, potential="0.2*cos(th)",
                                 points=pts)
     assert len(rep.norms) == 36
@@ -583,7 +598,7 @@ def test_profile_check_builds_one_frame_per_chunk(monkeypatch):
 ])
 def test_c_field_equals_the_per_point_path(monkeypatch, name, spec_kw):
     man = charts.get_example(name)  # s2_x_s2 adds 16 grid nodes
-    pts = charts.residual_sample_points(man, 12, grid_cap=16)
+    pts = sample_and_grid(man, 12)
     spec = SolitonSpec(manifold=man, **spec_kw)
     one, chunked = per_point(
         monkeypatch, lambda: surface_conformal_field(man, spec, points=pts))
