@@ -11,8 +11,11 @@ quadrature grid is fixed by the command's arguments.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -111,6 +114,18 @@ def _tol(key: str, value: float | None) -> float:
     """A --tol value checked as `tolerances.resolve` checks every gate,
     or the default gate of `key` when the flag is absent."""
     return tolerances.resolve(None if value is None else {key: value})[key]
+
+
+def _check_out_dir(out_path: str | None) -> None:
+    """Raise, before any work, the OSError that writing `out_path` would
+    raise if its directory is missing or is not a directory."""
+    if out_path:
+        try:
+            mode = os.stat(os.path.dirname(out_path) or ".").st_mode
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, out_path) from None
+        if not stat.S_ISDIR(mode):
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out_path)
 
 
 def _emit(doc, out_path: str | None, pretty: bool = True) -> None:
@@ -325,6 +340,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(getattr(args, "out", None))
         if args.command == "check":
             handler = (_cmd_check_identity if args.kind == "identity"
                        else _cmd_check_soliton)
@@ -337,6 +353,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:  # reading is a UsageError: this is an --out
+        # whose directory is missing, or a write that failed all the same
         print(f"error: cannot write {err.filename}: {err.strerror}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -32,9 +32,12 @@ instructions with the backend's function table (`NUMPY_FUNCS`,
 subtree is evaluated once per call, with the operations of a recursive
 walk of the tree and the same values.  `eval_numpy` and `eval_mp` also
 take a sequence of expressions, such as a metric's entries, and return
-their values in a list.  `eval_jet` also takes a text, or a nested list
-of expressions and texts such as a metric matrix, and returns one tensor
-`Jet` of that shape, at one point or at each of an array of points.
+their values in a list.  `eval_mp` also takes a cache that calls at many
+points share: a subtree that reads only some of the names is then
+evaluated once per distinct value of those names, with the same bits.
+`eval_jet` also takes a text, or a nested list of expressions and texts
+such as a metric matrix, and returns one tensor `Jet` of that shape, at
+one point or at each of an array of points.
 """
 
 from __future__ import annotations
@@ -339,18 +342,27 @@ def eval_numpy(e, env: Mapping[str, np.ndarray]):
     return _run(e, env, NUMPY_FUNCS, float, float)
 
 
-def eval_mp(e, env: Mapping[str, mp.mpf]):
+def eval_mp(e, env: Mapping[str, mp.mpf], cache: dict | None = None):
     """Evaluate in mpmath arbitrary precision (oracle backend); a list or
     tuple of expressions gives a list of their values.  Constants are
-    rounded to the working precision once per precision and program."""
-    return _run(e, env, MP_FUNCS, mp.mpf, mp.mp.prec)
+    rounded to the working precision once per precision and program.
+
+    `cache` is an optional dict that calls over many points share.  With
+    it, a subtree that reads only some of the names the expressions read
+    is computed once per working precision and per value of those names:
+    its value is kept there under the bits (``_mpf_``) of the names it
+    reads, and later calls read it back, so the values are those of a
+    call without a cache, bit for bit.  The cache grows with the number
+    of distinct values; drop it to free them."""
+    return _run(e, env, MP_FUNCS, mp.mpf, mp.mp.prec, cache)
 
 
-def _run(e, env, funcs, const, memo):
+def _run(e, env, funcs, const, memo, cache=None):
     """The value of one tree, or the list of values of a sequence of them,
     from their program run with a backend's table and constants."""
     many = isinstance(e, (list, tuple))
-    vals = _program(tuple(e) if many else (e,)).run(env, funcs, const, memo)
+    vals = _program(tuple(e) if many else (e,)).run(env, funcs, const, memo,
+                                                     cache)
     return vals if many else vals[0]
 
 
@@ -431,6 +443,10 @@ class _Program:
     parameters from the environment, converts constants with the backend's
     `const`, and reads operators and function tables as it goes, so an
     overload or a replaced table entry takes effect in cached programs too.
+
+    Each instruction also names the set of loaded names its subtree reads,
+    as an index into `groups` (the load slots of each set that is not all
+    of them; all of them is ``len(groups)``), for the cache of `run`.
     """
 
     def __init__(self, trees: tuple):
@@ -442,6 +458,7 @@ class _Program:
         self.inits: dict = {}  # converted constants by memo key
         slots: dict[int, int] = {}  # id(node) -> slot
         by_key: dict[tuple, int] = {}  # node key -> slot
+        reads: list[frozenset] = []  # by slot: the load slots it reads
 
         def intern(key: tuple) -> int:
             slot = by_key.get(key)
@@ -449,12 +466,17 @@ class _Program:
                 slot = by_key[key] = len(self.template)
                 kind = key[0]
                 self.template.append(key[1] if kind is int else None)
+                read = frozenset()
                 if kind is Num:
                     self.nums.append((slot, key[1]))
                 elif kind is Var:
                     self.loads.append((slot, key[1]))
+                    read = frozenset((slot,))
                 elif kind is not int:
+                    _, a, b = key
+                    read = reads[a] | reads[b] if type(b) is int else reads[a]
                     self.code.append((slot, *key))
+                reads.append(read)
             return slot
 
         # children first, without recursion: a reversed preorder, b first
@@ -485,11 +507,25 @@ class _Program:
                     raise DslError(f"not an expression node: {x!r}")
                 slots[id(x)] = intern(key)
         self.outs = [slots[id(x)] for x in trees]
+        every = frozenset(slot for slot, _ in self.loads)
+        groups = list(dict.fromkeys(reads[ins[0]] for ins in self.code
+                                    if reads[ins[0]] != every))
+        self.groups = [tuple(sorted(r)) for r in groups]
+        index = {r: k for k, r in enumerate(groups)}
+        self.code = [(*ins, index.get(reads[ins[0]], len(groups)))
+                     for ins in self.code]
+        self.uncached = [None] * (len(groups) + 1)
 
     def run(self, env: Mapping[str, object], funcs: Mapping[str, Callable],
-            const: Callable, memo=None) -> list:
+            const: Callable, memo=None, cache: dict | None = None) -> list:
         """The trees' values.  Constants converted under a `memo` key are
-        kept for the next run with that key; None keeps nothing."""
+        kept for the next run with that key; None keeps nothing.
+
+        With a `cache` dict, an instruction that reads only some of the
+        loaded names looks its value up by its slot under (this program,
+        `memo`, the ``_mpf_`` bits of the names it reads), and stores it
+        there when it computes it.  Each slot reads one group of names,
+        so two groups may share a dict of values by slot."""
         vals = self.inits.get(memo)
         if vals is None:
             vals = self.template.copy()
@@ -504,11 +540,25 @@ class _Program:
         except KeyError as err:
             raise DslNameError(
                 f"unbound name {err.args[0]!r} at evaluation") from None
-        for slot, op, a, b in self.code:
+        rows = self.uncached
+        if cache is not None:
+            rows = []
+            for group in self.groups:
+                key = (self, memo, tuple(vals[s]._mpf_ for s in group))
+                rows.append(cache.setdefault(key, {}))
+            rows.append(None)
+        for slot, op, a, b, k in self.code:
+            row = rows[k]
+            if row is not None and slot in row:
+                vals[slot] = row[slot]
+                continue
             if op is not None:
-                vals[slot] = op(vals[a], vals[b])
+                v = op(vals[a], vals[b])
             elif b is None:
-                vals[slot] = -vals[a]
+                v = -vals[a]
             else:
-                vals[slot] = funcs[b](vals[a])
+                v = funcs[b](vals[a])
+            vals[slot] = v
+            if row is not None:
+                row[slot] = v
         return [vals[k] for k in self.outs]

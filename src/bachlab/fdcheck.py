@@ -8,6 +8,10 @@ at least the 169 bits mpmath works with at 50 digits.  Every derivative
 is a 4th-order central difference (stencil [1, -8, 0, 8, -1]/12h), nested
 for higher and mixed derivatives.  The step and the lattice are exact
 decimals, so p + h - h is p and each lattice node is one memo key.
+The metric is evaluated once per lattice node, and each subexpression of
+its entries once per distinct value of the coordinates and parameters it
+reads: a lattice axis takes only a few distinct values, so ``sin(th)`` is
+not evaluated again at every node.  This memo changes no bit of a value.
 
 With these digits roundoff is negligible: a pack at 20 more digits agrees
 to 1e-25 relative.  The truncation error shrinks as h^4 and grows with
@@ -130,11 +134,12 @@ class FDGeometry:
     from its textbook formula; every covariant derivative comes from the
     one rule in `_cov`.  Each tensor is memoised per lattice node.
 
-    The work at a node: its coordinates are converted to mpf once, gfun
-    is called once (`geometry_from_chart` evaluates each distinct subtree
-    of the entries once), the metric must be finite and exactly symmetric
-    there (`OracleError` otherwise), and each entry is rounded once to a
-    Decimal.
+    The work at a node: gfun is called once, on coordinates from a table
+    that converts each distinct coordinate value to mpf once per precision
+    (`geometry_from_chart` evaluates each distinct subtree of the entries
+    once per distinct value of the names it reads); the metric must be
+    finite and exactly symmetric there (`OracleError` otherwise), and each
+    entry with i <= j is rounded once to a Decimal and mirrored.
     The inverse is one LU elimination.  Gamma sums its bracket, built once
     per (l, i, j), for i <= j and mirrors the rest; the metric and Gamma
     are differenced over their i <= j entries only.  Ricci takes the l = i
@@ -151,6 +156,7 @@ class FDGeometry:
         self.n = n
         self.h = Decimal(str(h))
         self._cache: dict = {}
+        self._to_mpf: dict = {}  # {precision: {Decimal: mpf}}
 
     # -- plumbing ------------------------------------------------------
     def _box(self, rank: int, entry: Callable) -> np.ndarray:
@@ -195,14 +201,23 @@ class FDGeometry:
     # -- metric level ---------------------------------------------------
     @_per_point
     def g(self, p):
-        """g at p; every entry finite and g exactly symmetric."""
-        g = self.gfun(tuple(mp.mpf(str(x)) for x in p))
+        """g at p; every entry finite and g exactly symmetric.  Each
+        distinct coordinate value is converted to mpf once per precision,
+        and the entries with i <= j are rounded to Decimal and mirrored."""
+        to_mpf = self._to_mpf.setdefault(mp.mp.prec, {})
+        for x in p:
+            if x not in to_mpf:
+                to_mpf[x] = mp.mpf(str(x))
+        g = self.gfun(tuple(to_mpf[x] for x in p))
         if not all(mp.isfinite(x) for row in g for x in row):
             raise OracleError(f"metric is not finite at {_where(p)}")
         if any(g[i][j] != g[j][i] for i in range(self.n) for j in range(i)):
             raise OracleError(f"metric is not symmetric at {_where(p)}")
-        return np.array([[_decimal(x) for x in row] for row in g],
-                        dtype=object)
+        out = np.empty((self.n, self.n), dtype=object)
+        for i in range(self.n):
+            for j in range(i, self.n):
+                out[i, j] = out[j, i] = _decimal(g[i][j])
+        return out
 
     @_per_point
     def ginv(self, p):
@@ -413,14 +428,19 @@ def geometry_from_chart(chart, h=DEFAULT_H) -> FDGeometry:
     Its gfun makes one `exprs.eval_mp` call per lattice node on all the
     metric's entry trees, which evaluates each distinct subtree once there:
     equal entries (g_ij and g_ji) and subexpressions shared between entries
-    share one value.
+    share one value.  The calls share one cache, owned by the geometry and
+    alive as long as its per-node memo, so a subtree that reads only some
+    of the coordinates and parameters (``sin(th)``, ``cos(x + 2*y)``) is
+    evaluated once per distinct value of those, not once per node; the
+    values are bitwise those of uncached calls.
     """
     params = {k: mp.mpf(repr(float(v))) for k, v in chart.params.items()}
     n, entries = chart.dim, tuple(e for row in chart.metric for e in row)
+    cache: dict = {}
 
     def gfun(q):
         env = {**dict(zip(chart.coords, q)), **params}
-        vals = exprs.eval_mp(entries, env)
+        vals = exprs.eval_mp(entries, env, cache)
         return [vals[i * n:(i + 1) * n] for i in range(n)]
 
     return FDGeometry(gfun, n, h=h)

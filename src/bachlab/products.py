@@ -49,8 +49,9 @@ class ProductFormulaError(ValueError):
 
 @dataclass
 class FactorCurvature:
-    """Curvature data of one factor, from its own metric, at one point or
-    at each point of an ``(N, dim)`` set.
+    """Curvature data of one factor, from its own metric, at each point of
+    an ``(N, dim)`` set (`at`), or at one point without a point axis (a
+    left-invariant frame's, from `homogeneous.factor_curvature`).
 
     A point set gives every field its point axis last, as in the values of
     a `CurvatureFrame` over the set: ``ricci[..., k]`` and ``scalar[k]``
@@ -69,16 +70,14 @@ class FactorCurvature:
     ricci_norm2: float | np.ndarray
 
     @classmethod
-    def at(cls, chart: Chart, point) -> "FactorCurvature":
-        """From the chart's frame at a point, or its frames over an
-        (N, dim) array: each field after ``dim`` is the frame's quantity
-        of that name."""
+    def at(cls, chart: Chart, points) -> "FactorCurvature":
+        """From the chart's frames over an (N, dim) point set: each field
+        after ``dim`` is the frames' quantity of that name, with the point
+        axis last."""
         def data(fr: CurvatureFrame) -> tuple:
             return tuple(getattr(fr, f.name).value for f in fields(cls)[1:])
 
-        if np.ndim(point) == 1:
-            return cls(chart.dim, *data(CurvatureFrame(chart, point)))
-        return cls(chart.dim, *on_points(chart, point, data))
+        return cls(chart.dim, *on_points(chart, points, data))
 
 
 # ----------------------------------------------------------------------

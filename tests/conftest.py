@@ -1,11 +1,14 @@
 """Helpers shared by the tests that pin how curvature frames cover a point
 set."""
 
+import dataclasses
+
 import numpy as np
 
 from bachlab import curvature
 from bachlab._jettables import tables
 from bachlab.curvature import BASE_ORDER, CurvatureFrame
+from bachlab.products import FactorCurvature
 
 
 def count_frames(monkeypatch) -> list[tuple[int, int]]:
@@ -34,6 +37,15 @@ def chunk_orders(n_points, order=BASE_ORDER, dim=4):
     size = frame_bound(dim, order)
     return [(order, min(size, n_points - start))
             for start in range(0, n_points, size)]
+
+
+def factor_at(chart, point) -> FactorCurvature:
+    """`FactorCurvature.at` on the one-point set of `point`, with its point
+    axis dropped."""
+    fc = FactorCurvature.at(chart, [point])
+    return dataclasses.replace(fc, **{
+        f.name: getattr(fc, f.name)[..., 0]
+        for f in dataclasses.fields(fc)[1:]})
 
 
 def per_point(monkeypatch, run):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bachlab
-from bachlab import report, solitons, suite, tolerances
+from bachlab import cli, report, solitons, suite, tolerances
 from bachlab.cli import main
 
 
@@ -496,16 +496,37 @@ def test_suite_all_cli(tmp_path, capsys):
     ["ode", "scan", "--config", "{config}"],
     ["suite", "all", "--count", "2", "--cells", "1"],
 ], ids=lambda args: " ".join(args[:2]))
-def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, args):
-    # exit 1 is a failed gate; a report with nowhere to go is a usage error
+def test_an_out_path_that_cannot_be_written_exits_2(
+        tmp_path, capsys, monkeypatch, args):
+    # exit 1 is a failed gate; a report with nowhere to go is a usage error,
+    # found before the command does its work
+    ran = []
+    for name in list(cli._HANDLERS):
+        monkeypatch.setitem(cli._HANDLERS, name,
+                            lambda a, name=name: ran.append(name) or 0)
+    for name in ("_cmd_check_identity", "_cmd_check_soliton"):
+        monkeypatch.setattr(cli, name,
+                            lambda a, name=name: ran.append(name) or 0)
     config = tmp_path / "scan.json"
     config.write_text(json.dumps({"s0": [2.0], "c": [4.0 / 3.0],
                                   "t_max": 8.0}))
-    out = tmp_path / "missing" / "report.json"
+    (tmp_path / "a_file").write_text("")
     args = [a.format(config=config) for a in args]
-    assert main(args + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: cannot write {out}: No such file or directory\n"
+    for parent, reason in (("missing", "No such file or directory"),
+                           ("a_file", "Not a directory")):
+        out = tmp_path / parent / "report.json"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: {reason}\n"
+    assert ran == []
+
+
+def test_a_write_that_fails_after_the_work_exits_2(tmp_path, capsys):
+    # the directory exists, but the path is a directory itself
+    assert main(["catalog", "show", "r2_x_s2", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_every_suite_record_goes_through_check(monkeypatch):

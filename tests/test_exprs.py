@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import mpmath as mp
@@ -339,7 +340,10 @@ def _cases():
     every = parse("-(a*x)^3 / (sin(x) + cos(0.7*y) + exp(x/2.9) + sinh(y) "
                   "+ cosh(x) + sqrt(2.2 + y) + log(0.3 + x*y)) - 1.1*x^-2",
                   coords, params)
-    yield [every, parse("a*x^2", coords, params), parse("0.1", coords)], \
+    # a subtree that reads only the parameter, and one of constants only
+    fixed = parse("cosh(a)/x - sqrt(2 - 0.5)*y", coords, params)
+    yield [every, parse("a*x^2", coords, params), parse("0.1", coords),
+           fixed], \
         {"a": 1.7}, {"x": np.array([0.31, 0.2]), "y": np.array([-0.42, 0.5])}
 
 
@@ -362,6 +366,39 @@ def test_eval_mp_equals_the_recursive_evaluation_bitwise():
                             for e in entries]
                     assert [v._mpf_ for v in eval_mp(entries, env)] == want
                     assert [eval_mp(e, env)._mpf_ for e in entries] == want
+
+
+def test_eval_mp_with_a_cache_gives_the_bits_of_a_call_without(
+        monkeypatch):
+    # one cache over every program and two precisions, back and forth; the
+    # sample values of each coordinate are crossed, so that a subtree of
+    # some of them meets values it has seen at other points
+    calls = []
+    for name, fn in list(exprs.MP_FUNCS.items()):
+        monkeypatch.setitem(exprs.MP_FUNCS, name,
+                            lambda x, fn=fn, name=name:
+                            calls.append(name) or fn(x))
+    cache: dict = {}
+    for dps in (fdcheck.DEFAULT_DPS, fdcheck.DEFAULT_DPS + 20,
+                fdcheck.DEFAULT_DPS):
+        with mp.workdps(dps):
+            for entries, params, columns in _cases():
+                crossed = dict(zip(columns, map(np.array, zip(
+                    *itertools.product(*columns.values())))))
+                for env in _point_envs(params, crossed, mp.mpf):
+                    want = [v._mpf_ for v in eval_mp(entries, env)]
+                    got = eval_mp(entries, env, cache)
+                    assert [v._mpf_ for v in got] == want
+    # the parameter's and the constants' subtrees, once per precision
+    coords, params = ["x", "y"], ["a"]
+    e = parse("cosh(a)/x - sqrt(2 - 0.5)*y", coords, params)
+    calls.clear()
+    for x in (0.25, 0.5, 0.75):
+        for dps in (15, 35):
+            with mp.workdps(dps):
+                eval_mp(e, {"x": mp.mpf(x), "y": mp.mpf(0.1),
+                            "a": mp.mpf(1.7)}, cache)
+    assert sorted(calls) == ["cosh", "cosh", "sqrt", "sqrt"]
 
 
 def _value_bits(value) -> tuple:

@@ -2,9 +2,10 @@
 
 `fdcheck` fails closed on a metric it cannot difference (not finite, not
 exactly symmetric, or singular at a lattice node), evaluates each lattice
-node once and each distinct subtree of the metric entries there once,
-keeps its round-off below 1e-25 relative, and reproduces the frozen
-goldens bit for bit.
+node once and each distinct subtree of the metric entries once per
+distinct value of the names it reads, with the bits of an evaluation at
+every node, keeps its round-off below 1e-25 relative, and reproduces the
+frozen goldens bit for bit.
 """
 
 import decimal
@@ -61,19 +62,21 @@ def test_oracle_rejects_a_metric_that_is_not_finite():
 @pytest.fixture
 def oracle_counts(monkeypatch):
     """Count gfun calls (as the benchmark tracer does), eval_mp calls and
-    calls of the mp functions (sin, cos, ...)."""
-    counts = {"gfun": 0, "eval_mp": 0, "funcs": 0}
+    calls of the mp functions (sin, cos, ...); list the nodes gfun is
+    called at."""
+    counts, nodes = {"gfun": 0, "eval_mp": 0, "funcs": 0}, []
     init, eval_mp = fdcheck.FDGeometry.__init__, exprs.eval_mp
 
     def counted_init(geo, gfun, *args, **kwargs):
         def counted(q):
             counts["gfun"] += 1
+            nodes.append(q)
             return gfun(q)
         init(geo, counted, *args, **kwargs)
 
-    def counted_eval(*args):
+    def counted_eval(*args, **kwargs):
         counts["eval_mp"] += 1
-        return eval_mp(*args)
+        return eval_mp(*args, **kwargs)
 
     def counted_func(fn):
         def counted(x):
@@ -85,7 +88,36 @@ def oracle_counts(monkeypatch):
     monkeypatch.setattr(exprs, "eval_mp", counted_eval)
     for name, fn in list(exprs.MP_FUNCS.items()):
         monkeypatch.setitem(exprs.MP_FUNCS, name, counted_func(fn))
-    return counts
+    return counts, nodes
+
+
+def _subtrees(e):
+    yield e
+    for field in ("a", "b"):
+        if hasattr(e, field):
+            yield from _subtrees(getattr(e, field))
+
+
+def _reads(e) -> set:
+    return {x.name for x in _subtrees(e) if type(x) is exprs.Var}
+
+
+def distinct_function_calls(chart, nodes, funcs: int) -> int:
+    """Sum over the `funcs` distinct function subtrees of the metric
+    entries: the number of distinct values over `nodes` of the names the
+    subtree reads, or of nodes if it reads every name the entries read."""
+    trees = [e for row in chart.metric for e in row]
+    every = set().union(*map(_reads, trees))
+    axis = {name: k for k, name in enumerate(chart.coords)}
+    calls = {x for e in trees for x in _subtrees(e) if type(x) is exprs.Call}
+    assert len(calls) == funcs
+    total = 0
+    for call in calls:
+        reads = _reads(call)
+        names = sorted(reads & axis.keys())  # parameters are fixed
+        total += len(nodes) if reads == every else len(
+            {tuple(q[axis[name]]._mpf_ for name in names) for q in nodes})
+    return total
 
 
 # a dim-4 metric with 10 distinct sin/cos calls
@@ -102,27 +134,47 @@ _CASES = {"bumpy_4": (_chart(_BUMPY4, _COORDS4),
                        -0.22872648373487525, -0.1625445535250732])}
 
 
-# the Berger entries spell 11 sin/cos calls of 4 distinct ones
+def _case(name):
+    if name in _CASES:
+        return _CASES[name]
+    chart = charts.get_example(name)
+    return chart, charts.sample_points(chart, 2)[1]
+
+
+# the Berger entries spell 11 sin/cos calls of 4 distinct ones, each of
+# one coordinate; each call of bumpy_4 reads one or two coordinates
 @pytest.mark.parametrize("name, nodes, funcs", [
     ("hyperbolic_2", 129, 0), ("berger_sphere", 593, 4),
     ("r2_x_s2", 1921, 1), ("bumpy_4", 1921, 10)])
 def test_deep_pack_evaluates_each_node_and_distinct_entry_once(
         oracle_counts, name, nodes, funcs):
-    if name in _CASES:
-        chart, point = _CASES[name]
-    else:
-        chart = charts.get_example(name)
-        point = charts.sample_points(chart, 2)[1]
+    chart, point = _case(name)
     fdcheck.geometry_from_chart(chart).pack(point, deep=True)
-    assert oracle_counts == {"gfun": nodes, "eval_mp": nodes,
-                             "funcs": nodes * funcs}
+    counts, seen = oracle_counts
+    assert len(set(seen)) == len(seen) == nodes
+    assert counts == {"gfun": nodes, "eval_mp": nodes,
+                      "funcs": distinct_function_calls(chart, seen, funcs)}
 
 
 def test_symmetric_entries_share_one_evaluation(oracle_counts):
     geo = fdcheck.geometry_from_chart(_chart(_BUMPY4, _COORDS4))
     with fdcheck._oracle_point([0.1, 0.2, 0.3, 0.4]) as p:
         geo.g(p)
-    assert oracle_counts == {"gfun": 1, "eval_mp": 1, "funcs": 10}
+    assert oracle_counts[0] == {"gfun": 1, "eval_mp": 1, "funcs": 10}
+
+
+@pytest.mark.parametrize("name", ["berger_sphere", "bumpy_4"])
+def test_the_metric_cache_changes_no_bit_of_a_pack(monkeypatch, name):
+    # the same geometry with a gfun that calls eval_mp without a cache
+    chart, point = _case(name)
+    cached = fdcheck.geometry_from_chart(chart).pack(point, deep=True)
+    eval_mp = exprs.eval_mp
+    monkeypatch.setattr(exprs, "eval_mp", lambda e, env, cache=None:
+                        eval_mp(e, env))
+    plain = fdcheck.geometry_from_chart(chart).pack(point, deep=True)
+    assert set(cached) == set(plain)
+    for key, val in cached.items():
+        assert np.asarray(val).tobytes() == np.asarray(plain[key]).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,12 @@ from bachlab.products import (FactorCurvature, ProductFormulaError,
                               circle_product_lambda, einstein_residual_norm2,
                               line_product_lambda, line_soliton_obstruction,
                               surface_c_invariant)
-from conftest import count_frames
+from conftest import count_frames, factor_at
 from test_solitons import same_bits
 
 
 def fc_at(chart, pt=None):
-    return FactorCurvature.at(chart, chart.center() if pt is None else pt)
+    return factor_at(chart, chart.center() if pt is None else pt)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +261,7 @@ def factor_data(chart, count=11):
     """FactorCurvature over a sample set, and at each of its points."""
     pts = charts.sample_points(chart, count, margin=0.15)
     return (FactorCurvature.at(chart, pts),
-            [FactorCurvature.at(chart, p) for p in pts])
+            [factor_at(chart, p) for p in pts])
 
 
 def assert_set_holds_each(on_set, each):

@@ -8,14 +8,13 @@ import scipy.linalg
 
 from bachlab import charts, curvature, solitons, suite, tolerances
 from bachlab.curvature import BASE_ORDER, CurvatureFrame
-from bachlab.products import (FactorCurvature, ProductFormulaError,
-                              line_soliton_obstruction)
+from bachlab.products import ProductFormulaError, line_soliton_obstruction
 from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               bach_soliton_residual, berger_condition_scalar,
                               extended_q_residual, named_example,
                               quadratic_profile_check, solve_berger_soliton,
                               splitting_spotcheck, surface_conformal_field)
-from conftest import chunk_orders, count_frames, per_point
+from conftest import chunk_orders, count_frames, factor_at, per_point
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +250,8 @@ def test_profile_flat_torus_lambda_zero():
 def test_profile_off_root_berger_fails_only_residual():
     man = charts.get_example("line_x_berger")  # a = 1.5: not the root
     fc = charts.berger_sphere(1.5)
-    from bachlab.products import FactorCurvature, line_product_lambda
-    lam = line_product_lambda(FactorCurvature.at(fc, fc.center()))
+    from bachlab.products import line_product_lambda
+    lam = line_product_lambda(factor_at(fc, fc.center()))
     out = quadratic_profile_check(man, lam=lam, count=4)
     assert out["lambda_deviation"] <= 1e-12
     assert out["profile_second_derivative_deviation"] <= 1e-12
@@ -319,7 +318,7 @@ def test_solver_root_is_half_to_rounding(interval, scan):
 def jet_condition(a):
     """The condition as it was computed through jets: the obstruction of a
     factor frame at one chart point, reduced by generalized eigenvalues."""
-    fc = FactorCurvature.at(charts.berger_sphere(a), [0.7, 1.1, 0.4])
+    fc = factor_at(charts.berger_sphere(a), [0.7, 1.1, 0.4])
     eigs = scipy.linalg.eigh(line_soliton_obstruction(fc), fc.g,
                              eigvals_only=True)
     return float(eigs[int(np.argmax(np.abs(eigs)))])
