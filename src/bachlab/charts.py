@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import exprs
+from . import exprs, tolerances
 from .jets import Jet
 
 TWO_PI = 2.0 * math.pi
@@ -482,7 +482,7 @@ def surface_of_revolution(rho: str = "sin(t)", t_min: float = 0.0,
                                        {"t": np.array([t_min, t_max])}))
     if not np.all(np.isfinite(ends)):
         raise ChartError(f"rho = {rho!r} is not finite at both ends")
-    closed = bool(np.all(ends <= 1e-9))
+    closed = bool(np.all(ends <= tolerances.FIXED["surface_closure"]))
     return Chart(
         name="surface_of_revolution", kind="surface_of_revolution",
         coords=("t", "th"),

@@ -21,14 +21,24 @@ The einsum subscripts below name tensor indices only, and the point axis
 rides along with the coefficients in their ``...``, so the same code
 serves one point and a point set; `on_points` takes a point set in frames
 over chunks of it, each bounded by the coefficients its largest stage
-holds.  The trailing size fixes the order (15 coefficients are order 2 in
-four variables), and grading makes lowering the order a prefix slice.  Index gymnastics (transposes, traces) are
-`np.einsum` calls on the coefficient array; every product of tensors is
-one `jets.contract` call, which runs at the lower of its operands'
-orders.  There are no per-entry loops.  The metric arrives as one
-(n, n) jet from `Chart.metric_jets`, and user fields as one jet from
-`CurvatureFrame.scalar_jet`, which evaluates an expression, its text or
-a nested list of them; the operators take and return `Jet`s only.
+holds.  The trailing size fixes the order (15 coefficients are order 2
+in four variables), and grading makes lowering the order a prefix slice.
+Index gymnastics (transposes, traces) are `np.einsum` calls on the
+coefficient array; every product of tensors is one `jets.contract` call,
+which runs at the lower of its operands' orders.  There are no per-entry
+loops.  The metric arrives as one (n, n) jet from `Chart.metric_jets`,
+and user fields as one jet from `CurvatureFrame.scalar_jet`, which
+evaluates an expression, its text or a nested list of them; the
+operators take and return `Jet`s only.
+
+Points that repeat a metric jet share its work.  A frame over a set runs
+its metric stages, g^-1 through B, once per distinct metric jet among its
+points, on a frame of one point per jet (`CurvatureFrame._distinct`), and
+each point reads its jet's entries by one index; the operators on user
+fields run at every point.  Jets are told apart by their bits, not their
+values, and a point's jets in a set are bitwise those of the point alone,
+so no value moves by a bit.  On a product grid of `s2_x_t2`, whose metric
+reads th alone, the stages run at about a tenth of the nodes.
 
 Conventions (fixed throughout the package):
 
@@ -49,14 +59,14 @@ one frame at order BASE_ORDER + 1 = 5; see `bach_divergence` and
 from __future__ import annotations
 
 import sys
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
 from . import exprs
 from .charts import Chart
 from ._jettables import tables
-from .jets import Jet, contract
+from .jets import Jet, contract, distinct_rows
 
 BASE_ORDER = 4
 
@@ -95,6 +105,27 @@ def _first_singular(mats: np.ndarray) -> int:
     raise AssertionError("no singular matrix in the stack")
 
 
+def _metric_stage(fn):
+    """A cached stage that reads the metric's jets and nothing else.  A
+    frame whose points repeat a metric jet takes it from its distinct-point
+    frame (`CurvatureFrame._distinct`), spread back to every point."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def stage(self):
+        found = self._distinct
+        if found is not None:
+            try:
+                t = getattr(found[0], name)
+            except CurvatureError:
+                pass  # raised again below, naming the node by its number
+            else:
+                return t.take_points(found[1])
+        return fn(self)
+
+    return cached_property(stage)
+
+
 class CurvatureFrame:
     """Curvature of a chart metric at one interior point, or at each point
     of an ``(N, dim)`` array of them."""
@@ -117,6 +148,28 @@ class CurvatureFrame:
         return self.chart.metric_jets(self.point, order=self.order)
 
     @cached_property
+    def _distinct(self):
+        """None, or (a frame over one point per distinct metric jet, the
+        index of each point's jet in it) where two points share every bit
+        of their metric jets: every metric stage is then computed there,
+        once per distinct jet, and a point reads its jet's entries, which
+        are bitwise what it would compute itself.  Values are compared
+        first, so a set that repeats none costs one cheap test."""
+        if not self.batch:
+            return None
+        coeffs = np.moveaxis(self.g.coeffs, -2, 0)  # (N, n, n, size)
+        if distinct_rows(coeffs[..., 0].reshape(self.batch[0], -1)) is None:
+            return None
+        found = distinct_rows(coeffs.reshape(self.batch[0], -1))
+        if found is None:
+            return None
+        first, index = found
+        frame = CurvatureFrame(self.chart, self.point[first], self.order)
+        frame.g = self.g.take_points(first)
+        frame._distinct = None
+        return frame, index
+
+    @_metric_stage
     def ginv(self) -> Jet:
         """Inverse metric jets via Newton iteration X <- X(2I - GX)."""
         n = self.n
@@ -138,7 +191,7 @@ class CurvatureFrame:
         return X
 
     # -- level 3: connection --------------------------------------------
-    @cached_property
+    @_metric_stage
     def gamma(self) -> Jet:
         """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij, order 3."""
         dg = self.g.grad()  # dg[l, i, j] = d_l g_ij
@@ -146,7 +199,7 @@ class CurvatureFrame:
         return 0.5 * contract("kl,lij->kij", self.ginv, first)
 
     # -- level 2: curvature ---------------------------------------------
-    @cached_property
+    @_metric_stage
     def riemann_up(self) -> Jet:
         """riemann_up[l, i, j, k] = R^l_ijk, order 2."""
         gam = self.gamma.truncated(self.order - 2)
@@ -155,37 +208,37 @@ class CurvatureFrame:
                 + contract("lim,mjk->lijk", gam, gam))
         return half - _index("lijk->ljik", half)
 
-    @cached_property
+    @_metric_stage
     def riemann_lo(self) -> Jet:
         """riemann_lo[l, i, j, k] = g_lm R^m_ijk, order 2."""
         return contract("lm,mijk->lijk", self.g, self.riemann_up)
 
-    @cached_property
+    @_metric_stage
     def ricci(self) -> Jet:
         """ricci[j, k] = R^i_ijk, order 2."""
         return _index("iijk->jk", self.riemann_up)
 
-    @cached_property
+    @_metric_stage
     def scalar(self) -> Jet:
         """Scalar curvature, order 2."""
         return contract("jk,jk->", self.ginv, self.ricci)
 
-    @cached_property
+    @_metric_stage
     def ricci_mixed(self) -> Jet:
         """ricci_mixed[i, j] = g^{ia} Ric_aj, order 2."""
         return contract("ia,aj->ij", self.ginv, self.ricci)
 
-    @cached_property
+    @_metric_stage
     def ricci_sq(self) -> Jet:
         """(Ric^2)_ij = Ric_ia g^{ab} Ric_bj, order 2."""
         return contract("ia,aj->ij", self.ricci, self.ricci_mixed)
 
-    @cached_property
+    @_metric_stage
     def ricci_norm2(self) -> Jet:
         """|Ric|^2 = Ric_ij Ric^{ij}, order 2."""
         return contract("ij,ji->", self.ricci_mixed, self.ricci_mixed)
 
-    @cached_property
+    @_metric_stage
     def schouten(self) -> Jet:
         """P = (Ric - S g / (2(n-1))) / (n-2), order 2; needs n >= 3."""
         n = self.n
@@ -196,7 +249,7 @@ class CurvatureFrame:
         return (self.ricci - s_term * self.g.truncated(self.order - 2)) \
             * (1.0 / (n - 2))
 
-    @cached_property
+    @_metric_stage
     def weyl_lo(self) -> Jet:
         """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
         # g_li P_jk is P_jk g_li rearranged: an outer product sums nothing
@@ -220,45 +273,45 @@ class CurvatureFrame:
             out = out - contract(f"ma{i_s},{slot}->a{idx}", self.gamma, Tm)
         return out
 
-    @cached_property
+    @_metric_stage
     def cov_ricci(self) -> Jet:
         """cov_ricci[a, i, j] = (cov_a Ric)_ij, order 1."""
         return self.cov_deriv(self.ricci)
 
-    @cached_property
+    @_metric_stage
     def cov_schouten(self) -> Jet:
         return self.cov_deriv(self.schouten)
 
-    @cached_property
+    @_metric_stage
     def cotton(self) -> Jet:
         """cotton[k, i, j] = cov_k P_ij - cov_i P_kj, order 1."""
         cp = self.cov_schouten
         return cp - _index("kij->ikj", cp)
 
-    @cached_property
+    @_metric_stage
     def lap_ricci(self) -> Jet:
         """Rough Laplacian g^{ab} cov_a cov_b Ric, order 0."""
         cc = self.cov_deriv(self.cov_ricci)  # cc[b, a, i, j], order 0
         return contract("ab,abij->ij", self.ginv, cc)
 
     # -- scalar-curvature derivatives -------------------------------------
-    @cached_property
+    @_metric_stage
     def grad_scalar_lo(self) -> Jet:
         """d S (lower index), order 1."""
         return self.scalar.grad()
 
-    @cached_property
+    @_metric_stage
     def hess_scalar(self) -> Jet:
         """Hessian of S, order 0."""
         return self.hessian(self.scalar)
 
-    @cached_property
+    @_metric_stage
     def lap_scalar(self) -> Jet:
         """Laplacian of S, order 0."""
         return contract("ij,ij->", self.ginv, self.hess_scalar)
 
     # -- Bach -----------------------------------------------------------
-    @cached_property
+    @_metric_stage
     def bach(self) -> Jet:
         """B_ij = g^{km} cov_m C_kij + P^{ab} W_baij, order m - 4; n = 4."""
         n = self.n
@@ -345,10 +398,12 @@ class CurvatureFrame:
         return self.inner_sym2(T, T)
 
 
-# A frame keeps every stage it computes for each of its points; its
-# largest, the Riemann tensor, holds n**4 jets per point.  So a frame holds
-# at most _FRAME_COEFFS of their coefficients: 8 points at dim 4, order 4,
-# where the soliton residuals ran as fast as at 16 at half the memory.
+# A frame keeps every stage it reads for each of its points; its largest,
+# the Riemann tensor, holds n**4 jets per point.  So a frame holds at most
+# _FRAME_COEFFS of their coefficients: 8 points at dim 4, order 4, where
+# the soliton residuals ran as fast as at 16 at half the memory.  A chunk
+# that repeats a metric jet computes its stages on its distinct jets alone,
+# and the spread values are those of its points, bit for bit.
 _FRAME_COEFFS = 8 * 4**4 * 70
 
 

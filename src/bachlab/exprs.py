@@ -37,7 +37,9 @@ points share: a subtree that reads only some of the names is then
 evaluated once per distinct value of those names, with the same bits.
 `eval_jet` also takes a text, or a nested list of expressions and texts
 such as a metric matrix, and returns one tensor `Jet` of that shape, at
-one point or at each of an array of points.
+one point or at each of an array of points; on an array it runs once per
+distinct row, by bits, of the coordinates the trees read, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import mpmath as mp
 import numpy as np
 
 from ._jettables import tables
-from .jets import ELEMENTARY, Jet
+from .jets import ELEMENTARY, Jet, JetDomainError, distinct_rows
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "log")
 MAX_NESTING = 100  # the parser spends 6 stack frames per level
@@ -377,6 +379,14 @@ def eval_jet(e, point, coords: Sequence[str],
     ``(*tensor_shape, N, size)``.  The coordinate and parameter jets are
     built once per call, and each distinct subtree is evaluated once per
     call, however many entries or subexpressions it occurs in.
+
+    Over a point set the program runs once per distinct row of the
+    coordinates its trees read (which its compiled program knows), and
+    each point takes its row's jets.  Rows are keyed by their bits, so
+    -0.0 and 0.0 are two rows and a NaN is a row of its own, and a point
+    in a set already gets the bits it gets alone: the values are those of
+    a run over every point, bit for bit.  A set that repeats no row runs
+    as it is, after one key test.
     """
     dim = len(coords)
     pts = np.asarray(point, dtype=float)
@@ -384,16 +394,33 @@ def eval_jet(e, point, coords: Sequence[str],
         raise DslError(f"point has shape {pts.shape}, expected ({dim},) "
                        f"or (N, {dim})")
     params = params or {}
+    trees: list = []
+    shape = _gather(e, trees, coords, tuple(params))
+    program = _program(tuple(trees))
+    found = None
+    if pts.ndim == 2:
+        found = distinct_rows(pts[:, [k for k, name in enumerate(coords)
+                                      if name in program.names]])
+    if found is None:
+        return _jets(program, shape, pts, coords, params, order)
+    try:
+        t = _jets(program, shape, pts[found[0]], coords, params, order)
+    except JetDomainError:
+        # raised again over every point, where it names the first bad one
+        return _jets(program, shape, pts, coords, params, order)
+    return t.take_points(found[1])
+
+
+def _jets(program, shape, pts, coords, params, order) -> Jet:
+    """The program's values at the points, as one tensor jet of `shape`."""
+    dim = len(coords)
     env: dict[str, Jet] = {
         name: Jet.variable(axis, pts[..., axis], dim, order)
         for axis, name in enumerate(coords)
     }
     for name, value in params.items():
         env[name] = Jet.constant(float(value), dim, order)
-    trees: list = []
-    shape = _gather(e, trees, coords, tuple(params))
-    vals = _program(tuple(trees)).run(
-        env, JET_FUNCS, lambda v: Jet.constant(v, dim, order))
+    vals = program.run(env, JET_FUNCS, lambda v: Jet.constant(v, dim, order))
     # an entry constant in the point broadcasts over the point axis
     out = np.empty(shape + pts.shape[:-1] + (tables(dim, order).size,))
     for entry, val in zip(out.reshape(-1, *out.shape[len(shape):]), vals):
@@ -515,6 +542,7 @@ class _Program:
         self.code = [(*ins, index.get(reads[ins[0]], len(groups)))
                      for ins in self.code]
         self.uncached = [None] * (len(groups) + 1)
+        self.names = frozenset(name for _, name in self.loads)  # all read
 
     def run(self, env: Mapping[str, object], funcs: Mapping[str, Callable],
             const: Callable, memo=None, cache: dict | None = None) -> list:

@@ -134,6 +134,11 @@ class Jet:
                 f"jet of shape {self.shape}")
         return self._like(self.coeffs[key])
 
+    def take_points(self, index) -> "Jet":
+        """The jets of a point set at the points numbered by `index` along
+        its point axis, the last tensor axis."""
+        return self._like(self.coeffs.take(index, axis=-2))
+
     def _entrywise(self, values: np.ndarray):
         return float(values) if not self.ndim else values
 
@@ -392,6 +397,29 @@ def contract(spec: str, a: Jet, b: Jet) -> Jet:
     return Jet(a.dim, tab.order,
                product(a.coeffs[..., :tab.size], b.coeffs[..., :tab.size],
                        tab, spec), _tab=tab)
+
+
+def distinct_rows(rows: np.ndarray):
+    """The rows of an (N, k) array that differ in their bits, or None when
+    all N do (so when N < 2).
+
+    Otherwise ``(first, index)``: ``first`` numbers the first row of each
+    distinct bit pattern, in order of appearance, and ``rows[first][index]``
+    is ``rows``.  Bits, not values: -0.0 and 0.0 differ, as do two NaNs of
+    other payloads.
+    """
+    n = len(rows)
+    if n < 2:
+        return None
+    raw = np.ascontiguousarray(rows).tobytes()
+    width = len(raw) // n
+    seen: dict[bytes, int] = {}
+    index = [seen.setdefault(raw[k * width:(k + 1) * width], len(seen))
+             for k in range(n)]
+    if len(seen) == n:
+        return None
+    index = np.array(index)
+    return np.unique(index, return_index=True)[1], index
 
 
 def variables(point: Sequence[float], order: int) -> tuple[Jet, ...]:

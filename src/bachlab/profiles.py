@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import charts, roots
-from .tolerances import DEFAULTS
+from .tolerances import DEFAULTS, FIXED
 
 __all__ = [
     "ProfileError", "ScanOutcome", "ProfileRun",
@@ -55,8 +55,19 @@ CLASSIFICATIONS = (CLOSED, COMPLETE_OPEN, CURVATURE_BLOWUP, STEP_FAILURE)
 DEFAULT_S0_GRID = tuple(float(v) for v in np.linspace(-4.0, 4.0, 41))
 DEFAULT_C_GRID = tuple(float(v) for v in np.linspace(-2.0, 2.0, 41))
 
-# smooth-cap acceptance at a closure event: |rho' + 1| and |S'| below this
-_CAP_TOL = 1e-4
+# integrator controls: the step tolerances, the series start t = eps and
+# the closure event rho = delta
+RTOL = 1e-10
+ATOL = 1e-12
+EPS = 1e-6
+DELTA = 1e-6
+# the stand-in for rho = 0 that keeps the vector field finite there
+_RHO_FLOOR = 1e-300
+# scipy's constants in its initial step selection
+_H_FALLBACK = 1e-6
+_D_SMALL = 1e-5
+_D_TINY = 1e-15
+_H_SHRINK = 1e-3
 
 
 class ProfileError(ValueError):
@@ -96,12 +107,12 @@ def _rhs_raw(t, y, c):
     # finite there and let the error estimator reject the bad stages
     rho, rho_p, s, s_p = y
     if rho == 0.0:
-        rho = 1e-300
+        rho = _RHO_FLOOR
     return (rho_p, -0.5 * rho * s, s_p,
             c - s * s / 3.0 - (rho_p / rho) * s_p)
 
 
-def series_start(s0: float, c: float, eps: float = 1e-6
+def series_start(s0: float, c: float, eps: float = EPS
                  ) -> tuple[float, float, float, float]:
     """Smooth-pole initial state (rho, rho', S, S') at t = eps.
 
@@ -119,8 +130,8 @@ def series_start(s0: float, c: float, eps: float = 1e-6
 
 
 def integrate_profile(s0: float, c: float, t_max: float = 40.0,
-                      rtol: float = 1e-10, atol: float = 1e-12,
-                      eps: float = 1e-6, delta: float = 1e-6,
+                      rtol: float = RTOL, atol: float = ATOL,
+                      eps: float = EPS, delta: float = DELTA,
                       s_cap: float = 1e6) -> ProfileRun:
     """Integrate one trajectory and classify the outcome.
 
@@ -129,8 +140,8 @@ def integrate_profile(s0: float, c: float, t_max: float = 40.0,
     against ``solve_ivp(method="RK45")``).  Classification:
 
     * ``Closed`` — rho fell below ``delta`` with the smooth-cap signature
-      |rho' + 1| <= 1e-4 and |S'| <= 1e-4; the closing time extrapolates
-      the event state linearly to rho = 0.
+      |rho' + 1| and |S'| at most ``FIXED["profile_cap"]``; the
+      closing time extrapolates the event state linearly to rho = 0.
     * ``CurvatureBlowUp`` — |S| exceeded ``s_cap``, or rho collapsed
       without the smooth-cap signature (a conical pinch concentrates
       curvature at the collapse point).
@@ -156,7 +167,8 @@ def integrate_profile(s0: float, c: float, t_max: float = 40.0,
     classification = end
     if end == CLOSED:
         rho_e, rho_p_e, _, s_p_e = ys[-1]
-        if abs(rho_p_e + 1.0) <= _CAP_TOL and abs(s_p_e) <= _CAP_TOL:
+        cap = FIXED["profile_cap"]
+        if abs(rho_p_e + 1.0) <= cap and abs(s_p_e) <= cap:
             t_close = float(ts[-1] + rho_e / abs(rho_p_e))
         else:
             classification = CURVATURE_BLOWUP
@@ -215,12 +227,12 @@ def _initial_step(rhs, c, t, y, f, t_end, rtol, atol) -> float:
     w = [atol + abs(v) * rtol for v in y]
     d0 = _rms(*(v / s for v, s in zip(y, w)))
     d1 = _rms(*(v / s for v, s in zip(f, w)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = _H_FALLBACK if d0 < _D_SMALL or d1 < _D_SMALL else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
     f1 = rhs(t + h0, tuple(v + h0 * fv for v, fv in zip(y, f)), c)
     d2 = _rms(*((a - b) / s for a, b, s in zip(f1, f, w))) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    if d1 <= _D_TINY and d2 <= _D_TINY:
+        h1 = max(_H_FALLBACK, h0 * _H_SHRINK)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     return min(100 * h0, h1, t_end - t)

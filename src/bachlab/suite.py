@@ -181,8 +181,10 @@ def _ode_checks(tols, scan_cells: int) -> list[dict]:
 
     with _check(checks, "ode/tolerance-halving",
                 tols["ode_halving"]) as record:
-        t1 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=1e-10).outcome
-        t2 = profiles.integrate_profile(2.0, 4.0 / 3.0, rtol=5e-11).outcome
+        t1 = profiles.integrate_profile(2.0, 4.0 / 3.0,
+                                        rtol=profiles.RTOL).outcome
+        t2 = profiles.integrate_profile(2.0, 4.0 / 3.0,
+                                        rtol=profiles.RTOL / 2).outcome
         record(abs(t1.t_close - t2.t_close))
 
     with _check(checks, "ode/scan-corroborates",

@@ -1,16 +1,15 @@
 """Single defaults table for check tolerances.
 
 Every gate used by the command-line checks and the full suite lives here,
-overridable per run; check code never hard-codes its own gate.
+overridable per run (`DEFAULTS`), or fixed where no run's table reaches
+(`FIXED`); check code never hard-codes its own gate.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from . import charts
-
-__all__ = ["DEFAULTS", "ToleranceError", "resolve"]
+__all__ = ["DEFAULTS", "FIXED", "ToleranceError", "resolve"]
 
 DEFAULTS: dict[str, float] = {
     # pointwise/integral identity residuals relative to the largest term
@@ -60,6 +59,17 @@ DEFAULTS: dict[str, float] = {
     "ode_halving": 1e-8,
 }
 
+# Gates applied where no run's table reaches: building a chart and
+# classifying one profile.  A run cannot override them, so its reports,
+# which record the resolved DEFAULTS, do not list them.
+FIXED: dict[str, float] = {
+    # the smooth-cap signature of a Closed profile: |rho' + 1| and |S'| at
+    # the closure event
+    "profile_cap": 1e-4,
+    # |rho| at both ends below which a surface of revolution is closed
+    "surface_closure": 1e-9,
+}
+
 
 class ToleranceError(ValueError):
     """Unknown tolerance key or unusable override value."""
@@ -68,6 +78,8 @@ class ToleranceError(ValueError):
 def resolve(overrides: Mapping[str, float] | None = None) -> dict[str, float]:
     """The defaults table merged with per-run overrides, read by the
     `charts` document rules: known keys, each a positive number."""
+    from . import charts  # here: `charts` imports this module for FIXED
+
     merged = dict(DEFAULTS)
     if overrides:
         charts.read_document(overrides, tuple(DEFAULTS), "a tolerance",

@@ -39,6 +39,23 @@ def chunk_orders(n_points, order=BASE_ORDER, dim=4):
             for start in range(0, n_points, size)]
 
 
+def distinct_orders(points, axes, order=BASE_ORDER, dim=4):
+    """(order, points) of the frames over a point set whose metric reads
+    the coordinates on `axes` alone, when each chunk's metric stages are
+    read: the chunk's frame, and where the chunk repeats the bits of those
+    coordinates, a distinct-point frame with one point per distinct row
+    (distinct rows here give distinct metric jets)."""
+    size = frame_bound(dim, order)
+    out = []
+    for start in range(0, len(points), size):
+        chunk = np.asarray(points[start:start + size])[:, axes]
+        out.append((order, len(chunk)))
+        distinct = len({row.tobytes() for row in chunk})
+        if distinct < len(chunk):
+            out.append((order, distinct))
+    return out
+
+
 def factor_at(chart, point) -> FactorCurvature:
     """`FactorCurvature.at` on the one-point set of `point`, with its point
     axis dropped."""

@@ -7,12 +7,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bachlab import charts, fdcheck, suite
+from bachlab import charts, curvature, fdcheck, suite
 from bachlab.curvature import (BASE_ORDER, CurvatureError, CurvatureFrame,
                                _index, bach_divergence, grad_lap_scalar,
                                on_points, pipeline_pack, values)
 from bachlab.jets import Jet, JetOrderError, contract
-from conftest import count_frames, frame_bound
+from conftest import count_frames, frame_bound, per_point
+from test_solitons import same_bits
 
 RNG_METRIC_3 = [
     ["2 + 0.3*sin(x)*cos(y) + 0.1*z^2", "0.2*sin(x+z)", "0.1*cos(y)*z"],
@@ -454,6 +455,98 @@ def test_point_set_nan_stays_at_its_node():
         assert s[k] == CurvatureFrame(chart, pts[k]).scalar.value
 
 
+def test_point_set_singular_metric_names_its_node_among_repeats():
+    # nodes 0 and 1 share th, so the stages run on 2 distinct points; the
+    # error still names the singular node by its number in the set
+    frame = CurvatureFrame(charts.round_sphere(2),
+                           [[0.5, 0.1], [0.5, 0.3], [0.0, 0.2]])
+    with pytest.raises(CurvatureError, match=r"node 2, point \(0\.0, 0\.2\)"):
+        frame.ginv  # noqa: B018
+
+
+# ----------------------------------------------------------------------
+# each distinct metric jet once
+# ----------------------------------------------------------------------
+def stage_points(monkeypatch) -> list[int]:
+    """The points of every product the pipeline takes from now on: the
+    longer point axis of its two operands (1 for one without)."""
+    points: list[int] = []
+
+    def counted(spec, a, b):
+        points.append(max(1 if t.ndim == 0 else t.shape[-1] for t in (a, b)))
+        return contract(spec, a, b)
+
+    monkeypatch.setattr(curvature, "contract", counted)
+    return points
+
+
+def pack_columns(chart, points):
+    """Every stage the oracle checks, over a point set in bounded frames."""
+    return on_points(chart, points,
+                     lambda fr: tuple(pipeline_pack(fr).values()))
+
+
+def test_round_sphere_quadrature_runs_its_stages_once_per_theta(
+        monkeypatch):
+    # the metric diag(1, sin(th)^2) reads th alone: 6 of the 30 nodes
+    chart = charts.round_sphere(2)
+    nodes = charts.quadrature(chart, (6, 5)).nodes
+    one, batched = per_point(monkeypatch, lambda: pack_columns(chart, nodes))
+    assert all(same_bits(a, b) for a, b in zip(one, batched))
+    orders = count_frames(monkeypatch)
+    points = stage_points(monkeypatch)
+    pack_columns(chart, nodes)
+    assert orders == [(BASE_ORDER, 30), (BASE_ORDER, 6)]
+    assert set(points) == {6}
+
+
+def test_product_grid_runs_its_stages_once_per_theta(monkeypatch):
+    # on s2 x t2 the metric reads th alone; th runs slowest in the grid, so
+    # each frame of 8 nodes has one th, and the pack's stages run at 6
+    # points in all, one per th
+    chart = charts.get_example("s2_x_t2")
+    nodes = charts.quadrature(chart, (6, 2, 2, 2)).nodes
+    one, batched = per_point(monkeypatch, lambda: pack_columns(chart, nodes))
+    assert all(same_bits(a, b) for a, b in zip(one, batched))
+    orders = count_frames(monkeypatch)
+    points = stage_points(monkeypatch)
+    pack_columns(chart, nodes)
+    assert orders == [(BASE_ORDER, 8), (BASE_ORDER, 1)] * 6
+    assert set(points) == {1}
+
+
+def test_signed_zeros_and_a_nan_node_are_points_of_their_own(monkeypatch):
+    # the entry x is the coordinate's own jet, so -0.0 and 0.0 give metric
+    # jets of other bits; nodes 0 and 3 share x and so their jets, and the
+    # NaN node is one more point: 4 distinct of 5
+    chart = generic_chart([["1", "x"], ["x", "1"]], ("x", "y"))
+    pts = np.array([[0.0, 0.3], [-0.0, 0.3], [math.nan, 0.3], [0.0, 0.7],
+                    [0.5, 0.3]])
+    one, batched = per_point(monkeypatch, lambda: pack_columns(chart, pts))
+    assert all(same_bits(a, b) for a, b in zip(one, batched))
+    orders = count_frames(monkeypatch)
+    points = stage_points(monkeypatch)
+    scalar = pack_columns(chart, pts)[3]
+    assert orders == [(BASE_ORDER, 5), (BASE_ORDER, 4)]
+    assert set(points) == {4}
+    assert np.isnan(scalar[2]) and np.all(np.isfinite(np.delete(scalar, 2)))
+    g = CurvatureFrame(chart, pts).g.coeffs
+    assert g[0, 1, 0, 0].tobytes() != g[0, 1, 1, 0].tobytes()
+
+
+def test_a_set_with_no_repeats_builds_no_distinct_point_frame(monkeypatch):
+    # Halton points repeat no metric jet, nor any coordinate
+    chart = charts.get_example("s2_x_t2")
+    pts = charts.sample_points(chart, 16)
+    one, batched = per_point(monkeypatch, lambda: pack_columns(chart, pts))
+    assert all(same_bits(a, b) for a, b in zip(one, batched))
+    orders = count_frames(monkeypatch)
+    points = stage_points(monkeypatch)
+    pack_columns(chart, pts)
+    assert orders == [(BASE_ORDER, 8)] * 2
+    assert set(points) == {8}
+
+
 # ----------------------------------------------------------------------
 # point sets in bounded frames
 # ----------------------------------------------------------------------
@@ -506,6 +599,25 @@ def test_suite_builds_no_frame_over_the_bound(monkeypatch):
     suite.run_suite()
     assert all(n <= frame_bound(dim, order) for dim, order, n in sizes)
     assert (4, BASE_ORDER, 8) in sizes
+
+
+def test_every_frame_is_built_by_its_constructor():
+    # `conftest.count_frames` wraps `CurvatureFrame.__init__`; a frame
+    # made by `__new__` or a copy would evaluate stages it does not see
+    for source in resources.files("bachlab").iterdir():
+        if not source.name.endswith(".py"):
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("__new__", "__copy__",
+                                         "__deepcopy__", "__reduce__",
+                                         "__reduce_ex__"), source.name
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names} | {node.module
+                         if isinstance(node, ast.ImportFrom) else None}
+                assert not names & {"copy", "pickle", "copyreg"}, \
+                    source.name
 
 
 def test_no_module_reads_a_stage_through_curvature_values():

@@ -580,6 +580,36 @@ def test_eval_jet_over_points_adds_a_point_axis():
         eval_jet("x", np.zeros((2, 3)), coords)
 
 
+def test_eval_jet_runs_once_per_distinct_row_it_reads(monkeypatch):
+    # the entries read x alone; rows are keyed by their bits, so -0.0
+    # beside 0.0 and a NaN are rows of their own, and the second 0.0 is not
+    shapes = []
+    sin = jets.ELEMENTARY["sin"]
+    monkeypatch.setitem(jets.ELEMENTARY, "sin",
+                        lambda j: shapes.append(j.shape) or sin(j))
+    coords = ["x", "y"]
+    pts = np.array([[0.0, 0.3], [-0.0, 0.3], [math.nan, 0.3], [0.0, 0.7],
+                    [0.5, 0.3]])
+    rows = [["1 + 0.1*sin(x)", "x"], ["x", "1"]]
+    t = eval_jet(rows, pts, coords, order=3)
+    assert shapes == [(4,)] and t.shape == (2, 2, 5)
+    halton = charts.sample_points(charts.flat_torus((1.0, 1.0)), 5)
+    eval_jet(rows, halton, coords, order=3)
+    assert shapes[1:] == [(5,)]  # no repeats: one run at every point
+    for k, p in enumerate(pts):
+        assert t.coeffs[..., k, :].tobytes() \
+            == eval_jet(rows, p, coords, order=3).coeffs.tobytes()
+    assert t.coeffs[0, 1, 0, 0].tobytes() != t.coeffs[0, 1, 1, 0].tobytes()
+
+
+def test_eval_jet_names_a_repeated_bad_point_by_its_number():
+    # rows 0 and 1 share x; the bad point is the set's third, entry 2
+    pts = np.array([[1.0, 0.0], [1.0, 3.0], [-1.0, 0.0]])
+    for text in ("sqrt(x)", "log(x)"):
+        with pytest.raises(JetDomainError, match=r"entry \(2,\)"):
+            eval_jet(text, pts, ["x", "y"], order=2)
+
+
 def test_eval_jet_domain_error_at_any_point():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     for text in ("sqrt(x)", "log(x)", "1/(x - 2)"):

@@ -1,17 +1,20 @@
 """Pointwise and integral identity checks across the metric corpus."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bachlab
 from bachlab import (charts, curvature, homogeneous, identities, products,
                      solitons, suite, tolerances)
 from bachlab.cli import main
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
-from conftest import chunk_orders, count_frames
+from conftest import chunk_orders, count_frames, distinct_orders
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
                                 lie_divergence_identity,
@@ -204,7 +207,11 @@ def test_yano_builds_one_frame_per_point_set(monkeypatch):
     orders = count_frames(monkeypatch)
     man = charts.get_example("conformal_sphere_bump")
     out = yano_identity(man, ("-sin(th)", "0"), count=7)
-    assert orders == [(BASE_ORDER, len(out["points"]))]
+    # the metric reads th alone: the 81-node grid repeats each of its 9 th
+    # values, and the grid's middle th is the first Halton point's, so the
+    # frame's stages run once on a distinct-point frame of 7 + 9 - 1 jets
+    assert len(out["points"]) == 88
+    assert orders == [(BASE_ORDER, 88), (BASE_ORDER, 15)]
 
 
 def test_yano_rejects_non_conformal_field():
@@ -238,7 +245,9 @@ def test_bourguignon_ezin_builds_one_frame_per_node_set(monkeypatch):
     out = bourguignon_ezin_integral(man, ("-sin(th)", "0"), "ricci",
                                     resolution=(6, 5))
     assert out["nodes"] == 30
-    assert orders == [(BASE_ORDER, 30)]
+    # the metric reads th alone: the stages run once per th of the 6 x 5
+    # grid
+    assert orders == [(BASE_ORDER, 30), (BASE_ORDER, 6)]
 
 
 def test_bourguignon_ezin_guards():
@@ -329,17 +338,28 @@ def test_rigidity_builds_one_frame_per_point_set(monkeypatch):
     out = surface_scalar_rigidity(charts.round_sphere(2),
                                   resolution=(6, 5))
     assert out["passed"]
-    assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30)]
+    # 24 Halton points of distinct th; the 6 x 5 grid's stages once per th
+    assert orders == [(BASE_ORDER + 1, 24), (BASE_ORDER, 30),
+                      (BASE_ORDER, 6)]
 
 
 def test_quadrature_on_a_4_manifold_builds_bounded_frames(monkeypatch):
-    # 6^4 nodes at order 3: 81 frames of 16 points, not one of 1,296
+    # 6^4 nodes at order 3: 81 frames of 16 points, not one of 1,296.  The
+    # metric reads th alone, and th runs slowest: the 16 nodes of a frame
+    # share their th, and so their metric jets, but in the three frames
+    # that straddle a change of th (at nodes 216, 648 and 1080), so each
+    # frame's stages run on a distinct-point frame of one point or two
     orders = count_frames(monkeypatch)
     rep = run_identity_case("thm32", {
         "manifold": "s2_x_t2", "X": ["0"] * 4, "phi": "0.1*cos(th)",
         "resolution": 6})
     assert rep["nodes"] == 1296 and rep["passed"]
-    assert orders == chunk_orders(1296, order=3)
+    assert orders[::2] == chunk_orders(1296, order=3)
+    assert orders == distinct_orders(
+        charts.quadrature(charts.get_example("s2_x_t2"), 6).nodes, [0],
+        order=3)
+    assert orders[1::2].count((3, 1)) == 78
+    assert orders[1::2].count((3, 2)) == 3
 
 
 S2_X_T2_CASES = {
@@ -596,6 +616,29 @@ def test_soliton_and_product_gates_live_in_the_tolerance_table(module,
                 if arg.arg == "tol" or arg.arg.endswith("_tol"):
                     assert not (isinstance(default, ast.Constant)
                                 and type(default.value) is float), fn.name
+
+
+# the named constants of each module that are no gate: integrator controls,
+# scipy's step-selection constants and a stand-in for zero
+NON_GATE_CONSTANTS = {
+    "profiles": ("RTOL", "ATOL", "EPS", "DELTA", "_RHO_FLOOR", "_H_FALLBACK",
+                 "_D_SMALL", "_D_TINY", "_H_SHRINK"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(bachlab.__path__)
+    if m.name != "tolerances"))
+def test_no_module_holds_a_gate_literal(name):
+    module = importlib.import_module(f"bachlab.{name}")
+    allowed = NON_GATE_CONSTANTS.get(name, ())
+    assert small_float_literals(module, allowed) == []
+
+
+def test_the_profile_and_surface_gates_keep_their_values():
+    # fixed gates: no run's table reaches them, so no report lists them
+    assert tolerances.FIXED == {"profile_cap": 1e-4, "surface_closure": 1e-9}
+    assert not tolerances.FIXED.keys() & tolerances.DEFAULTS.keys()
 
 
 def test_soliton_and_product_gate_defaults_read_the_table():

@@ -307,11 +307,14 @@ def test_product_group_frame_budget(monkeypatch):
     # suite all's product group: one factor frame per point set, the dim-4
     # frames in chunks of 8, and one frame per constancy spread's 24 dim-3
     # points, from which the lambda reports take lambda as well; one frame
-    # per point was 90 (84 single-point)
+    # per point was 90 (84 single-point).  The flat torus factor's metric
+    # is constant, so its 5 points share one metric jet and its stages run
+    # on a distinct-point frame of 1: the one single-point frame
     orders = count_frames(monkeypatch)
     suite._product_checks(tolerances.resolve())
-    assert len(orders) == 13
-    assert sum(n == 1 for _, n in orders) == 0
+    assert len(orders) == 14
+    assert [n for _, n in orders].count(1) == 1
+    assert orders[5:7] == [(BASE_ORDER, 5), (BASE_ORDER, 1)]
 
 
 # ----------------------------------------------------------------------

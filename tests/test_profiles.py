@@ -10,6 +10,7 @@ from bachlab import profiles
 from bachlab.profiles import (ProfileError, _rhs_raw, integrate_profile,
                               scan, scan_from_config, series_start,
                               table_to_csv)
+from bachlab.tolerances import FIXED
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +169,8 @@ def _scipy_reference(s0, c, t_max=40.0, rtol=1e-10, atol=1e-12, eps=1e-6,
         classification = profiles.STEP_FAILURE
     elif len(sol.t_events[0]):
         rho_e, rho_p_e, _, s_p_e = sol.y_events[0][0]
-        if (abs(rho_p_e + 1.0) <= profiles._CAP_TOL
-                and abs(s_p_e) <= profiles._CAP_TOL):
+        if (abs(rho_p_e + 1.0) <= FIXED["profile_cap"]
+                and abs(s_p_e) <= FIXED["profile_cap"]):
             classification = profiles.CLOSED
             t_close = float(sol.t_events[0][0] + rho_e / abs(rho_p_e))
         else:

@@ -14,7 +14,8 @@ from bachlab.solitons import (ResidualReport, SolitonError, SolitonSpec,
                               extended_q_residual, named_example,
                               quadratic_profile_check, solve_berger_soliton,
                               splitting_spotcheck, surface_conformal_field)
-from conftest import chunk_orders, count_frames, factor_at, per_point
+from conftest import (chunk_orders, count_frames, distinct_orders,
+                      factor_at, per_point)
 
 
 # ----------------------------------------------------------------------
@@ -570,8 +571,13 @@ def test_residual_builds_one_frame_per_chunk(monkeypatch):
     rep = bach_soliton_residual(man, 0.1, potential="0.2*cos(th)",
                                 points=pts)
     assert len(rep.norms) == 36
-    assert orders == chunk_orders(36)
-    assert len(orders) > 1
+    # the metric reads th and th_2, and the chunks with grid nodes repeat
+    # pairs of them: their stages run once per distinct pair (the third
+    # chunk's 4 grid nodes hold 2 pairs, the last chunks' 8 and 4 hold 4
+    # and 2)
+    assert orders == distinct_orders(pts, [0, 2])
+    assert orders == [(4, 8), (4, 8), (4, 8), (4, 6), (4, 8), (4, 4),
+                      (4, 4), (4, 2)]
 
 
 def test_profile_check_equals_the_per_point_path(monkeypatch):
@@ -610,7 +616,9 @@ def test_c_field_builds_one_frame_per_chunk(monkeypatch):
     spec = SolitonSpec(manifold=man, potential="0.1*cos(th)", lam=0.0)
     out = surface_conformal_field(man, spec, count=10)
     assert len(out["points"]) == 91
-    assert orders == chunk_orders(91)
+    # the metric reads th and th_2, which the 81 grid nodes repeat
+    assert orders == distinct_orders(out["points"], [0, 2])
+    assert [o for o in orders if o[1] == 8] == chunk_orders(91)[:-1]
 
 
 def test_splitting_spotcheck_equals_the_per_point_path(monkeypatch):
@@ -621,7 +629,12 @@ def test_splitting_spotcheck_equals_the_per_point_path(monkeypatch):
     orders = count_frames(monkeypatch)
     splitting_spotcheck(man, "cos(th) + sin(th_2)", "cos(th)*sin(th_2)",
                         count=4)
-    assert orders == chunk_orders(4 + 81)  # both fields share the frames
+    # both fields share the frames; the metric reads th and th_2, which
+    # the 81 grid nodes repeat
+    pts = charts.residual_sample_points(man, 4)
+    assert len(pts) == 4 + 81
+    assert orders == distinct_orders(pts, [0, 2])
+    assert orders[::2] == chunk_orders(4 + 81)[:len(orders[::2])]
 
 
 def test_suite_bach_group_equals_the_per_point_path(monkeypatch):
@@ -641,11 +654,14 @@ def test_soliton_group_frame_budget(monkeypatch):
     # 439 points, one per chunk of at most 8; the Berger root solve's
     # condition and lambda* come from structure constants and build none.
     # One frame per point was 596 frames, and 200 with the condition on
-    # single-point factor frames.
+    # single-point factor frames.  The ten chunks of s4-trivial's 3^4
+    # residual grid repeat the metric's jets (it reads three of the four
+    # angles), so each runs its stages on a distinct-point frame: 10 more
+    # frames over 33 distinct jets.
     orders = count_frames(monkeypatch)
     suite._soliton_checks(tolerances.resolve(), count=80)
-    assert sum(n for _, n in orders) == 439
-    assert len(orders) == 56
+    assert sum(n for _, n in orders) == 439 + 33
+    assert len(orders) == 56 + 10
 
 
 def test_no_check_builds_two_frames_at_a_point(monkeypatch):
@@ -653,16 +669,33 @@ def test_no_check_builds_two_frames_at_a_point(monkeypatch):
     # and Bach groups of suite all build, the check being the outermost
     # check function on the stack.  Checks may share points (the conformal
     # field's 6 points of r2_x_s2 begin the 80 of ho-r2s2); within one
-    # check, no point has two frames.
+    # check, no point has two frames.  A frame's distinct-point frame is
+    # not a second frame: it holds some of that frame's points and runs
+    # the stages the frame itself does not.
     covered = collections.Counter()
     check = [None]
     init = curvature.CurvatureFrame.__init__
+    distinct = curvature.CurvatureFrame.__dict__["_distinct"]
+    find = distinct.func
+    serving = []  # the keys of the frame whose distinct points are found
 
     def recorded(self, chart, point, order=BASE_ORDER):
         params = tuple(sorted(chart.params.items()))
-        for p in np.atleast_2d(np.asarray(point, dtype=float)):
-            covered[check[0], chart.name, params, order, p.tobytes()] += 1
+        keys = [(check[0], chart.name, params, order, p.tobytes())
+                for p in np.atleast_2d(np.asarray(point, dtype=float))]
+        if serving:
+            assert set(keys) <= serving[-1]
+        else:
+            covered.update(keys)
+            self._keys = set(keys)
         init(self, chart, point, order)
+
+    def found(self):
+        serving.append(self._keys)
+        try:
+            return find(self)
+        finally:
+            serving.pop()
 
     def labelled(name, fn):
         def run(*args, **kwargs):
@@ -676,6 +709,7 @@ def test_no_check_builds_two_frames_at_a_point(monkeypatch):
         return run
 
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", recorded)
+    monkeypatch.setattr(distinct, "func", found)
     for name in ("named_example", "solve_berger_soliton",
                  "quadratic_profile_check", "surface_conformal_field"):
         monkeypatch.setattr(solitons, name,
@@ -688,3 +722,6 @@ def test_no_check_builds_two_frames_at_a_point(monkeypatch):
     assert None not in {key[0] for key in covered}
     repeats = {key: n for key, n in covered.items() if n > 1}
     assert not repeats, [key[:4] for key in repeats]
+    # 439 points in the soliton group and 4 in the Bach group, one frame's
+    # each as without distinct-point frames
+    assert sum(covered.values()) == 439 + 4
