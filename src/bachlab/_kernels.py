@@ -6,6 +6,15 @@ Every product -- one scalar jet times another, an elementwise product of
 tensors, or a contraction over tensor indices -- is one call of `product`,
 the one entry point, which runs these steps:
 
+0. an elementwise product with a constant operand (only its 0th
+   coefficient non-zero) is the other operand scaled by that coefficient,
+   plus 0.0.  Every other term of a slot has a zero factor, and the
+   scatter sums the terms from +0.0, so for finite operands the scaling
+   has the scatter's bits once the + 0.0 turns its -0.0 into +0.0 (a NaN
+   or an inf stays non-finite, though not always in the same slots).
+   This covers ``x / K`` (through the reciprocal of a constant) and the
+   first Horner step of every elementary function; other products go on
+   to step 1;
 1. gather the operand coefficients of the table's slot pairs: strict pairs
    i < j contribute the symmetric term ``a_i b_j + a_j b_i`` (so products
    are exactly commutative in floating point) and diagonal slots
@@ -116,7 +125,13 @@ def product(a: np.ndarray, b: np.ndarray, tab: JetTables,
     broadcasting.
     """
     mul = np.multiply
-    if spec is not None:
+    if spec is None:
+        # step 0: a constant operand scales the other
+        if not b[..., 1:].any():
+            return a * b[..., :1] + 0.0
+        if not a[..., 1:].any():
+            return a[..., :1] * b + 0.0
+    else:
         ins, out = spec.split("->")
         subs = ins.split(",")
         sub = ",".join(s + "..." for s in subs) + "->" + out + "..."

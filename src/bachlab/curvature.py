@@ -6,9 +6,16 @@ arithmetic with explicit order bookkeeping.  Starting from metric jets of
 order m (4 by default, 5 at most) the pipeline loses one order per
 derivative:
 
-    g (m) -> Gamma (m-1) -> Riemann, Ricci, scalar, Schouten, Weyl (m-2)
+    g (m) -> g^-1, Gamma (m-1) -> R^up, Ricci, scalar, Schouten (m-2)
           -> grad S, cov Ricci, Cotton (m-3)
-          -> Hess S, Lap S, Lap Ricci, cov Cotton, Bach (m-4).
+          -> Hess S, Lap S, Lap Ricci, cov Cotton, Bach (m-4),
+
+and each stage is computed only to the order its readers take: g^-1 at
+m - 1, where Gamma reads it, and R_lo and Weyl at max(m - 4, 0), where
+Bach reads them (the pack reads only their values).  A truncated
+product's coefficients of degree <= k sum the same pairs in the same
+order at any order >= k, so every coefficient a reader takes has the bits
+it would have at a higher order.
 
 Every tensor is one `Jet` whose coefficients form a float64 array of
 shape ``(*tensor_shape, size)``: the tensor indices first, in the order
@@ -171,7 +178,8 @@ class CurvatureFrame:
 
     @_metric_stage
     def ginv(self) -> Jet:
-        """Inverse metric jets via Newton iteration X <- X(2I - GX)."""
+        """Inverse metric jets via Newton iteration X <- X(2I - GX), order
+        max(m - 1, 0)."""
         n = self.n
         g0 = np.moveaxis(self.g.value, (0, 1), (-2, -1))  # (*batch, n, n)
         try:
@@ -182,10 +190,12 @@ class CurvatureFrame:
                   if self.batch else f"{self.point}")
             raise CurvatureError(f"metric of {self.chart.name!r} is "
                                  f"singular at {at}") from None
-        X = Jet.constant(np.moveaxis(x0, (-2, -1), (0, 1)), n, self.order)
+        # Gamma, its deepest reader, takes g^-1 one order below g
+        order = max(self.order - 1, 0)
+        X = Jet.constant(np.moveaxis(x0, (-2, -1), (0, 1)), n, order)
         eye = np.eye(n).reshape((n, n) + (1,) * len(self.batch))
-        two_i = Jet.constant(2.0 * eye, n, self.order)
-        for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 5
+        two_i = Jet.constant(2.0 * eye, n, order)
+        for _ in range(3):  # order of accuracy: 0 -> 1 -> 3 -> 7 >= 4
             X = contract("ik,kj->ij", X,
                          two_i - contract("ik,kj->ij", self.g, X))
         return X
@@ -193,7 +203,7 @@ class CurvatureFrame:
     # -- level 3: connection --------------------------------------------
     @_metric_stage
     def gamma(self) -> Jet:
-        """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij, order 3."""
+        """Christoffel symbols, gamma[k, i, j] = Gamma^k_ij, order m - 1."""
         dg = self.g.grad()  # dg[l, i, j] = d_l g_ij
         first = _index("ilj->lij", dg) + _index("jli->lij", dg) - dg
         return 0.5 * contract("kl,lij->kij", self.ginv, first)
@@ -201,7 +211,7 @@ class CurvatureFrame:
     # -- level 2: curvature ---------------------------------------------
     @_metric_stage
     def riemann_up(self) -> Jet:
-        """riemann_up[l, i, j, k] = R^l_ijk, order 2."""
+        """riemann_up[l, i, j, k] = R^l_ijk, order m - 2."""
         gam = self.gamma.truncated(self.order - 2)
         dgam = self.gamma.grad()  # dgam[a, l, j, k] = d_a Gamma^l_jk
         half = (_index("iljk->lijk", dgam)
@@ -210,37 +220,39 @@ class CurvatureFrame:
 
     @_metric_stage
     def riemann_lo(self) -> Jet:
-        """riemann_lo[l, i, j, k] = g_lm R^m_ijk, order 2."""
-        return contract("lm,mijk->lijk", self.g, self.riemann_up)
+        """riemann_lo[l, i, j, k] = g_lm R^m_ijk, at the order Bach reads,
+        max(m - 4, 0)."""
+        return contract("lm,mijk->lijk", self.g.truncated(
+            max(self.order - 4, 0)), self.riemann_up)
 
     @_metric_stage
     def ricci(self) -> Jet:
-        """ricci[j, k] = R^i_ijk, order 2."""
+        """ricci[j, k] = R^i_ijk, order m - 2."""
         return _index("iijk->jk", self.riemann_up)
 
     @_metric_stage
     def scalar(self) -> Jet:
-        """Scalar curvature, order 2."""
+        """Scalar curvature, order m - 2."""
         return contract("jk,jk->", self.ginv, self.ricci)
 
     @_metric_stage
     def ricci_mixed(self) -> Jet:
-        """ricci_mixed[i, j] = g^{ia} Ric_aj, order 2."""
+        """ricci_mixed[i, j] = g^{ia} Ric_aj, order m - 2."""
         return contract("ia,aj->ij", self.ginv, self.ricci)
 
     @_metric_stage
     def ricci_sq(self) -> Jet:
-        """(Ric^2)_ij = Ric_ia g^{ab} Ric_bj, order 2."""
+        """(Ric^2)_ij = Ric_ia g^{ab} Ric_bj, order m - 2."""
         return contract("ia,aj->ij", self.ricci, self.ricci_mixed)
 
     @_metric_stage
     def ricci_norm2(self) -> Jet:
-        """|Ric|^2 = Ric_ij Ric^{ij}, order 2."""
+        """|Ric|^2 = Ric_ij Ric^{ij}, order m - 2."""
         return contract("ij,ji->", self.ricci_mixed, self.ricci_mixed)
 
     @_metric_stage
     def schouten(self) -> Jet:
-        """P = (Ric - S g / (2(n-1))) / (n-2), order 2; needs n >= 3."""
+        """P = (Ric - S g / (2(n-1))) / (n-2), order m - 2; needs n >= 3."""
         n = self.n
         if n < 3:
             raise CurvatureError(
@@ -251,12 +263,15 @@ class CurvatureFrame:
 
     @_metric_stage
     def weyl_lo(self) -> Jet:
-        """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), order 2."""
+        """W_lijk = R_lijk - (P ? g)_lijk (Kulkarni-Nomizu), at the order
+        of riemann_lo."""
         # g_li P_jk is P_jk g_li rearranged: an outer product sums nothing
         # and jet products commute exactly, so one product serves both
-        pg = contract("li,jk->lijk", self.schouten, self.g)
+        riem = self.riemann_lo
+        pg = contract("li,jk->lijk", self.schouten,
+                      self.g.truncated(riem.order))
         half = pg + _index("jkli->lijk", pg)
-        return self.riemann_lo - (half - _index("lijk->ljik", half))
+        return riem - (half - _index("lijk->ljik", half))
 
     # -- covariant derivatives -------------------------------------------
     def cov_deriv(self, T: Jet) -> Jet:
@@ -275,39 +290,40 @@ class CurvatureFrame:
 
     @_metric_stage
     def cov_ricci(self) -> Jet:
-        """cov_ricci[a, i, j] = (cov_a Ric)_ij, order 1."""
+        """cov_ricci[a, i, j] = (cov_a Ric)_ij, order m - 3."""
         return self.cov_deriv(self.ricci)
 
     @_metric_stage
     def cov_schouten(self) -> Jet:
+        """cov_schouten[a, i, j] = (cov_a P)_ij, order m - 3."""
         return self.cov_deriv(self.schouten)
 
     @_metric_stage
     def cotton(self) -> Jet:
-        """cotton[k, i, j] = cov_k P_ij - cov_i P_kj, order 1."""
+        """cotton[k, i, j] = cov_k P_ij - cov_i P_kj, order m - 3."""
         cp = self.cov_schouten
         return cp - _index("kij->ikj", cp)
 
     @_metric_stage
     def lap_ricci(self) -> Jet:
-        """Rough Laplacian g^{ab} cov_a cov_b Ric, order 0."""
-        cc = self.cov_deriv(self.cov_ricci)  # cc[b, a, i, j], order 0
+        """Rough Laplacian g^{ab} cov_a cov_b Ric, order m - 4."""
+        cc = self.cov_deriv(self.cov_ricci)  # cc[b, a, i, j], order m - 4
         return contract("ab,abij->ij", self.ginv, cc)
 
     # -- scalar-curvature derivatives -------------------------------------
     @_metric_stage
     def grad_scalar_lo(self) -> Jet:
-        """d S (lower index), order 1."""
+        """d S (lower index), order m - 3."""
         return self.scalar.grad()
 
     @_metric_stage
     def hess_scalar(self) -> Jet:
-        """Hessian of S, order 0."""
+        """Hessian of S, order m - 4."""
         return self.hessian(self.scalar)
 
     @_metric_stage
     def lap_scalar(self) -> Jet:
-        """Laplacian of S, order 0."""
+        """Laplacian of S, order m - 4."""
         return contract("ij,ij->", self.ginv, self.hess_scalar)
 
     # -- Bach -----------------------------------------------------------
@@ -378,20 +394,23 @@ class CurvatureFrame:
         return contract("ik,ikj->j", self.ginv, self.cov_deriv(T))
 
     def trace(self, T: Jet) -> Jet:
-        """g^{ij} T_ij at the order of T."""
+        """g^{ij} T_ij at the order of T, and at most that of g^-1."""
         return contract("ij,ij->", self.ginv, T)
 
     def trace_free(self, T: Jet) -> Jet:
-        """T - (tr T / n) g at the order of T."""
+        """T - (tr T / n) g at the order of tr T."""
         tr_over_n = self.trace(T) * (1.0 / self.n)
-        return T - tr_over_n * self.g.truncated(T.order)
+        k = tr_over_n.order
+        return T.truncated(k) - tr_over_n * self.g.truncated(k)
 
     def mixed(self, T: Jet) -> Jet:
-        """Raise the first index: T^i_j = g^{ia} T_aj."""
+        """Raise the first index: T^i_j = g^{ia} T_aj, at the order of T
+        and at most that of g^-1."""
         return contract("ia,aj->ij", self.ginv, T)
 
     def inner_sym2(self, T: Jet, U: Jet) -> Jet:
-        """<T, U>_g = g^{ia} g^{jb} T_ij U_ab at the common order."""
+        """<T, U>_g = g^{ia} g^{jb} T_ij U_ab at the common order, and at
+        most that of g^-1."""
         return contract("ij,ji->", self.mixed(T), self.mixed(U))
 
     def norm2_sym2(self, T: Jet) -> Jet:

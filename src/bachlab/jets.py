@@ -26,6 +26,8 @@ Conventions and contracts:
   hard error, lowering is explicit via `truncated`; `contract` works at
   the lower of its operands' orders, which is as far as their product is
   known;
+* a number enters only as a factor (``2.0 * j``); a sum or quotient with
+  a number takes `Jet.constant`, as an expression's numbers do;
 * elementary functions act entrywise on a tensor of jets; each entry's
   composition uses the univariate Taylor expansion of the function at its
   constant term, computed with `math` per entry and evaluated by Horner's
@@ -68,7 +70,7 @@ class Jet:
     tensor, at a point."""
 
     __slots__ = ("dim", "order", "coeffs", "tab")
-    # NumPy scalars and arrays defer to the reflected operators below
+    # NumPy scalars and arrays defer to the reflected product below
     __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray,
@@ -219,13 +221,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check_match(other)
             return self._like(self.coeffs + other.coeffs)
-        if isinstance(other, (int, float)):
-            coeffs = self.coeffs.copy()
-            coeffs[..., 0] += other
-            return self._like(coeffs)
         return NotImplemented
-
-    __radd__ = __add__
 
     def __neg__(self):
         return self._like(-self.coeffs)
@@ -234,17 +230,6 @@ class Jet:
         if isinstance(other, Jet):
             self._check_match(other)
             return self._like(self.coeffs - other.coeffs)
-        if isinstance(other, (int, float)):
-            coeffs = self.coeffs.copy()
-            coeffs[..., 0] -= other
-            return self._like(coeffs)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            coeffs = -self.coeffs
-            coeffs[..., 0] += other
-            return self._like(coeffs)
         return NotImplemented
 
     def __mul__(self, other):
@@ -261,13 +246,6 @@ class Jet:
         if isinstance(other, Jet):
             self._check_match(other)
             return self * other.reciprocal()
-        if isinstance(other, (int, float)):
-            return self._like(self.coeffs / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self.reciprocal() * other
         return NotImplemented
 
     def __pow__(self, exponent):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bachlab import charts, curvature, fdcheck, suite
+from bachlab._jettables import tables
 from bachlab.curvature import (BASE_ORDER, CurvatureError, CurvatureFrame,
                                _index, bach_divergence, grad_lap_scalar,
                                on_points, pipeline_pack, values)
@@ -174,7 +175,8 @@ def test_weyl_from_one_outer_product_equals_two_products_bitwise(rand3):
         pts = charts.sample_points(chart, 3)
         for where in (pts, pts[1]):
             frame = CurvatureFrame(chart, where)
-            P, g2 = frame.schouten, frame.g.truncated(frame.order - 2)
+            k = frame.weyl_lo.order
+            P, g2 = frame.schouten.truncated(k), frame.g.truncated(k)
             half = (contract("li,jk->lijk", P, g2)
                     + contract("li,jk->lijk", g2, P))
             want = frame.riemann_lo - (half - _index("lijk->ljik", half))
@@ -184,12 +186,13 @@ def test_weyl_from_one_outer_product_equals_two_products_bitwise(rand3):
 def test_inverse_metric_jets(rand3_frame):
     fr = rand3_frame
     n = fr.n
+    g = fr.g.truncated(fr.ginv.order)
     prod = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            acc = fr.g[i, 0] * fr.ginv[0, j]
+            acc = g[i, 0] * fr.ginv[0, j]
             for k in range(1, n):
-                acc = acc + fr.g[i, k] * fr.ginv[k, j]
+                acc = acc + g[i, k] * fr.ginv[k, j]
             prod[i, j] = acc
     for i in range(n):
         for j in range(n):
@@ -197,6 +200,90 @@ def test_inverse_metric_jets(rand3_frame):
             if i == j:
                 coeffs[0] -= 1.0
             assert np.abs(coeffs).max() <= 1e-13
+
+
+# ----------------------------------------------------------------------
+# each stage at the order its readers take
+# ----------------------------------------------------------------------
+def _order_charts(rand3):
+    return (rand3, charts.get_example("s2_x_s2"),
+            charts.get_example("line_x_berger"))
+
+
+def _newton_inverse_at_order_m(frame):
+    """g^-1 by the frame's three Newton steps, run at the order of g."""
+    n, m = frame.n, frame.order
+    g0 = np.moveaxis(frame.g.value, (0, 1), (-2, -1))
+    X = Jet.constant(np.moveaxis(np.linalg.inv(g0), (-2, -1), (0, 1)), n, m)
+    eye = np.eye(n).reshape((n, n) + (1,) * len(frame.batch))
+    two_i = Jet.constant(2.0 * eye, n, m)
+    for _ in range(3):
+        X = contract("ik,kj->ij", X, two_i - contract("ik,kj->ij", frame.g, X))
+    return X
+
+
+def _leading(t: Jet, order: int) -> np.ndarray:
+    return t.coeffs[..., :tables(t.dim, order).size]
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_inverse_metric_is_the_leading_part_of_newton_at_order_m(rand3, order):
+    for chart in _order_charts(rand3):
+        pts = charts.sample_points(chart, 3)
+        for where in (pts, pts[1]):
+            frame = CurvatureFrame(chart, where, order=order)
+            assert frame.ginv.order == order - 1
+            full = _newton_inverse_at_order_m(frame)
+            assert same_bits(frame.ginv.coeffs, _leading(full, order - 1)), \
+                (chart.name, order, np.ndim(where))
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_lower_four_index_stages_are_the_leading_part_of_order_m_minus_2(
+        rand3, order):
+    for chart in _order_charts(rand3):
+        pts = charts.sample_points(chart, 3)
+        for where in (pts, pts[1]):
+            frame = CurvatureFrame(chart, where, order=order)
+            lo = frame.riemann_lo.order
+            assert lo == frame.weyl_lo.order == order - 4
+            # the formulas at order m - 2, the order of R^up and P
+            riem = contract("lm,mijk->lijk", frame.g, frame.riemann_up)
+            pg = contract("li,jk->lijk", frame.schouten, frame.g)
+            half = pg + _index("jkli->lijk", pg)
+            weyl = riem - (half - _index("lijk->ljik", half))
+            assert riem.order == weyl.order == order - 2
+            at = (chart.name, order, np.ndim(where))
+            assert same_bits(frame.riemann_lo.coeffs, _leading(riem, lo)), at
+            assert same_bits(frame.weyl_lo.coeffs, _leading(weyl, lo)), at
+
+
+def test_inverse_metric_operators_take_a_tensor_at_the_frame_order(rand3):
+    t_exprs = [["x*y + 2", "sin(z)", "y"],
+               ["sin(z)", "cos(x*z)", "x - z"],
+               ["y", "x - z", "exp(y) + 1"]]
+    pts = charts.sample_points(rand3, 3)
+    for where in (pts, pts[1]):
+        fr = CurvatureFrame(rand3, where)
+        t = fr.scalar_jet(t_exprs)
+        one_less = t.truncated(fr.order - 1)
+        assert t.order == fr.order
+        tf = fr.trace_free(t)
+        assert same_bits(tf.coeffs, fr.trace_free(one_less).coeffs)
+        assert np.abs(fr.trace(tf).value).max() <= 1e-13
+        for got, want in ((fr.trace(t), fr.trace(one_less)),
+                          (fr.mixed(t), fr.mixed(one_less)),
+                          (fr.inner_sym2(t, t), fr.inner_sym2(one_less, t)),
+                          (fr.norm2_sym2(t), fr.norm2_sym2(one_less))):
+            assert got.order == fr.order - 1
+            assert same_bits(got.coeffs, want.coeffs)
+    # a point set's values are those of its points
+    batch = CurvatureFrame(rand3, pts)
+    tf = batch.trace_free(batch.scalar_jet(t_exprs)).value
+    for k, p in enumerate(pts):
+        fr = CurvatureFrame(rand3, p)
+        one = fr.trace_free(fr.scalar_jet(t_exprs)).value
+        assert same_bits(tf[..., k], one)
 
 
 def test_killing_fields_on_sphere():

@@ -14,6 +14,7 @@ from bachlab import (charts, curvature, homogeneous, identities, products,
                      solitons, suite, tolerances)
 from bachlab.cli import main
 from bachlab.curvature import BASE_ORDER, CurvatureFrame, values
+from bachlab.jets import Jet
 from conftest import chunk_orders, count_frames, distinct_orders
 from bachlab.identities import (IdentityError, bochner_identity,
                                 bourguignon_ezin_integral,
@@ -418,8 +419,12 @@ def test_rigidity_slack_gate_fails_a_planted_defect(monkeypatch):
     # the default case's slack is exactly 0.0; lowering ||Hess S||^2 by
     # 1e-6 (well inside the integral identity at tol 1.0) breaks the bound
     norm2 = CurvatureFrame.norm2_sym2
-    monkeypatch.setattr(CurvatureFrame, "norm2_sym2",
-                        lambda self, T: norm2(self, T) - 1e-6)
+
+    def lowered(self, T):
+        r = norm2(self, T)
+        return r - Jet.constant(1e-6, r.dim, r.order)
+
+    monkeypatch.setattr(CurvatureFrame, "norm2_sym2", lowered)
     rep = run_identity_case("lemma48", tol=1.0)
     assert rep["cauchy_schwarz_slack"] == pytest.approx(-1e-6, rel=1e-9)
     assert not rep["passed"]

@@ -122,7 +122,8 @@ def test_mul_xy_mixed_partial():
 
 def test_reciprocal_geometric_series():
     x, = variables([0.0], order=3)
-    inv = 1.0 / (1.0 + x)
+    one = Jet.constant(1.0, 1, 3)
+    inv = one / (one + x)
     assert np.allclose(inv.coeffs, [1.0, -1.0, 1.0, -1.0], atol=1e-15)
 
 
@@ -145,7 +146,7 @@ def test_mul_matches_polynomial_expansion_oracle():
 def test_division_by_zero_constant_term():
     x, = variables([0.0], order=2)
     with pytest.raises(JetDomainError):
-        1.0 / x
+        Jet.constant(1.0, 1, 2) / x
 
 
 def test_shape_mismatch_is_an_error():
@@ -169,9 +170,10 @@ def test_truncation_is_prefix_and_explicit():
 
 def test_integer_powers():
     x, = variables([0.0], order=4)
-    cube = (1.0 + x) ** 3
+    one = Jet.constant(1.0, 1, 4)
+    cube = (one + x) ** 3
     assert np.allclose(cube.coeffs, [1, 3, 3, 1, 0], atol=1e-15)
-    inv = (1.0 + x) ** -1
+    inv = (one + x) ** -1
     assert np.allclose(inv.coeffs, [1, -1, 1, -1, 1], atol=1e-15)
     assert (x ** 0).value == 1.0
     with pytest.raises(JetError):
@@ -247,7 +249,7 @@ def test_domain_errors_at_any_entry_name_it():
         with pytest.raises(JetDomainError, match=r"got -1\.0 at entry \(2,\)"):
             getattr(x, fn)()
     with pytest.raises(JetDomainError, match=r"entry \(1,\)"):
-        1.0 / (x - 2.0)
+        Jet.constant(1.0, 1, 2) / (x - Jet.constant(2.0, 1, 2))
     # a NaN constant term is not a domain error: it propagates to its entry
     nan = Jet.variable(0, np.array([1.0, math.nan]), 1, 2).sqrt()
     assert np.isnan(nan.value[1]) and nan.value[0] == 1.0
@@ -274,7 +276,7 @@ def test_every_elementary_function_vs_fd_oracle(name):
     """Partials of fn(0.8 + 0.3x + 0.2y^2 + 0.1xy) match mpmath FD."""
     point = (0.4, -0.2)
     x, y = variables(point, order=4)
-    u = 0.8 + 0.3 * x + 0.2 * y * y + 0.1 * x * y
+    u = Jet.constant(0.8, 2, 4) + 0.3 * x + 0.2 * y * y + 0.1 * x * y
     j = getattr(u, name)()
 
     fn = getattr(mp, name)
@@ -293,11 +295,11 @@ def test_every_elementary_function_vs_fd_oracle(name):
 def test_chain_rule_against_direct_polynomial_composition():
     """exp(g) for polynomial g equals the jet of exp(g) assembled directly."""
     x, y = variables([0.2, -0.4], order=4)
-    g = 1.0 + 0.5 * x - 0.25 * y + 0.125 * x * y
+    g = Jet.constant(1.0, 2, 4) + 0.5 * x - 0.25 * y + 0.125 * x * y
     composed = g.exp()
     # direct: multiply scalar exp(g0) by the jet exp(g - g0) via series
     g0 = g.value
-    shifted = g - g0
+    shifted = g - Jet.constant(g0, 2, 4)
     direct = Jet.constant(0.0, 2, 4)
     term = Jet.constant(1.0, 2, 4)
     for k in range(5):
@@ -365,9 +367,11 @@ def test_ring_laws_exact_on_integer_jets(jets3):
     assert np.array_equal(((a + b) + c).coeffs, (a + (b + c)).coeffs)
     assert np.array_equal(((a * b) * c).coeffs, (a * (b * c)).coeffs)
     assert np.array_equal((a * (b + c)).coeffs, (a * b + a * c).coeffs)
-    # a number on the left of -, and a jet over a number: exact on integers
-    assert np.array_equal((3 - a).coeffs, (-(a - 3)).coeffs)
-    assert np.array_equal((a / 2.0).coeffs, (a * 0.5).coeffs)
+    # a constant on the left of -, and a jet over a constant: exact on
+    # integers
+    three, two = Jet.constant(3.0, 2, 4), Jet.constant(2.0, 2, 4)
+    assert np.array_equal((three - a).coeffs, (-(a - three)).coeffs)
+    assert np.array_equal((a / two).coeffs, (a * 0.5).coeffs)
 
 
 @settings(max_examples=40, deadline=None)

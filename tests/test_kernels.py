@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bachlab import _kernels
 from bachlab._jettables import tables
-from bachlab.jets import Jet, contract
+from bachlab.jets import Jet, JetDomainError, contract
 
 
 def _reference(a, b, tab):
@@ -144,3 +144,78 @@ def test_one_column_contractions_round_each_point_alike(spec):
     for k in range(6):
         one = _kernels.product(a[..., k, :], b[..., k, :], tab, spec)
         assert np.array_equal(both[..., k, :], one), k
+
+
+def _constant_pairs(rng):
+    """(tab, a, c): a random jet and a constant one broadcast against it,
+    scalar, tensor and point-set shaped, with exact and signed zeros
+    (the last axis before the coefficients is a point axis of 5)."""
+    for dim in range(1, 5):
+        for order in range(6):
+            tab = tables(dim, order)
+            for a_shape, c_shape in (((), ()), ((2, 3), (2, 3)),
+                                     ((2, 3), ()), ((3, 5), (3, 1)),
+                                     ((1, 5), (3, 5))):
+                a = rng.standard_normal(a_shape + (tab.size,))
+                a[rng.random(a.shape) < 0.3] = 0.0
+                a[rng.random(a.shape) < 0.1] = -0.0
+                c = np.zeros(c_shape + (tab.size,))
+                c[..., 0] = rng.standard_normal(c_shape)
+                c[rng.random(c.shape) < 0.3] = 0.0
+                c.reshape(-1, tab.size)[0, 0] = -abs(
+                    c.reshape(-1, tab.size)[0, 0]) - 0.5
+                yield tab, a, c
+
+
+def _entries(a, c):
+    lead = np.broadcast_shapes(a.shape[:-1], c.shape[:-1])
+    a, c = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, c))
+    for idx in np.ndindex(*lead):
+        yield idx, a[idx], c[idx]
+
+
+def test_a_constant_operand_scales_with_the_bits_of_the_reference(
+        monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = list(_constant_pairs(rng))
+
+    def no_scatter(*args):
+        raise AssertionError("a constant operand reached the scatter")
+
+    monkeypatch.setattr(_kernels, "_scatter", no_scatter)
+    for tab, a, c in cases:
+        for got in (_kernels.product(a, c, tab), _kernels.product(c, a, tab)):
+            for idx, ai, ci in _entries(a, c):
+                want = _reference(ai, ci, tab)
+                assert np.array_equal(got[idx].view(np.int64),
+                                      want.view(np.int64)), (tab.dim,
+                                                             tab.order, idx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_constant_operand_keeps_a_non_finite_entry_non_finite(bad):
+    rng = np.random.default_rng(12)
+    for tab, a, c in _constant_pairs(rng):
+        for slot in {0, tab.size - 1}:
+            dirty = a.copy()
+            dirty[..., slot] = bad
+            dirty_c = c.copy()
+            dirty_c[..., 0] = bad
+            for x, y in ((dirty, c), (a, dirty_c)):
+                # inf * 0 is NaN here, as it is in the reference kernel
+                with np.errstate(invalid="ignore"):
+                    both = (_kernels.product(x, y, tab),
+                            _kernels.product(y, x, tab))
+                for got in both:
+                    assert not np.isfinite(got).all(axis=-1).any(), (
+                        tab.dim, tab.order, slot)
+
+
+def test_division_by_a_constant_with_zero_constant_term_raises():
+    for dim in range(1, 5):
+        for order in range(6):
+            x = Jet.variable(0, 0.7, dim, order)
+            with pytest.raises(JetDomainError):
+                x / Jet.constant(0.0, dim, order)
+            with pytest.raises(JetDomainError, match=r"entry \(1,\)"):
+                x / Jet.constant(np.array([2.0, 0.0, -3.0]), dim, order)
